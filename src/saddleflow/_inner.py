@@ -4,6 +4,12 @@ All inner objectives in this library are strongly convex (or strongly
 concave), so a damped Newton iteration with a residual-decrease line search
 is globally effective. Jacobians come from the problem's Hessian oracle when
 available and finite differences otherwise.
+
+When the curvature is constant the caller factors it once and passes the
+matrix by keyword: ``newton_solve`` then opens with one exact prefactored
+step, and ``projected_concave_max`` runs its projected Newton iteration on
+the exact quadratic model, calling the gradient oracle only to start and to
+confirm convergence.
 """
 
 from __future__ import annotations
@@ -72,16 +78,27 @@ def newton_solve(
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     tol: float = 1e-10,
     max_iters: int = 100,
+    *,
+    jacobian_inverse: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Solve ``residual(x) = 0`` by damped Newton with backtracking.
 
     Accepts a step when the residual norm drops by the Armijo-type factor
     (1 - t/4); raises :class:`InnerSolveError` carrying the final residual
     when ``max_iters`` is exhausted or no damping factor makes progress.
+
+    ``jacobian_inverse`` is the inverse of a constant Jacobian. The solve
+    then first takes the exact step ``x - jacobian_inverse @ residual(x)``
+    and continues as damped Newton only if the residual there is above
+    ``tol``.
     """
     x = np.array(x0, dtype=float)
     r = np.asarray(residual(x), dtype=float)
     nr = float(np.linalg.norm(r))
+    if jacobian_inverse is not None and nr > tol:
+        x = x - jacobian_inverse @ r
+        r = np.asarray(residual(x), dtype=float)
+        nr = float(np.linalg.norm(r))
     for _ in range(max_iters):
         if nr <= tol:
             return x
@@ -116,6 +133,8 @@ def projected_concave_max(
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     tol: float = 1e-10,
     max_iters: int = 100,
+    *,
+    constant_hess: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Maximize a strongly concave function over a box.
 
@@ -125,7 +144,15 @@ def projected_concave_max(
     the projection arc. Convergence is declared when the projected gradient
     (the element-wise vector field projection of the gradient) has norm
     below ``tol``.
+
+    ``constant_hess`` is the Hessian of a concave quadratic. The gradient is
+    then carried along the iterates as ``g + constant_hess @ move``, the
+    ascent test uses the exact change ``g.d + d.H.d / 2``, so ``value`` and
+    ``hess`` are never called, and a solve ends only once the projected
+    gradient of the ``grad`` oracle itself is below ``tol``.
     """
+    if constant_hess is not None:
+        return _box_qp_max(grad, feasible, y0, constant_hess, tol, max_iters)
     y = np.clip(np.asarray(y0, dtype=float), feasible.lower, feasible.upper)
     nres = np.inf
     for _ in range(max_iters):
@@ -135,13 +162,7 @@ def projected_concave_max(
         if nres <= tol:
             return y
         hmat = hess(y) if hess is not None else fd_jacobian(grad, y)
-        free = ~((y == feasible.lower) & (g < 0.0)) & ~((y == feasible.upper) & (g > 0.0))
-        step = np.zeros_like(y)
-        gf = g[free]
-        try:
-            step[free] = np.linalg.solve(-hmat[np.ix_(free, free)], gf)
-        except np.linalg.LinAlgError:
-            step[free] = np.linalg.lstsq(-hmat[np.ix_(free, free)], gf, rcond=None)[0]
+        step = _free_newton_step(hmat, g, y, feasible)
         phi0 = float(value(y))
         t = 1.0
         accepted = False
@@ -163,4 +184,55 @@ def projected_concave_max(
             t *= 0.5
         if not accepted:
             raise InnerSolveError("projected newton line search stalled", nres)
+    raise InnerSolveError("projected newton iteration limit reached", nres)
+
+
+def _free_newton_step(hmat: np.ndarray, g: np.ndarray, y: np.ndarray, feasible: FeasibleSet):
+    """Newton ascent step on the coordinates not held at a face by the gradient."""
+    free = ~((y == feasible.lower) & (g < 0.0)) & ~((y == feasible.upper) & (g > 0.0))
+    step = np.zeros_like(y)
+    gf = g[free]
+    try:
+        step[free] = np.linalg.solve(-hmat[np.ix_(free, free)], gf)
+    except np.linalg.LinAlgError:
+        step[free] = np.linalg.lstsq(-hmat[np.ix_(free, free)], gf, rcond=None)[0]
+    return step
+
+
+def _box_qp_max(grad, feasible: FeasibleSet, y0, hmat: np.ndarray, tol: float, max_iters: int):
+    """Projected Newton over the exact quadratic model with Hessian ``hmat``."""
+    y = np.clip(np.asarray(y0, dtype=float), feasible.lower, feasible.upper)
+    g = np.asarray(grad(y), dtype=float)
+    from_oracle = True
+    nres = np.inf
+    for _ in range(max_iters):
+        nres = float(np.linalg.norm(project_vector_field(feasible, y, g)))
+        if nres <= tol:
+            if from_oracle:
+                return y
+            # the carried gradient may drift by rounding: confirm at the oracle
+            g = np.asarray(grad(y), dtype=float)
+            from_oracle = True
+            nres = float(np.linalg.norm(project_vector_field(feasible, y, g)))
+            if nres <= tol:
+                return y
+        step = _free_newton_step(hmat, g, y, feasible)
+        t = 1.0
+        while t >= 2.0**-40:
+            y_t = np.clip(y + t * step, feasible.lower, feasible.upper)
+            move = y_t - y
+            if np.any(move != 0.0):
+                h_move = hmat @ move
+                ascent = float(g @ move)
+                g_t = g + h_move
+                if ascent + 0.5 * float(move @ h_move) >= 1e-4 * ascent:
+                    break
+                res_t = project_vector_field(feasible, y_t, g_t)
+                if float(np.linalg.norm(res_t)) <= (1.0 - 0.25 * t) * nres:
+                    break
+            t *= 0.5
+        else:
+            raise InnerSolveError("projected newton line search stalled", nres)
+        y, g = y_t, g_t
+        from_oracle = False
     raise InnerSolveError("projected newton iteration limit reached", nres)

@@ -425,6 +425,10 @@ class RunResult:
     cert_report: Optional[cert.CertificateReport] = None
     cert_label: str = ""
     recover_line: str = ""
+    equilibrium_how: str = "not found"
+    # why the rate fit or the certificate is missing; empty when present
+    rate_skipped: str = ""
+    cert_skipped: str = ""
 
 
 def _resolve_equilibrium(flow: Flow, traj: Trajectory, config: IntegratorConfig):
@@ -464,30 +468,37 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     z_star, how = _resolve_equilibrium(setup.flow, traj, cfg.integrator)
     rate = None
+    rate_skipped = ""
     lyap = None
-    if z_star is not None:
+    if z_star is None:
+        rate_skipped = "no equilibrium found"
+    else:
         series = distance_series(traj, z_star)
         try:
             rate = fit_rate(series, c_bound=setup.c_bound)
-        except ValueError:
-            rate = None
+        except ValueError as err:
+            rate_skipped = str(err)
         lyap = max_increment(lyapunov_series(traj, z_star))
 
     cert_report = None
     cert_label = ""
-    if setup.cert_builder is not None and z_star is not None:
-        try:
-            certificate = setup.cert_builder(z_star)
-            cert_report = cert.eval_certificate(certificate, traj, flow=setup.flow)
-            cert_label = certificate.label
-        except ValueError:
-            cert_report = None
+    cert_skipped = ""
+    if setup.cert_builder is not None:
+        if z_star is None:
+            cert_skipped = "no equilibrium found"
+        else:
+            try:
+                certificate = setup.cert_builder(z_star)
+                cert_report = cert.eval_certificate(certificate, traj, flow=setup.flow)
+                cert_label = certificate.label
+            except ValueError as err:
+                cert_skipped = str(err)
 
     recover_line = ""
     if setup.recover is not None and converged:
         recover_line = setup.recover(traj.final_state)
 
-    result = RunResult(
+    return RunResult(
         config=cfg,
         setup=setup,
         trajectory=traj,
@@ -501,9 +512,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         cert_report=cert_report,
         cert_label=cert_label,
         recover_line=recover_line,
+        equilibrium_how=how,
+        rate_skipped=rate_skipped,
+        cert_skipped=cert_skipped,
     )
-    result.equilibrium_how = how  # type: ignore[attr-defined]
-    return result
 
 
 def _format_report(res: RunResult) -> str:
@@ -526,8 +538,7 @@ def _format_report(res: RunResult) -> str:
         lines.append("converged: NO -- residual not decreasing (flagged non-convergence)")
     else:
         lines.append("converged: not yet (residual still decreasing)")
-    how = getattr(res, "equilibrium_how", "not found")
-    lines.append(f"equilibrium: {how}")
+    lines.append(f"equilibrium: {res.equilibrium_how}")
     if res.rate is not None:
         r = res.rate
         bound = "none" if r.c_bound is None else f"{r.c_bound:.6g}"
@@ -537,7 +548,7 @@ def _format_report(res: RunResult) -> str:
         )
         lines.append(f"rate bound: {bound} -> verdict: {r.verdict}")
     else:
-        lines.append("fitted rate: unavailable (no equilibrium or too few samples)")
+        lines.append(f"fitted rate: unavailable ({res.rate_skipped})")
     if res.lyapunov_increment is not None:
         lines.append(f"lyapunov max increment: {res.lyapunov_increment:.3e}")
     if res.cert_report is not None:
@@ -549,6 +560,8 @@ def _format_report(res: RunResult) -> str:
         )
         if c.observability_violated:
             lines.append("WARNING: certificate vanished while the flow residual did not")
+    elif res.cert_skipped:
+        lines.append(f"certificate: skipped ({res.cert_skipped})")
     if res.recover_line:
         lines.append(f"recovered solution: {res.recover_line}")
     return "\n".join(lines) + "\n"

@@ -90,7 +90,11 @@ class ConvexityMeta:
 
 @dataclass(frozen=True)
 class ConvexObjective:
-    """A convex function with gradient (and optionally Hessian) oracle."""
+    """A convex function with gradient (and optionally Hessian) oracle.
+
+    ``hess_constant`` declares that ``hess`` returns the same matrix at every
+    point (a quadratic objective); inner solves then factor it once.
+    """
 
     dim: int
     value: Callable[[np.ndarray], float]
@@ -99,6 +103,11 @@ class ConvexObjective:
     mu: Optional[float] = None
     l: Optional[float] = None
     label: str = ""
+    hess_constant: bool = False
+
+    def __post_init__(self):
+        if self.hess_constant and self.hess is None:
+            raise ValueError("hess_constant declares a Hessian oracle, but hess is None")
 
 
 @dataclass(frozen=True)
@@ -124,8 +133,10 @@ class SaddleProblem:
     ``value(x, y)`` evaluates S, ``grad_x``/``grad_y`` its block gradients.
     ``y_set`` is the (box) domain of the maximization block when the problem
     is meant to be run with a projected flow; None means free. ``saddle``
-    carries the analytic saddle point when the builder knows it. Instances
-    are immutable and safe to share across concurrent runs.
+    carries the analytic saddle point when the builder knows it.
+    ``hess_constant`` declares that ``hess_xx`` and ``hess_yy`` (those
+    supplied) return the same matrix at every point. Instances are immutable
+    and safe to share across concurrent runs.
     """
 
     n: int
@@ -140,10 +151,13 @@ class SaddleProblem:
     hess_xx: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     hess_yy: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     label: str = ""
+    hess_constant: bool = False
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError(f"block dimensions must be positive, got n={self.n}, m={self.m}")
+        if self.hess_constant and self.hess_xx is None and self.hess_yy is None:
+            raise ValueError("hess_constant declares Hessian oracles, but none is supplied")
         if self.y_set is not None and self.y_set.dim != self.m:
             raise DimensionMismatchError(
                 f"y_set has dimension {self.y_set.dim}, expected m={self.m}"

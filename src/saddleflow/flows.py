@@ -154,7 +154,10 @@ def proximal_primal_dual(
 
     State (u, y) with y >= 0. Each evaluation resolves the regularized
     primal minimizer x_tilde(u, y) from f'(x) + Dg(x)^T y + rho*(x - u) = 0;
-    the u block descends the surrogate gradient rho*(u - x_tilde).
+    the u block descends the surrogate gradient rho*(u - x_tilde). With a
+    quadratic f (``hess_constant``) the inverse of Hess f + rho*I is factored
+    once here; it is exact for affine g, and for any other g the residual
+    gate hands the solve to damped Newton after that first step.
     """
     if not rho > 0:
         raise ValueError(f"rho must be > 0, got {rho}")
@@ -162,6 +165,9 @@ def proximal_primal_dual(
     y_set = FeasibleSet.nonnegative(m)
     cache = WarmCache()
     eye = np.eye(n)
+    jacobian_inverse = None
+    if f.hess_constant:
+        jacobian_inverse = np.linalg.inv(f.hess(np.zeros(n)) + rho * eye)
 
     def minimizer(u, y):
         def residual(x):
@@ -171,7 +177,10 @@ def proximal_primal_dual(
         if f.hess is not None and g.hess is not None:
             jacobian = lambda x: f.hess(x) + g.hess(x, y) + rho * eye
         x0 = cache.point if inner.warm_start and cache.point is not None else u
-        x = newton_solve(residual, x0, jacobian, tol=inner.tol, max_iters=inner.max_iters)
+        x = newton_solve(
+            residual, x0, jacobian, tol=inner.tol, max_iters=inner.max_iters,
+            jacobian_inverse=jacobian_inverse,
+        )
         if inner.warm_start:
             cache.point = x
         return x

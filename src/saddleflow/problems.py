@@ -98,6 +98,7 @@ def make_quadratic_saddle(mu: float, q: float, B) -> SaddleProblem:
         hess_xx=lambda x, y: mu * eye_n,
         hess_yy=lambda x, y: -q * eye_m,
         label="quadratic_saddle",
+        hess_constant=True,
     )
 
 
@@ -318,6 +319,7 @@ def make_qp_affine(Q, p, A, b) -> QpBundle:
         mu=float(q_eigs[0]),
         l=float(q_eigs[-1]),
         label="quadratic",
+        hess_constant=True,
     )
     return QpBundle(f=f, A=A, b=b, kappa=kappa, sigma=sigma)
 
@@ -352,6 +354,7 @@ def qp_lagrangian(bundle: QpBundle, eta: float = 1.0, nonneg_y: bool = True) -> 
         hess_xx=lambda x, y: f.hess(x),
         hess_yy=lambda x, y: np.zeros((m, m)),
         label="qp_lagrangian",
+        hess_constant=f.hess_constant,
     )
 
 
@@ -409,6 +412,7 @@ def _quadratic_objective(Q, p, label: str) -> ConvexObjective:
         mu=float(eigs[0]),
         l=float(eigs[-1]),
         label=label,
+        hess_constant=True,
     )
 
 
@@ -427,16 +431,15 @@ def separable_qp_bundle(sep: SeparableProblem) -> QpBundle:
     """Collapse a separable problem into one QP bundle over (x_s, x_c).
 
     Lets the preconditioning transform run on separable instances; requires
-    Hessian oracles on both blocks and a full-row-rank stacked constraint
-    matrix.
+    both blocks to declare constant Hessians (``hess_constant``) and a
+    full-row-rank stacked constraint matrix.
     """
-    if sep.f_s.hess is None or sep.f_c.hess is None:
-        raise ValueError("combined bundle needs Hessian oracles on both blocks")
+    if not (sep.f_s.hess_constant and sep.f_c.hess_constant):
+        raise ValueError(
+            "combined bundle requires quadratic blocks: both must declare hess_constant"
+        )
     n_s, n_c = sep.f_s.dim, sep.f_c.dim
     z_s, z_c = np.zeros(n_s), np.zeros(n_c)
-    probe = np.full(n_s, 0.37)
-    if not np.allclose(sep.f_s.hess(z_s), sep.f_s.hess(probe), atol=1e-12):
-        raise ValueError("combined bundle requires quadratic blocks (constant Hessians)")
     Q = np.block(
         [
             [sep.f_s.hess(z_s), np.zeros((n_s, n_c))],
@@ -546,6 +549,7 @@ def make_lasso(A_data, b_data, lam: float) -> LassoBundle:
         mu=mu_hat,
         l=l_hat,
         label="lasso_datafit",
+        hess_constant=True,
     )
     f, A, y_set = lasso_reformulate(fhat, lam)
     return LassoBundle(

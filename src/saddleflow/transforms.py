@@ -148,7 +148,9 @@ class ProximalSurrogate:
 
     The surrogate value is min_x { S(x, y) + (rho/2)||x - u||^2 }; its
     gradients are evaluated through the inner minimizer x_tilde(u, y), which
-    is resolved by damped Newton to the configured residual tolerance.
+    is resolved by damped Newton to the configured residual tolerance. When
+    the base declares a constant Hessian, the inverse of H_xx + rho*I is
+    factored once at build time and each solve opens with that exact step.
     """
 
     base: SaddleProblem
@@ -156,6 +158,7 @@ class ProximalSurrogate:
     inner: InnerSolveConfig
     problem: SaddleProblem
     _cache: WarmCache
+    _jacobian_inverse: Optional[np.ndarray] = None
 
     def minimizer(self, u, y, x0: Optional[np.ndarray] = None) -> np.ndarray:
         """The inner minimizer x_tilde(u, y); deterministic given (u, y, x0)."""
@@ -175,7 +178,10 @@ class ProximalSurrogate:
             jacobian = lambda x: self.base.hess_xx(x, y) + self.rho * eye
         if x0 is None:
             x0 = self._cache.point if self.inner.warm_start and self._cache.point is not None else u
-        x = newton_solve(residual, x0, jacobian, tol=self.inner.tol, max_iters=self.inner.max_iters)
+        x = newton_solve(
+            residual, x0, jacobian, tol=self.inner.tol, max_iters=self.inner.max_iters,
+            jacobian_inverse=self._jacobian_inverse,
+        )
         if self.inner.warm_start:
             self._cache.store(x, u, y)
         return x
@@ -239,8 +245,15 @@ def proximal_surrogate(
         saddle=problem.saddle,
         label=f"proximal({problem.label or 'problem'}, rho={rho})",
     )
+    jacobian_inverse = None
+    if problem.hess_constant and problem.hess_xx is not None:
+        n, m = problem.n, problem.m
+        jacobian_inverse = np.linalg.inv(
+            problem.hess_xx(np.zeros(n), np.zeros(m)) + rho * np.eye(n)
+        )
     surrogate = ProximalSurrogate(
-        base=problem, rho=rho, inner=inner, problem=surrogate_problem, _cache=cache
+        base=problem, rho=rho, inner=inner, problem=surrogate_problem, _cache=cache,
+        _jacobian_inverse=jacobian_inverse,
     )
     holder["self"] = surrogate
     return surrogate
@@ -340,6 +353,7 @@ def precondition(
         y_set=FeasibleSet.nonnegative(m) if y_set is None else y_set,
         hess_xx=hess_xx,
         hess_yy=hess_yy,
+        hess_constant=f.hess_constant,
         label=f"preconditioned({f.label or 'f'}, eta={eta}, alpha={alpha})",
     )
     return PreconditionedProblem(f=f, A=A, b=b, eta=eta, alpha=alpha, problem=problem)
@@ -355,13 +369,15 @@ class ReducedProblem:
 
     A problem over (x_c, y); ``minimizer`` resolves x_s_bar(y) from the
     optimality condition grad f_s(x_s) + A_s^T y = 0, and ``recover`` stacks
-    the full primal point.
+    the full primal point. A quadratic f_s (``hess_constant``) has its
+    Hessian inverted once at build time.
     """
 
     sep: "SeparableProblem"
     inner: InnerSolveConfig
     problem: SaddleProblem
     _cache: WarmCache
+    _jacobian_inverse: Optional[np.ndarray] = None
 
     def minimizer(self, y, x0: Optional[np.ndarray] = None) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -382,7 +398,10 @@ class ReducedProblem:
                 if self.inner.warm_start and self._cache.point is not None
                 else np.zeros(f_s.dim)
             )
-        x = newton_solve(residual, x0, jacobian, tol=self.inner.tol, max_iters=self.inner.max_iters)
+        x = newton_solve(
+            residual, x0, jacobian, tol=self.inner.tol, max_iters=self.inner.max_iters,
+            jacobian_inverse=self._jacobian_inverse,
+        )
         if self.inner.warm_start:
             self._cache.store(x, y)
         return x
@@ -433,7 +452,13 @@ def reduce(sep: "SeparableProblem", inner: InnerSolveConfig = InnerSolveConfig()
         y_set=FeasibleSet.nonnegative(m),
         label="reduced_lagrangian",
     )
-    reduced = ReducedProblem(sep=sep, inner=inner, problem=problem, _cache=WarmCache())
+    jacobian_inverse = None
+    if sep.f_s.hess_constant:
+        jacobian_inverse = np.linalg.inv(sep.f_s.hess(np.zeros(sep.f_s.dim)))
+    reduced = ReducedProblem(
+        sep=sep, inner=inner, problem=problem, _cache=WarmCache(),
+        _jacobian_inverse=jacobian_inverse,
+    )
     holder["self"] = reduced
     return reduced
 
@@ -487,6 +512,7 @@ def lasso_reformulate(
         mu=0.0,
         l=fhat.l,
         label=f"lasso_split({fhat.label or 'fhat'}, lambda={lam})",
+        hess_constant=fhat.hess_constant,
     )
     feasible = FeasibleSet(
         np.concatenate((np.full(n, -np.inf), np.zeros(2 * n))),
@@ -501,8 +527,10 @@ class LassoDualProx:
 
     The value is max_{y in Y} { L(u, y) - (rho/2)||y - v||^2 }; the maximizer
     y_tilde(u, v) is resolved by a projected Newton solve to the configured
-    residual tolerance. When the base problem came from ``precondition``,
-    ``recover`` maps an equilibrium back to original primal-dual coordinates.
+    residual tolerance. When the base declares a constant Hessian, the dual
+    Hessian H_yy - rho*I is built once and the solve is a box QP over it.
+    When the base problem came from ``precondition``, ``recover`` maps an
+    equilibrium back to original primal-dual coordinates.
     """
 
     base: SaddleProblem
@@ -511,6 +539,7 @@ class LassoDualProx:
     problem: SaddleProblem
     precond: Optional[PreconditionedProblem]
     _cache: WarmCache
+    _dual_hess: Optional[np.ndarray] = None
 
     def maximizer(self, u, v, y0: Optional[np.ndarray] = None) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -530,13 +559,14 @@ class LassoDualProx:
             return base.grad_y(u, y) - rho * (y - v)
 
         hess = None
-        if base.hess_yy is not None:
+        if base.hess_yy is not None and self._dual_hess is None:
             eye = np.eye(base.m)
             hess = lambda y: base.hess_yy(u, y) - rho * eye
         if y0 is None:
             y0 = self._cache.point if self.inner.warm_start and self._cache.point is not None else v
         y = projected_concave_max(
-            phi, dphi, feasible, y0, hess, tol=self.inner.tol, max_iters=self.inner.max_iters
+            phi, dphi, feasible, y0, hess, tol=self.inner.tol, max_iters=self.inner.max_iters,
+            constant_hess=self._dual_hess,
         )
         if self.inner.warm_start:
             self._cache.store(y, u, v)
@@ -593,8 +623,12 @@ def lasso_dual_prox(
         y_set=None,
         label=f"dual_prox({base.label or 'problem'}, rho={rho})",
     )
+    dual_hess = None
+    if base.hess_constant and base.hess_yy is not None:
+        dual_hess = base.hess_yy(np.zeros(base.n), np.zeros(base.m)) - rho * np.eye(base.m)
     transform = LassoDualProx(
-        base=base, rho=rho, inner=inner, problem=problem, precond=precond, _cache=WarmCache()
+        base=base, rho=rho, inner=inner, problem=problem, precond=precond, _cache=WarmCache(),
+        _dual_hess=dual_hess,
     )
     holder["self"] = transform
     return transform

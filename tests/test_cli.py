@@ -223,3 +223,53 @@ def test_compare_reduced_and_preconditioned_pass_their_bounds(tmp_path):
     for row in _comparison_rows(out / "comparison.csv").values():
         assert float(row["c_fit"]) >= 0.9 * float(row["c_bound"])
         assert float(row["final_residual"]) <= 1e-6
+
+
+def test_report_states_why_the_rate_fit_is_missing(tmp_path):
+    # the equilibrium is known, but two records leave too few samples to fit
+    short = QUADRATIC.replace("horizon = 20", "horizon = 0.12").replace(
+        "record_every = 20", "record_every = 60"
+    )
+    cfg = _write(tmp_path, "short.ini", short)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+    report = (out / "report.txt").read_text()
+    assert "equilibrium: hint" in report
+    assert "fitted rate: unavailable (too few usable samples in window" in report
+
+
+def test_report_states_why_the_certificate_is_skipped(tmp_path, monkeypatch):
+    import saddleflow.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise ValueError("certificate produced shape (0,), expected (1, 2)")
+
+    monkeypatch.setattr(cli.cert, "eval_certificate", refuse)
+    cfg = _write(tmp_path, "quad.ini", QUADRATIC)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+    report = (out / "report.txt").read_text()
+    assert "certificate: skipped (certificate produced shape (0,), expected (1, 2))" in report
+    assert "max_bracket_violation=" not in report
+
+
+def test_report_without_equilibrium_gives_reasons(tmp_path):
+    text = (CONFIGS / "separable_reduced.ini").read_text().replace("horizon = 40", "horizon = 0.1")
+    cfg = _write(tmp_path, "reduced_short.ini", text)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+    report = (out / "report.txt").read_text()
+    assert "equilibrium: not found" in report
+    assert "fitted rate: unavailable (no equilibrium found)" in report
+    assert "certificate: skipped (no equilibrium found)" in report
+
+
+def test_report_line_formats_read_by_tools(tmp_path):
+    cfg = _write(tmp_path, "aug.ini", BILINEAR_AUGMENTED)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+    lines = (out / "report.txt").read_text().splitlines()
+    assert any(line.startswith("final residual: ") for line in lines)
+    assert "equilibrium: hint" in lines
+    (cert_line,) = [line for line in lines if line.startswith("certificate [augmented]: ")]
+    assert ", max_bracket_violation=" in cert_line

@@ -133,6 +133,50 @@ def test_separable_qp_builder():
         )
 
 
+def _wavy_block():
+    # x.x + c*sum(cos(2*pi*x/0.37)): convex, not quadratic, and its Hessian
+    # at 0 equals its Hessian at the all-0.37 point
+    w = 2.0 * np.pi / 0.37
+    c = 1e-3
+    return sf.ConvexObjective(
+        dim=2,
+        value=lambda x: float(x @ x) + c * float(np.cos(w * x).sum()),
+        grad=lambda x: 2.0 * x - c * w * np.sin(w * x),
+        hess=lambda x: np.diag(2.0 - c * w**2 * np.cos(w * x)),
+        mu=2.0 - c * w**2,
+        l=2.0 + c * w**2,
+        label="wavy",
+    )
+
+
+def test_separable_qp_bundle_rejects_undeclared_non_quadratic_block():
+    quad = sf.make_separable_qp(
+        np.eye(2), np.zeros(2), np.eye(1), np.zeros(1),
+        np.array([[1.0, 0.0]]), np.array([[1.0]]), np.array([0.5]),
+    )
+    wavy = _wavy_block()
+    # the two-point probe the bundle used to rely on cannot tell it apart
+    assert np.allclose(wavy.hess(np.zeros(2)), wavy.hess(np.full(2, 0.37)), atol=1e-12)
+    assert not np.allclose(wavy.hess(np.zeros(2)), wavy.hess(np.full(2, 0.1)))
+    sep = sf.SeparableProblem(f_s=wavy, f_c=quad.f_c, A_s=quad.A_s, A_c=quad.A_c, b=quad.b)
+    with pytest.raises(ValueError, match="hess_constant"):
+        sf.separable_qp_bundle(sep)
+    flipped = sf.SeparableProblem(f_s=quad.f_s, f_c=wavy, A_s=np.eye(1, 2), A_c=np.ones((1, 2)), b=quad.b)
+    with pytest.raises(ValueError, match="hess_constant"):
+        sf.separable_qp_bundle(flipped)
+
+
+def test_separable_qp_bundle_stacks_declared_blocks():
+    sep = sf.make_separable_qp(
+        np.diag([1.0, 2.0]), np.array([0.5, -1.0]), np.eye(1) * 3.0, np.array([2.0]),
+        np.array([[1.0, 0.0]]), np.array([[1.0]]), np.array([0.5]),
+    )
+    bundle = sf.separable_qp_bundle(sep)
+    assert bundle.f.hess_constant
+    assert np.array_equal(bundle.f.hess(np.zeros(3)), np.diag([1.0, 2.0, 3.0]))
+    assert np.array_equal(bundle.f.grad(np.zeros(3)), [0.5, -1.0, 2.0])
+
+
 def test_separable_lagrangian_matches_reduction_at_saddle():
     sep = sf.make_separable_qp(
         np.eye(1), np.zeros(1), np.eye(1), np.zeros(1),
