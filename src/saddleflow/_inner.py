@@ -48,11 +48,14 @@ class WarmCache:
         self.key = None
 
     def match(self, *key) -> Optional[np.ndarray]:
+        """The stored point if every key equals the stored one (``np.array_equal``)."""
         if self.key is None or self.point is None or len(self.key) != len(key):
             return None
-        if all(np.array_equal(a, b) for a, b in zip(self.key, key)):
-            return self.point
-        return None
+        for a, b in zip(self.key, key):
+            b = np.asarray(b)
+            if a.shape != b.shape or not np.logical_and.reduce(np.equal(a, b), axis=None):
+                return None
+        return self.point
 
     def store(self, point: np.ndarray, *key) -> None:
         self.point = point
@@ -153,7 +156,7 @@ def projected_concave_max(
     """
     if constant_hess is not None:
         return _box_qp_max(grad, feasible, y0, constant_hess, tol, max_iters)
-    y = np.clip(np.asarray(y0, dtype=float), feasible.lower, feasible.upper)
+    y = feasible.clamp(np.asarray(y0, dtype=float))
     nres = np.inf
     for _ in range(max_iters):
         g = np.asarray(grad(y), dtype=float)
@@ -167,7 +170,7 @@ def projected_concave_max(
         t = 1.0
         accepted = False
         while t >= 2.0**-40:
-            y_t = np.clip(y + t * step, feasible.lower, feasible.upper)
+            y_t = feasible.clamp(y + t * step)
             move = y_t - y
             if np.any(move != 0.0):
                 # ascent test; falls back to residual decrease when the value
@@ -201,7 +204,7 @@ def _free_newton_step(hmat: np.ndarray, g: np.ndarray, y: np.ndarray, feasible: 
 
 def _box_qp_max(grad, feasible: FeasibleSet, y0, hmat: np.ndarray, tol: float, max_iters: int):
     """Projected Newton over the exact quadratic model with Hessian ``hmat``."""
-    y = np.clip(np.asarray(y0, dtype=float), feasible.lower, feasible.upper)
+    y = feasible.clamp(np.asarray(y0, dtype=float))
     g = np.asarray(grad(y), dtype=float)
     from_oracle = True
     nres = np.inf
@@ -219,7 +222,7 @@ def _box_qp_max(grad, feasible: FeasibleSet, y0, hmat: np.ndarray, tol: float, m
         step = _free_newton_step(hmat, g, y, feasible)
         t = 1.0
         while t >= 2.0**-40:
-            y_t = np.clip(y + t * step, feasible.lower, feasible.upper)
+            y_t = feasible.clamp(y + t * step)
             move = y_t - y
             if np.any(move != 0.0):
                 h_move = hmat @ move

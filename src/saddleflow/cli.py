@@ -4,7 +4,7 @@
 config, integrates the flow, fits the empirical decay rate against the
 applicable theoretical bound, evaluates the matching certificate, and writes
 trajectory.csv, rates.csv, and report.txt. ``saddleflow compare <configs>``
-runs several configs concurrently and writes a comparison table.
+runs several configs in turn and writes a comparison table.
 
 Exit codes: 0 success, 1 config error, 2 numerical failure.
 """
@@ -16,7 +16,6 @@ import configparser
 import csv
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -317,18 +316,9 @@ def build_setup(cfg: ExperimentConfig) -> RunSetup:
         else:
             problem = built
             recover = None
-        from .flows import projected_flow  # local: only this branch composes manually
-        from .core import full_domain
-        from .transforms import augment as augment_transform
-
-        base = problem
-        aug = augment_transform(base, rho)
-        flow = standard_flow(aug.problem)
-        dom = full_domain(aug.problem)
-        if dom is not None:
-            flow = projected_flow(flow, dom)
-        n, m = base.n, base.m
-        def builder(z, _base=base, _rho=rho, _n=n, _m=m):
+        flow = augmented_flow(problem, rho)
+        n, m = problem.n, problem.m
+        def builder(z, _base=problem, _rho=rho, _n=n, _m=m):
             z_star = PointZ(z[:_n], z[2 * _n : 2 * _n + _m])
             return cert.cert_augmented(_rho, _n, _m, problem=_base, z_star=z_star)
         return RunSetup(flow=flow, label=f"augmented(rho={rho})", problem_desc=desc,
@@ -591,11 +581,8 @@ def _run_to_files(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
 
 
 def compare_experiments(configs: list[ExperimentConfig], out_dir: Path) -> Path:
-    """Run all configs concurrently; returns the comparison CSV path."""
-    with ThreadPoolExecutor(max_workers=min(8, len(configs))) as pool:
-        results = list(
-            pool.map(lambda c: _run_to_files(c, out_dir / c.path.stem), configs)
-        )
+    """Run the configs one after another; returns the comparison CSV path."""
+    results = [_run_to_files(c, out_dir / c.path.stem) for c in configs]
     out_dir.mkdir(parents=True, exist_ok=True)
     table = out_dir / "comparison.csv"
     with open(table, "w", newline="") as fh:

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._inner import WarmCache, newton_solve
-from .core import ConstraintMap, ConvexObjective, SaddleProblem
+from .core import ConstraintMap, ConvexObjective, SaddleProblem, full_domain
 from .projection import FeasibleSet, project_vector_field
 from .transforms import (
     InnerSolveConfig,
@@ -79,17 +79,31 @@ def standard_flow(problem: SaddleProblem) -> Flow:
     )
 
 
+def _on_domain(flow: Flow, problem: SaddleProblem) -> Flow:
+    """``flow`` projected onto ``full_domain(problem)`` when the problem has a ``y_set``."""
+    domain = full_domain(problem)
+    return flow if domain is None else projected_flow(flow, domain)
+
+
 def augmented_flow(problem: SaddleProblem, rho: float) -> Flow:
-    """Saddle flow of the augmented problem, over the state (x, x_hat, y, y_hat)."""
+    """Saddle flow of the augmented problem, over the state (x, x_hat, y, y_hat).
+
+    Projected onto the augmented domain (the y block in ``problem.y_set``,
+    the other blocks free) whenever the problem has a ``y_set``.
+    """
     aug = augment(problem, rho).problem
-    flow = standard_flow(aug)
-    return replace(flow, label=f"augmented({problem.label or 'problem'}, rho={rho})")
+    flow = replace(standard_flow(aug), label=f"augmented({problem.label or 'problem'}, rho={rho})")
+    return _on_domain(flow, aug)
 
 
 def proximal_flow(surrogate: ProximalSurrogate) -> Flow:
-    """Saddle flow of the proximal surrogate, over the state (u, y)."""
-    flow = standard_flow(surrogate.problem)
-    return replace(flow, label=surrogate.problem.label, reset=surrogate.reset)
+    """Saddle flow of the proximal surrogate, over the state (u, y).
+
+    Projected onto the surrogate's domain whenever it has a ``y_set``.
+    """
+    problem = surrogate.problem
+    flow = replace(standard_flow(problem), label=problem.label, reset=surrogate.reset)
+    return _on_domain(flow, problem)
 
 
 def projected_flow(flow: Flow, feasible: FeasibleSet) -> Flow:

@@ -91,10 +91,11 @@ class Trajectory:
         """CSV with header t,state_0,... and 17-significant-digit values."""
         dim = self.states.shape[1]
         header = "t," + ",".join(f"state_{j}" for j in range(dim))
+        line = "%.17g," + ",".join(["%.17g"] * dim) + "\n"
         with open(path, "w", newline="\n") as fh:
             fh.write(header + "\n")
-            for t, row in zip(self.times, self.states):
-                fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+            for t, row in zip(self.times, self.states):  # row by row: no copy of the whole array
+                fh.write(line % (t, *row.tolist()))
 
 
 @dataclass(frozen=True)
@@ -134,10 +135,8 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     has_rem = rem > 1e-9 * h
     n_steps = n_full + (1 if has_rem else 0)
     field = flow.field
-    clamp = config.clamp and fs is not None
-    lo = fs.lower if fs is not None else None
-    up = fs.upper if fs is not None else None
-    stage_clip = fs is not None
+    clamp = fs.clamp if fs is not None else None
+    clamp_states = config.clamp and clamp is not None
 
     times = [0.0]
     states = [z.copy()]
@@ -145,10 +144,10 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
         hi = h if i <= n_full else rem  # fractional last step lands on the horizon
         if config.method == "rk4":
             k1 = field(z)
-            if stage_clip:
-                k2 = field(np.clip(z + (0.5 * hi) * k1, lo, up))
-                k3 = field(np.clip(z + (0.5 * hi) * k2, lo, up))
-                k4 = field(np.clip(z + hi * k3, lo, up))
+            if clamp is not None:
+                k2 = field(clamp(z + (0.5 * hi) * k1))
+                k3 = field(clamp(z + (0.5 * hi) * k2))
+                k4 = field(clamp(z + hi * k3))
             else:
                 k2 = field(z + (0.5 * hi) * k1)
                 k3 = field(z + (0.5 * hi) * k2)
@@ -156,8 +155,8 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
             z = z + (hi / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         else:
             z = z + hi * field(z)
-        if clamp:
-            z = np.clip(z, lo, up)
+        if clamp_states:
+            z = clamp(z)
         if not np.all(np.isfinite(z)):
             raise IntegrationError("non-finite state encountered", times[-1])
         if i % config.record_every == 0 or i == n_steps:

@@ -9,7 +9,7 @@ out of an active face).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,25 +23,43 @@ SNAP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FeasibleSet:
-    """Axis-aligned box ``{p : lower <= p <= upper}``; entries may be +-inf."""
+    """Axis-aligned box ``{p : lower <= p <= upper}``; entries may be +-inf.
+
+    The bounds are stored as read-only copies, so what is derived from them
+    at construction stays valid.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
+    # Face thresholds of project_vector_field: p <= _lower_face is the lower
+    # face of the clipped point. A pinned coordinate (lower == upper) clips
+    # onto both faces from anywhere, so its thresholds are +inf and -inf.
+    _lower_face: np.ndarray = field(init=False, repr=False, compare=False)
+    _upper_face: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        up = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lo = np.atleast_1d(np.array(self.lower, dtype=float))
+        up = np.atleast_1d(np.array(self.upper, dtype=float))
         if lo.ndim != 1 or up.ndim != 1 or lo.shape != up.shape:
             raise ValueError(
                 f"bounds must be 1-d of equal length, got {lo.shape} and {up.shape}"
             )
-        if np.any(np.isnan(lo)) or np.any(np.isnan(up)):
+        if np.isnan(lo).any() or np.isnan(up).any():
             raise ValueError("bounds must not contain NaN")
-        if np.any(lo > up):
-            j = int(np.argmax(lo > up))
+        empty = lo > up
+        if empty.any():
+            j = int(np.argmax(empty))
             raise ValueError(f"empty set: lower[{j}]={lo[j]} > upper[{j}]={up[j]}")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
+        pinned = lo == up
+        derived = {
+            "lower": lo,
+            "upper": up,
+            "_lower_face": np.where(pinned, np.inf, lo),
+            "_upper_face": np.where(pinned, -np.inf, up),
+        }
+        for name, value in derived.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -79,13 +97,22 @@ class FeasibleSet:
         out = np.maximum(self.lower - p, p - self.upper)
         return float(max(np.max(out, initial=0.0), 0.0))
 
+    def clamp(self, p) -> np.ndarray:
+        """Element-wise clamp of ``p`` onto the box, without validation.
+
+        Bit for bit ``np.clip(p, lower, upper)`` (signed zeros and NaN
+        included, since ``lower <= upper``) at the cost of two ufunc calls;
+        the integrator and the inner box solvers clamp with it at every step.
+        """
+        return np.minimum(np.maximum(p, self.lower), self.upper)
+
 
 def project_point(fs: FeasibleSet, r) -> np.ndarray:
     """Euclidean projection onto the box: element-wise clamp of ``r``."""
     r = np.asarray(r, dtype=float)
     if r.shape != fs.lower.shape:
         raise ValueError(f"dimension mismatch: point {r.shape}, set ({fs.dim},)")
-    return np.clip(r, fs.lower, fs.upper)
+    return fs.clamp(r)
 
 
 def project_vector_field(fs: FeasibleSet, p, s) -> np.ndarray:
@@ -93,19 +120,20 @@ def project_vector_field(fs: FeasibleSet, p, s) -> np.ndarray:
 
     Per coordinate: keep ``s_j`` strictly inside, drop negative components on
     the lower face and positive components on the upper face. ``p`` must lie
-    in the set up to :data:`SNAP_TOL`; it is snapped onto the set before the
-    active faces are detected by exact comparison.
+    in the set up to :data:`SNAP_TOL`; a coordinate within that distance
+    outside a face counts as on it, as if snapped onto the set first.
     """
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)
-    if p.shape != fs.lower.shape or s.shape != fs.lower.shape:
+    lo, up = fs.lower, fs.upper
+    if p.shape != lo.shape or s.shape != lo.shape:
         raise ValueError(
             f"dimension mismatch: point {p.shape}, direction {s.shape}, set ({fs.dim},)"
         )
-    viol = fs.violation(p)
+    # same value as fs.violation(p), NaN included, in one reduction
+    viol = np.maximum.reduce(np.maximum(lo - p, p - up), initial=0.0)
     if viol > SNAP_TOL:
         raise ValueError(f"point outside the feasible set by {viol:.3e} (> {SNAP_TOL:.0e})")
-    p = np.clip(p, fs.lower, fs.upper)
-    out = np.where(p == fs.lower, np.maximum(s, 0.0), s)
-    out = np.where(p == fs.upper, np.minimum(out, 0.0), out)
-    return out
+    # the faces of np.clip(p, lo, up), found without the clip
+    out = np.where(p <= fs._lower_face, np.maximum(s, 0.0), s)
+    return np.where(p >= fs._upper_face, np.minimum(out, 0.0), out)

@@ -257,3 +257,35 @@ def test_flow_reset_clears_warm_cache():
     assert sur._cache.point is not None
     flow.reset()
     assert sur._cache.point is None
+
+
+def test_augmented_flow_keeps_the_lp_dual_domain():
+    # the criterion-10 LP: without the y >= 0 projection the duals run
+    # negative and the flow settles at x = (1.5, 1), away from the optimum
+    lp = sf.LinearProgram(c=[1.0, 1.0], A=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], b=[-1.0, -0.5, 3.0])
+    problem = sf.make_lp(lp)
+    flow = sf.augmented_flow(problem, 0.5)
+    n, m = problem.n, problem.m
+    assert flow.feasible is not None
+    assert np.array_equal(flow.feasible.lower[2 * n : 2 * n + m], np.zeros(m))
+    z, _, _ = run_until(
+        flow, np.ones(flow.dim), sf.IntegratorConfig(step=0.02, horizon=80.0, record_every=100), 1e-8
+    )
+    assert np.allclose(z[:n], sf.lp_oracle(lp).x, atol=1e-6)
+    assert np.allclose(z[:n], [1.0, 0.5], atol=1e-6)
+    assert np.all(z[2 * n : 2 * n + m] >= 0.0)
+
+
+def test_proximal_flow_keeps_the_dual_domain():
+    # inactive constraint: its multiplier is 0 at the KKT point, and a free
+    # dual would instead drive x onto x1 + x2 = 10
+    Q, p, A, b = np.diag([1.0, 2.0]), np.array([-2.0, -2.0]), np.array([[1.0, 1.0]]), np.array([10.0])
+    surrogate = sf.proximal_surrogate(sf.qp_lagrangian(sf.make_qp_affine(Q, p, A, b)), 1.0)
+    flow = sf.proximal_flow(surrogate)
+    assert flow.feasible is not None and flow.feasible.lower[2] == 0.0
+    z, _, _ = run_until(
+        flow, np.array([0.0, 0.0, 1.0]), sf.IntegratorConfig(step=0.02, horizon=40.0, record_every=100), 1e-9
+    )
+    x_ref, y_ref = qp_kkt_oracle(Q, p, A, b)
+    assert np.allclose(z[:2], x_ref, atol=1e-7)
+    assert np.allclose(z[2:], y_ref, atol=1e-7)

@@ -212,3 +212,63 @@ def test_record_every_thins_samples():
     traj = sf.integrate(_decay_flow(), [1.0], sf.IntegratorConfig(step=0.01, horizon=1.0, record_every=25))
     assert len(traj) == 1 + 4
     assert traj.times[-1] == 1.0
+
+
+def _reference_run(flow, z0, step, n_steps, method):
+    """The fixed-step loop with np.clip stage and state clamps, every state kept."""
+    fs, field = flow.feasible, flow.field
+    z = np.asarray(z0, dtype=float)
+    states = [z]
+    for _ in range(n_steps):
+        if method == "rk4":
+            k1 = field(z)
+            k2 = field(np.clip(z + (0.5 * step) * k1, fs.lower, fs.upper))
+            k3 = field(np.clip(z + (0.5 * step) * k2, fs.lower, fs.upper))
+            k4 = field(np.clip(z + step * k3, fs.lower, fs.upper))
+            z = z + (step / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        else:
+            z = z + step * field(z)
+        z = np.clip(z, fs.lower, fs.upper)
+        states.append(z)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_clamps_match_np_clip_bit_for_bit(method):
+    # a rotation pushed into a box with an upper face, a pinned coordinate
+    # and a free one, and the LP augmented flow on its orthant
+    box = sf.FeasibleSet.box([0.0, -0.25, 0.5, -np.inf], [0.75, np.inf, 0.5, np.inf])
+    rot = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0], [0.0, 0.0, 0.0, -0.5]])
+    lp = sf.LinearProgram(c=[1.0, 1.0], A=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], b=[-1.0, -0.5, 3.0])
+    cases = [
+        (sf.projected_flow(sf.Flow(dim=4, field=lambda z: rot @ z + 0.3), box), [0.5, 0.0, 0.5, -0.0]),
+        (sf.augmented_flow(sf.make_lp(lp), 0.5), np.r_[np.ones(4), np.zeros(3), np.ones(3)]),
+    ]
+    step, n_steps = 0.125, 160
+    for flow, z0 in cases:
+        traj = sf.integrate(flow, z0, sf.IntegratorConfig(method=method, step=step, horizon=step * n_steps))
+        ref = _reference_run(flow, z0, step, n_steps, method)
+        assert traj.states.shape == ref.shape
+        assert np.array_equal(traj.states, ref)
+        assert np.array_equal(np.signbit(traj.states), np.signbit(ref))
+
+
+def test_csv_bytes_match_per_value_formatting(tmp_path):
+    # the rows as first written: one f-string per value
+    def reference(traj, path):
+        dim = traj.states.shape[1]
+        with open(path, "w", newline="\n") as fh:
+            fh.write("t," + ",".join(f"state_{j}" for j in range(dim)) + "\n")
+            for t, row in zip(traj.times, traj.states):
+                fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, -1.0 / 3.0, 0.1]
+    for dim in (0, 1, 6):
+        states = rng.standard_normal((7, dim)) * 10.0 ** rng.integers(-20, 20, (7, dim))
+        if dim:
+            states.flat[: len(special)] = special[: states.size]
+        traj = sf.Trajectory(np.cumsum(rng.uniform(0.01, 3.0, 7)), states)
+        traj.write_csv(tmp_path / "new.csv")
+        reference(traj, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

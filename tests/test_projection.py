@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saddleflow import FeasibleSet, project_point, project_vector_field
+from saddleflow.projection import SNAP_TOL
 
 
 def test_project_point_orthant_clamp():
@@ -132,3 +133,106 @@ def test_limit_consistency_with_point_projection():
         assert errs[1] <= errs[0] + 1e-7
         assert errs[2] <= errs[1] + 1e-7
         assert errs[2] <= 1e-6
+
+
+def _reference_project_vector_field(fs, p, s):
+    """The rule as first written: validate, clip onto the set, compare with ==."""
+    p = np.asarray(p, dtype=float)
+    s = np.asarray(s, dtype=float)
+    viol = fs.violation(p)
+    if viol > SNAP_TOL:
+        raise ValueError(f"point outside the feasible set by {viol:.3e} (> {SNAP_TOL:.0e})")
+    p = np.clip(p, fs.lower, fs.upper)
+    out = np.where(p == fs.lower, np.maximum(s, 0.0), s)
+    return np.where(p == fs.upper, np.minimum(out, 0.0), out)
+
+
+def _same_bits(a, b) -> bool:
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a), np.signbit(b))
+    )
+
+
+_EDGE = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+_FINITE = st.floats(-5, 5)
+# distance outside a face: none, inside the snap tolerance, around it, or past it
+_OFFSET = st.sampled_from([0.0, 0.0, 1e-16, 5e-13, SNAP_TOL, 2e-12, 1e-6])
+
+
+@st.composite
+def _box_coordinate(draw):
+    """(lower, upper, point) of one coordinate; bounds may be infinite or equal."""
+    lo = draw(st.sampled_from([-np.inf, 0.0, -0.0]) | _FINITE)
+    kind = draw(st.sampled_from(["inf", "equal", "finite"]))
+    if kind == "inf":
+        up = np.inf
+    elif kind == "equal":
+        up = lo if np.isfinite(lo) else draw(_FINITE)
+        lo = up
+    else:
+        up = draw(st.floats(lo if np.isfinite(lo) else -5.0, 6.0))
+    where = draw(st.sampled_from(["lower", "upper", "inside", "edge"]))
+    if where == "lower":
+        p = lo - draw(_OFFSET)
+    elif where == "upper":
+        p = up + draw(_OFFSET)
+    elif where == "inside":
+        a, b = max(lo, -10.0), min(up, 10.0)
+        p = a + draw(st.floats(0.0, 1.0)) * (b - a)
+    else:
+        p = draw(_EDGE)
+    return lo, up, p
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@settings(max_examples=500, deadline=None)
+@given(
+    coords=st.lists(_box_coordinate(), min_size=1, max_size=8),
+    directions=st.lists(_EDGE | st.floats(-4, 4), min_size=8, max_size=8),
+)
+def test_vector_field_projection_matches_clip_rule_bit_for_bit(coords, directions):
+    lower, upper, p = (np.array(col, dtype=float) for col in zip(*coords))
+    s = np.array(directions[: lower.shape[0]])
+    fs = FeasibleSet(lower, upper)
+    try:
+        ref = _reference_project_vector_field(fs, p, s)
+    except ValueError as err:
+        with pytest.raises(ValueError) as new_err:
+            project_vector_field(fs, p, s)
+        assert str(new_err.value) == str(err)
+        return
+    assert _same_bits(project_vector_field(fs, p, s), ref)
+
+
+def test_pinned_coordinate_snapped_from_outside_is_frozen():
+    # lower == upper: the clipped point sits on both faces from either side
+    fs = FeasibleSet.box([1.0, 1.0], [1.0, 1.0])
+    p = np.array([1.0 + 4e-13, 1.0 - 4e-13])
+    for s in ([3.0, 3.0], [-3.0, -3.0]):
+        assert np.array_equal(project_vector_field(fs, p, s), [0.0, 0.0])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@settings(max_examples=500, deadline=None)
+@given(
+    coords=st.lists(_box_coordinate(), min_size=1, max_size=8),
+    shifts=st.lists(_EDGE | st.floats(-1e3, 1e3), min_size=8, max_size=8),
+)
+def test_clamp_is_np_clip_bit_for_bit(coords, shifts):
+    lower, upper, p = (np.array(col, dtype=float) for col in zip(*coords))
+    fs = FeasibleSet(lower, upper)
+    for point in (p, p + np.array(shifts[: p.shape[0]])):
+        assert _same_bits(fs.clamp(point), np.clip(point, lower, upper))
+        assert _same_bits(project_point(fs, point), np.clip(point, lower, upper))
+
+
+def test_bounds_are_read_only_copies():
+    lower, upper = np.array([0.0, 1.0]), np.array([1.0, 1.0])
+    fs = FeasibleSet(lower, upper)
+    lower[0] = 5.0  # the caller's array is not the set's
+    assert fs.lower[0] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        fs.upper[1] = 2.0
+    assert np.array_equal(project_vector_field(fs, [0.5, 1.0], [1.0, 1.0]), [1.0, 0.0])

@@ -3,6 +3,7 @@ import pytest
 
 import saddleflow as sf
 from saddleflow import PointZ
+from saddleflow._inner import WarmCache
 from saddleflow.transforms import InnerSolveError
 
 from helpers import bisect_root, check_gradients, fd_gradient, second_difference
@@ -399,3 +400,25 @@ def test_inner_solve_config_validation():
         sf.InnerSolveConfig(tol=0.0)
     with pytest.raises(ValueError):
         sf.InnerSolveConfig(max_iters=0)
+
+
+def test_warm_cache_match_is_array_equal_per_key():
+    cache = WarmCache()
+    assert cache.match(np.zeros(2)) is None
+    point = np.array([7.0])
+    cache.store(point, np.array([1.0, -0.0, 3.0]), np.array(2.5), np.zeros(0), np.array([[1.0, 2.0]]))
+    hit = ([1.0, 0.0, 3.0], 2.5, [], np.array([[1.0, 2.0]]))  # -0.0 == 0.0; lists and scalars by value
+    queries = [
+        hit,
+        (np.array([1.0, 0.0, 3.0]), 2.5, [], np.array([[1.0, np.nan]])),  # NaN never equals
+        (np.array([1.0, 0.0, 3.0]), np.array([2.5]), [], np.array([[1.0, 2.0]])),  # (1,) is not ()
+        (np.array([1.0]), 2.5, [], np.array([[1.0, 2.0]])),  # would broadcast
+        (np.array([1.0, 0.0, 3.0, 4.0]), 2.5, [], np.array([[1.0, 2.0]])),
+        (np.array([1.0, 0.0, 3.0]), 2.5),  # fewer keys
+    ]
+    for query in queries:
+        expected = len(query) == len(cache.key) and all(
+            np.array_equal(a, b) for a, b in zip(cache.key, query)
+        )
+        assert (cache.match(*query) is point) == expected
+    assert cache.match(*hit) is point
