@@ -1,7 +1,9 @@
 """saddleflow: saddle flow dynamics for convex-concave problems.
 
-Flows (standard, augmented, proximal, projected, preconditioned, reduced,
-and the Lasso pipeline), their observable convergence certificates and
+Saddle problems and their transformations (augmented, proximal,
+preconditioned, reduced, and the Lasso pipeline), one flow constructor for
+all of them (``standard_flow``, projected onto the problem's domain) plus
+two flows with fields of their own, observable convergence certificates and
 exponential-rate bounds, a fixed-step integrator with empirical rate
 fitting, and desk-scale problem builders with independent oracles.
 """
@@ -28,7 +30,6 @@ from .transforms import (
     ProximalSurrogate,
     ReducedProblem,
     augment,
-    inner_minimizer,
     lasso_dual_prox,
     lasso_reformulate,
     precondition,
@@ -37,14 +38,9 @@ from .transforms import (
 )
 from .flows import (
     Flow,
-    augmented_flow,
-    augmented_primal_dual_lp,
-    lasso_flow,
     preconditioned_pd,
     projected_flow,
-    proximal_flow,
     proximal_primal_dual,
-    reduced_pd,
     standard_flow,
 )
 from .integrate import (

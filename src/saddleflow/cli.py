@@ -16,7 +16,7 @@ import configparser
 import csv
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -25,16 +25,7 @@ import numpy as np
 from . import certificates as cert
 from ._inner import InnerSolveError
 from .core import PointZ, SaddleProblem
-from .flows import (
-    Flow,
-    augmented_flow,
-    lasso_flow,
-    preconditioned_pd,
-    proximal_flow,
-    proximal_primal_dual,
-    reduced_pd,
-    standard_flow,
-)
+from .flows import Flow, preconditioned_pd, proximal_primal_dual, standard_flow
 from .integrate import (
     IntegrationError,
     IntegratorConfig,
@@ -56,24 +47,20 @@ from .problems import (
     make_quadratic_saddle,
     make_separable_qp,
     parse_network,
-    qp_lagrangian,
+    separable_qp_bundle,
     LinearProgram,
 )
-from .transforms import InnerSolveConfig, proximal_surrogate, reduce as reduce_transform
+from .transforms import (
+    InnerSolveConfig,
+    augment,
+    precondition,
+    proximal_surrogate,
+    reduce as reduce_transform,
+)
 
 __all__ = ["main", "ConfigError", "run_experiment", "compare_experiments"]
 
 RESIDUAL_TOL = 1e-6
-
-COMPATIBLE = {
-    "bilinear": ("standard", "augmented"),
-    "quadratic_saddle": ("standard", "augmented", "proximal"),
-    "lp": ("augmented",),
-    "min_cost_flow": ("augmented",),
-    "qp_affine": ("proximal", "preconditioned"),
-    "separable_qp": ("reduced", "preconditioned"),
-    "lasso": ("lasso_pipeline",),
-}
 
 
 class ConfigError(Exception):
@@ -145,12 +132,13 @@ def load_config(
     for section, d in (("problem", prob), ("algorithm", algo)):
         if "kind" not in d:
             raise ConfigError(f"{path}: [{section}] needs a 'kind' key")
-    if prob["kind"] not in COMPATIBLE:
+    allowed = [a for p, a in BUILDERS if p == prob["kind"]]
+    if not allowed:
         raise ConfigError(f"{path}: unknown problem kind {prob['kind']!r}")
-    if algo["kind"] not in COMPATIBLE[prob["kind"]]:
+    if algo["kind"] not in allowed:
         raise ConfigError(
             f"{path}: algorithm {algo['kind']!r} is not compatible with problem "
-            f"{prob['kind']!r} (allowed: {', '.join(COMPATIBLE[prob['kind']])})"
+            f"{prob['kind']!r} (allowed: {', '.join(allowed)})"
         )
 
     integ = ini["integrator"]
@@ -192,7 +180,10 @@ def _get_float(d: dict, key: str, default: Optional[float] = None) -> float:
 
 
 def _get_int(d: dict, key: str, default: Optional[int] = None) -> int:
-    return int(_get_float(d, key, default if default is None else float(default)))
+    value = _get_float(d, key, default if default is None else float(default))
+    if not value.is_integer():
+        raise ConfigError(f"key '{key}' must be an integer, got {d[key]!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -287,113 +278,139 @@ def _inner_config(algo: dict) -> InnerSolveConfig:
     )
 
 
+def _strict_cc(problem: SaddleProblem) -> Callable[[np.ndarray], cert.Certificate]:
+    n = problem.n
+    return lambda z: cert.cert_strict_cc(problem, PointZ(z[:n], z[n:]))
+
+
+def _standard(problem: SaddleProblem, desc: str, algo: dict) -> RunSetup:
+    meta = problem.meta
+    c_bound = cert.rate_bound_strong(meta.mu, meta.q) if meta.mu and meta.q else None
+    builder = _strict_cc(problem) if problem.convex_concave else None
+    return RunSetup(flow=standard_flow(problem), label="standard", problem_desc=desc,
+                    c_bound=c_bound, cert_builder=builder)
+
+
+def _augmented(problem: SaddleProblem, desc: str, algo: dict, recover=None) -> RunSetup:
+    rho = _get_float(algo, "rho", 1.0)
+    flow = standard_flow(augment(problem, rho).problem)
+    n, m = problem.n, problem.m
+
+    def builder(z):
+        z_star = PointZ(z[:n], z[2 * n : 2 * n + m])
+        return cert.cert_augmented(rho, n, m, problem=problem, z_star=z_star)
+
+    return RunSetup(flow=flow, label=f"augmented(rho={rho})", problem_desc=desc,
+                    cert_builder=builder, recover=recover)
+
+
+def _augmented_network(net, desc: str, algo: dict) -> RunSetup:
+    problem, recover_map = make_min_cost_flow(net)
+
+    def recover(z):
+        x, val = recover_map(z)
+        return f"edge flows {np.array2string(x, precision=6)}, objective {val:.9g}"
+
+    return _augmented(problem, desc, algo, recover)
+
+
+def _proximal(problem: SaddleProblem, desc: str, algo: dict) -> RunSetup:
+    rho = _get_float(algo, "rho", 1.0)
+    surrogate = proximal_surrogate(problem, rho, _inner_config(algo))
+    flow = replace(standard_flow(surrogate.problem), reset=surrogate.reset)
+    meta = problem.meta
+    c_bound = None
+    if meta.mu and meta.l and meta.kappa:
+        c_bound = cert.rate_bound_proximal(meta.mu, meta.l, meta.kappa, rho)
+    n = problem.n
+    builder = lambda z: cert.cert_proximal(surrogate, PointZ(z[:n], z[n:]))
+    return RunSetup(flow=flow, label=f"proximal(rho={rho})", problem_desc=desc,
+                    c_bound=c_bound, cert_builder=builder)
+
+
+def _proximal_pd(bundle, desc: str, algo: dict) -> RunSetup:
+    rho = _get_float(algo, "rho", 1.0)
+    flow = proximal_primal_dual(bundle.f, bundle.constraints(), rho, _inner_config(algo))
+    c_bound = cert.rate_bound_proximal(bundle.f.mu, bundle.f.l, bundle.kappa, rho)
+    return RunSetup(flow=flow, label=f"proximal_pd(rho={rho})", problem_desc=desc,
+                    c_bound=c_bound)
+
+
+def _preconditioned(bundle, desc: str, algo: dict) -> RunSetup:
+    space = algo.get("space", "uy")
+    if space not in ("uy", "xy"):
+        raise ConfigError(f"space must be 'uy' or 'xy', got {space!r}")
+    if "eta" in algo and "alpha" in algo:
+        eta, alpha = _get_float(algo, "eta"), _get_float(algo, "alpha")
+    else:
+        eta, alpha = cert.precond_params_pick(bundle.f.mu, bundle.f.l, bundle.kappa)
+    transform = precondition(bundle.f, bundle.A, bundle.b, eta, alpha)
+    label = f"preconditioned({space}, eta={eta:.6g}, alpha={alpha:.6g})"
+    if space == "xy":
+        return RunSetup(flow=preconditioned_pd(transform), label=label, problem_desc=desc,
+                        c_bound=bundle.f.mu)
+    c_bound = cert.rate_bound_precond(bundle.f.mu, bundle.f.l, bundle.kappa, eta, alpha)
+    return RunSetup(flow=standard_flow(transform.problem), label=label, problem_desc=desc,
+                    c_bound=c_bound, cert_builder=_strict_cc(transform.problem))
+
+
+def _preconditioned_separable(sep, desc: str, algo: dict) -> RunSetup:
+    return _preconditioned(separable_qp_bundle(sep), desc, algo)
+
+
+def _reduced(sep, desc: str, algo: dict) -> RunSetup:
+    reduced = reduce_transform(sep, _inner_config(algo))
+    flow = replace(standard_flow(reduced.problem), reset=reduced.reset)
+    c_bound = cert.rate_bound_reduced(sep.f_c.mu, sep.f_s.l, sep.kappa_s)
+    return RunSetup(flow=flow, label="reduced_pd", problem_desc=desc,
+                    c_bound=c_bound, cert_builder=_strict_cc(reduced.problem))
+
+
+def _lasso_pipeline(bundle, desc: str, algo: dict) -> RunSetup:
+    alpha_scale = _get_float(algo, "alpha_over_l", 1.0)
+    alpha = _get_float(algo, "alpha", alpha_scale / bundle.l if bundle.l > 0 else 1.0)
+    rho = _get_float(algo, "rho", 1.0)
+    transform, flow = bundle.dynamics(alpha, rho, _inner_config(algo))
+
+    def recover(z):
+        xhat = bundle.recover_xhat(transform, z)
+        return f"x_hat {np.array2string(xhat, precision=6)}"
+
+    return RunSetup(flow=flow, label=f"lasso_pipeline(alpha={alpha:.6g}, rho={rho})",
+                    problem_desc=desc, recover=recover)
+
+
+# (problem kind, algorithm kind) -> builder(problem, description, [algorithm] section);
+# the compatible pairs are exactly the keys, in the order "allowed:" lists them
+BUILDERS = {
+    ("bilinear", "standard"): _standard,
+    ("bilinear", "augmented"): _augmented,
+    ("quadratic_saddle", "standard"): _standard,
+    ("quadratic_saddle", "augmented"): _augmented,
+    ("quadratic_saddle", "proximal"): _proximal,
+    ("lp", "augmented"): _augmented,
+    ("min_cost_flow", "augmented"): _augmented_network,
+    ("qp_affine", "proximal"): _proximal_pd,
+    ("qp_affine", "preconditioned"): _preconditioned,
+    ("separable_qp", "reduced"): _reduced,
+    ("separable_qp", "preconditioned"): _preconditioned_separable,
+    ("lasso", "lasso_pipeline"): _lasso_pipeline,
+}
+
+
 def build_setup(cfg: ExperimentConfig) -> RunSetup:
-    built, desc = _build_problem(cfg)
-    algo = cfg.algorithm
-    kind = cfg.algorithm_kind
+    """The flow and its analysis hooks for a loaded config.
 
-    if kind == "standard":
-        problem: SaddleProblem = built
-        flow = standard_flow(problem)
-        c_bound = None
-        meta = problem.meta
-        if meta.mu and meta.q:
-            c_bound = cert.rate_bound_strong(meta.mu, meta.q)
-        builder = None
-        if problem.convex_concave:
-            n = problem.n
-            builder = lambda z: cert.cert_strict_cc(problem, PointZ(z[:n], z[n:]))
-        return RunSetup(flow=flow, label="standard", problem_desc=desc,
-                        c_bound=c_bound, cert_builder=builder)
-
-    if kind == "augmented":
-        rho = _get_float(algo, "rho", 1.0)
-        if cfg.problem_kind == "min_cost_flow":
-            problem, recover_map = make_min_cost_flow(built)
-            def recover(z, _rec=recover_map, _n=built.num_edges):
-                x, val = _rec(z)
-                return f"edge flows {np.array2string(x, precision=6)}, objective {val:.9g}"
-        else:
-            problem = built
-            recover = None
-        flow = augmented_flow(problem, rho)
-        n, m = problem.n, problem.m
-        def builder(z, _base=problem, _rho=rho, _n=n, _m=m):
-            z_star = PointZ(z[:_n], z[2 * _n : 2 * _n + _m])
-            return cert.cert_augmented(_rho, _n, _m, problem=_base, z_star=z_star)
-        return RunSetup(flow=flow, label=f"augmented(rho={rho})", problem_desc=desc,
-                        cert_builder=builder, recover=recover)
-
-    if kind == "proximal":
-        rho = _get_float(algo, "rho", 1.0)
-        inner = _inner_config(algo)
-        if cfg.problem_kind == "qp_affine":
-            bundle = built
-            flow = proximal_primal_dual(bundle.f, bundle.constraints(), rho, inner)
-            c_bound = cert.rate_bound_proximal(bundle.f.mu, bundle.f.l, bundle.kappa, rho)
-            return RunSetup(flow=flow, label=f"proximal_pd(rho={rho})", problem_desc=desc,
-                            c_bound=c_bound)
-        problem = built
-        surrogate = proximal_surrogate(problem, rho, inner)
-        flow = proximal_flow(surrogate)
-        meta = problem.meta
-        c_bound = None
-        if meta.mu and meta.l and meta.kappa:
-            c_bound = cert.rate_bound_proximal(meta.mu, meta.l, meta.kappa, rho)
-        n = problem.n
-        builder = lambda z: cert.cert_proximal(surrogate, PointZ(z[:n], z[n:]))
-        return RunSetup(flow=flow, label=f"proximal(rho={rho})", problem_desc=desc,
-                        c_bound=c_bound, cert_builder=builder)
-
-    if kind == "preconditioned":
-        from .problems import separable_qp_bundle
-        from .transforms import precondition
-
-        bundle = separable_qp_bundle(built) if cfg.problem_kind == "separable_qp" else built
-        space = algo.get("space", "uy")
-        if "eta" in algo and "alpha" in algo:
-            eta, alpha = _get_float(algo, "eta"), _get_float(algo, "alpha")
-        else:
-            eta, alpha = cert.precond_params_pick(bundle.f.mu, bundle.f.l, bundle.kappa)
-        transform = precondition(bundle.f, bundle.A, bundle.b, eta, alpha)
-        flow = preconditioned_pd(transform, space=space)
-        c_bound = (
-            bundle.f.mu
-            if space == "xy"
-            else cert.rate_bound_precond(bundle.f.mu, bundle.f.l, bundle.kappa, eta, alpha)
-        )
-        builder = None
-        if space == "uy":
-            n = transform.problem.n
-            builder = lambda z: cert.cert_strict_cc(transform.problem, PointZ(z[:n], z[n:]))
-        return RunSetup(flow=flow, label=f"preconditioned({space}, eta={eta:.6g}, alpha={alpha:.6g})",
-                        problem_desc=desc, c_bound=c_bound, cert_builder=builder)
-
-    if kind == "reduced":
-        sep = built
-        reduced = reduce_transform(sep, _inner_config(algo))
-        flow = reduced_pd(reduced)
-        c_bound = cert.rate_bound_reduced(sep.f_c.mu, sep.f_s.l, sep.kappa_s)
-        n = reduced.problem.n
-        builder = lambda z: cert.cert_strict_cc(reduced.problem, PointZ(z[:n], z[n:]))
-        return RunSetup(flow=flow, label="reduced_pd", problem_desc=desc,
-                        c_bound=c_bound, cert_builder=builder)
-
-    if kind == "lasso_pipeline":
-        bundle = built
-        alpha_scale = _get_float(algo, "alpha_over_l", 1.0)
-        alpha = _get_float(algo, "alpha", alpha_scale / bundle.l if bundle.l > 0 else 1.0)
-        rho = _get_float(algo, "rho", 1.0)
-        transform, flow = bundle.dynamics(alpha, rho, _inner_config(algo))
-
-        def recover(z, _b=bundle, _t=transform):
-            xhat = _b.recover_xhat(_t, z)
-            return f"x_hat {np.array2string(xhat, precision=6)}"
-
-        return RunSetup(flow=flow, label=f"lasso_pipeline(alpha={alpha:.6g}, rho={rho})",
-                        problem_desc=desc, recover=recover)
-
-    raise ConfigError(f"unknown algorithm kind {kind!r}")
+    Bad problem data or algorithm parameters (a ``ValueError`` from the
+    library) are config errors; a singular matrix stays a numerical failure.
+    """
+    try:
+        built, desc = _build_problem(cfg)
+        return BUILDERS[cfg.problem_kind, cfg.algorithm_kind](built, desc, cfg.algorithm)
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as err:
+        raise ConfigError(f"{cfg.path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

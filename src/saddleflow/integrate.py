@@ -157,7 +157,7 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
             z = z + hi * field(z)
         if clamp_states:
             z = clamp(z)
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise IntegrationError("non-finite state encountered", times[-1])
         if i % config.record_every == 0 or i == n_steps:
             times.append(i * h if i <= n_full else config.horizon)

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import ConstraintMap, ConvexityMeta, ConvexObjective, SaddleProblem
-from .flows import Flow, lasso_flow
+from .flows import Flow, standard_flow
 from .projection import FeasibleSet
 from .transforms import (
     InnerSolveConfig,
@@ -520,7 +520,7 @@ class LassoBundle:
             self.f, self.A, np.zeros(lifted_dim), eta=1.0, alpha=alpha, y_set=self.y_set
         )
         transform = lasso_dual_prox(pre, rho, inner)
-        return transform, lasso_flow(transform)
+        return transform, replace(standard_flow(transform.problem), reset=transform.reset)
 
     def recover_xhat(self, transform: LassoDualProx, state) -> np.ndarray:
         """The original regression variable from a converged (u, v) state."""

@@ -38,7 +38,6 @@ __all__ = [
     "LassoDualProx",
     "augment",
     "proximal_surrogate",
-    "inner_minimizer",
     "precondition",
     "reduce",
     "lasso_reformulate",
@@ -194,11 +193,6 @@ class ProximalSurrogate:
         self._cache.clear()
 
 
-def inner_minimizer(surrogate: ProximalSurrogate, u, y, x0) -> np.ndarray:
-    """Solve grad_x S(x, y) + rho*(x - u) = 0 starting from ``x0``."""
-    return surrogate.minimizer(u, y, x0=np.asarray(x0, dtype=float))
-
-
 def proximal_surrogate(
     problem: SaddleProblem, rho: float, inner: InnerSolveConfig = InnerSolveConfig()
 ) -> ProximalSurrogate:
@@ -291,11 +285,18 @@ def precondition(
     alpha: float,
     y_set: Optional[FeasibleSet] = None,
 ) -> PreconditionedProblem:
-    """Apply the change of variables u = x + alpha*A^T*y to f + eta*y^T(Ax - b)."""
+    """Apply the change of variables u = x + alpha*A^T*y to f + eta*y^T(Ax - b).
+
+    Requires 2*eta > l*alpha whenever f declares its Lipschitz constant l.
+    """
     if not eta > 0:
         raise ValueError(f"eta must be > 0, got {eta}")
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
+    if f.l is not None and not 2.0 * eta > f.l * alpha:
+        raise ValueError(
+            f"preconditioning requires 2*eta > l*alpha: 2*eta={2.0 * eta}, l*alpha={f.l * alpha}"
+        )
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     m, n = A.shape

@@ -5,6 +5,7 @@ summary lines; tolerances are fixed here and nowhere else.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ def test_criterion_01_bilinear_split():
     drift = float(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0).max())
     assert drift <= 1e-6
 
-    aug = sf.augmented_flow(bil, 0.1)
+    aug = sf.standard_flow(sf.augment(bil, 0.1).problem)
     z, elapsed, residual = run_until(
         aug,
         np.array([1.0, 0.0, 0.0, 0.0]),
@@ -99,7 +100,7 @@ def test_criterion_03_proximal_rate():
     for rho in (0.5, rho_star, 2.0):
         bound = sf.rate_bound_proximal(1.0, 2.0, 1.0, rho)
         surrogate = sf.proximal_surrogate(S, rho)
-        flow = sf.proximal_flow(surrogate)
+        flow = replace(sf.standard_flow(surrogate.problem), reset=surrogate.reset)
         horizon = min(90.0, 23.0 / bound)
         traj = sf.integrate(
             flow, np.ones(4), sf.IntegratorConfig(step=4e-3, horizon=horizon, record_every=10)
@@ -150,14 +151,14 @@ def test_criterion_05_preconditioned():
     w_star = np.concatenate((x_star + alpha * y_star, y_star))
     z_star = np.concatenate((x_star, y_star))
 
-    uy = sf.preconditioned_pd(pre, "uy")
+    uy = sf.standard_flow(pre.problem)
     traj_uy = sf.integrate(
         uy, np.array([1.0, 0.0]), sf.IntegratorConfig(step=1e-3, horizon=22.0, record_every=10)
     )
     rep = sf.fit_rate(sf.distance_series(traj_uy, w_star), c_bound=1.0)
     assert rep.c_fit >= 0.9 * 1.0
 
-    xy = sf.preconditioned_pd(pre, "xy")
+    xy = sf.preconditioned_pd(pre)
     traj_xy = sf.integrate(
         xy, np.array([1.0, 0.0]), sf.IntegratorConfig(step=1e-3, horizon=22.0, record_every=10)
     )
@@ -186,7 +187,8 @@ def test_criterion_06_reduced_rate():
         np.eye(1), np.eye(1), np.array([-1.0]),
     )
     bound = sf.rate_bound_reduced(1.0, 1.0, 1.0)
-    flow = sf.reduced_pd(sf.reduce(sep))
+    reduced = sf.reduce(sep)
+    flow = replace(sf.standard_flow(reduced.problem), reset=reduced.reset)
     traj = sf.integrate(
         flow, np.array([1.0, 0.0]), sf.IntegratorConfig(step=2e-3, horizon=25.0, record_every=10)
     )
@@ -216,7 +218,7 @@ def test_criterion_07_min_cost_flow():
 
     problem, recover = sf.make_min_cost_flow(net)
     aug = sf.augment(problem, 0.5)
-    flow = sf.projected_flow(sf.standard_flow(aug.problem), sf.full_domain(aug.problem))
+    flow = sf.standard_flow(aug.problem)
     z, elapsed, residual = run_until(
         flow,
         np.ones(flow.dim),
@@ -313,14 +315,14 @@ def test_criterion_09_certificate_sandwich():
     bundle = sf.make_qp_affine(np.diag([1.0, 2.0]), np.zeros(2), np.eye(2), np.zeros(2))
     S = sf.qp_lagrangian(bundle, nonneg_y=False)
     surrogate = sf.proximal_surrogate(S, 1.0)
-    pflow = sf.proximal_flow(surrogate)
+    pflow = replace(sf.standard_flow(surrogate.problem), reset=surrogate.reset)
     ptraj = sf.integrate(pflow, np.ones(4), sf.IntegratorConfig(step=4e-3, horizon=20.0, record_every=10))
     pcert = sf.cert_proximal(surrogate, PointZ(np.zeros(2), np.zeros(2)))
     reports["proximal"] = sf.eval_certificate(pcert, ptraj, flow=pflow)
 
     # augmented certificate on the augmented flow
     bil = sf.make_bilinear([[1.0]])
-    aflow = sf.augmented_flow(bil, 0.5)
+    aflow = sf.standard_flow(sf.augment(bil, 0.5).problem)
     atraj = sf.integrate(
         aflow, np.array([1.0, 0.0, 0.0, 0.0]), sf.IntegratorConfig(step=0.01, horizon=40.0, record_every=10)
     )
@@ -355,7 +357,7 @@ def test_criterion_10_lyapunov_monotonicity():
     runs.append(("standard", flow, np.ones(5), flow.equilibrium_hint, 10.0, 1e-3))
 
     bil = sf.make_bilinear([[1.0]])
-    aug = sf.augmented_flow(bil, 0.5)
+    aug = sf.standard_flow(sf.augment(bil, 0.5).problem)
     z_lim, _, _ = run_until(
         aug, np.array([1.0, 0.0, 0.0, 0.0]),
         sf.IntegratorConfig(step=0.02, horizon=50.0, record_every=100), 1e-9,
@@ -365,11 +367,11 @@ def test_criterion_10_lyapunov_monotonicity():
     bundle = sf.make_qp_affine(np.diag([1.0, 2.0]), np.zeros(2), np.eye(2), np.zeros(2))
     S = sf.qp_lagrangian(bundle, nonneg_y=False)
     surrogate = sf.proximal_surrogate(S, 1.0)
-    pflow = sf.proximal_flow(surrogate)
+    pflow = replace(sf.standard_flow(surrogate.problem), reset=surrogate.reset)
     runs.append(("proximal", pflow, np.ones(4), pflow.equilibrium_hint, 15.0, 4e-3))
 
-    lp_flow = sf.augmented_primal_dual_lp([1.0, 1.0], [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
-                                          [-1.0, -0.5, 3.0], 0.5)
+    lp = sf.LinearProgram(c=[1.0, 1.0], A=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], b=[-1.0, -0.5, 3.0])
+    lp_flow = sf.standard_flow(sf.augment(sf.make_lp(lp), 0.5).problem)
     z_lim, _, _ = run_until(
         lp_flow, np.ones(lp_flow.dim),
         sf.IntegratorConfig(step=0.02, horizon=80.0, record_every=100), 1e-8,
@@ -380,13 +382,14 @@ def test_criterion_10_lyapunov_monotonicity():
     eta, alpha = sf.precond_params_pick(1.0, 1.0, 1.0)
     pre = sf.precondition(qp.f, qp.A, qp.b, eta, alpha)
     x_s, y_s = qp_kkt_oracle(np.eye(1), np.zeros(1), np.eye(1), np.array([-1.0]), eta=eta)
-    uy = sf.preconditioned_pd(pre, "uy")
+    uy = sf.standard_flow(pre.problem)
     runs.append(("preconditioned_uy", uy, np.array([1.0, 0.0]),
                  np.concatenate((x_s + alpha * y_s, y_s)), 15.0, 1e-3))
 
     sep = sf.make_separable_qp(np.eye(1), np.zeros(1), np.eye(1), np.zeros(1),
                                np.eye(1), np.eye(1), np.array([-1.0]))
-    rflow = sf.reduced_pd(sf.reduce(sep))
+    reduced = sf.reduce(sep)
+    rflow = replace(sf.standard_flow(reduced.problem), reset=reduced.reset)
     z_lim, _, _ = run_until(
         rflow, np.array([1.0, 0.0]),
         sf.IntegratorConfig(step=0.002, horizon=30.0, record_every=100), 1e-9,

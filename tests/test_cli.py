@@ -273,3 +273,64 @@ def test_report_line_formats_read_by_tools(tmp_path):
     assert "equilibrium: hint" in lines
     (cert_line,) = [line for line in lines if line.startswith("certificate [augmented]: ")]
     assert ", max_bracket_violation=" in cert_line
+
+
+@pytest.mark.parametrize(
+    "config, old, new, message",
+    [
+        ("qp_preconditioned_uy.ini", "space = uy", "space = zz", "space must be 'uy' or 'xy'"),
+        ("lp_augmented.ini", "rho = 0.5", "rho = -1", "rho must be > 0"),
+        ("lp_augmented.ini", "b = -1 -0.5 3", "b = -1 -0.5", "inconsistent LP shapes"),
+        ("qp_preconditioned_uy.ini", "space = uy", "space = uy\neta = 0.2\nalpha = 1", "2*eta > l*alpha"),
+    ],
+)
+def test_bad_algorithm_or_problem_data_is_config_error(tmp_path, capsys, config, old, new, message):
+    text = (CONFIGS / config).read_text()
+    assert old in text
+    cfg = _write(tmp_path, config, text.replace(old, new))
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("saddleflow: config error: ")
+    assert message in err
+
+
+def test_non_integral_integer_key_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "quad.ini", QUADRATIC.replace("n = 2", "n = 2.5"))
+    assert main(["run", str(cfg), "--quiet"]) == 1
+    assert "key 'n' must be an integer, got '2.5'" in capsys.readouterr().err
+
+
+def test_compare_stops_at_a_bad_config_with_config_error(tmp_path, capsys):
+    good = _write(tmp_path, "good.ini", QUADRATIC)
+    bad = _write(tmp_path, "bad.ini", BILINEAR_AUGMENTED.replace("rho = 0.5", "rho = 0"))
+    out = tmp_path / "cmp"
+    assert main(["compare", str(good), str(bad), "--output-dir", str(out), "--quiet"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "comparison.csv").exists()
+
+
+def test_singular_matrix_while_building_stays_numerical_failure(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    import saddleflow.cli as cli
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "make_bilinear", singular)
+    cfg = _write(tmp_path, "aug.ini", BILINEAR_AUGMENTED)
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 2
+    assert "numerical failure: Singular matrix" in capsys.readouterr().err
+
+
+def test_allowed_algorithms_are_the_builder_table_keys(tmp_path, capsys):
+    from saddleflow.cli import BUILDERS
+
+    cfg = _write(tmp_path, "bad.ini", QUADRATIC.replace("kind = standard", "kind = lasso_pipeline"))
+    assert main(["run", str(cfg)]) == 1
+    assert "(allowed: standard, augmented, proximal)" in capsys.readouterr().err
+    # every shipped config names a pair of the table
+    for path in sorted(CONFIGS.glob("*.ini")):
+        text = path.read_text()
+        kinds = [line.split("=", 1)[1].strip() for line in text.splitlines() if line.startswith("kind")]
+        assert tuple(kinds) in BUILDERS, path.name

@@ -187,14 +187,14 @@ def test_undeclared_quartic_still_takes_damped_newton(monkeypatch):
     monkeypatch.setattr(inner_mod, "fd_jacobian", lambda *a, **k: fd_calls.append(1) or fd(*a, **k))
     sur = sf.proximal_surrogate(quartic, 1.0)
     assert sur._jacobian_inverse is None
-    x_t = sf.inner_minimizer(sur, [1.0], [0.0], [0.0])[0]
+    x_t = sur.minimizer([1.0], [0.0], x0=np.array([0.0]))[0]
     assert x_t == pytest.approx(bisect_root(lambda t: t**3 + t - 1.0, 0.0, 1.0), abs=1e-9)
     assert len(fd_calls) >= 3  # several damped Newton iterations
     capped = sf.proximal_surrogate(
         quartic, 1.0, sf.InnerSolveConfig(tol=1e-12, max_iters=2, warm_start=False)
     )
     with pytest.raises(InnerSolveError) as err:
-        sf.inner_minimizer(capped, [1.0], [0.0], [37.0])
+        capped.minimizer([1.0], [0.0], x0=np.array([37.0]))
     assert err.value.residual > 0.0
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,11 +31,24 @@ def test_standard_flow_examples():
     assert np.array_equal(quad.equilibrium_hint, np.zeros(2))
 
 
+def _augmented(problem, rho):
+    return sf.standard_flow(sf.augment(problem, rho).problem)
+
+
+def _lp_augmented(c, A, b, rho):
+    return _augmented(sf.make_lp(sf.LinearProgram(c=c, A=A, b=b)), rho)
+
+
+def _with_reset(transform):
+    """The saddle flow of a transform's problem, with its warm-start reset."""
+    return replace(sf.standard_flow(transform.problem), reset=transform.reset)
+
+
 def test_augmented_flow_matches_display():
-    flow = sf.augmented_flow(sf.make_bilinear([[1.0]]), 1.0)
+    flow = _augmented(sf.make_bilinear([[1.0]]), 1.0)
     assert np.allclose(flow.field(np.zeros(4)), 0.0)
     assert np.allclose(flow.field(np.array([1.0, 1.0, 1.0, 1.0])), [-1.0, 0.0, 1.0, 0.0])
-    flow2 = sf.augmented_flow(sf.make_bilinear([[1.0]]), 2.0)
+    flow2 = _augmented(sf.make_bilinear([[1.0]]), 2.0)
     out = flow2.field(np.array([1.0, 0.0, 0.0, 0.0]))
     assert out[0] == pytest.approx(-2.0)  # -grad S - rho*(x - x_hat) = -0 - 2
     assert out[1] == pytest.approx(2.0)   # mirror chases x at rate rho
@@ -41,16 +56,20 @@ def test_augmented_flow_matches_display():
 
 def test_proximal_flow_examples():
     sur = sf.proximal_surrogate(_coupled_quadratic(), 1.0)
-    flow = sf.proximal_flow(sur)
+    flow = _with_reset(sur)
     assert np.allclose(flow.field(np.array([1.0, 0.0])), [-0.5, 0.5], atol=1e-9)
     assert np.allclose(flow.field(np.array([0.0, 1.0])), [-0.5, -0.5], atol=1e-9)
     assert np.allclose(flow.field(np.zeros(2)), 0.0, atol=1e-10)
 
 
 def test_projected_flow_rules():
-    flow = sf.standard_flow(sf.make_lp(sf.LinearProgram(c=[0.0], A=[[1.0]], b=[1.0])))
+    # the unprojected saddle field (-y, x - 1) of min 0 s.t. x <= 1
+    flow = sf.Flow(dim=2, field=lambda z: np.array([-z[1], z[0] - 1.0]))
     dom = sf.FeasibleSet.stack(sf.FeasibleSet.free(1), sf.FeasibleSet.nonnegative(1))
     proj = sf.projected_flow(flow, dom)
+    lp_flow = sf.standard_flow(sf.make_lp(sf.LinearProgram(c=[0.0], A=[[1.0]], b=[1.0])))
+    for z in ([0.0, 0.0], [0.5, 1.0], [2.0, 0.0]):
+        assert np.array_equal(lp_flow.field(np.array(z)), proj.field(np.array(z)))
     # y = 0 with outward (negative) dual velocity: pinned
     z = np.array([0.0, 0.0])
     assert proj.field(z)[1] == 0.0  # raw ydot = Ax - b = -1, removed
@@ -70,21 +89,21 @@ def test_projected_flow_dimension_check():
 
 def test_augmented_pd_lp_examples():
     # origin optimal: flow vanishes
-    f0 = sf.augmented_primal_dual_lp([0.0], [[1.0]], [0.0], 1.0)
+    f0 = _lp_augmented([0.0], [[1.0]], [0.0], 1.0)
     assert np.allclose(f0.field(np.zeros(4)), 0.0)
     # at (1,1,0,0) with c=1, A=1, b=1: ydot = [1-1-0]^+ = 0
-    f1 = sf.augmented_primal_dual_lp([1.0], [[1.0]], [1.0], 1.0)
+    f1 = _lp_augmented([1.0], [[1.0]], [1.0], 1.0)
     out = f1.field(np.array([1.0, 1.0, 0.0, 0.0]))
     assert out[2] == 0.0
     # at (0,0,1,1) with b=0: xdot = -1 - 1 = -2, ydot = [0]^+ = 0
-    f2 = sf.augmented_primal_dual_lp([1.0], [[1.0]], [0.0], 1.0)
+    f2 = _lp_augmented([1.0], [[1.0]], [0.0], 1.0)
     out = f2.field(np.array([0.0, 0.0, 1.0, 1.0]))
     assert out[0] == pytest.approx(-2.0)
     assert out[2] == 0.0
 
 
 def test_augmented_pd_lp_mirror_dual_unprojected():
-    flow = sf.augmented_primal_dual_lp([0.0], [[1.0]], [0.0], 1.0)
+    flow = _lp_augmented([0.0], [[1.0]], [0.0], 1.0)
     # y_hat block may move in either direction; only y is clamped
     out = flow.field(np.array([0.0, 0.0, 0.0, 1.0]))
     assert out[3] == pytest.approx(-1.0)   # y_hat_dot = rho*(y - y_hat) = -1
@@ -121,30 +140,29 @@ def _unit_precond(eta=1.5, alpha=1.0, b=0.0):
 
 
 def test_preconditioned_pd_examples():
-    uy = sf.preconditioned_pd(_unit_precond(), "uy")
-    xy = sf.preconditioned_pd(_unit_precond(), "xy")
+    uy = sf.standard_flow(_unit_precond().problem)
+    xy = sf.preconditioned_pd(_unit_precond())
     assert np.allclose(uy.field(np.zeros(2)), 0.0)
     assert np.allclose(xy.field(np.zeros(2)), 0.0)
     # with eta = 1 the dual velocity at (1, 0) cancels: [-1*1 + 1*1]^+ = 0
-    uy1 = sf.preconditioned_pd(_unit_precond(eta=1.0), "uy")
+    uy1 = sf.standard_flow(_unit_precond(eta=1.0).problem)
     out = uy1.field(np.array([1.0, 0.0]))
     assert out[0] == pytest.approx(-1.0)
     assert out[1] == 0.0
 
 
 def test_preconditioned_pd_validates_concavity():
+    # checked where both spaces and the Lasso chain build their problem
     with pytest.raises(ValueError, match="2\\*eta > l\\*alpha"):
-        sf.preconditioned_pd(_unit_precond(eta=0.4, alpha=1.0), "uy")
-    with pytest.raises(ValueError, match="space"):
-        sf.preconditioned_pd(_unit_precond(), "zz")
+        _unit_precond(eta=0.4, alpha=1.0)
 
 
 def test_preconditioned_spaces_stay_coupled():
     # trajectories in the two spaces satisfy x(t) = u(t) - alpha*A^T y(t)
     alpha = 1.0
     pre = _unit_precond(eta=1.1, alpha=alpha, b=-1.0)
-    uy = sf.preconditioned_pd(pre, "uy")
-    xy = sf.preconditioned_pd(pre, "xy")
+    uy = sf.standard_flow(pre.problem)
+    xy = sf.preconditioned_pd(pre)
     u0, y0 = np.array([0.7]), np.array([0.3])
     cfg = sf.IntegratorConfig(step=1e-3, horizon=5.0, record_every=1)
     tu = sf.integrate(uy, np.concatenate((u0, y0)), cfg)
@@ -159,7 +177,7 @@ def test_reduced_pd_examples():
         np.eye(1), np.zeros(1), np.eye(1), np.zeros(1),
         np.eye(1), np.eye(1), np.zeros(1),
     )
-    flow = sf.reduced_pd(sf.reduce(sep))
+    flow = _with_reset(sf.reduce(sep))
     out = flow.field(np.array([1.0, 1.0]))
     assert out[0] == pytest.approx(-2.0)            # -(grad f_c + A_c^T y)
     assert out[1] == pytest.approx(0.0, abs=1e-10)  # A_s xbar + A_c x_c - b = 0
@@ -178,7 +196,7 @@ def test_lasso_flow_consistent_with_dual_prox():
         hess_yy=lambda u, y: -2.0 * np.eye(1),
     )
     dp = sf.lasso_dual_prox(toy, rho=1.0)
-    flow = sf.lasso_flow(dp)
+    flow = _with_reset(dp)
     assert np.allclose(flow.field(np.zeros(2)), 0.0, atol=1e-10)
     # u = 1, v = 2: ytilde = 1; udot = -grad_u = -ytilde; vdot = rho*(ytilde - v)
     out = flow.field(np.array([1.0, 2.0]))
@@ -203,21 +221,21 @@ def test_equilibria_map_to_original_saddles():
 
     # augmented bilinear
     bil = sf.make_bilinear([[1.0]])
-    aug_flow = sf.augmented_flow(bil, 0.5)
+    aug_flow = _augmented(bil, 0.5)
     z, _, _ = run_until(aug_flow, np.array([1.0, 0.0, 0.0, 0.0]),
                         sf.IntegratorConfig(step=0.02, horizon=40.0, record_every=50), 1e-8)
     assert sf.stationarity_residual(bil, PointZ(z[:1], z[2:3])) <= 1e-6
 
     # proximal surrogate of the coupled quadratic
     sur = sf.proximal_surrogate(base, 1.0)
-    prox_flow = sf.proximal_flow(sur)
+    prox_flow = _with_reset(sur)
     w, _, _ = run_until(prox_flow, np.array([1.0, 1.0]),
                         sf.IntegratorConfig(step=0.01, horizon=40.0, record_every=50), 1e-8)
     assert sf.stationarity_residual(base, PointZ(w[:1], w[1:])) <= 1e-6
 
     # preconditioned QP: map back through u = x + alpha*A^T y
     pre = _unit_precond(eta=1.1, alpha=1.0, b=-1.0)
-    uy_flow = sf.preconditioned_pd(pre, "uy")
+    uy_flow = sf.standard_flow(pre.problem)
     w, _, _ = run_until(uy_flow, np.array([1.0, 0.0]),
                         sf.IntegratorConfig(step=0.002, horizon=30.0, record_every=50), 1e-9)
     x = pre.primal(w[:1], w[1:])
@@ -234,7 +252,7 @@ def test_lyapunov_descent_along_flows():
     assert sf.max_increment(sf.lyapunov_series(traj, flow.equilibrium_hint)) <= 1e-8
 
     bil = sf.make_bilinear([[1.0]])
-    aug = sf.augmented_flow(bil, 0.5)
+    aug = _augmented(bil, 0.5)
     z_lim, _, _ = run_until(aug, np.array([1.0, 0.0, 0.0, 0.0]),
                             sf.IntegratorConfig(step=0.02, horizon=40.0, record_every=50), 1e-9)
     traj = sf.integrate(aug, np.array([1.0, 0.0, 0.0, 0.0]),
@@ -252,7 +270,7 @@ def test_bilinear_conservation_short():
 
 def test_flow_reset_clears_warm_cache():
     sur = sf.proximal_surrogate(_coupled_quadratic(), 1.0)
-    flow = sf.proximal_flow(sur)
+    flow = _with_reset(sur)
     flow.field(np.array([1.0, 0.0]))
     assert sur._cache.point is not None
     flow.reset()
@@ -264,7 +282,7 @@ def test_augmented_flow_keeps_the_lp_dual_domain():
     # negative and the flow settles at x = (1.5, 1), away from the optimum
     lp = sf.LinearProgram(c=[1.0, 1.0], A=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], b=[-1.0, -0.5, 3.0])
     problem = sf.make_lp(lp)
-    flow = sf.augmented_flow(problem, 0.5)
+    flow = _augmented(problem, 0.5)
     n, m = problem.n, problem.m
     assert flow.feasible is not None
     assert np.array_equal(flow.feasible.lower[2 * n : 2 * n + m], np.zeros(m))
@@ -281,7 +299,7 @@ def test_proximal_flow_keeps_the_dual_domain():
     # dual would instead drive x onto x1 + x2 = 10
     Q, p, A, b = np.diag([1.0, 2.0]), np.array([-2.0, -2.0]), np.array([[1.0, 1.0]]), np.array([10.0])
     surrogate = sf.proximal_surrogate(sf.qp_lagrangian(sf.make_qp_affine(Q, p, A, b)), 1.0)
-    flow = sf.proximal_flow(surrogate)
+    flow = _with_reset(surrogate)
     assert flow.feasible is not None and flow.feasible.lower[2] == 0.0
     z, _, _ = run_until(
         flow, np.array([0.0, 0.0, 1.0]), sf.IntegratorConfig(step=0.02, horizon=40.0, record_every=100), 1e-9
@@ -289,3 +307,107 @@ def test_proximal_flow_keeps_the_dual_domain():
     x_ref, y_ref = qp_kkt_oracle(Q, p, A, b)
     assert np.allclose(z[:2], x_ref, atol=1e-7)
     assert np.allclose(z[2:], y_ref, atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# Hand-written fields the library used to build for three transformed
+# problems, kept as test references: the saddle flow of each transformed
+# problem, projected onto its domain, equals them bit for bit.
+
+
+def _augmented_pd_lp_reference(c, A, b, rho):
+    """Augmented primal-dual field of min c^T x s.t. Ax - b <= 0 over (x, x_hat, y, y_hat)."""
+    m, n = A.shape
+    y_set = sf.FeasibleSet.nonnegative(m)
+
+    def field(z):
+        x, xh = z[:n], z[n : 2 * n]
+        y, yh = z[2 * n : 2 * n + m], z[2 * n + m :]
+        gap_x = rho * (x - xh)
+        gap_y = rho * (y - yh)
+        ydot = sf.project_vector_field(y_set, y, A @ x - b - gap_y)
+        return np.concatenate((-c - A.T @ y - gap_x, gap_x, ydot, gap_y))
+
+    return field
+
+
+def _dual_projected_reference(problem):
+    """The field of the (u, y)-space preconditioned flow and of the reduced flow:
+    dual velocity projected onto ``y_set`` first, then the primal descent."""
+    n = problem.n
+
+    def field(z):
+        x, y = z[:n], z[n:]
+        ydot = sf.project_vector_field(problem.y_set, y, problem.grad_y(x, y))
+        return np.concatenate((-problem.grad_x(x, y), ydot))
+
+    return field
+
+
+def _face_points(rng, problem, count=200):
+    """Feasible states on which about half of the bounded duals sit on their face."""
+    lower = problem.y_set.lower
+    bounded = np.isfinite(lower)
+    points = []
+    for _ in range(count):
+        z = rng.uniform(-2.0, 2.0, size=problem.dim)
+        y = z[problem.n :]
+        y[bounded] = lower[bounded] + np.abs(y[bounded])
+        face = bounded & (rng.random(problem.m) < 0.5)
+        y[face] = lower[face]
+        points.append(z)
+    return points
+
+
+def _face_signs(problem, z):
+    """Signs of the unprojected dual velocity on the coordinates at their lower face."""
+    x, y = z[: problem.n], z[problem.n :]
+    return set(np.sign(problem.grad_y(x, y)[y == problem.y_set.lower]))
+
+
+def _assert_bitwise_equal(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_standard_flow_of_augmented_lp_matches_hand_written_field():
+    rng = np.random.default_rng(11)
+    c, A, b = rng.standard_normal(2), rng.standard_normal((3, 2)), rng.standard_normal(3)
+    problem = sf.augment(sf.make_lp(sf.LinearProgram(c=c, A=A, b=b)), 0.5).problem
+    flow, reference = sf.standard_flow(problem), _augmented_pd_lp_reference(c, A, b, 0.5)
+    assert np.array_equal(flow.feasible.lower, np.r_[np.full(4, -np.inf), np.zeros(3), np.full(3, -np.inf)])
+    signs = set()
+    for z in _face_points(rng, problem):
+        _assert_bitwise_equal(flow.field(z), reference(z))
+        signs |= _face_signs(problem, z)
+    assert signs == {-1.0, 1.0}  # faces met with outward and with inward velocity
+
+
+def test_standard_flow_of_preconditioned_problem_matches_hand_written_uy_field():
+    rng = np.random.default_rng(12)
+    bundle = sf.make_qp_affine(np.diag([1.0, 2.0, 3.0]), rng.standard_normal(3),
+                               rng.standard_normal((2, 3)), rng.standard_normal(2))
+    problem = sf.precondition(bundle.f, bundle.A, bundle.b, eta=1.0, alpha=0.5).problem
+    flow, reference = sf.standard_flow(problem), _dual_projected_reference(problem)
+    signs = set()
+    for z in _face_points(rng, problem):
+        _assert_bitwise_equal(flow.field(z), reference(z))
+        signs |= _face_signs(problem, z)
+    assert signs == {-1.0, 1.0}
+
+
+def test_standard_flow_of_reduced_problem_matches_hand_written_field():
+    rng = np.random.default_rng(13)
+    sep = sf.make_separable_qp(
+        np.diag([1.0, 2.0, 3.0]), rng.standard_normal(3), np.diag([1.5, 0.5]), rng.standard_normal(2),
+        rng.standard_normal((3, 3)), rng.standard_normal((3, 2)), rng.standard_normal(3),
+    )
+    # one instance per field: their warm-start caches see the same solves
+    flow = _with_reset(sf.reduce(sep))
+    reference = _dual_projected_reference(sf.reduce(sep).problem)
+    probe = sf.reduce(sep).problem
+    signs = set()
+    for z in _face_points(rng, probe):
+        _assert_bitwise_equal(flow.field(z), reference(z))
+        signs |= _face_signs(probe, z)
+    assert signs == {-1.0, 1.0}

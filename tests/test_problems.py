@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -183,7 +185,7 @@ def test_separable_lagrangian_matches_reduction_at_saddle():
         np.eye(1), np.eye(1), np.array([-1.0]),
     )
     red = sf.reduce(sep)
-    flow = sf.reduced_pd(red)
+    flow = replace(sf.standard_flow(red.problem), reset=red.reset)
     z, _, _ = run_until(flow, np.array([1.0, 0.0]),
                         sf.IntegratorConfig(step=0.002, horizon=30.0, record_every=100), 1e-9)
     full = sf.separable_lagrangian(sep)
@@ -264,7 +266,7 @@ def test_two_node_network_augmented_dynamics_match_oracle():
     sol = sf.lp_oracle(lp)
     problem, recover = sf.make_min_cost_flow(net)
     aug = sf.augment(problem, 0.5)
-    flow = sf.projected_flow(sf.standard_flow(aug.problem), sf.full_domain(aug.problem))
+    flow = sf.standard_flow(aug.problem)
     z, _, _ = run_until(flow, np.ones(flow.dim),
                         sf.IntegratorConfig(step=0.02, horizon=100.0, record_every=100), 1e-7)
     _, value = recover(z)

@@ -84,8 +84,8 @@ def test_augment_maps_saddle():
 
 def test_inner_minimizer_linear_cases():
     sur = sf.proximal_surrogate(_coupled_quadratic(), 1.0)
-    assert sf.inner_minimizer(sur, [1.0], [0.0], [0.0])[0] == pytest.approx(0.5, abs=1e-10)
-    assert sf.inner_minimizer(sur, [0.0], [1.0], [0.0])[0] == pytest.approx(-0.5, abs=1e-10)
+    assert sur.minimizer([1.0], [0.0], x0=np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-10)
+    assert sur.minimizer([0.0], [1.0], x0=np.array([0.0]))[0] == pytest.approx(-0.5, abs=1e-10)
 
 
 def test_inner_minimizer_cubic_against_bisection():
@@ -97,7 +97,7 @@ def test_inner_minimizer_cubic_against_bisection():
         grad_y=lambda x, y: np.zeros(1),
     )
     sur = sf.proximal_surrogate(quartic, 1.0)
-    x_t = sf.inner_minimizer(sur, [1.0], [0.0], [0.0])[0]
+    x_t = sur.minimizer([1.0], [0.0], x0=np.array([0.0]))[0]
     root = bisect_root(lambda t: t**3 + t - 1.0, 0.0, 1.0)
     assert root == pytest.approx(0.6823278, abs=1e-7)
     assert x_t == pytest.approx(root, abs=1e-9)
@@ -115,14 +115,14 @@ def test_inner_minimizer_iteration_cap_carries_residual():
         quartic, 1.0, sf.InnerSolveConfig(tol=1e-12, max_iters=2, warm_start=False)
     )
     with pytest.raises(InnerSolveError) as err:
-        sf.inner_minimizer(sur, [1.0], [0.0], [37.0])
+        sur.minimizer([1.0], [0.0], x0=np.array([37.0]))
     assert err.value.residual > 0.0
 
 
 def test_inner_minimizer_deterministic():
     sur = sf.proximal_surrogate(_coupled_quadratic(), 1.0)
-    a = sf.inner_minimizer(sur, [0.3], [0.4], [5.0])
-    b = sf.inner_minimizer(sur, [0.3], [0.4], [5.0])
+    a = sur.minimizer([0.3], [0.4], x0=np.array([5.0]))
+    b = sur.minimizer([0.3], [0.4], x0=np.array([5.0]))
     assert np.array_equal(a, b)
 
 
