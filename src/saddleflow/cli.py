@@ -16,7 +16,7 @@ import configparser
 import csv
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -142,13 +142,19 @@ def load_config(
         )
 
     integ = ini["integrator"]
+    keys = [f.name for f in fields(IntegratorConfig)]
+    unknown = [k for k in integ if k not in keys]
+    if unknown:
+        raise ConfigError(
+            f"{path}: unknown [integrator] key {', '.join(map(repr, unknown))} "
+            f"(allowed: {', '.join(keys)})"
+        )
     try:
         integrator = IntegratorConfig(
             method=integ.get("method", "rk4"),
             step=float(integ.get("step", "1e-3")),
             horizon=float(integ.get("horizon", "10")),
             record_every=int(integ.get("record_every", "10")),
-            clamp=integ.getboolean("clamp", fallback=True),
         )
     except ValueError as err:
         raise ConfigError(f"{path}: bad integrator config: {err}") from None
@@ -444,12 +450,8 @@ def _resolve_equilibrium(flow: Flow, traj: Trajectory, config: IntegratorConfig)
     z = detect_equilibrium(flow, traj, RESIDUAL_TOL)
     if z is not None:
         return z, "detected"
-    ref_cfg = IntegratorConfig(
-        method=config.method,
-        step=config.step,
-        horizon=10.0 * config.horizon,
-        record_every=max(1, 10 * config.record_every),
-        clamp=config.clamp,
+    ref_cfg = replace(
+        config, horizon=10.0 * config.horizon, record_every=max(1, 10 * config.record_every)
     )
     ref = integrate(flow, traj.states[0], ref_cfg)
     z = detect_equilibrium(flow, ref, RESIDUAL_TOL)

@@ -120,13 +120,12 @@ def proximal_primal_dual(
         jacobian = None
         if f.hess is not None and g.hess is not None:
             jacobian = lambda x: f.hess(x) + g.hess(x, y) + rho * eye
-        x0 = cache.point if inner.warm_start and cache.point is not None else u
+        x0 = u if cache.point is None else cache.point
         x = newton_solve(
             residual, x0, jacobian, tol=inner.tol, max_iters=inner.max_iters,
             jacobian_inverse=jacobian_inverse,
         )
-        if inner.warm_start:
-            cache.point = x
+        cache.point = x
         return x
 
     def field(z):

@@ -47,7 +47,6 @@ class IntegratorConfig:
     step: float = 1e-3
     horizon: float = 1.0
     record_every: int = 1
-    clamp: bool = True
 
     def __post_init__(self):
         if self.method not in ("rk4", "euler"):
@@ -112,8 +111,8 @@ class RateReport:
 def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     """Run a fixed-step integration; deterministic for given inputs.
 
-    The start point is clamped onto the feasible set with a warning if it
-    lies outside; every accepted state is clamped when ``config.clamp``.
+    When the flow has a feasible set, the start point is clamped onto it
+    with a warning if it lies outside, and every accepted state is clamped.
     Raises :class:`IntegrationError` on a non-finite state.
     """
     z = np.atleast_1d(np.asarray(z0, dtype=float)).copy()
@@ -136,7 +135,6 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     n_steps = n_full + (1 if has_rem else 0)
     field = flow.field
     clamp = fs.clamp if fs is not None else None
-    clamp_states = config.clamp and clamp is not None
 
     times = [0.0]
     states = [z.copy()]
@@ -155,7 +153,7 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
             z = z + (hi / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         else:
             z = z + hi * field(z)
-        if clamp_states:
+        if clamp is not None:
             z = clamp(z)
         if not np.isfinite(z).all():
             raise IntegrationError("non-finite state encountered", times[-1])

@@ -294,33 +294,14 @@ def make_qp_affine(Q, p, A, b) -> QpBundle:
     Q must be symmetric positive definite and A full row rank; curvature
     constants are eigenvalue bounds computed at build time.
     """
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    f = _quadratic_objective(Q, p, "quadratic")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    n = Q.shape[0]
-    if Q.shape != (n, n) or p.shape != (n,):
-        raise ValueError(f"inconsistent objective shapes: Q {Q.shape}, p {p.shape}")
-    if not np.allclose(Q, Q.T, atol=1e-12):
-        raise ValueError("Q must be symmetric")
-    q_eigs = np.linalg.eigvalsh(Q)
-    if q_eigs[0] <= 0:
-        raise ValueError(f"Q must be positive definite, smallest eigenvalue {q_eigs[0]:.3e}")
-    if A.shape[1] != n or b.shape != (A.shape[0],):
+    if A.shape[1] != f.dim or b.shape != (A.shape[0],):
         raise ValueError(f"inconsistent constraint shapes: A {A.shape}, b {b.shape}")
     kappa, sigma = _sym_eig_bounds(A @ A.T)
     if kappa <= 1e-12 * max(sigma, 1.0):
         raise ValueError("A must have full row rank (A A^T is singular)")
-    f = ConvexObjective(
-        dim=n,
-        value=lambda x: 0.5 * float(x @ (Q @ x)) + float(p @ x),
-        grad=lambda x: Q @ x + p,
-        hess=lambda x: Q,
-        mu=float(q_eigs[0]),
-        l=float(q_eigs[-1]),
-        label="quadratic",
-        hess_constant=True,
-    )
     return QpBundle(f=f, A=A, b=b, kappa=kappa, sigma=sigma)
 
 

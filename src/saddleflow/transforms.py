@@ -51,7 +51,6 @@ class InnerSolveConfig:
 
     tol: float = 1e-10
     max_iters: int = 100
-    warm_start: bool = True
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -163,10 +162,11 @@ class ProximalSurrogate:
         """The inner minimizer x_tilde(u, y); deterministic given (u, y, x0)."""
         u = np.asarray(u, dtype=float)
         y = np.asarray(y, dtype=float)
-        if x0 is None and self.inner.warm_start:
+        if x0 is None:
             hit = self._cache.match(u, y)
             if hit is not None:
                 return hit
+            x0 = u if self._cache.point is None else self._cache.point
 
         def residual(x):
             return self.base.grad_x(x, y) + self.rho * (x - u)
@@ -175,19 +175,12 @@ class ProximalSurrogate:
         if self.base.hess_xx is not None:
             eye = np.eye(self.base.n)
             jacobian = lambda x: self.base.hess_xx(x, y) + self.rho * eye
-        if x0 is None:
-            x0 = self._cache.point if self.inner.warm_start and self._cache.point is not None else u
         x = newton_solve(
             residual, x0, jacobian, tol=self.inner.tol, max_iters=self.inner.max_iters,
             jacobian_inverse=self._jacobian_inverse,
         )
-        if self.inner.warm_start:
-            self._cache.store(x, u, y)
+        self._cache.store(x, u, y)
         return x
-
-    def clone(self) -> "ProximalSurrogate":
-        """A surrogate with a private warm-start cache, for a new run."""
-        return proximal_surrogate(self.base, self.rho, self.inner)
 
     def reset(self) -> None:
         self._cache.clear()
@@ -202,20 +195,17 @@ def proximal_surrogate(
     if not problem.convex_concave:
         raise ValueError("the proximal surrogate requires a convex-concave problem")
 
-    cache = WarmCache()
-    holder: dict = {}
-
     def value(u, y):
-        x = holder["self"].minimizer(u, y)
+        x = surrogate.minimizer(u, y)
         d = x - u
         return float(problem.value(x, y)) + 0.5 * rho * float(d @ d)
 
     def grad_u(u, y):
-        x = holder["self"].minimizer(u, y)
+        x = surrogate.minimizer(u, y)
         return rho * (np.asarray(u, dtype=float) - x)
 
     def grad_y(u, y):
-        x = holder["self"].minimizer(u, y)
+        x = surrogate.minimizer(u, y)
         return problem.grad_y(x, y)
 
     meta = problem.meta
@@ -246,10 +236,9 @@ def proximal_surrogate(
             problem.hess_xx(np.zeros(n), np.zeros(m)) + rho * np.eye(n)
         )
     surrogate = ProximalSurrogate(
-        base=problem, rho=rho, inner=inner, problem=surrogate_problem, _cache=cache,
+        base=problem, rho=rho, inner=inner, problem=surrogate_problem, _cache=WarmCache(),
         _jacobian_inverse=jacobian_inverse,
     )
-    holder["self"] = surrogate
     return surrogate
 
 
@@ -382,37 +371,28 @@ class ReducedProblem:
 
     def minimizer(self, y, x0: Optional[np.ndarray] = None) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        if x0 is None and self.inner.warm_start:
+        f_s, A_s = self.sep.f_s, self.sep.A_s
+        if x0 is None:
             hit = self._cache.match(y)
             if hit is not None:
                 return hit
-        f_s, A_s = self.sep.f_s, self.sep.A_s
+            x0 = np.zeros(f_s.dim) if self._cache.point is None else self._cache.point
         aty = A_s.T @ y
 
         def residual(x):
             return f_s.grad(x) + aty
 
         jacobian = f_s.hess if f_s.hess is not None else None
-        if x0 is None:
-            x0 = (
-                self._cache.point
-                if self.inner.warm_start and self._cache.point is not None
-                else np.zeros(f_s.dim)
-            )
         x = newton_solve(
             residual, x0, jacobian, tol=self.inner.tol, max_iters=self.inner.max_iters,
             jacobian_inverse=self._jacobian_inverse,
         )
-        if self.inner.warm_start:
-            self._cache.store(x, y)
+        self._cache.store(x, y)
         return x
 
     def recover(self, x_c, y) -> np.ndarray:
         """The full primal point (x_s_bar(y), x_c)."""
         return np.concatenate((self.minimizer(y), np.asarray(x_c, dtype=float)))
-
-    def clone(self) -> "ReducedProblem":
-        return reduce(self.sep, self.inner)
 
     def reset(self) -> None:
         self._cache.clear()
@@ -424,10 +404,9 @@ def reduce(sep: "SeparableProblem", inner: InnerSolveConfig = InnerSolveConfig()
         raise ValueError("reduction requires a strongly convex f_s (positive mu)")
     f_c, A_s, A_c, b = sep.f_c, sep.A_s, sep.A_c, sep.b
     m = b.shape[0]
-    holder: dict = {}
 
     def value(x_c, y):
-        x_s = holder["self"].minimizer(y)
+        x_s = reduced.minimizer(y)
         con = A_s @ x_s + A_c @ x_c - b
         return float(sep.f_s.value(x_s)) + float(f_c.value(x_c)) + float(y @ con)
 
@@ -435,7 +414,7 @@ def reduce(sep: "SeparableProblem", inner: InnerSolveConfig = InnerSolveConfig()
         return f_c.grad(x_c) + A_c.T @ y
 
     def grad_y(x_c, y):
-        x_s = holder["self"].minimizer(y)
+        x_s = reduced.minimizer(y)
         return A_s @ x_s + A_c @ x_c - b
 
     q_val = None
@@ -460,7 +439,6 @@ def reduce(sep: "SeparableProblem", inner: InnerSolveConfig = InnerSolveConfig()
         sep=sep, inner=inner, problem=problem, _cache=WarmCache(),
         _jacobian_inverse=jacobian_inverse,
     )
-    holder["self"] = reduced
     return reduced
 
 
@@ -545,10 +523,11 @@ class LassoDualProx:
     def maximizer(self, u, v, y0: Optional[np.ndarray] = None) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        if y0 is None and self.inner.warm_start:
+        if y0 is None:
             hit = self._cache.match(u, v)
             if hit is not None:
                 return hit
+            y0 = v if self._cache.point is None else self._cache.point
         base, rho = self.base, self.rho
         feasible = base.y_set if base.y_set is not None else FeasibleSet.free(base.m)
 
@@ -563,14 +542,11 @@ class LassoDualProx:
         if base.hess_yy is not None and self._dual_hess is None:
             eye = np.eye(base.m)
             hess = lambda y: base.hess_yy(u, y) - rho * eye
-        if y0 is None:
-            y0 = self._cache.point if self.inner.warm_start and self._cache.point is not None else v
         y = projected_concave_max(
             phi, dphi, feasible, y0, hess, tol=self.inner.tol, max_iters=self.inner.max_iters,
             constant_hess=self._dual_hess,
         )
-        if self.inner.warm_start:
-            self._cache.store(y, u, v)
+        self._cache.store(y, u, v)
         return y
 
     def recover(self, u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -579,10 +555,6 @@ class LassoDualProx:
             raise ValueError("recovery needs the preconditioning transform this problem came from")
         v = np.asarray(v, dtype=float)
         return self.precond.primal(u, v), v
-
-    def clone(self) -> "LassoDualProx":
-        src = self.precond if self.precond is not None else self.base
-        return lasso_dual_prox(src, self.rho, self.inner)
 
     def reset(self) -> None:
         self._cache.clear()
@@ -598,19 +570,18 @@ def lasso_dual_prox(
         raise ValueError(f"rho must be > 0, got {rho}")
     precond = LC if isinstance(LC, PreconditionedProblem) else None
     base = LC.problem if isinstance(LC, PreconditionedProblem) else LC
-    holder: dict = {}
 
     def value(u, v):
-        y = holder["self"].maximizer(u, v)
+        y = transform.maximizer(u, v)
         d = y - v
         return float(base.value(u, y)) - 0.5 * rho * float(d @ d)
 
     def grad_u(u, v):
-        y = holder["self"].maximizer(u, v)
+        y = transform.maximizer(u, v)
         return base.grad_x(u, y)
 
     def grad_v(u, v):
-        y = holder["self"].maximizer(u, v)
+        y = transform.maximizer(u, v)
         return rho * (y - np.asarray(v, dtype=float))
 
     problem = SaddleProblem(
@@ -631,5 +602,4 @@ def lasso_dual_prox(
         base=base, rho=rho, inner=inner, problem=problem, precond=precond, _cache=WarmCache(),
         _dual_hess=dual_hess,
     )
-    holder["self"] = transform
     return transform

@@ -294,6 +294,23 @@ def test_bad_algorithm_or_problem_data_is_config_error(tmp_path, capsys, config,
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("record_every = 10", "record_every = 10\nclamp = false", "clamp"),  # a removed switch
+        ("horizon = 150", "horizn = 5", "horizn"),  # a typo, not a silent default horizon
+    ],
+)
+def test_unknown_integrator_key_is_config_error(tmp_path, capsys, old, new, key):
+    text = (CONFIGS / "lp_augmented.ini").read_text()
+    assert old in text
+    cfg = _write(tmp_path, "lp_augmented.ini", text.replace(old, new))
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"saddleflow: config error: {cfg}: unknown [integrator] key '{key}'")
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_integral_integer_key_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, "quad.ini", QUADRATIC.replace("n = 2", "n = 2.5"))
     assert main(["run", str(cfg), "--quiet"]) == 1

@@ -191,7 +191,7 @@ def test_undeclared_quartic_still_takes_damped_newton(monkeypatch):
     assert x_t == pytest.approx(bisect_root(lambda t: t**3 + t - 1.0, 0.0, 1.0), abs=1e-9)
     assert len(fd_calls) >= 3  # several damped Newton iterations
     capped = sf.proximal_surrogate(
-        quartic, 1.0, sf.InnerSolveConfig(tol=1e-12, max_iters=2, warm_start=False)
+        quartic, 1.0, sf.InnerSolveConfig(tol=1e-12, max_iters=2)
     )
     with pytest.raises(InnerSolveError) as err:
         capped.minimizer([1.0], [0.0], x0=np.array([37.0]))

@@ -3,6 +3,7 @@ import pytest
 
 import saddleflow as sf
 from saddleflow import PointZ
+import saddleflow.transforms as transforms_module
 from saddleflow._inner import WarmCache
 from saddleflow.transforms import InnerSolveError
 
@@ -112,7 +113,7 @@ def test_inner_minimizer_iteration_cap_carries_residual():
         grad_y=lambda x, y: np.zeros(1),
     )
     sur = sf.proximal_surrogate(
-        quartic, 1.0, sf.InnerSolveConfig(tol=1e-12, max_iters=2, warm_start=False)
+        quartic, 1.0, sf.InnerSolveConfig(tol=1e-12, max_iters=2)
     )
     with pytest.raises(InnerSolveError) as err:
         sur.minimizer([1.0], [0.0], x0=np.array([37.0]))
@@ -387,12 +388,66 @@ def test_lasso_dual_prox_recover_requires_transform():
         dp.recover([0.0], [0.0])
 
 
-def test_clone_gives_private_cache():
-    sur = sf.proximal_surrogate(_coupled_quadratic(), 1.0)
+def test_separate_builds_have_private_caches():
+    problem = _coupled_quadratic()
+    sur = sf.proximal_surrogate(problem, 1.0)
     sur.minimizer([1.0], [0.0])
-    twin = sur.clone()
+    twin = sf.proximal_surrogate(problem, 1.0)
     assert twin._cache.point is None
     assert sur._cache.point is not None
+
+
+# (build, solver looked up in transforms, position of its start argument,
+#  solve(key, start), default start for a key, three keys)
+WARM_START_CASES = {
+    "proximal_surrogate": (
+        lambda: sf.proximal_surrogate(_coupled_quadratic(), 1.0), "newton_solve", 1,
+        lambda t, key, start=None: t.minimizer(*key, x0=start), lambda key: key[0],
+        [([1.0], [0.0]), ([2.0], [1.0]), ([-1.0], [0.5])],
+    ),
+    "reduce": (
+        lambda: sf.reduce(_unit_separable()), "newton_solve", 1,
+        lambda t, key, start=None: t.minimizer(*key, x0=start), lambda key: np.zeros(1),
+        [([2.0],), ([3.0],), ([-1.0],)],
+    ),
+    "lasso_dual_prox": (
+        lambda: sf.lasso_dual_prox(_scalar_toy(True), rho=1.0), "projected_concave_max", 3,
+        lambda t, key, start=None: t.maximizer(*key, y0=start), lambda key: key[1],
+        [([1.0], [2.0]), ([0.3], [-0.9]), ([4.0], [1.0])],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WARM_START_CASES))
+def test_warm_start_rule(case, monkeypatch):
+    build, solver, start_at, solve, default, (k1, k2, k3) = WARM_START_CASES[case]
+    starts = []
+    real = getattr(transforms_module, solver)
+
+    def counted(*args, **kwargs):
+        starts.append(np.array(args[start_at], dtype=float))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transforms_module, solver, counted)
+    t = build()
+
+    first = solve(t, k1)
+    assert len(starts) == 1 and np.array_equal(starts[0], default(k1))
+    assert solve(t, k1) is first and len(starts) == 1  # repeated key: stored point, no solve
+
+    solve(t, k2)
+    assert len(starts) == 2 and np.array_equal(starts[1], first)  # new key: last solution
+
+    explicit = np.array([0.25])
+    third = solve(t, k3, explicit)
+    assert len(starts) == 3 and np.array_equal(starts[2], explicit)
+    assert solve(t, k3) is third and len(starts) == 3  # an explicit start still stores
+    solve(t, k3, explicit)
+    assert len(starts) == 4  # an explicit start skips the lookup
+
+    t.reset()
+    solve(t, k1)
+    assert len(starts) == 5 and np.array_equal(starts[4], default(k1))
 
 
 def test_inner_solve_config_validation():
