@@ -7,21 +7,22 @@ available and finite differences otherwise.
 
 When the curvature is constant the caller factors it once and passes the
 matrix by keyword: ``newton_solve`` then opens with one exact prefactored
-step, and ``projected_concave_max`` runs its projected Newton iteration on
-the exact quadratic model, calling the gradient oracle only to start and to
-confirm convergence.
+step, and ``projected_concave_max`` first tries one Newton step on the
+coordinates off the faces of the box at its start point, then runs its
+projected Newton iteration on the exact quadratic model, calling the
+gradient oracle only to start and to confirm convergence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .projection import FeasibleSet, project_vector_field
 
-__all__ = ["InnerSolveError", "WarmCache", "newton_solve", "projected_concave_max"]
+__all__ = ["ConstantHessian", "InnerSolveError", "WarmCache", "newton_solve", "projected_concave_max"]
 
 
 class InnerSolveError(RuntimeError):
@@ -60,6 +61,28 @@ class WarmCache:
     def store(self, point: np.ndarray, *key) -> None:
         self.point = point
         self.key = tuple(np.array(k, dtype=float, copy=True) for k in key)
+
+
+class ConstantHessian:
+    """The constant Hessian ``matrix`` of a concave quadratic over a box.
+
+    Holds one slot: the last free mask and the inverse of ``-matrix``
+    restricted to it. The inverse is a pure function of the matrix and the
+    mask, so a slot carried over from an earlier solve or run changes no bit.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = np.asarray(matrix, dtype=float)
+        self._mask: Optional[bytes] = None
+        self._inverse: Optional[np.ndarray] = None
+
+    def free_inverse(self, free: np.ndarray) -> np.ndarray:
+        """Inverse of the free block of ``-matrix`` for the boolean mask ``free``."""
+        mask = free.tobytes()
+        if mask != self._mask:
+            self._inverse = np.linalg.inv(-self.matrix[np.ix_(free, free)])
+            self._mask = mask
+        return self._inverse
 
 
 def fd_jacobian(fun: Callable, x: np.ndarray, scale: float = 1e-7) -> np.ndarray:
@@ -137,7 +160,7 @@ def projected_concave_max(
     tol: float = 1e-10,
     max_iters: int = 100,
     *,
-    constant_hess: Optional[np.ndarray] = None,
+    constant_hess: Union[np.ndarray, ConstantHessian, None] = None,
 ) -> np.ndarray:
     """Maximize a strongly concave function over a box.
 
@@ -148,13 +171,22 @@ def projected_concave_max(
     (the element-wise vector field projection of the gradient) has norm
     below ``tol``.
 
-    ``constant_hess`` is the Hessian of a concave quadratic. The gradient is
-    then carried along the iterates as ``g + constant_hess @ move``, the
-    ascent test uses the exact change ``g.d + d.H.d / 2``, so ``value`` and
-    ``hess`` are never called, and a solve ends only once the projected
-    gradient of the ``grad`` oracle itself is below ``tol``.
+    ``constant_hess`` is the Hessian of a concave quadratic, as a matrix or
+    as a :class:`ConstantHessian` that keeps its free-block inverse between
+    solves. A start point whose projected gradient is already below ``tol``
+    is returned as it is. Otherwise the solve guesses the active set: the
+    coordinates on a face at the start point stay there and the rest take
+    one Newton step.
+    The step is kept if it stays in the box and the projected gradient of
+    the ``grad`` oracle there is below ``tol``. Otherwise projected Newton
+    runs from the start point, with the gradient carried along the iterates
+    as ``g + H @ move`` and the ascent test on the exact change
+    ``g.d + d.H.d / 2``. ``value`` and ``hess`` are never called, and a solve
+    ends only once the projected gradient of the oracle is below ``tol``.
     """
     if constant_hess is not None:
+        if not isinstance(constant_hess, ConstantHessian):
+            constant_hess = ConstantHessian(constant_hess)
         return _box_qp_max(grad, feasible, y0, constant_hess, tol, max_iters)
     y = feasible.clamp(np.asarray(y0, dtype=float))
     nres = np.inf
@@ -202,10 +234,23 @@ def _free_newton_step(hmat: np.ndarray, g: np.ndarray, y: np.ndarray, feasible: 
     return step
 
 
-def _box_qp_max(grad, feasible: FeasibleSet, y0, hmat: np.ndarray, tol: float, max_iters: int):
-    """Projected Newton over the exact quadratic model with Hessian ``hmat``."""
+def _box_qp_max(grad, feasible: FeasibleSet, y0, model: ConstantHessian, tol: float, max_iters: int):
+    """Active-set guess, then projected Newton over the exact quadratic model."""
     y = feasible.clamp(np.asarray(y0, dtype=float))
     g = np.asarray(grad(y), dtype=float)
+    # a warm start often passes as it is: near an equilibrium the inputs barely move
+    if float(np.linalg.norm(project_vector_field(feasible, y, g))) <= tol:
+        return y
+    # Nocedal & Wright, Numerical Optimization, 2nd ed., sec. 16.5: while the
+    # active set does not change, one solve with the free block is the answer
+    free = (y > feasible.lower) & (y < feasible.upper)
+    y_free = y.copy()
+    y_free[free] += model.free_inverse(free) @ g[free]
+    if feasible.contains(y_free):
+        g_free = np.asarray(grad(y_free), dtype=float)
+        if float(np.linalg.norm(project_vector_field(feasible, y_free, g_free))) <= tol:
+            return y_free
+    hmat = model.matrix
     from_oracle = True
     nres = np.inf
     for _ in range(max_iters):

@@ -140,15 +140,11 @@ def load_config(
             f"{path}: algorithm {algo['kind']!r} is not compatible with problem "
             f"{prob['kind']!r} (allowed: {', '.join(allowed)})"
         )
+    _check_keys(path, "problem", prob, ("kind",) + PROBLEM_KEYS[prob["kind"]])
+    _check_keys(path, "algorithm", algo, ("kind",) + BUILDERS[prob["kind"], algo["kind"]][1])
 
     integ = ini["integrator"]
-    keys = [f.name for f in fields(IntegratorConfig)]
-    unknown = [k for k in integ if k not in keys]
-    if unknown:
-        raise ConfigError(
-            f"{path}: unknown [integrator] key {', '.join(map(repr, unknown))} "
-            f"(allowed: {', '.join(keys)})"
-        )
+    _check_keys(path, "integrator", integ, tuple(f.name for f in fields(IntegratorConfig)))
     try:
         integrator = IntegratorConfig(
             method=integ.get("method", "rk4"),
@@ -172,6 +168,16 @@ def load_config(
         z0=z0,
         quiet=quiet,
     )
+
+
+def _check_keys(path: Path, section: str, present, allowed: tuple) -> None:
+    """A key the code does not read would run silently at its default."""
+    unknown = [k for k in present if k not in allowed]
+    if unknown:
+        raise ConfigError(
+            f"{path}: unknown [{section}] key {', '.join(map(repr, unknown))} "
+            f"(allowed: {', '.join(allowed)})"
+        )
 
 
 def _get_float(d: dict, key: str, default: Optional[float] = None) -> float:
@@ -386,21 +392,36 @@ def _lasso_pipeline(bundle, desc: str, algo: dict) -> RunSetup:
                     problem_desc=desc, recover=recover)
 
 
-# (problem kind, algorithm kind) -> builder(problem, description, [algorithm] section);
-# the compatible pairs are exactly the keys, in the order "allowed:" lists them
+# [problem] keys each problem kind reads, besides 'kind'
+PROBLEM_KEYS = {
+    "bilinear": ("matrix", "n", "m", "coupling_norm"),
+    "quadratic_saddle": ("mu", "q", "matrix", "n", "m", "coupling_norm"),
+    "lp": ("c", "a", "b"),
+    "min_cost_flow": ("file",),
+    "qp_affine": ("q", "p", "a", "b"),
+    "separable_qp": ("q_s", "p_s", "q_c", "p_c", "a_s", "a_c", "b"),
+    "lasso": ("lam", "a", "b", "n", "m"),
+}
+
+_INNER_KEYS = ("inner_tol", "inner_max_iters")
+_PRECONDITIONED_KEYS = ("space", "eta", "alpha")
+
+# (problem kind, algorithm kind) -> (builder(problem, description, [algorithm]
+# section), the [algorithm] keys it reads besides 'kind'); the compatible pairs
+# are exactly the keys, in the order "allowed:" lists them
 BUILDERS = {
-    ("bilinear", "standard"): _standard,
-    ("bilinear", "augmented"): _augmented,
-    ("quadratic_saddle", "standard"): _standard,
-    ("quadratic_saddle", "augmented"): _augmented,
-    ("quadratic_saddle", "proximal"): _proximal,
-    ("lp", "augmented"): _augmented,
-    ("min_cost_flow", "augmented"): _augmented_network,
-    ("qp_affine", "proximal"): _proximal_pd,
-    ("qp_affine", "preconditioned"): _preconditioned,
-    ("separable_qp", "reduced"): _reduced,
-    ("separable_qp", "preconditioned"): _preconditioned_separable,
-    ("lasso", "lasso_pipeline"): _lasso_pipeline,
+    ("bilinear", "standard"): (_standard, ()),
+    ("bilinear", "augmented"): (_augmented, ("rho",)),
+    ("quadratic_saddle", "standard"): (_standard, ()),
+    ("quadratic_saddle", "augmented"): (_augmented, ("rho",)),
+    ("quadratic_saddle", "proximal"): (_proximal, ("rho",) + _INNER_KEYS),
+    ("lp", "augmented"): (_augmented, ("rho",)),
+    ("min_cost_flow", "augmented"): (_augmented_network, ("rho",)),
+    ("qp_affine", "proximal"): (_proximal_pd, ("rho",) + _INNER_KEYS),
+    ("qp_affine", "preconditioned"): (_preconditioned, _PRECONDITIONED_KEYS),
+    ("separable_qp", "reduced"): (_reduced, _INNER_KEYS),
+    ("separable_qp", "preconditioned"): (_preconditioned_separable, _PRECONDITIONED_KEYS),
+    ("lasso", "lasso_pipeline"): (_lasso_pipeline, ("alpha_over_l", "alpha", "rho") + _INNER_KEYS),
 }
 
 
@@ -412,7 +433,8 @@ def build_setup(cfg: ExperimentConfig) -> RunSetup:
     """
     try:
         built, desc = _build_problem(cfg)
-        return BUILDERS[cfg.problem_kind, cfg.algorithm_kind](built, desc, cfg.algorithm)
+        builder, _ = BUILDERS[cfg.problem_kind, cfg.algorithm_kind]
+        return builder(built, desc, cfg.algorithm)
     except np.linalg.LinAlgError:
         raise
     except ValueError as err:

@@ -213,12 +213,6 @@ def grad(problem: SaddleProblem, z: PointZ) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def flow_field_at(problem: SaddleProblem, z: PointZ) -> np.ndarray:
-    """The raw saddle-flow direction (-grad_x, +grad_y) at ``z``."""
-    gx, gy = grad(problem, z)
-    return np.concatenate((-gx, gy))
-
-
 def stationarity_residual(
     problem: SaddleProblem, z: PointZ, feasible: Optional[FeasibleSet] = None
 ) -> float:
@@ -228,7 +222,8 @@ def stationarity_residual(
     and points where the projected field vanishes with one. ``feasible``
     is a box over the stacked state (x, y); ``z`` must lie inside it.
     """
-    f = flow_field_at(problem, z)
+    gx, gy = grad(problem, z)
+    f = np.concatenate((-gx, gy))
     if feasible is not None:
         f = project_vector_field(feasible, z.concat, f)
     return float(np.linalg.norm(f))

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from ._inner import InnerSolveError, WarmCache, newton_solve, projected_concave_max
+from ._inner import ConstantHessian, InnerSolveError, WarmCache, newton_solve, projected_concave_max
 from .core import ConvexityMeta, ConvexObjective, SaddleProblem
 from .projection import FeasibleSet
 
@@ -507,7 +507,8 @@ class LassoDualProx:
     The value is max_{y in Y} { L(u, y) - (rho/2)||y - v||^2 }; the maximizer
     y_tilde(u, v) is resolved by a projected Newton solve to the configured
     residual tolerance. When the base declares a constant Hessian, the dual
-    Hessian H_yy - rho*I is built once and the solve is a box QP over it.
+    Hessian H_yy - rho*I is built once and the solve is a box QP over it,
+    which first tries the active set of the previous solution.
     When the base problem came from ``precondition``, ``recover`` maps an
     equilibrium back to original primal-dual coordinates.
     """
@@ -518,7 +519,7 @@ class LassoDualProx:
     problem: SaddleProblem
     precond: Optional[PreconditionedProblem]
     _cache: WarmCache
-    _dual_hess: Optional[np.ndarray] = None
+    _dual_hess: Optional[ConstantHessian] = None
 
     def maximizer(self, u, v, y0: Optional[np.ndarray] = None) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -597,7 +598,9 @@ def lasso_dual_prox(
     )
     dual_hess = None
     if base.hess_constant and base.hess_yy is not None:
-        dual_hess = base.hess_yy(np.zeros(base.n), np.zeros(base.m)) - rho * np.eye(base.m)
+        dual_hess = ConstantHessian(
+            base.hess_yy(np.zeros(base.n), np.zeros(base.m)) - rho * np.eye(base.m)
+        )
     transform = LassoDualProx(
         base=base, rho=rho, inner=inner, problem=problem, precond=precond, _cache=WarmCache(),
         _dual_hess=dual_hess,

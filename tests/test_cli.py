@@ -311,6 +311,64 @@ def test_unknown_integrator_key_is_config_error(tmp_path, capsys, old, new, key)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "config, old, new, section, key, allowed",
+    [
+        # a typo, not a silent rho = 1
+        ("lp_augmented.ini", "rho = 0.5", "rh = 0.5", "algorithm", "rh", "kind, rho"),
+        # a key of another section
+        ("lp_augmented.ini", "c = 1 1", "c = 1 1\nrho = 2", "problem", "rho", "kind, c, a, b"),
+        # a key another algorithm reads
+        ("separable_reduced.ini", "kind = reduced", "kind = reduced\nrho = 2", "algorithm", "rho",
+         "kind, inner_tol, inner_max_iters"),
+    ],
+)
+def test_unknown_problem_or_algorithm_key_is_config_error(
+    tmp_path, capsys, config, old, new, section, key, allowed
+):
+    text = (CONFIGS / config).read_text()
+    assert old in text
+    cfg = _write(tmp_path, config, text.replace(old, new))
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"saddleflow: config error: {cfg}: unknown [{section}] key '{key}' (allowed: {allowed})\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+class _Reads(dict):
+    """A config section that records every key the builders look up."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_every_shipped_config_loads_and_builds_reading_only_declared_keys():
+    from saddleflow.cli import BUILDERS, PROBLEM_KEYS, build_setup, load_config
+
+    assert set(PROBLEM_KEYS) == {p for p, _ in BUILDERS}
+    for path in sorted(CONFIGS.glob("*.ini")):
+        cfg = load_config(path)
+        cfg.problem, cfg.algorithm = _Reads(cfg.problem), _Reads(cfg.algorithm)
+        build_setup(cfg)
+        assert cfg.problem.read <= set(PROBLEM_KEYS[cfg.problem_kind]), path.name
+        assert cfg.algorithm.read <= set(BUILDERS[cfg.problem_kind, cfg.algorithm_kind][1]), path.name
+
+
 def test_non_integral_integer_key_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, "quad.ini", QUADRATIC.replace("n = 2", "n = 2.5"))
     assert main(["run", str(cfg), "--quiet"]) == 1

@@ -83,19 +83,123 @@ def _lasso_pair(rng, rho=1.0):
     return bundle, build(bundle.f), build(replace(bundle.f, hess_constant=False))
 
 
-def test_lasso_maximizer_paths_agree_with_bounds_active():
+def _counting_newton_steps(monkeypatch) -> list:
+    """Record each projected Newton step; the declared path takes one only on a guess miss."""
+    steps = []
+    step = inner_mod._free_newton_step
+    monkeypatch.setattr(inner_mod, "_free_newton_step", lambda *a: steps.append(1) or step(*a))
+    return steps
+
+
+def test_lasso_maximizer_paths_agree_with_bounds_active(monkeypatch):
     rng = np.random.default_rng(43)
     bundle, declared, plain = _lasso_pair(rng)
     assert declared._dual_hess is not None and plain._dual_hess is None
+    steps = _counting_newton_steps(monkeypatch)
     n = bundle.n
     lifted = bundle.f.dim
-    on_bound = 0
+    on_bound = hits = misses = entered = left = 0
+    last = None
     for z in _walk(rng, rng.standard_normal(2 * lifted), 200, scale=5e-2):
         u, v = z[:lifted], z[lifted:]
-        a, b = declared.maximizer(u, v), plain.maximizer(u, v)
+        before = len(steps)
+        a = declared.maximizer(u, v)
+        hits += len(steps) == before
+        misses += len(steps) > before
+        b = plain.maximizer(u, v)
         assert np.abs(a - b).max() <= AGREE
         on_bound += bool(np.any(a[n:] == 0.0)) and bool(np.any(a[n:] > 0.0))
+        if last is not None:
+            entered += bool(np.any((last[n:] > 0.0) & (a[n:] == 0.0)))
+            left += bool(np.any((last[n:] == 0.0) & (a[n:] > 0.0)))
+        last = a
     assert on_bound >= 50  # some, not all, of the sign multipliers sit at 0
+    assert entered and left  # multipliers reach the face and leave it along the walk
+    assert hits >= 150 and misses  # the guess holds on most solves and is confirmed on all
+
+
+def test_guessed_face_with_an_inward_gradient_falls_back(monkeypatch):
+    # coordinate 0 starts on its face and is held there by the guess, but the
+    # maximizer is interior: the gate rejects the step at the oracle
+    H = -np.array([[2.0, 0.5], [0.5, 1.0]])
+    c = np.array([1.0, 1.0])
+    feasible = sf.FeasibleSet.nonnegative(2)
+    points = []
+
+    def grad(y):
+        points.append(y.copy())
+        return H @ y + c
+
+    steps = _counting_newton_steps(monkeypatch)
+    y = inner_mod.projected_concave_max(
+        None, grad, feasible, np.array([0.0, 2.0]), None, tol=1e-12, constant_hess=H
+    )
+    guess = points[1]
+    assert guess[0] == 0.0 and guess[1] > 0.0  # the free step, inside the box
+    assert grad(guess)[0] > 0.0  # inward on the held face
+    assert steps  # projected Newton finished the solve
+    exact = np.linalg.solve(-H, c)
+    assert np.all(exact > 0.0)
+    assert np.linalg.norm(sf.project_vector_field(feasible, y, grad(y))) <= 1e-12
+    assert np.abs(y - exact).max() <= 1e-11
+
+
+def test_free_step_leaving_the_box_falls_back(monkeypatch):
+    H = -np.array([[1.0, 0.2], [0.2, 1.0]])
+    c = np.array([-3.0, 1.0])
+    feasible = sf.FeasibleSet.nonnegative(2)
+    y0 = np.array([1.0, 1.0])
+    assert not feasible.contains(y0 + np.linalg.solve(-H, H @ y0 + c))  # both start free
+    points = []
+
+    def grad(y):
+        points.append(y.copy())
+        return H @ y + c
+
+    steps = _counting_newton_steps(monkeypatch)
+    y = inner_mod.projected_concave_max(None, grad, feasible, y0, None, tol=1e-12, constant_hess=H)
+    assert steps
+    assert all(feasible.contains(p) for p in points)  # no oracle call outside the box
+    assert np.linalg.norm(sf.project_vector_field(feasible, y, grad(y))) <= 1e-12
+    assert y[0] == 0.0 and y[1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_constant_hessian_keeps_one_free_block_inverse():
+    H = -np.array([[3.0, 0.5, 0.1], [0.5, 2.0, 0.3], [0.1, 0.3, 1.0]])
+    model = inner_mod.ConstantHessian(H)
+    a = np.array([True, False, True])
+    first = model.free_inverse(a)
+    assert np.array_equal(first, np.linalg.inv(-H[np.ix_(a, a)]))
+    assert model.free_inverse(a.copy()) is first  # same mask: no new inverse
+    assert np.array_equal(model.free_inverse(~a), np.linalg.inv(-H[np.ix_(~a, ~a)]))
+    again = model.free_inverse(a)  # the slot held only the last mask
+    assert again is not first and np.array_equal(again, first)
+
+
+def test_lasso_run_is_byte_deterministic_with_a_warm_factor_slot(tmp_path, monkeypatch):
+    rng = np.random.default_rng(48)
+    bundle = sf.make_lasso(rng.standard_normal((6, 4)) / np.sqrt(6), rng.standard_normal(6), 0.5)
+    config = sf.IntegratorConfig(step=0.05, horizon=20.0, record_every=5)
+    z0 = np.ones(2 * bundle.f.dim)
+    masks = set()
+    free_inverse = inner_mod.ConstantHessian.free_inverse
+    monkeypatch.setattr(
+        inner_mod.ConstantHessian, "free_inverse",
+        lambda self, free: masks.add(free.tobytes()) or free_inverse(self, free),
+    )
+
+    def run(flow, name):
+        sf.integrate(flow, z0, config).write_csv(tmp_path / name)
+        return (tmp_path / name).read_bytes()
+
+    transform, flow = bundle.dynamics(1.0 / bundle.l, 1.0)
+    first = run(flow, "first.csv")
+    assert len(masks) >= 2  # the free set changed along the run
+    transform.reset()
+    assert transform._cache.point is None and transform._dual_hess._inverse is not None
+    second = run(flow, "second.csv")  # starts with the last run's free block in the slot
+    fresh = run(bundle.dynamics(1.0 / bundle.l, 1.0)[1], "fresh.csv")
+    assert first == second == fresh
 
 
 def test_lasso_maximizer_starting_on_the_bound():
