@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _SADDLE_TOL = 1e-8
+# largest value - bracket that still counts as the sandwich holding
+SANDWICH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -172,15 +174,20 @@ def eval_certificate(
     """Evaluate a certificate along a trajectory.
 
     Reports the per-entry minimum (nonnegativity), the worst sandwich
-    violation value - bracket (should stay below tolerance), and the final
-    values. With a flow, additionally flags the case where the certificate
-    has vanished while the flow residual has not, which would falsify
-    observability; certificate entries scale like squared distances near a
-    saddle while the residual is linear, so the vanishing threshold is the
-    squared tolerance.
+    violation value - bracket (should stay below ``SANDWICH_TOL``), and the
+    final values. A certificate whose bracket is its own value (the same
+    callable, as in ``cert_strict_cc``) is evaluated once per state, and its
+    violation is 0 wherever the values are finite. With a flow, additionally
+    flags the case where the certificate has vanished while the flow
+    residual has not, which would falsify observability; certificate entries
+    scale like squared distances near a saddle while the residual is linear,
+    so the vanishing threshold is the squared tolerance.
     """
     values = np.array([cert.value(s) for s in traj.states])
-    brackets = np.array([cert.bracket(s) for s in traj.states])
+    if cert.bracket is cert.value:
+        brackets = values  # a second pass would repeat every oracle call
+    else:
+        brackets = np.array([cert.bracket(s) for s in traj.states])
     if values.shape != (len(traj), 2):
         raise ValueError(f"certificate produced shape {values.shape}, expected ({len(traj)}, 2)")
     observability = None

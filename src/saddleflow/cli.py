@@ -124,6 +124,7 @@ def load_config(
             raise ConfigError(f"{path}: missing [{section}] section")
 
     exp = ini["experiment"] if "experiment" in ini else {}
+    _check_keys(path, "experiment", exp, ("seed", "output_dir", "z0"))
     cfg_seed = seed if seed is not None else int(exp.get("seed", "0"))
     out = Path(output_dir) if output_dir is not None else Path(exp.get("output_dir", "saddleflow_out"))
 
@@ -589,6 +590,9 @@ def _format_report(res: RunResult) -> str:
             f"{c.min_entry[1]:.3e}), max_bracket_violation={c.max_bracket_violation:.3e}, "
             f"final=({c.final_values[0]:.3e}, {c.final_values[1]:.3e})"
         )
+        v, tol = c.max_bracket_violation, cert.SANDWICH_TOL
+        verdict = f"within {tol:.0e}" if v <= tol else f"violated ({v:.3e} > {tol:.0e})"
+        lines.append(f"certificate sandwich: {verdict}")
         if c.observability_violated:
             lines.append("WARNING: certificate vanished while the flow residual did not")
     elif res.cert_skipped:

@@ -173,8 +173,8 @@ class ProximalSurrogate:
 
         jacobian = None
         if self.base.hess_xx is not None:
-            eye = np.eye(self.base.n)
-            jacobian = lambda x: self.base.hess_xx(x, y) + self.rho * eye
+            # identity built per Jacobian call: the factored step seldom needs one
+            jacobian = lambda x: self.base.hess_xx(x, y) + self.rho * np.eye(self.base.n)
         x = newton_solve(
             residual, x0, jacobian, tol=self.inner.tol, max_iters=self.inner.max_iters,
             jacobian_inverse=self._jacobian_inverse,

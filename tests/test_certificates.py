@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,109 @@ def test_eval_certificate_flags_falsified_observability():
     qcert = sf.cert_strict_cc(quad, PointZ([0.0], [0.0]))
     qreport = sf.eval_certificate(qcert, qtraj, flow=qflow)
     assert qreport.observability_violated is False
+
+
+def _two_pass_reference(cert, traj, flow=None, zero_tol=1e-6):
+    """The evaluator before single-pass: a value pass, then a bracket pass."""
+    values = np.array([cert.value(s) for s in traj.states])
+    brackets = np.array([cert.bracket(s) for s in traj.states])
+    observability = None
+    if flow is not None:
+        h_gone = float(np.linalg.norm(values[-1])) <= zero_tol**2
+        observability = bool(h_gone and flow.residual(traj.final_state) > zero_tol)
+    return sf.CertificateReport(
+        min_entry=values.min(axis=0),
+        max_bracket_violation=float((values - brackets).max()),
+        final_values=values[-1],
+        observability_violated=observability,
+    )
+
+
+class _Counted:
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def test_strict_cc_is_evaluated_once_per_state():
+    quad = _pure_quadratic()
+    counted = _Counted(quad.value)
+    cert = sf.cert_strict_cc(replace(quad, value=counted), PointZ([0.0], [0.0]))
+    assert cert.bracket is cert.value
+    traj = sf.integrate(sf.standard_flow(quad), [1.0, 1.0], sf.IntegratorConfig(step=0.01, horizon=0.5))
+    k = len(traj)
+    counted.calls = 0
+    report = sf.eval_certificate(cert, traj)
+    assert counted.calls == 2 * k  # S(x*, y) and S(x, y*) per state; the bracket pass doubled it
+    assert report.max_bracket_violation == 0.0
+
+
+def test_distinct_bracket_still_gets_its_own_pass():
+    traj = sf.Trajectory(np.arange(5.0), np.column_stack((np.arange(5.0), np.zeros(5))))
+    value = _Counted(lambda s: np.array([0.0, 1e-3]) if s[0] == 2.0 else np.zeros(2))
+    bracket = _Counted(lambda s: np.zeros(2))
+    report = sf.eval_certificate(sf.Certificate(value=value, bracket=bracket), traj)
+    assert (value.calls, bracket.calls) == (5, 5)
+    assert report.max_bracket_violation == 1e-3
+
+
+def _quadratic_case():
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((3, 2))
+    B *= 0.8 / np.linalg.svd(B, compute_uv=False)[0]
+    quad = sf.make_quadratic_saddle(1.0, 2.0, B)
+    return quad, sf.standard_flow(quad), np.ones(5)
+
+
+def _preconditioned_case():
+    bundle = sf.make_qp_affine(np.diag([1.0, 2.0]), np.zeros(2), np.eye(2), np.array([-1.0, -1.0]))
+    eta, alpha = sf.precond_params_pick(bundle.f.mu, bundle.f.l, bundle.kappa)
+    pre = sf.precondition(bundle.f, bundle.A, bundle.b, eta, alpha)
+    return pre.problem, sf.standard_flow(pre.problem), np.ones(4)
+
+
+def _reduced_case():
+    # two coupled blocks: the old bracket pass re-solved x_s(y) from other
+    # warm starts and reported a violation of 2.2e-16 here
+    sep = sf.make_separable_qp(
+        np.array([[2.0, 0.5], [0.5, 1.5]]), np.array([0.3, -0.2]),
+        np.array([[1.2, 0.3], [0.3, 1.0]]), np.array([-0.1, 0.2]),
+        np.array([[1.0, 0.3], [0.2, 0.9]]), np.array([[0.5, -0.2], [0.1, 0.4]]),
+        np.array([-0.5, 0.4]),
+    )
+    reduced = sf.reduce(sep)
+    flow = replace(sf.standard_flow(reduced.problem), reset=reduced.reset)
+    return reduced.problem, flow, np.ones(4)
+
+
+@pytest.mark.parametrize(
+    "case", [_quadratic_case, _preconditioned_case, _reduced_case],
+    ids=["quadratic", "preconditioned", "reduced"],
+)
+def test_single_pass_matches_the_two_pass_evaluator(case):
+    problem, flow, z0 = case()
+    traj = sf.integrate(flow, z0, sf.IntegratorConfig(step=0.01, horizon=40.0, record_every=5))
+    z_star = flow.equilibrium_hint
+    if z_star is None:
+        z_star = sf.detect_equilibrium(flow, traj, 1e-9)
+    cert = sf.cert_strict_cc(problem, PointZ(z_star[: problem.n], z_star[problem.n :]))
+
+    # both evaluators start from the same warm-start cache
+    if flow.reset is not None:
+        flow.reset()
+    old = _two_pass_reference(cert, traj, flow=flow)
+    if flow.reset is not None:
+        flow.reset()
+    new = sf.eval_certificate(cert, traj, flow=flow)
+
+    for field in ("min_entry", "final_values"):
+        a, b = getattr(old, field), getattr(new, field)
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), field
+    assert new.observability_violated is old.observability_violated is False
+    assert new.max_bracket_violation == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,28 @@ def test_report_line_formats_read_by_tools(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "violation, verdict",
+    [
+        (0.0, "certificate sandwich: within 1e-09"),
+        # the violation the canonical min-cost-flow network reports
+        (1.045e-8, "certificate sandwich: violated (1.045e-08 > 1e-09)"),
+    ],
+)
+def test_report_gives_the_sandwich_verdict(tmp_path, violation, verdict):
+    from dataclasses import replace
+
+    from saddleflow.cli import _format_report, load_config, run_experiment
+
+    cfg = _write(tmp_path, "quad.ini", QUADRATIC.replace("horizon = 20", "horizon = 1"))
+    res = run_experiment(load_config(cfg))
+    res = replace(res, cert_report=replace(res.cert_report, max_bracket_violation=violation))
+    lines = _format_report(res).splitlines()
+    (i,) = [k for k, line in enumerate(lines) if line.startswith("certificate [strict_cc]: ")]
+    assert f", max_bracket_violation={violation:.3e}, " in lines[i]
+    assert lines[i + 1] == verdict
+
+
+@pytest.mark.parametrize(
     "config, old, new, message",
     [
         ("qp_preconditioned_uy.ini", "space = uy", "space = zz", "space must be 'uy' or 'xy'"),
@@ -321,6 +343,8 @@ def test_unknown_integrator_key_is_config_error(tmp_path, capsys, old, new, key)
         # a key another algorithm reads
         ("separable_reduced.ini", "kind = reduced", "kind = reduced\nrho = 2", "algorithm", "rho",
          "kind, inner_tol, inner_max_iters"),
+        # a misspelt seed, not a silent seed 0
+        ("lp_augmented.ini", "seed = 0", "sede = 5", "experiment", "sede", "seed, output_dir, z0"),
     ],
 )
 def test_unknown_problem_or_algorithm_key_is_config_error(

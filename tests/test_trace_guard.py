@@ -6,8 +6,9 @@ each projected field evaluation calls ``project_vector_field`` exactly once,
 and ``integrate`` evaluates the field four times per RK4 step. A change that
 moves a lookup site or adds a projection breaks the benchmark's traced run;
 these tests run the same install and cross-checks on one short projected
-run and on short runs of every config whose field runs an inner solve. The
-tracer module is loaded from its file and not modified.
+run, on short runs of every config whose field runs an inner solve, and on
+one short ``compare``. The tracer module is loaded from its file and not
+modified.
 """
 
 import importlib.util
@@ -28,19 +29,25 @@ def _load_tracing():
     return module
 
 
-def _traced_run(tmp_path, name: str, horizon: str):
-    """Trace one ``saddleflow run`` of a shipped config cut to horizon 2."""
+def _traced(tmp_path, command: str, *configs):
+    """Trace one ``saddleflow <command>`` of shipped configs cut to horizon 2.
+
+    ``configs`` are (file name, shipped horizon) pairs.
+    """
     tracing = _load_tracing()
-    text = (ROOT / "configs" / name).read_text()
-    assert f"horizon = {horizon}\n" in text
-    config = tmp_path / name
-    config.write_text(text.replace(f"horizon = {horizon}\n", "horizon = 2\n"))
+    paths = []
+    for name, horizon in configs:
+        text = (ROOT / "configs" / name).read_text()
+        assert f"horizon = {horizon}\n" in text
+        config = tmp_path / name
+        config.write_text(text.replace(f"horizon = {horizon}\n", "horizon = 2\n"))
+        paths.append(str(config))
 
     tracer = tracing.Tracer()
     tracer.install()  # raises if a required lookup site is not wrapped
     try:
         start = perf_counter()
-        code = cli.main(["run", str(config), "--output-dir", str(tmp_path / "out"), "--quiet"])
+        code = cli.main([command, *paths, "--output-dir", str(tmp_path / "out"), "--quiet"])
         wall = perf_counter() - start
     finally:
         tracer.uninstall()
@@ -52,7 +59,7 @@ def _traced_run(tmp_path, name: str, horizon: str):
 
 
 def test_traced_projected_run_passes_the_cross_checks(tmp_path):
-    tracer, metrics = _traced_run(tmp_path, "lp_augmented.ini", "150")
+    tracer, metrics = _traced(tmp_path, "run", ("lp_augmented.ini", "150"))
     assert tracer.counters["flows.field.projected"] > 0
     assert metrics["integrate.field_evals"] == 4 * metrics["integrate.steps"] > 0
     assert metrics["projection.vf.calls"] >= metrics["integrate.field_evals"]
@@ -68,6 +75,16 @@ def test_traced_projected_run_passes_the_cross_checks(tmp_path):
     ],
 )
 def test_traced_inner_solve_run_passes_the_cross_checks(tmp_path, name, horizon):
-    _, metrics = _traced_run(tmp_path, name, horizon)
+    _, metrics = _traced(tmp_path, "run", (name, horizon))
     assert metrics["transforms.inner.solves"] > 0
     assert metrics["transforms.inner.residual_evals"] > 0
+
+
+def test_traced_compare_passes_the_cross_checks(tmp_path):
+    # the benchmark's dense_record workload runs only ``compare``
+    _, metrics = _traced(
+        tmp_path, "compare", ("quadratic_standard.ini", "25"), ("separable_preconditioned.ini", "30")
+    )
+    assert metrics["integrate.field_evals"] == 4 * metrics["integrate.steps"] > 0
+    assert metrics["certificates.states"] > 0
+    assert (tmp_path / "out" / "comparison.csv").is_file()
