@@ -23,7 +23,6 @@ from .core import (
 from .projection import FeasibleSet, project_point, project_vector_field
 from .transforms import (
     AugmentedProblem,
-    InnerSolveConfig,
     InnerSolveError,
     LassoDualProx,
     PreconditionedProblem,

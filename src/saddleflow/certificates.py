@@ -230,31 +230,15 @@ def optimal_rho(mu: float, l: float, kappa: float) -> tuple[float, float]:
     """Regularization weight balancing the two proximal curvature terms.
 
     Returns (rho_star, c_star): rho_star is the unique positive root of
-    mu*rho/(mu+rho) = kappa/(l+rho), found by bisection; c_star is the
-    resulting (optimal) rate bound in closed form. The bound is always
-    strictly below mu.
+    mu*rho/(mu+rho) = kappa/(l+rho), that is of the quadratic
+    mu*rho^2 + (mu*l - kappa)*rho - mu*kappa = 0, taken in the form without
+    cancellation; c_star is the resulting (optimal) rate bound in closed
+    form. The bound is always strictly below mu.
     """
     _require_positive(mu=mu, l=l, kappa=kappa)
-
-    def gap(rho: float) -> float:
-        return mu * rho / (mu + rho) - kappa / (l + rho)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if gap(hi) > 0:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("bisection bracket not found")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if gap(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    rho_star = 0.5 * (lo + hi)
+    b = mu * l - kappa
+    root_d = math.sqrt(b * b + 4.0 * mu * mu * kappa)
+    rho_star = 2.0 * mu * kappa / (root_d + b) if b >= 0 else (root_d - b) / (2.0 * mu)
     c_star = 2.0 * mu * kappa / (
         math.sqrt((mu * l - kappa) ** 2 + 4.0 * mu**2 * kappa) + mu * l + kappa
     )

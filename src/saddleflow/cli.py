@@ -50,13 +50,7 @@ from .problems import (
     separable_qp_bundle,
     LinearProgram,
 )
-from .transforms import (
-    InnerSolveConfig,
-    augment,
-    precondition,
-    proximal_surrogate,
-    reduce as reduce_transform,
-)
+from .transforms import augment, precondition, proximal_surrogate, reduce as reduce_transform
 
 __all__ = ["main", "ConfigError", "run_experiment", "compare_experiments"]
 
@@ -74,20 +68,23 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------------------
 # config parsing
+#
+# The parse helpers and the builders raise ValueError; ``load_config`` and
+# ``build_setup`` turn it into a ConfigError that names the config path.
 
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
         return np.array([float(v) for v in text.replace(",", " ").split()])
     except ValueError as err:
-        raise ConfigError(f"bad vector {text!r}: {err}") from None
+        raise ValueError(f"bad vector {text!r}: {err}") from None
 
 
 def _parse_matrix(text: str) -> np.ndarray:
     rows = [r for r in (row.strip() for row in text.split(";")) if r]
     mat = [_parse_vector(r) for r in rows]
     if len({row.shape[0] for row in mat}) > 1:
-        raise ConfigError(f"ragged matrix {text!r}")
+        raise ValueError(f"ragged matrix {text!r}")
     return np.vstack(mat)
 
 
@@ -125,7 +122,11 @@ def load_config(
 
     exp = ini["experiment"] if "experiment" in ini else {}
     _check_keys(path, "experiment", exp, ("seed", "output_dir", "z0"))
-    cfg_seed = seed if seed is not None else int(exp.get("seed", "0"))
+    try:
+        cfg_seed = seed if seed is not None else _get_int(exp, "seed", 0)
+        z0 = _parse_vector(exp["z0"]) if "z0" in exp else None
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from None
     out = Path(output_dir) if output_dir is not None else Path(exp.get("output_dir", "saddleflow_out"))
 
     prob = dict(ini["problem"])
@@ -156,7 +157,6 @@ def load_config(
     except ValueError as err:
         raise ConfigError(f"{path}: bad integrator config: {err}") from None
 
-    z0 = _parse_vector(exp["z0"]) if "z0" in exp else None
     return ExperimentConfig(
         path=path,
         seed=cfg_seed,
@@ -184,18 +184,20 @@ def _check_keys(path: Path, section: str, present, allowed: tuple) -> None:
 def _get_float(d: dict, key: str, default: Optional[float] = None) -> float:
     if key not in d:
         if default is None:
-            raise ConfigError(f"missing required key '{key}'")
+            raise ValueError(f"missing required key '{key}'")
         return default
     try:
         return float(d[key])
     except ValueError:
-        raise ConfigError(f"key '{key}' must be a number, got {d[key]!r}") from None
+        raise ValueError(f"key '{key}' must be a number, got {d[key]!r}") from None
 
 
 def _get_int(d: dict, key: str, default: Optional[int] = None) -> int:
+    if key in d and d[key].strip().isdecimal():  # exact past 2**53, where a float rounds
+        return int(d[key])
     value = _get_float(d, key, default if default is None else float(default))
     if not value.is_integer():
-        raise ConfigError(f"key '{key}' must be an integer, got {d[key]!r}")
+        raise ValueError(f"key '{key}' must be an integer, got {d[key]!r}")
     return int(value)
 
 
@@ -249,12 +251,12 @@ def _build_problem(cfg: ExperimentConfig):
         return make_lp(lp), f"lp (n={lp.n}, m={lp.b.shape[0]})"
     if kind == "min_cost_flow":
         if "file" not in p:
-            raise ConfigError("min_cost_flow needs a 'file' key")
+            raise ValueError("min_cost_flow needs a 'file' key")
         net_path = Path(p["file"])
         if not net_path.is_absolute():
             net_path = cfg.path.parent / net_path
         if not net_path.is_file():
-            raise ConfigError(f"network file not found: {net_path}")
+            raise ValueError(f"network file not found: {net_path}")
         net = parse_network(net_path)
         return net, f"min_cost_flow ({net.num_nodes} nodes, {net.num_edges} edges)"
     if kind == "qp_affine":
@@ -281,14 +283,7 @@ def _build_problem(cfg: ExperimentConfig):
             b = rng.standard_normal(m)
         bundle = make_lasso(A, b, lam)
         return bundle, f"lasso (n={bundle.n}, m={A.shape[0]}, lam={lam})"
-    raise ConfigError(f"unknown problem kind {kind!r}")
-
-
-def _inner_config(algo: dict) -> InnerSolveConfig:
-    return InnerSolveConfig(
-        tol=_get_float(algo, "inner_tol", 1e-10),
-        max_iters=_get_int(algo, "inner_max_iters", 100),
-    )
+    raise ValueError(f"unknown problem kind {kind!r}")
 
 
 def _strict_cc(problem: SaddleProblem) -> Callable[[np.ndarray], cert.Certificate]:
@@ -329,7 +324,7 @@ def _augmented_network(net, desc: str, algo: dict) -> RunSetup:
 
 def _proximal(problem: SaddleProblem, desc: str, algo: dict) -> RunSetup:
     rho = _get_float(algo, "rho", 1.0)
-    surrogate = proximal_surrogate(problem, rho, _inner_config(algo))
+    surrogate = proximal_surrogate(problem, rho)
     flow = replace(standard_flow(surrogate.problem), reset=surrogate.reset)
     meta = problem.meta
     c_bound = None
@@ -343,7 +338,7 @@ def _proximal(problem: SaddleProblem, desc: str, algo: dict) -> RunSetup:
 
 def _proximal_pd(bundle, desc: str, algo: dict) -> RunSetup:
     rho = _get_float(algo, "rho", 1.0)
-    flow = proximal_primal_dual(bundle.f, bundle.constraints(), rho, _inner_config(algo))
+    flow = proximal_primal_dual(bundle.f, bundle.constraints(), rho)
     c_bound = cert.rate_bound_proximal(bundle.f.mu, bundle.f.l, bundle.kappa, rho)
     return RunSetup(flow=flow, label=f"proximal_pd(rho={rho})", problem_desc=desc,
                     c_bound=c_bound)
@@ -352,7 +347,7 @@ def _proximal_pd(bundle, desc: str, algo: dict) -> RunSetup:
 def _preconditioned(bundle, desc: str, algo: dict) -> RunSetup:
     space = algo.get("space", "uy")
     if space not in ("uy", "xy"):
-        raise ConfigError(f"space must be 'uy' or 'xy', got {space!r}")
+        raise ValueError(f"space must be 'uy' or 'xy', got {space!r}")
     if "eta" in algo and "alpha" in algo:
         eta, alpha = _get_float(algo, "eta"), _get_float(algo, "alpha")
     else:
@@ -372,7 +367,7 @@ def _preconditioned_separable(sep, desc: str, algo: dict) -> RunSetup:
 
 
 def _reduced(sep, desc: str, algo: dict) -> RunSetup:
-    reduced = reduce_transform(sep, _inner_config(algo))
+    reduced = reduce_transform(sep)
     flow = replace(standard_flow(reduced.problem), reset=reduced.reset)
     c_bound = cert.rate_bound_reduced(sep.f_c.mu, sep.f_s.l, sep.kappa_s)
     return RunSetup(flow=flow, label="reduced_pd", problem_desc=desc,
@@ -383,7 +378,7 @@ def _lasso_pipeline(bundle, desc: str, algo: dict) -> RunSetup:
     alpha_scale = _get_float(algo, "alpha_over_l", 1.0)
     alpha = _get_float(algo, "alpha", alpha_scale / bundle.l if bundle.l > 0 else 1.0)
     rho = _get_float(algo, "rho", 1.0)
-    transform, flow = bundle.dynamics(alpha, rho, _inner_config(algo))
+    transform, flow = bundle.dynamics(alpha, rho)
 
     def recover(z):
         xhat = bundle.recover_xhat(transform, z)
@@ -404,7 +399,6 @@ PROBLEM_KEYS = {
     "lasso": ("lam", "a", "b", "n", "m"),
 }
 
-_INNER_KEYS = ("inner_tol", "inner_max_iters")
 _PRECONDITIONED_KEYS = ("space", "eta", "alpha")
 
 # (problem kind, algorithm kind) -> (builder(problem, description, [algorithm]
@@ -415,22 +409,23 @@ BUILDERS = {
     ("bilinear", "augmented"): (_augmented, ("rho",)),
     ("quadratic_saddle", "standard"): (_standard, ()),
     ("quadratic_saddle", "augmented"): (_augmented, ("rho",)),
-    ("quadratic_saddle", "proximal"): (_proximal, ("rho",) + _INNER_KEYS),
+    ("quadratic_saddle", "proximal"): (_proximal, ("rho",)),
     ("lp", "augmented"): (_augmented, ("rho",)),
     ("min_cost_flow", "augmented"): (_augmented_network, ("rho",)),
-    ("qp_affine", "proximal"): (_proximal_pd, ("rho",) + _INNER_KEYS),
+    ("qp_affine", "proximal"): (_proximal_pd, ("rho",)),
     ("qp_affine", "preconditioned"): (_preconditioned, _PRECONDITIONED_KEYS),
-    ("separable_qp", "reduced"): (_reduced, _INNER_KEYS),
+    ("separable_qp", "reduced"): (_reduced, ()),
     ("separable_qp", "preconditioned"): (_preconditioned_separable, _PRECONDITIONED_KEYS),
-    ("lasso", "lasso_pipeline"): (_lasso_pipeline, ("alpha_over_l", "alpha", "rho") + _INNER_KEYS),
+    ("lasso", "lasso_pipeline"): (_lasso_pipeline, ("alpha_over_l", "alpha", "rho")),
 }
 
 
 def build_setup(cfg: ExperimentConfig) -> RunSetup:
     """The flow and its analysis hooks for a loaded config.
 
-    Bad problem data or algorithm parameters (a ``ValueError`` from the
-    library) are config errors; a singular matrix stays a numerical failure.
+    Bad problem data or algorithm parameters (a ``ValueError`` from a parse
+    helper, a builder or the library) are config errors; a singular matrix
+    stays a numerical failure.
     """
     try:
         built, desc = _build_problem(cfg)
@@ -487,7 +482,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     setup = build_setup(cfg)
     if cfg.z0 is not None and cfg.z0.shape != (setup.flow.dim,):
         raise ConfigError(
-            f"z0 has dimension {cfg.z0.shape[0]}, the flow expects {setup.flow.dim}"
+            f"{cfg.path}: z0 has dimension {cfg.z0.shape[0]}, the flow expects {setup.flow.dim}"
         )
     z0 = cfg.z0 if cfg.z0 is not None else np.ones(setup.flow.dim)
     t0 = time.perf_counter()
@@ -668,11 +663,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ConfigError("a command is required: run | compare")
         if args.command == "run":
             cfg = load_config(args.config, args.output_dir, args.seed, args.quiet)
-            try:
-                res = _run_to_files(cfg, cfg.output_dir)
-            except (IntegrationError, InnerSolveError, np.linalg.LinAlgError, RuntimeError) as err:
-                print(f"saddleflow: numerical failure: {err}", file=sys.stderr)
-                return 2
+            res = _run_to_files(cfg, cfg.output_dir)
             if not cfg.quiet:
                 print(_format_report(res), end="")
             return 0
@@ -683,20 +674,16 @@ def main(argv: Optional[list[str]] = None) -> int:
             load_config(p, None, args.seed, args.quiet) for p in args.configs
         ]
         out_dir = Path(args.output_dir) if args.output_dir else Path("saddleflow_out")
-        try:
-            table = compare_experiments(configs, out_dir)
-        except (IntegrationError, InnerSolveError, np.linalg.LinAlgError, RuntimeError) as err:
-            print(f"saddleflow: numerical failure: {err}", file=sys.stderr)
-            return 2
+        table = compare_experiments(configs, out_dir)
         if not args.quiet:
             print(table.read_text(), end="")
         return 0
-    except ConfigError as err:
+    except (ConfigError, OSError) as err:
         print(f"saddleflow: config error: {err}", file=sys.stderr)
         return 1
-    except OSError as err:
-        print(f"saddleflow: config error: {err}", file=sys.stderr)
-        return 1
+    except (IntegrationError, InnerSolveError, np.linalg.LinAlgError) as err:
+        print(f"saddleflow: numerical failure: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

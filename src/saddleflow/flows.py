@@ -20,7 +20,7 @@ import numpy as np
 from ._inner import WarmCache, newton_solve
 from .core import ConstraintMap, ConvexObjective, SaddleProblem, full_domain
 from .projection import FeasibleSet, project_vector_field
-from .transforms import InnerSolveConfig, PreconditionedProblem
+from .transforms import PreconditionedProblem
 
 __all__ = [
     "Flow",
@@ -88,12 +88,7 @@ def projected_flow(flow: Flow, feasible: FeasibleSet) -> Flow:
     return replace(flow, field=field, feasible=feasible, label=f"projected({flow.label})")
 
 
-def proximal_primal_dual(
-    f: ConvexObjective,
-    g: ConstraintMap,
-    rho: float,
-    inner: InnerSolveConfig = InnerSolveConfig(),
-) -> Flow:
+def proximal_primal_dual(f: ConvexObjective, g: ConstraintMap, rho: float) -> Flow:
     """Proximal primal-dual dynamics for min f(x) s.t. g(x) <= 0.
 
     State (u, y) with y >= 0. Each evaluation resolves the regularized
@@ -121,10 +116,7 @@ def proximal_primal_dual(
         if f.hess is not None and g.hess is not None:
             jacobian = lambda x: f.hess(x) + g.hess(x, y) + rho * eye
         x0 = u if cache.point is None else cache.point
-        x = newton_solve(
-            residual, x0, jacobian, tol=inner.tol, max_iters=inner.max_iters,
-            jacobian_inverse=jacobian_inverse,
-        )
+        x = newton_solve(residual, x0, jacobian, jacobian_inverse=jacobian_inverse)
         cache.point = x
         return x
 

@@ -21,7 +21,6 @@ from .core import ConstraintMap, ConvexityMeta, ConvexObjective, SaddleProblem
 from .flows import Flow, standard_flow
 from .projection import FeasibleSet
 from .transforms import (
-    InnerSolveConfig,
     LassoDualProx,
     lasso_dual_prox,
     lasso_reformulate,
@@ -490,9 +489,7 @@ class LassoBundle:
     def l(self) -> float:
         return self.fhat.l
 
-    def dynamics(
-        self, alpha: float, rho: float, inner: InnerSolveConfig = InnerSolveConfig()
-    ) -> tuple[LassoDualProx, Flow]:
+    def dynamics(self, alpha: float, rho: float) -> tuple[LassoDualProx, Flow]:
         """The dual-proximal transform and its flow; requires alpha < 2/l."""
         if self.l > 0 and not alpha < 2.0 / self.l:
             raise ValueError(f"alpha must satisfy alpha < 2/l = {2.0 / self.l}, got {alpha}")
@@ -500,7 +497,7 @@ class LassoBundle:
         pre = precondition(
             self.f, self.A, np.zeros(lifted_dim), eta=1.0, alpha=alpha, y_set=self.y_set
         )
-        transform = lasso_dual_prox(pre, rho, inner)
+        transform = lasso_dual_prox(pre, rho)
         return transform, replace(standard_flow(transform.problem), reset=transform.reset)
 
     def recover_xhat(self, transform: LassoDualProx, state) -> np.ndarray:

@@ -29,7 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .problems import SeparableProblem
 
 __all__ = [
-    "InnerSolveConfig",
     "InnerSolveError",
     "AugmentedProblem",
     "ProximalSurrogate",
@@ -43,20 +42,6 @@ __all__ = [
     "lasso_reformulate",
     "lasso_dual_prox",
 ]
-
-
-@dataclass(frozen=True)
-class InnerSolveConfig:
-    """Stopping rule for the inner minimizations hidden in transformed oracles."""
-
-    tol: float = 1e-10
-    max_iters: int = 100
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +131,13 @@ class ProximalSurrogate:
 
     The surrogate value is min_x { S(x, y) + (rho/2)||x - u||^2 }; its
     gradients are evaluated through the inner minimizer x_tilde(u, y), which
-    is resolved by damped Newton to the configured residual tolerance. When
-    the base declares a constant Hessian, the inverse of H_xx + rho*I is
-    factored once at build time and each solve opens with that exact step.
+    is resolved by damped Newton to a residual of 1e-10. When the base
+    declares a constant Hessian, the inverse of H_xx + rho*I is factored
+    once at build time and each solve opens with that exact step.
     """
 
     base: SaddleProblem
     rho: float
-    inner: InnerSolveConfig
     problem: SaddleProblem
     _cache: WarmCache
     _jacobian_inverse: Optional[np.ndarray] = None
@@ -175,10 +159,7 @@ class ProximalSurrogate:
         if self.base.hess_xx is not None:
             # identity built per Jacobian call: the factored step seldom needs one
             jacobian = lambda x: self.base.hess_xx(x, y) + self.rho * np.eye(self.base.n)
-        x = newton_solve(
-            residual, x0, jacobian, tol=self.inner.tol, max_iters=self.inner.max_iters,
-            jacobian_inverse=self._jacobian_inverse,
-        )
+        x = newton_solve(residual, x0, jacobian, jacobian_inverse=self._jacobian_inverse)
         self._cache.store(x, u, y)
         return x
 
@@ -186,9 +167,7 @@ class ProximalSurrogate:
         self._cache.clear()
 
 
-def proximal_surrogate(
-    problem: SaddleProblem, rho: float, inner: InnerSolveConfig = InnerSolveConfig()
-) -> ProximalSurrogate:
+def proximal_surrogate(problem: SaddleProblem, rho: float) -> ProximalSurrogate:
     """Build the proximal surrogate of a convex-concave problem."""
     if not rho > 0:
         raise ValueError(f"rho must be > 0, got {rho}")
@@ -236,7 +215,7 @@ def proximal_surrogate(
             problem.hess_xx(np.zeros(n), np.zeros(m)) + rho * np.eye(n)
         )
     surrogate = ProximalSurrogate(
-        base=problem, rho=rho, inner=inner, problem=surrogate_problem, _cache=WarmCache(),
+        base=problem, rho=rho, problem=surrogate_problem, _cache=WarmCache(),
         _jacobian_inverse=jacobian_inverse,
     )
     return surrogate
@@ -364,7 +343,6 @@ class ReducedProblem:
     """
 
     sep: "SeparableProblem"
-    inner: InnerSolveConfig
     problem: SaddleProblem
     _cache: WarmCache
     _jacobian_inverse: Optional[np.ndarray] = None
@@ -383,10 +361,7 @@ class ReducedProblem:
             return f_s.grad(x) + aty
 
         jacobian = f_s.hess if f_s.hess is not None else None
-        x = newton_solve(
-            residual, x0, jacobian, tol=self.inner.tol, max_iters=self.inner.max_iters,
-            jacobian_inverse=self._jacobian_inverse,
-        )
+        x = newton_solve(residual, x0, jacobian, jacobian_inverse=self._jacobian_inverse)
         self._cache.store(x, y)
         return x
 
@@ -398,7 +373,7 @@ class ReducedProblem:
         self._cache.clear()
 
 
-def reduce(sep: "SeparableProblem", inner: InnerSolveConfig = InnerSolveConfig()) -> ReducedProblem:
+def reduce(sep: "SeparableProblem") -> ReducedProblem:
     """Partially minimize a separable Lagrangian over its strongly convex block."""
     if sep.f_s.mu is None or not sep.f_s.mu > 0:
         raise ValueError("reduction requires a strongly convex f_s (positive mu)")
@@ -436,7 +411,7 @@ def reduce(sep: "SeparableProblem", inner: InnerSolveConfig = InnerSolveConfig()
     if sep.f_s.hess_constant:
         jacobian_inverse = np.linalg.inv(sep.f_s.hess(np.zeros(sep.f_s.dim)))
     reduced = ReducedProblem(
-        sep=sep, inner=inner, problem=problem, _cache=WarmCache(),
+        sep=sep, problem=problem, _cache=WarmCache(),
         _jacobian_inverse=jacobian_inverse,
     )
     return reduced
@@ -505,8 +480,8 @@ class LassoDualProx:
     """Proximal regularization of a constrained dual block: problem over (u, v).
 
     The value is max_{y in Y} { L(u, y) - (rho/2)||y - v||^2 }; the maximizer
-    y_tilde(u, v) is resolved by a projected Newton solve to the configured
-    residual tolerance. When the base declares a constant Hessian, the dual
+    y_tilde(u, v) is resolved by a projected Newton solve to a projected
+    gradient of 1e-10. When the base declares a constant Hessian, the dual
     Hessian H_yy - rho*I is built once and the solve is a box QP over it,
     which first tries the active set of the previous solution.
     When the base problem came from ``precondition``, ``recover`` maps an
@@ -515,7 +490,6 @@ class LassoDualProx:
 
     base: SaddleProblem
     rho: float
-    inner: InnerSolveConfig
     problem: SaddleProblem
     precond: Optional[PreconditionedProblem]
     _cache: WarmCache
@@ -544,8 +518,7 @@ class LassoDualProx:
             eye = np.eye(base.m)
             hess = lambda y: base.hess_yy(u, y) - rho * eye
         y = projected_concave_max(
-            phi, dphi, feasible, y0, hess, tol=self.inner.tol, max_iters=self.inner.max_iters,
-            constant_hess=self._dual_hess,
+            phi, dphi, feasible, y0, hess, constant_hess=self._dual_hess
         )
         self._cache.store(y, u, v)
         return y
@@ -562,9 +535,7 @@ class LassoDualProx:
 
 
 def lasso_dual_prox(
-    LC: Union[SaddleProblem, PreconditionedProblem],
-    rho: float,
-    inner: InnerSolveConfig = InnerSolveConfig(),
+    LC: Union[SaddleProblem, PreconditionedProblem], rho: float
 ) -> LassoDualProx:
     """Proximally regularize the (possibly constrained) dual block of ``LC``."""
     if not rho > 0:
@@ -602,7 +573,7 @@ def lasso_dual_prox(
             base.hess_yy(np.zeros(base.n), np.zeros(base.m)) - rho * np.eye(base.m)
         )
     transform = LassoDualProx(
-        base=base, rho=rho, inner=inner, problem=problem, precond=precond, _cache=WarmCache(),
+        base=base, rho=rho, problem=problem, precond=precond, _cache=WarmCache(),
         _dual_hess=dual_hess,
     )
     return transform

@@ -317,6 +317,33 @@ def test_bad_algorithm_or_problem_data_is_config_error(tmp_path, capsys, config,
 
 
 @pytest.mark.parametrize(
+    "config, old, new, message",
+    [
+        ("lp_augmented.ini", "c = 1 1", "c = 1 x", "bad vector '1 x'"),
+        ("lp_augmented.ini", "seed = 0", "seed = 0\nz0 = 1 x", "bad vector '1 x'"),
+        ("lp_augmented.ini", "seed = 0", "seed = 2.5", "key 'seed' must be an integer, got '2.5'"),
+        ("quadratic_standard.ini", "mu = 1.0\n", "", "missing required key 'mu'"),
+        ("mincostflow_augmented.ini", "file = network.txt", "file = missing.txt", "network file not found"),
+    ],
+)
+def test_every_config_error_names_its_config(tmp_path, capsys, config, old, new, message):
+    text = (CONFIGS / config).read_text()
+    assert old in text
+    cfg = _write(tmp_path, config, text.replace(old, new))
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"saddleflow: config error: {cfg}: ")
+    assert message in err
+
+
+def test_seed_is_parsed_exactly_past_float_precision(tmp_path):
+    from saddleflow.cli import load_config
+
+    text = (CONFIGS / "lp_augmented.ini").read_text().replace("seed = 0", f"seed = {2**60 + 1}")
+    assert load_config(_write(tmp_path, "lp_augmented.ini", text)).seed == 2**60 + 1
+
+
+@pytest.mark.parametrize(
     "old, new, key",
     [
         ("record_every = 10", "record_every = 10\nclamp = false", "clamp"),  # a removed switch
@@ -342,7 +369,10 @@ def test_unknown_integrator_key_is_config_error(tmp_path, capsys, old, new, key)
         ("lp_augmented.ini", "c = 1 1", "c = 1 1\nrho = 2", "problem", "rho", "kind, c, a, b"),
         # a key another algorithm reads
         ("separable_reduced.ini", "kind = reduced", "kind = reduced\nrho = 2", "algorithm", "rho",
-         "kind, inner_tol, inner_max_iters"),
+         "kind"),
+        # the inner-solve tolerance is fixed, not a setting
+        ("qp_proximal.ini", "rho = 1.0", "rho = 1.0\ninner_tol = 1e-8", "algorithm", "inner_tol",
+         "kind, rho"),
         # a misspelt seed, not a silent seed 0
         ("lp_augmented.ini", "seed = 0", "sede = 5", "experiment", "sede", "seed, output_dir, z0"),
     ],
@@ -420,6 +450,18 @@ def test_singular_matrix_while_building_stays_numerical_failure(tmp_path, capsys
     cfg = _write(tmp_path, "aug.ini", BILINEAR_AUGMENTED)
     assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 2
     assert "numerical failure: Singular matrix" in capsys.readouterr().err
+
+
+def test_programming_error_is_not_reported_as_numerical_failure(tmp_path, monkeypatch):
+    import saddleflow.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("not a numerical failure")
+
+    monkeypatch.setattr(cli, "make_bilinear", broken)
+    cfg = _write(tmp_path, "aug.ini", BILINEAR_AUGMENTED)
+    with pytest.raises(RuntimeError, match="not a numerical failure"):
+        main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"])
 
 
 def test_allowed_algorithms_are_the_builder_table_keys(tmp_path, capsys):

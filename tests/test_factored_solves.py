@@ -6,6 +6,7 @@ Newton step or a box QP over the model) and once from the same problem with
 the declaration removed (damped Newton or projected Newton on the oracles).
 """
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 import saddleflow as sf
 import saddleflow._inner as inner_mod
+import saddleflow.transforms as transforms
 from saddleflow.flows import proximal_primal_dual
 from saddleflow.transforms import InnerSolveError
 
@@ -294,9 +296,10 @@ def test_undeclared_quartic_still_takes_damped_newton(monkeypatch):
     x_t = sur.minimizer([1.0], [0.0], x0=np.array([0.0]))[0]
     assert x_t == pytest.approx(bisect_root(lambda t: t**3 + t - 1.0, 0.0, 1.0), abs=1e-9)
     assert len(fd_calls) >= 3  # several damped Newton iterations
-    capped = sf.proximal_surrogate(
-        quartic, 1.0, sf.InnerSolveConfig(tol=1e-12, max_iters=2)
+    monkeypatch.setattr(
+        transforms, "newton_solve", functools.partial(inner_mod.newton_solve, tol=1e-12, max_iters=2)
     )
+    capped = sf.proximal_surrogate(quartic, 1.0)
     with pytest.raises(InnerSolveError) as err:
         capped.minimizer([1.0], [0.0], x0=np.array([37.0]))
     assert err.value.residual > 0.0

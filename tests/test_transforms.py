@@ -1,10 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 import saddleflow as sf
 from saddleflow import PointZ
 import saddleflow.transforms as transforms_module
-from saddleflow._inner import WarmCache
+from saddleflow._inner import WarmCache, newton_solve
 from saddleflow.transforms import InnerSolveError
 
 from helpers import bisect_root, check_gradients, fd_gradient, second_difference
@@ -104,7 +106,7 @@ def test_inner_minimizer_cubic_against_bisection():
     assert x_t == pytest.approx(root, abs=1e-9)
 
 
-def test_inner_minimizer_iteration_cap_carries_residual():
+def test_inner_minimizer_iteration_cap_carries_residual(monkeypatch):
     quartic = sf.SaddleProblem(
         n=1,
         m=1,
@@ -112,9 +114,10 @@ def test_inner_minimizer_iteration_cap_carries_residual():
         grad_x=lambda x, y: x**3,
         grad_y=lambda x, y: np.zeros(1),
     )
-    sur = sf.proximal_surrogate(
-        quartic, 1.0, sf.InnerSolveConfig(tol=1e-12, max_iters=2)
+    monkeypatch.setattr(
+        transforms_module, "newton_solve", functools.partial(newton_solve, tol=1e-12, max_iters=2)
     )
+    sur = sf.proximal_surrogate(quartic, 1.0)
     with pytest.raises(InnerSolveError) as err:
         sur.minimizer([1.0], [0.0], x0=np.array([37.0]))
     assert err.value.residual > 0.0
@@ -448,13 +451,6 @@ def test_warm_start_rule(case, monkeypatch):
     t.reset()
     solve(t, k1)
     assert len(starts) == 5 and np.array_equal(starts[4], default(k1))
-
-
-def test_inner_solve_config_validation():
-    with pytest.raises(ValueError):
-        sf.InnerSolveConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        sf.InnerSolveConfig(max_iters=0)
 
 
 def test_warm_cache_match_is_array_equal_per_key():
