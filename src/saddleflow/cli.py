@@ -223,27 +223,33 @@ def _seeded_matrix(rng, n: int, m: int, spectral_norm: float) -> np.ndarray:
     return B * (spectral_norm / s)
 
 
+def _one_way(d: dict, keys: tuple, others: tuple = ()) -> None:
+    """``keys`` are read together and never with ``others``: any other mix leaves a key unread."""
+    given = [k for k in keys if k in d]
+    missing, clash = [k for k in keys if k not in d], [k for k in others if k in d]
+    if given and (missing or clash):
+        names = lambda ks: ", ".join(map(repr, ks))
+        if missing:
+            raise ValueError(f"key {names(given)} needs {names(missing)} as well")
+        raise ValueError(f"keys {names(given)} and {names(clash)} exclude each other")
+
+
 def _build_problem(cfg: ExperimentConfig):
     kind = cfg.problem_kind
     p = cfg.problem
     rng = np.random.default_rng(cfg.seed)
-    if kind == "bilinear":
-        if "matrix" in p:
-            M = _parse_matrix(p["matrix"])
-        else:
-            M = _seeded_matrix(rng, _get_int(p, "n"), _get_int(p, "m"), _get_float(p, "coupling_norm", 1.0))
-        return make_bilinear(M), f"bilinear (n={M.shape[0]}, m={M.shape[1]})"
-    if kind == "quadratic_saddle":
-        mu = _get_float(p, "mu")
-        q = _get_float(p, "q")
+    if kind in ("bilinear", "quadratic_saddle"):
+        _one_way(p, ("matrix",), ("n", "m", "coupling_norm"))
         if "matrix" in p:
             B = _parse_matrix(p["matrix"])
         else:
-            B = _seeded_matrix(rng, _get_int(p, "n"), _get_int(p, "m"), _get_float(p, "coupling_norm", 0.5))
-        return (
-            make_quadratic_saddle(mu, q, B),
-            f"quadratic_saddle (mu={mu}, q={q}, n={B.shape[0]}, m={B.shape[1]})",
-        )
+            norm = _get_float(p, "coupling_norm", 1.0 if kind == "bilinear" else 0.5)
+            B = _seeded_matrix(rng, _get_int(p, "n"), _get_int(p, "m"), norm)
+        shape = f"n={B.shape[0]}, m={B.shape[1]}"
+        if kind == "bilinear":
+            return make_bilinear(B), f"bilinear ({shape})"
+        mu, q = _get_float(p, "mu"), _get_float(p, "q")
+        return make_quadratic_saddle(mu, q, B), f"quadratic_saddle (mu={mu}, q={q}, {shape})"
     if kind == "lp":
         lp = LinearProgram(
             c=_parse_vector(p["c"]), A=_parse_matrix(p["a"]), b=_parse_vector(p["b"])
@@ -274,6 +280,7 @@ def _build_problem(cfg: ExperimentConfig):
         return sep, f"separable_qp (n_s={sep.f_s.dim}, n_c={sep.f_c.dim}, m={sep.b.shape[0]})"
     if kind == "lasso":
         lam = _get_float(p, "lam")
+        _one_way(p, ("a", "b"), ("n", "m"))
         if "a" in p:
             A = _parse_matrix(p["a"])
             b = _parse_vector(p["b"])
@@ -286,30 +293,44 @@ def _build_problem(cfg: ExperimentConfig):
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
-def _strict_cc(problem: SaddleProblem) -> Callable[[np.ndarray], cert.Certificate]:
-    n = problem.n
-    return lambda z: cert.cert_strict_cc(problem, PointZ(z[:n], z[n:]))
+def _saddle_run(problem: SaddleProblem, desc: str, label: str, reset=None,
+                certificate=None, recover=None, flow: Optional[Flow] = None) -> RunSetup:
+    """The saddle flow of ``problem``, with its rate bound and certificate.
+
+    ``problem`` is the base problem for ``standard`` and the transformed one
+    for every other algorithm. The bound min(mu, q) of its meta and the default
+    certificate ``strict_cc`` both need mu > 0 and q > 0. A run of the same
+    dynamics in other coordinates passes its own ``flow``.
+    """
+    meta, n = problem.meta, problem.n
+    strong = (meta.mu or 0) > 0 and (meta.q or 0) > 0
+
+    def strict_cc(z):
+        if not strong:
+            raise ValueError(
+                f"not applicable: strict_cc needs mu > 0 and q > 0, got mu={meta.mu}, q={meta.q}"
+            )
+        return cert.cert_strict_cc(problem, PointZ(z[:n], z[n:]))
+
+    return RunSetup(flow=flow or replace(standard_flow(problem), reset=reset), label=label,
+                    problem_desc=desc, recover=recover, cert_builder=certificate or strict_cc,
+                    c_bound=cert.rate_bound_strong(meta.mu, meta.q) if strong else None)
 
 
 def _standard(problem: SaddleProblem, desc: str, algo: dict) -> RunSetup:
-    meta = problem.meta
-    c_bound = cert.rate_bound_strong(meta.mu, meta.q) if meta.mu and meta.q else None
-    builder = _strict_cc(problem) if problem.convex_concave else None
-    return RunSetup(flow=standard_flow(problem), label="standard", problem_desc=desc,
-                    c_bound=c_bound, cert_builder=builder)
+    return _saddle_run(problem, desc, "standard")
 
 
 def _augmented(problem: SaddleProblem, desc: str, algo: dict, recover=None) -> RunSetup:
     rho = _get_float(algo, "rho", 1.0)
-    flow = standard_flow(augment(problem, rho).problem)
     n, m = problem.n, problem.m
 
     def builder(z):
         z_star = PointZ(z[:n], z[2 * n : 2 * n + m])
         return cert.cert_augmented(rho, n, m, problem=problem, z_star=z_star)
 
-    return RunSetup(flow=flow, label=f"augmented(rho={rho})", problem_desc=desc,
-                    cert_builder=builder, recover=recover)
+    return _saddle_run(augment(problem, rho).problem, desc, f"augmented(rho={rho})",
+                       certificate=builder, recover=recover)
 
 
 def _augmented_network(net, desc: str, algo: dict) -> RunSetup:
@@ -325,18 +346,13 @@ def _augmented_network(net, desc: str, algo: dict) -> RunSetup:
 def _proximal(problem: SaddleProblem, desc: str, algo: dict) -> RunSetup:
     rho = _get_float(algo, "rho", 1.0)
     surrogate = proximal_surrogate(problem, rho)
-    flow = replace(standard_flow(surrogate.problem), reset=surrogate.reset)
-    meta = problem.meta
-    c_bound = None
-    if meta.mu and meta.l and meta.kappa:
-        c_bound = cert.rate_bound_proximal(meta.mu, meta.l, meta.kappa, rho)
     n = problem.n
-    builder = lambda z: cert.cert_proximal(surrogate, PointZ(z[:n], z[n:]))
-    return RunSetup(flow=flow, label=f"proximal(rho={rho})", problem_desc=desc,
-                    c_bound=c_bound, cert_builder=builder)
+    return _saddle_run(surrogate.problem, desc, f"proximal(rho={rho})", reset=surrogate.reset,
+                       certificate=lambda z: cert.cert_proximal(surrogate, PointZ(z[:n], z[n:])))
 
 
 def _proximal_pd(bundle, desc: str, algo: dict) -> RunSetup:
+    # the one flow that is not the saddle flow of a problem: its bound is the closed form
     rho = _get_float(algo, "rho", 1.0)
     flow = proximal_primal_dual(bundle.f, bundle.constraints(), rho)
     c_bound = cert.rate_bound_proximal(bundle.f.mu, bundle.f.l, bundle.kappa, rho)
@@ -348,18 +364,19 @@ def _preconditioned(bundle, desc: str, algo: dict) -> RunSetup:
     space = algo.get("space", "uy")
     if space not in ("uy", "xy"):
         raise ValueError(f"space must be 'uy' or 'xy', got {space!r}")
-    if "eta" in algo and "alpha" in algo:
+    _one_way(algo, ("eta", "alpha"))
+    if "eta" in algo:
         eta, alpha = _get_float(algo, "eta"), _get_float(algo, "alpha")
     else:
         eta, alpha = cert.precond_params_pick(bundle.f.mu, bundle.f.l, bundle.kappa)
     transform = precondition(bundle.f, bundle.A, bundle.b, eta, alpha)
     label = f"preconditioned({space}, eta={eta:.6g}, alpha={alpha:.6g})"
-    if space == "xy":
-        return RunSetup(flow=preconditioned_pd(transform), label=label, problem_desc=desc,
-                        c_bound=bundle.f.mu)
-    c_bound = cert.rate_bound_precond(bundle.f.mu, bundle.f.l, bundle.kappa, eta, alpha)
-    return RunSetup(flow=standard_flow(transform.problem), label=label, problem_desc=desc,
-                    c_bound=c_bound, cert_builder=_strict_cc(transform.problem))
+    if space == "uy":
+        return _saddle_run(transform.problem, desc, label)
+    # x = u - alpha*A^T*y is a fixed linear map: the xy run has the uy run's
+    # bound, but strict_cc of the uy problem does not read xy states
+    setup = _saddle_run(transform.problem, desc, label, flow=preconditioned_pd(transform))
+    return replace(setup, cert_builder=None)
 
 
 def _preconditioned_separable(sep, desc: str, algo: dict) -> RunSetup:
@@ -368,13 +385,11 @@ def _preconditioned_separable(sep, desc: str, algo: dict) -> RunSetup:
 
 def _reduced(sep, desc: str, algo: dict) -> RunSetup:
     reduced = reduce_transform(sep)
-    flow = replace(standard_flow(reduced.problem), reset=reduced.reset)
-    c_bound = cert.rate_bound_reduced(sep.f_c.mu, sep.f_s.l, sep.kappa_s)
-    return RunSetup(flow=flow, label="reduced_pd", problem_desc=desc,
-                    c_bound=c_bound, cert_builder=_strict_cc(reduced.problem))
+    return _saddle_run(reduced.problem, desc, "reduced_pd", reset=reduced.reset)
 
 
 def _lasso_pipeline(bundle, desc: str, algo: dict) -> RunSetup:
+    _one_way(algo, ("alpha",), ("alpha_over_l",))
     alpha_scale = _get_float(algo, "alpha_over_l", 1.0)
     alpha = _get_float(algo, "alpha", alpha_scale / bundle.l if bundle.l > 0 else 1.0)
     rho = _get_float(algo, "rho", 1.0)
@@ -491,58 +506,34 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     r0 = setup.flow.residual(traj.states[0])
     r1 = setup.flow.residual(traj.final_state)
-    converged = r1 <= RESIDUAL_TOL
+    res = RunResult(config=cfg, setup=setup, trajectory=traj, wall_time=wall,
+                    initial_residual=r0, final_residual=r1, converged=r1 <= RESIDUAL_TOL)
 
-    z_star, how = _resolve_equilibrium(setup.flow, traj, cfg.integrator)
-    rate = None
-    rate_skipped = ""
-    lyap = None
-    if z_star is None:
-        rate_skipped = "no equilibrium found"
+    res.z_star, res.equilibrium_how = _resolve_equilibrium(setup.flow, traj, cfg.integrator)
+    if res.z_star is None:
+        res.rate_skipped = "no equilibrium found"
     else:
-        series = distance_series(traj, z_star)
+        series = distance_series(traj, res.z_star)
         try:
-            rate = fit_rate(series, c_bound=setup.c_bound)
+            res.rate = fit_rate(series, c_bound=setup.c_bound)
         except ValueError as err:
-            rate_skipped = str(err)
-        lyap = max_increment(lyapunov_series(traj, z_star))
+            res.rate_skipped = str(err)
+        res.lyapunov_increment = max_increment(lyapunov_series(traj, res.z_star))
 
-    cert_report = None
-    cert_label = ""
-    cert_skipped = ""
     if setup.cert_builder is not None:
-        if z_star is None:
-            cert_skipped = "no equilibrium found"
+        if res.z_star is None:
+            res.cert_skipped = "no equilibrium found"
         else:
             try:
-                certificate = setup.cert_builder(z_star)
-                cert_report = cert.eval_certificate(certificate, traj, flow=setup.flow)
-                cert_label = certificate.label
+                certificate = setup.cert_builder(res.z_star)
+                res.cert_report = cert.eval_certificate(certificate, traj, flow=setup.flow)
+                res.cert_label = certificate.label
             except ValueError as err:
-                cert_skipped = str(err)
+                res.cert_skipped = str(err)
 
-    recover_line = ""
-    if setup.recover is not None and converged:
-        recover_line = setup.recover(traj.final_state)
-
-    return RunResult(
-        config=cfg,
-        setup=setup,
-        trajectory=traj,
-        wall_time=wall,
-        initial_residual=r0,
-        final_residual=r1,
-        converged=converged,
-        z_star=z_star,
-        rate=rate,
-        lyapunov_increment=lyap,
-        cert_report=cert_report,
-        cert_label=cert_label,
-        recover_line=recover_line,
-        equilibrium_how=how,
-        rate_skipped=rate_skipped,
-        cert_skipped=cert_skipped,
-    )
+    if setup.recover is not None and res.converged:
+        res.recover_line = setup.recover(traj.final_state)
+    return res
 
 
 def _format_report(res: RunResult) -> str:

@@ -6,8 +6,10 @@ gradient ascent in the second. ``standard_flow`` builds the flow of any
 problem's domain; ``projected_flow`` applies the element-wise vector field
 projection inside the field, so the integrator sees a single autonomous map
 z -> F(z). Two flows are not the saddle flow of one problem and keep their
-own fields: ``proximal_primal_dual`` (an inner minimization per evaluation)
-and ``preconditioned_pd`` (the preconditioned flow in original coordinates).
+own fields: ``proximal_primal_dual`` (an inner minimization per evaluation,
+projected through ``projected_flow``) and ``preconditioned_pd`` (the
+preconditioned flow in original coordinates, the one field that projects by
+hand, since its x velocity needs the projected y velocity).
 """
 
 from __future__ import annotations
@@ -101,7 +103,6 @@ def proximal_primal_dual(f: ConvexObjective, g: ConstraintMap, rho: float) -> Fl
     if not rho > 0:
         raise ValueError(f"rho must be > 0, got {rho}")
     n, m = f.dim, g.m
-    y_set = FeasibleSet.nonnegative(m)
     cache = WarmCache()
     eye = np.eye(n)
     jacobian_inverse = None
@@ -123,17 +124,10 @@ def proximal_primal_dual(f: ConvexObjective, g: ConstraintMap, rho: float) -> Fl
     def field(z):
         u, y = z[:n], z[n:]
         x = minimizer(u, y)
-        ydot = project_vector_field(y_set, y, g.value(x))
-        return np.concatenate((rho * (x - u), ydot))
+        return np.concatenate((rho * (x - u), g.value(x)))
 
-    feasible = FeasibleSet.stack(FeasibleSet.free(n), y_set)
-    return Flow(
-        dim=n + m,
-        field=field,
-        feasible=feasible,
-        label=f"proximal_pd(rho={rho})",
-        reset=cache.clear,
-    )
+    flow = Flow(dim=n + m, field=field, label=f"proximal_pd(rho={rho})", reset=cache.clear)
+    return projected_flow(flow, FeasibleSet.stack(FeasibleSet.free(n), FeasibleSet.nonnegative(m)))
 
 
 def preconditioned_pd(transform: PreconditionedProblem) -> Flow:

@@ -324,6 +324,23 @@ def test_bad_algorithm_or_problem_data_is_config_error(tmp_path, capsys, config,
         ("lp_augmented.ini", "seed = 0", "seed = 2.5", "key 'seed' must be an integer, got '2.5'"),
         ("quadratic_standard.ini", "mu = 1.0\n", "", "missing required key 'mu'"),
         ("mincostflow_augmented.ini", "file = network.txt", "file = missing.txt", "network file not found"),
+        # a key the builder would drop: the rate-mu pick replaced a lone eta or alpha
+        ("qp_preconditioned_uy.ini", "space = uy", "space = uy\neta = 5.0",
+         "key 'eta' needs 'alpha' as well"),
+        ("qp_preconditioned_uy.ini", "space = uy", "space = uy\nalpha = 0.5",
+         "key 'alpha' needs 'eta' as well"),
+        # the matrix fixed the shape and the norm
+        ("bilinear_standard.ini", "matrix = 1.0", "matrix = 1.0\nn = 3",
+         "keys 'matrix' and 'n' exclude each other"),
+        ("quadratic_standard.ini", "coupling_norm = 0.5", "coupling_norm = 0.5\nmatrix = 1 0; 0 1; 0 0",
+         "keys 'matrix' and 'n', 'm', 'coupling_norm' exclude each other"),
+        # given data won over the seeded shape, and a lone b was dropped
+        ("lasso_pipeline.ini", "lam = 0.5", "lam = 0.5\na = 1 0 0 0\nb = 1",
+         "keys 'a', 'b' and 'n', 'm' exclude each other"),
+        ("lasso_pipeline.ini", "lam = 0.5", "lam = 0.5\nb = 1 2 3 4 5 6", "key 'b' needs 'a' as well"),
+        # alpha won over alpha_over_l
+        ("lasso_pipeline.ini", "rho = 1.0", "rho = 1.0\nalpha = 0.1",
+         "keys 'alpha' and 'alpha_over_l' exclude each other"),
     ],
 )
 def test_every_config_error_names_its_config(tmp_path, capsys, config, old, new, message):
@@ -392,22 +409,23 @@ def test_unknown_problem_or_algorithm_key_is_config_error(
 
 
 class _Reads(dict):
-    """A config section that records every key the builders look up."""
+    """A config section that records every key whose value the builders read.
+
+    A membership test is not a read: a builder that checks a key and then
+    runs without its value has dropped it.
+    """
 
     def __init__(self, items):
         super().__init__(items)
         self.read = set()
-
-    def __contains__(self, key):
-        self.read.add(key)
-        return super().__contains__(key)
 
     def __getitem__(self, key):
         self.read.add(key)
         return super().__getitem__(key)
 
     def get(self, key, default=None):
-        self.read.add(key)
+        if key in self:
+            self.read.add(key)
         return super().get(key, default)
 
 
@@ -421,6 +439,9 @@ def test_every_shipped_config_loads_and_builds_reading_only_declared_keys():
         build_setup(cfg)
         assert cfg.problem.read <= set(PROBLEM_KEYS[cfg.problem_kind]), path.name
         assert cfg.algorithm.read <= set(BUILDERS[cfg.problem_kind, cfg.algorithm_kind][1]), path.name
+        # and every key the config sets is read ('kind' is read by load_config)
+        for section in (cfg.problem, cfg.algorithm):
+            assert set(section) - {"kind"} <= section.read, path.name
 
 
 def test_non_integral_integer_key_is_config_error(tmp_path, capsys):
@@ -475,3 +496,83 @@ def test_allowed_algorithms_are_the_builder_table_keys(tmp_path, capsys):
         text = path.read_text()
         kinds = [line.split("=", 1)[1].strip() for line in text.splitlines() if line.startswith("kind")]
         assert tuple(kinds) in BUILDERS, path.name
+
+
+def test_preconditioned_xy_takes_the_bound_of_the_uy_run(tmp_path):
+    # x = u - alpha*A^T*y is a fixed linear map: with eta and alpha set by hand
+    # the xy run has the uy run's bound, min(mu, q) of the preconditioned problem
+    from saddleflow.cli import build_setup, load_config
+
+    text = (CONFIGS / "qp_preconditioned_xy.ini").read_text().replace(
+        "space = xy", "space = xy\neta = 1.0\nalpha = 0.1"
+    ).replace("horizon = 30", "horizon = 150").replace("step = 0.002", "step = 0.01")
+    xy = _write(tmp_path, "xy.ini", text)
+    uy = _write(tmp_path, "uy.ini", text.replace("space = xy", "space = uy"))
+    assert build_setup(load_config(xy)).c_bound == build_setup(load_config(uy)).c_bound
+    out = tmp_path / "out"
+    assert main(["run", str(xy), "--output-dir", str(out), "--quiet"]) == 0
+    report = (out / "report.txt").read_text()
+    assert "rate bound: 0.18 -> verdict: pass" in report
+    assert "certificate" not in report  # strict_cc of the uy problem does not read xy states
+
+
+def test_bilinear_standard_reports_strict_cc_not_applicable(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", str(CONFIGS / "bilinear_standard.ini"), "--output-dir", str(out), "--quiet"]) == 0
+    report = (out / "report.txt").read_text()
+    assert (
+        "certificate: skipped (not applicable: strict_cc needs mu > 0 and q > 0, got mu=0.0, q=0.0)\n"
+        in report
+    )
+    assert "certificate [" not in report
+    assert "WARNING" not in report
+
+
+def _closed_form_bound(path):
+    """The bound of a shipped config from the raw constants of its problem."""
+    import saddleflow as sf
+    from saddleflow.cli import _build_problem, load_config
+
+    cfg = load_config(path)
+    built, _ = _build_problem(cfg)
+    kind, algo = cfg.algorithm_kind, cfg.algorithm
+    rho = float(algo.get("rho", 1.0))
+    if kind == "standard" and built.meta.mu > 0 and built.meta.q > 0:
+        return sf.rate_bound_strong(built.meta.mu, built.meta.q)
+    if kind == "proximal" and cfg.problem_kind == "quadratic_saddle":
+        return sf.rate_bound_proximal(built.meta.mu, built.meta.l, built.meta.kappa, rho)
+    if kind == "proximal":
+        return sf.rate_bound_proximal(built.f.mu, built.f.l, built.kappa, rho)
+    if kind == "preconditioned":
+        bundle = sf.separable_qp_bundle(built) if cfg.problem_kind == "separable_qp" else built
+        eta, alpha = sf.precond_params_pick(bundle.f.mu, bundle.f.l, bundle.kappa)
+        return sf.rate_bound_precond(bundle.f.mu, bundle.f.l, bundle.kappa, eta, alpha)
+    if kind == "reduced":
+        return sf.rate_bound_reduced(built.f_c.mu, built.f_s.l, built.kappa_s)
+    return None  # bilinear standard, the augmented flows and the Lasso pipeline
+
+
+def test_rates_csv_bound_of_every_shipped_config_is_its_closed_form(tmp_path):
+    # the CLI reads the bound off the meta of the problem the flow runs on; the
+    # closed forms take the raw constants. Five times the shipped step keeps the
+    # records and the bound and cuts the run time.
+    import re
+
+    paths = []
+    for path in sorted(CONFIGS.glob("*.ini")):
+        text = path.read_text().replace("file = network.txt", f"file = {CONFIGS / 'network.txt'}")
+        text = re.sub(r"^step = (.*)$", lambda s: f"step = {5 * float(s[1]):g}", text, flags=re.M)
+        text = re.sub(r"^record_every = (.*)$", lambda r: f"record_every = {int(r[1]) // 5}", text,
+                      flags=re.M)
+        paths.append(str(_write(tmp_path, path.name, text)))
+    out = tmp_path / "out"
+    assert main(["compare", *paths, "--output-dir", str(out), "--quiet"]) == 0
+    bounded = 0
+    for path in sorted(CONFIGS.glob("*.ini")):
+        with open(out / path.stem / "rates.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        expected = _closed_form_bound(path)
+        assert row["verdict"] != "none", path.name
+        assert (float(row["c_bound"]) if row["c_bound"] else None) == expected, path.name
+        bounded += expected is not None
+    assert bounded == 7

@@ -411,3 +411,45 @@ def test_standard_flow_of_reduced_problem_matches_hand_written_field():
         _assert_bitwise_equal(flow.field(z), reference(z))
         signs |= _face_signs(probe, z)
     assert signs == {-1.0, 1.0}
+
+
+def _proximal_pd_reference(f, g, rho):
+    """The proximal primal-dual field as the library wrote it by hand: the inner
+    solve, then the dual velocity projected onto y >= 0 on its own."""
+    from saddleflow._inner import WarmCache, newton_solve
+
+    n, m = f.dim, g.m
+    y_set = sf.FeasibleSet.nonnegative(m)
+    cache = WarmCache()
+    eye = np.eye(n)
+    jacobian_inverse = np.linalg.inv(f.hess(np.zeros(n)) + rho * eye) if f.hess_constant else None
+
+    def field(z):
+        u, y = z[:n], z[n:]
+        residual = lambda x: f.grad(x) + g.jacobian(x).T @ y + rho * (x - u)
+        jacobian = lambda x: f.hess(x) + g.hess(x, y) + rho * eye
+        x0 = u if cache.point is None else cache.point
+        x = newton_solve(residual, x0, jacobian, jacobian_inverse=jacobian_inverse)
+        cache.point = x
+        ydot = sf.project_vector_field(y_set, y, g.value(x))
+        return np.concatenate((rho * (x - u), ydot))
+
+    return field
+
+
+@pytest.mark.parametrize("hess_constant", [True, False])
+def test_proximal_primal_dual_matches_hand_written_field(hess_constant):
+    rng = np.random.default_rng(14)
+    bundle = sf.make_qp_affine(np.diag([1.0, 2.0, 3.0]), rng.standard_normal(3),
+                               rng.standard_normal((2, 3)), rng.standard_normal(2))
+    f, g = replace(bundle.f, hess_constant=hess_constant), bundle.constraints()
+    flow, reference = sf.proximal_primal_dual(f, g, 1.2), _proximal_pd_reference(f, g, 1.2)
+    assert np.array_equal(flow.feasible.lower, np.r_[np.full(3, -np.inf), np.zeros(2)])
+    face_moves = set()
+    for _ in range(200):
+        z = rng.uniform(-2.0, 2.0, size=5)
+        z[3:] = np.where(rng.random(2) < 0.5, 0.0, np.abs(z[3:]))
+        out = flow.field(z)
+        _assert_bitwise_equal(out, reference(z))
+        face_moves |= set(out[3:][z[3:] == 0.0] > 0.0)
+    assert face_moves == {False, True}  # faces met with outward and with inward velocity
