@@ -3,7 +3,7 @@
 Saddle problems and their transformations (augmented, proximal,
 preconditioned, reduced, and the Lasso pipeline), one flow constructor for
 all of them (``standard_flow``, projected onto the problem's domain) plus
-two flows with fields of their own, observable convergence certificates and
+one flow with a field of its own, observable convergence certificates and
 exponential-rate bounds, a fixed-step integrator with empirical rate
 fitting, and desk-scale problem builders with independent oracles.
 """
@@ -37,7 +37,6 @@ from .transforms import (
 )
 from .flows import (
     Flow,
-    preconditioned_pd,
     projected_flow,
     proximal_primal_dual,
     standard_flow,

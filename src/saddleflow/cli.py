@@ -25,7 +25,7 @@ import numpy as np
 from . import certificates as cert
 from ._inner import InnerSolveError
 from .core import PointZ, SaddleProblem
-from .flows import Flow, preconditioned_pd, proximal_primal_dual, standard_flow
+from .flows import Flow, proximal_primal_dual, standard_flow
 from .integrate import (
     IntegrationError,
     IntegratorConfig,
@@ -181,15 +181,20 @@ def _check_keys(path: Path, section: str, present, allowed: tuple) -> None:
         )
 
 
-def _get_float(d: dict, key: str, default: Optional[float] = None) -> float:
+def _required(d: dict, key: str) -> str:
     if key not in d:
-        if default is None:
-            raise ValueError(f"missing required key '{key}'")
+        raise ValueError(f"missing required key '{key}'")
+    return d[key]
+
+
+def _get_float(d: dict, key: str, default: Optional[float] = None) -> float:
+    if key not in d and default is not None:
         return default
+    text = _required(d, key)
     try:
-        return float(d[key])
+        return float(text)
     except ValueError:
-        raise ValueError(f"key '{key}' must be a number, got {d[key]!r}") from None
+        raise ValueError(f"key '{key}' must be a number, got {text!r}") from None
 
 
 def _get_int(d: dict, key: str, default: Optional[int] = None) -> int:
@@ -210,11 +215,14 @@ class RunSetup:
     flow: Flow
     label: str
     problem_desc: str
+    # builds the matching certificate once an equilibrium is known; a run
+    # without one raises ValueError with the reason
+    cert_builder: Callable[[np.ndarray], cert.Certificate]
     c_bound: Optional[float] = None
-    # builds the matching certificate once an equilibrium is known
-    cert_builder: Optional[Callable[[np.ndarray], cert.Certificate]] = None
     # maps a converged state to a problem-level summary line
     recover: Optional[Callable[[np.ndarray], str]] = None
+    # V: the run records V @ z of each integrated state z (None: z itself)
+    record_map: Optional[np.ndarray] = None
 
 
 def _seeded_matrix(rng, n: int, m: int, spectral_norm: float) -> np.ndarray:
@@ -251,14 +259,11 @@ def _build_problem(cfg: ExperimentConfig):
         mu, q = _get_float(p, "mu"), _get_float(p, "q")
         return make_quadratic_saddle(mu, q, B), f"quadratic_saddle (mu={mu}, q={q}, {shape})"
     if kind == "lp":
-        lp = LinearProgram(
-            c=_parse_vector(p["c"]), A=_parse_matrix(p["a"]), b=_parse_vector(p["b"])
-        )
+        lp = LinearProgram(c=_parse_vector(_required(p, "c")), A=_parse_matrix(_required(p, "a")),
+                           b=_parse_vector(_required(p, "b")))
         return make_lp(lp), f"lp (n={lp.n}, m={lp.b.shape[0]})"
     if kind == "min_cost_flow":
-        if "file" not in p:
-            raise ValueError("min_cost_flow needs a 'file' key")
-        net_path = Path(p["file"])
+        net_path = Path(_required(p, "file"))
         if not net_path.is_absolute():
             net_path = cfg.path.parent / net_path
         if not net_path.is_file():
@@ -267,15 +272,16 @@ def _build_problem(cfg: ExperimentConfig):
         return net, f"min_cost_flow ({net.num_nodes} nodes, {net.num_edges} edges)"
     if kind == "qp_affine":
         bundle = make_qp_affine(
-            _parse_matrix(p["q"]), _parse_vector(p["p"]),
-            _parse_matrix(p["a"]), _parse_vector(p["b"]),
+            _parse_matrix(_required(p, "q")), _parse_vector(_required(p, "p")),
+            _parse_matrix(_required(p, "a")), _parse_vector(_required(p, "b")),
         )
         return bundle, f"qp_affine (n={bundle.f.dim}, m={bundle.A.shape[0]})"
     if kind == "separable_qp":
         sep = make_separable_qp(
-            _parse_matrix(p["q_s"]), _parse_vector(p["p_s"]),
-            _parse_matrix(p["q_c"]), _parse_vector(p["p_c"]),
-            _parse_matrix(p["a_s"]), _parse_matrix(p["a_c"]), _parse_vector(p["b"]),
+            _parse_matrix(_required(p, "q_s")), _parse_vector(_required(p, "p_s")),
+            _parse_matrix(_required(p, "q_c")), _parse_vector(_required(p, "p_c")),
+            _parse_matrix(_required(p, "a_s")), _parse_matrix(_required(p, "a_c")),
+            _parse_vector(_required(p, "b")),
         )
         return sep, f"separable_qp (n_s={sep.f_s.dim}, n_c={sep.f_c.dim}, m={sep.b.shape[0]})"
     if kind == "lasso":
@@ -293,27 +299,33 @@ def _build_problem(cfg: ExperimentConfig):
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
+def _not_applicable(reason: str):
+    """The certificate builder of a run without one: the report gives ``reason``."""
+
+    def builder(z):
+        raise ValueError(f"not applicable: {reason}")
+
+    return builder
+
+
 def _saddle_run(problem: SaddleProblem, desc: str, label: str, reset=None,
-                certificate=None, recover=None, flow: Optional[Flow] = None) -> RunSetup:
+                certificate=None, recover=None) -> RunSetup:
     """The saddle flow of ``problem``, with its rate bound and certificate.
 
     ``problem`` is the base problem for ``standard`` and the transformed one
     for every other algorithm. The bound min(mu, q) of its meta and the default
-    certificate ``strict_cc`` both need mu > 0 and q > 0. A run of the same
-    dynamics in other coordinates passes its own ``flow``.
+    certificate ``strict_cc`` both need mu > 0 and q > 0.
     """
     meta, n = problem.meta, problem.n
     strong = (meta.mu or 0) > 0 and (meta.q or 0) > 0
-
-    def strict_cc(z):
-        if not strong:
-            raise ValueError(
-                f"not applicable: strict_cc needs mu > 0 and q > 0, got mu={meta.mu}, q={meta.q}"
-            )
-        return cert.cert_strict_cc(problem, PointZ(z[:n], z[n:]))
-
-    return RunSetup(flow=flow or replace(standard_flow(problem), reset=reset), label=label,
-                    problem_desc=desc, recover=recover, cert_builder=certificate or strict_cc,
+    if certificate is None and strong:
+        certificate = lambda z: cert.cert_strict_cc(problem, PointZ(z[:n], z[n:]))
+    elif certificate is None:
+        certificate = _not_applicable(
+            f"strict_cc needs mu > 0 and q > 0, got mu={meta.mu}, q={meta.q}"
+        )
+    return RunSetup(flow=replace(standard_flow(problem), reset=reset), label=label,
+                    problem_desc=desc, recover=recover, cert_builder=certificate,
                     c_bound=cert.rate_bound_strong(meta.mu, meta.q) if strong else None)
 
 
@@ -356,8 +368,8 @@ def _proximal_pd(bundle, desc: str, algo: dict) -> RunSetup:
     rho = _get_float(algo, "rho", 1.0)
     flow = proximal_primal_dual(bundle.f, bundle.constraints(), rho)
     c_bound = cert.rate_bound_proximal(bundle.f.mu, bundle.f.l, bundle.kappa, rho)
-    return RunSetup(flow=flow, label=f"proximal_pd(rho={rho})", problem_desc=desc,
-                    c_bound=c_bound)
+    return RunSetup(flow=flow, label=f"proximal_pd(rho={rho})", problem_desc=desc, c_bound=c_bound,
+                    cert_builder=_not_applicable("no certificate of the proximal primal-dual flow"))
 
 
 def _preconditioned(bundle, desc: str, algo: dict) -> RunSetup:
@@ -371,12 +383,12 @@ def _preconditioned(bundle, desc: str, algo: dict) -> RunSetup:
         eta, alpha = cert.precond_params_pick(bundle.f.mu, bundle.f.l, bundle.kappa)
     transform = precondition(bundle.f, bundle.A, bundle.b, eta, alpha)
     label = f"preconditioned({space}, eta={eta:.6g}, alpha={alpha:.6g})"
-    if space == "uy":
-        return _saddle_run(transform.problem, desc, label)
-    # x = u - alpha*A^T*y is a fixed linear map: the xy run has the uy run's
-    # bound, but strict_cc of the uy problem does not read xy states
-    setup = _saddle_run(transform.problem, desc, label, flow=preconditioned_pd(transform))
-    return replace(setup, cert_builder=None)
+    setup = _saddle_run(transform.problem, desc, label)
+    if space == "xy":  # the uy run, recorded through the fixed map x = u - alpha*A^T*y
+        n = transform.problem.n
+        setup.record_map = np.eye(setup.flow.dim)
+        setup.record_map[:n, n:] = -alpha * transform.A.T
+    return setup
 
 
 def _preconditioned_separable(sep, desc: str, algo: dict) -> RunSetup:
@@ -400,7 +412,8 @@ def _lasso_pipeline(bundle, desc: str, algo: dict) -> RunSetup:
         return f"x_hat {np.array2string(xhat, precision=6)}"
 
     return RunSetup(flow=flow, label=f"lasso_pipeline(alpha={alpha:.6g}, rho={rho})",
-                    problem_desc=desc, recover=recover)
+                    problem_desc=desc, recover=recover,
+                    cert_builder=_not_applicable("no certificate of the Lasso dual-proximal flow"))
 
 
 # [problem] keys each problem kind reads, besides 'kind'
@@ -500,36 +513,40 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             f"{cfg.path}: z0 has dimension {cfg.z0.shape[0]}, the flow expects {setup.flow.dim}"
         )
     z0 = cfg.z0 if cfg.z0 is not None else np.ones(setup.flow.dim)
+    V = setup.record_map  # z0, the rate fit, the Lyapunov series and the CSV are in V coordinates
+    if V is not None:  # integrate clamps y (and warns) without moving the x of z0
+        inside = setup.flow.feasible.clamp(z0)
+        z0 = np.linalg.solve(V, inside) + (z0 - inside)
     t0 = time.perf_counter()
     traj = integrate(setup.flow, z0, cfg.integrator)
     wall = time.perf_counter() - t0
+    recorded = traj if V is None else replace(traj, states=traj.states @ V.T)
 
     r0 = setup.flow.residual(traj.states[0])
     r1 = setup.flow.residual(traj.final_state)
-    res = RunResult(config=cfg, setup=setup, trajectory=traj, wall_time=wall,
+    res = RunResult(config=cfg, setup=setup, trajectory=recorded, wall_time=wall,
                     initial_residual=r0, final_residual=r1, converged=r1 <= RESIDUAL_TOL)
 
     res.z_star, res.equilibrium_how = _resolve_equilibrium(setup.flow, traj, cfg.integrator)
     if res.z_star is None:
         res.rate_skipped = "no equilibrium found"
     else:
-        series = distance_series(traj, res.z_star)
+        z_star = res.z_star if V is None else V @ res.z_star
         try:
-            res.rate = fit_rate(series, c_bound=setup.c_bound)
+            res.rate = fit_rate(distance_series(recorded, z_star), c_bound=setup.c_bound)
         except ValueError as err:
             res.rate_skipped = str(err)
-        res.lyapunov_increment = max_increment(lyapunov_series(traj, res.z_star))
+        res.lyapunov_increment = max_increment(lyapunov_series(recorded, z_star))
 
-    if setup.cert_builder is not None:
-        if res.z_star is None:
-            res.cert_skipped = "no equilibrium found"
-        else:
-            try:
-                certificate = setup.cert_builder(res.z_star)
-                res.cert_report = cert.eval_certificate(certificate, traj, flow=setup.flow)
-                res.cert_label = certificate.label
-            except ValueError as err:
-                res.cert_skipped = str(err)
+    if res.z_star is None:
+        res.cert_skipped = "no equilibrium found"
+    else:
+        try:
+            certificate = setup.cert_builder(res.z_star)
+            res.cert_report = cert.eval_certificate(certificate, traj, flow=setup.flow)
+            res.cert_label = certificate.label
+        except ValueError as err:
+            res.cert_skipped = str(err)
 
     if setup.recover is not None and res.converged:
         res.recover_line = setup.recover(traj.final_state)

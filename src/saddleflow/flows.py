@@ -5,11 +5,9 @@ gradient ascent in the second. ``standard_flow`` builds the flow of any
 ``SaddleProblem``, transformed ones included, and projects it onto the
 problem's domain; ``projected_flow`` applies the element-wise vector field
 projection inside the field, so the integrator sees a single autonomous map
-z -> F(z). Two flows are not the saddle flow of one problem and keep their
-own fields: ``proximal_primal_dual`` (an inner minimization per evaluation,
-projected through ``projected_flow``) and ``preconditioned_pd`` (the
-preconditioned flow in original coordinates, the one field that projects by
-hand, since its x velocity needs the projected y velocity).
+z -> F(z). One flow is not the saddle flow of one problem and keeps its own
+field: ``proximal_primal_dual`` (an inner minimization per evaluation,
+projected through ``projected_flow``).
 """
 
 from __future__ import annotations
@@ -22,14 +20,12 @@ import numpy as np
 from ._inner import WarmCache, newton_solve
 from .core import ConstraintMap, ConvexObjective, SaddleProblem, full_domain
 from .projection import FeasibleSet, project_vector_field
-from .transforms import PreconditionedProblem
 
 __all__ = [
     "Flow",
     "standard_flow",
     "projected_flow",
     "proximal_primal_dual",
-    "preconditioned_pd",
 ]
 
 
@@ -128,30 +124,3 @@ def proximal_primal_dual(f: ConvexObjective, g: ConstraintMap, rho: float) -> Fl
 
     flow = Flow(dim=n + m, field=field, label=f"proximal_pd(rho={rho})", reset=cache.clear)
     return projected_flow(flow, FeasibleSet.stack(FeasibleSet.free(n), FeasibleSet.nonnegative(m)))
-
-
-def preconditioned_pd(transform: PreconditionedProblem) -> Flow:
-    """Preconditioned primal-dual dynamics in original coordinates (x, y).
-
-    The saddle flow of ``transform.problem`` over (u, y), which is
-    ``standard_flow(transform.problem)``, pushed through x = u - alpha*A^T*y:
-    both produce identical trajectories under that coupling.
-    """
-    f, A, b = transform.f, transform.A, transform.b
-    eta, alpha = transform.eta, transform.alpha
-    problem = transform.problem
-    n, y_set = problem.n, problem.y_set
-
-    def field(z):
-        x, y = z[:n], z[n:]
-        gf = f.grad(x)
-        raw = -alpha * (A @ (gf + eta * (A.T @ y))) + eta * (A @ x - b)
-        ydot = project_vector_field(y_set, y, raw)
-        return np.concatenate((-alpha * (A.T @ ydot) - gf - eta * (A.T @ y), ydot))
-
-    return Flow(
-        dim=problem.dim,
-        field=field,
-        feasible=full_domain(problem),
-        label=f"preconditioned_pd(xy, eta={eta}, alpha={alpha})",
-    )

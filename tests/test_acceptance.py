@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 import saddleflow as sf
 from saddleflow import PointZ
 
-from helpers import lasso_saddle, qp_kkt_oracle, run_until
+from helpers import lasso_saddle, preconditioned_pd, qp_kkt_oracle, run_until
 
 
 def _report(name: str, detail: str) -> None:
@@ -158,7 +158,7 @@ def test_criterion_05_preconditioned():
     rep = sf.fit_rate(sf.distance_series(traj_uy, w_star), c_bound=1.0)
     assert rep.c_fit >= 0.9 * 1.0
 
-    xy = sf.preconditioned_pd(pre)
+    xy = preconditioned_pd(pre)
     traj_xy = sf.integrate(
         xy, np.array([1.0, 0.0]), sf.IntegratorConfig(step=1e-3, horizon=22.0, record_every=10)
     )

@@ -324,6 +324,10 @@ def test_bad_algorithm_or_problem_data_is_config_error(tmp_path, capsys, config,
         ("lp_augmented.ini", "seed = 0", "seed = 2.5", "key 'seed' must be an integer, got '2.5'"),
         ("quadratic_standard.ini", "mu = 1.0\n", "", "missing required key 'mu'"),
         ("mincostflow_augmented.ini", "file = network.txt", "file = missing.txt", "network file not found"),
+        # a required data key of each kind that reads its data without a default
+        ("lp_augmented.ini", "c = 1 1\n", "", "missing required key 'c'"),
+        ("qp_proximal.ini", "p = 0 0\n", "", "missing required key 'p'"),
+        ("separable_reduced.ini", "a_c = 1\n", "", "missing required key 'a_c'"),
         # a key the builder would drop: the rate-mu pick replaced a lone eta or alpha
         ("qp_preconditioned_uy.ini", "space = uy", "space = uy\neta = 5.0",
          "key 'eta' needs 'alpha' as well"),
@@ -513,7 +517,83 @@ def test_preconditioned_xy_takes_the_bound_of_the_uy_run(tmp_path):
     assert main(["run", str(xy), "--output-dir", str(out), "--quiet"]) == 0
     report = (out / "report.txt").read_text()
     assert "rate bound: 0.18 -> verdict: pass" in report
-    assert "certificate" not in report  # strict_cc of the uy problem does not read xy states
+    # the xy run is the uy run recorded through that map: it is certified by strict_cc
+    assert "certificate [strict_cc]: " in report
+    assert "certificate sandwich: within 1e-09\n" in report
+
+
+def test_preconditioned_xy_records_the_uy_run_through_its_map(tmp_path):
+    # x = u - alpha*A^T*y of every recorded (u, y) state, also where the stage and
+    # state clamps act on y: the constraint x2 <= 1 is slack, so y2 hits 0
+    import numpy as np
+
+    alpha = 0.1
+    text = """
+[experiment]
+z0 = {z0}
+
+[problem]
+kind = qp_affine
+q = 1 0; 0 2
+p = 0 0
+a = 1 0; 0 1
+b = -1 1
+
+[algorithm]
+kind = preconditioned
+space = {space}
+eta = 1.0
+alpha = {alpha}
+
+[integrator]
+step = 0.1
+horizon = 20
+record_every = 1
+"""
+    V = np.eye(4)
+    V[:2, 2:] = -alpha * np.eye(2)  # A = I
+    z0_uy = np.linalg.solve(V, np.ones(4))
+    runs = {}
+    for space, z0 in (("xy", np.ones(4)), ("uy", z0_uy)):
+        z0_text = " ".join(f"{v:.17g}" for v in z0)
+        cfg = _write(tmp_path, f"{space}.ini", text.format(z0=z0_text, space=space, alpha=alpha))
+        assert main(["run", str(cfg), "--output-dir", str(tmp_path / space), "--quiet"]) == 0
+        runs[space] = np.loadtxt(tmp_path / space / "trajectory.csv", delimiter=",", skiprows=1)
+    uy, xy = runs["uy"], runs["xy"]
+    assert ((uy[1:-1, 4] == 0.0) & (uy[:-2, 4] > 0.0)).any()  # the dual clamp fires
+    assert np.array_equal(uy[:, 0], xy[:, 0])
+    assert np.abs(uy[:, 1:] @ V.T - xy[:, 1:]).max() <= 1e-12
+    report = (tmp_path / "xy" / "report.txt").read_text()
+    assert "verdict: pass" in report
+    assert "certificate [strict_cc]: " in report
+
+
+def test_preconditioned_xy_start_outside_the_box_keeps_its_x(tmp_path):
+    # z0 is in recorded coordinates: the start clamp moves y and leaves x
+    import numpy as np
+
+    text = (CONFIGS / "qp_preconditioned_xy.ini").read_text().replace(
+        "seed = 0", "seed = 0\nz0 = 1 1 -1 1"
+    ).replace("horizon = 30", "horizon = 0.1")
+    cfg = _write(tmp_path, "xy.ini", text)
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="initial state outside the feasible set by 1.000e\\+00"):
+        assert main(["run", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+    first = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[0]
+    assert np.abs(first[1:] - [1.0, 1.0, 0.0, 1.0]).max() <= 1e-12
+
+
+def test_every_shipped_flow_with_a_feasible_set_is_a_projected_flow():
+    # feasibility is enforced in one place: the projection of projected_flow
+    from saddleflow.cli import build_setup, load_config
+
+    projected = 0
+    for path in sorted(CONFIGS.glob("*.ini")):
+        flow = build_setup(load_config(path)).flow
+        if flow.feasible is not None:
+            assert flow.field.__qualname__ == "projected_flow.<locals>.field", path.name
+            projected += 1
+    assert projected == 7
 
 
 def test_bilinear_standard_reports_strict_cc_not_applicable(tmp_path):
@@ -552,19 +632,37 @@ def _closed_form_bound(path):
     return None  # bilinear standard, the augmented flows and the Lasso pipeline
 
 
+def _coarse(tmp_path, path):
+    """A copy of a shipped config at five times its step: same records, less run time."""
+    import re
+
+    text = path.read_text().replace("file = network.txt", f"file = {CONFIGS / 'network.txt'}")
+    text = re.sub(r"^step = (.*)$", lambda s: f"step = {5 * float(s[1]):g}", text, flags=re.M)
+    text = re.sub(r"^record_every = (.*)$", lambda r: f"record_every = {int(r[1]) // 5}", text,
+                  flags=re.M)
+    return str(_write(tmp_path, path.name, text))
+
+
+@pytest.mark.parametrize(
+    "config, reason",
+    [
+        ("lasso_pipeline.ini", "no certificate of the Lasso dual-proximal flow"),
+        ("qp_proximal.ini", "no certificate of the proximal primal-dual flow"),
+    ],
+)
+def test_runs_without_a_certificate_say_so(tmp_path, config, reason):
+    out = tmp_path / "out"
+    assert main(["run", _coarse(tmp_path, CONFIGS / config), "--output-dir", str(out), "--quiet"]) == 0
+    report = (out / "report.txt").read_text()
+    assert "equilibrium: " in report and "equilibrium: not found" not in report
+    assert f"certificate: skipped (not applicable: {reason})\n" in report
+
+
 def test_rates_csv_bound_of_every_shipped_config_is_its_closed_form(tmp_path):
     # the CLI reads the bound off the meta of the problem the flow runs on; the
     # closed forms take the raw constants. Five times the shipped step keeps the
     # records and the bound and cuts the run time.
-    import re
-
-    paths = []
-    for path in sorted(CONFIGS.glob("*.ini")):
-        text = path.read_text().replace("file = network.txt", f"file = {CONFIGS / 'network.txt'}")
-        text = re.sub(r"^step = (.*)$", lambda s: f"step = {5 * float(s[1]):g}", text, flags=re.M)
-        text = re.sub(r"^record_every = (.*)$", lambda r: f"record_every = {int(r[1]) // 5}", text,
-                      flags=re.M)
-        paths.append(str(_write(tmp_path, path.name, text)))
+    paths = [_coarse(tmp_path, path) for path in sorted(CONFIGS.glob("*.ini"))]
     out = tmp_path / "out"
     assert main(["compare", *paths, "--output-dir", str(out), "--quiet"]) == 0
     bounded = 0

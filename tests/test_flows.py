@@ -6,7 +6,7 @@ import pytest
 import saddleflow as sf
 from saddleflow import PointZ
 
-from helpers import qp_kkt_oracle, run_until
+from helpers import preconditioned_pd, qp_kkt_oracle, run_until
 
 
 def _coupled_quadratic():
@@ -141,7 +141,7 @@ def _unit_precond(eta=1.5, alpha=1.0, b=0.0):
 
 def test_preconditioned_pd_examples():
     uy = sf.standard_flow(_unit_precond().problem)
-    xy = sf.preconditioned_pd(_unit_precond())
+    xy = preconditioned_pd(_unit_precond())
     assert np.allclose(uy.field(np.zeros(2)), 0.0)
     assert np.allclose(xy.field(np.zeros(2)), 0.0)
     # with eta = 1 the dual velocity at (1, 0) cancels: [-1*1 + 1*1]^+ = 0
@@ -162,7 +162,7 @@ def test_preconditioned_spaces_stay_coupled():
     alpha = 1.0
     pre = _unit_precond(eta=1.1, alpha=alpha, b=-1.0)
     uy = sf.standard_flow(pre.problem)
-    xy = sf.preconditioned_pd(pre)
+    xy = preconditioned_pd(pre)
     u0, y0 = np.array([0.7]), np.array([0.3])
     cfg = sf.IntegratorConfig(step=1e-3, horizon=5.0, record_every=1)
     tu = sf.integrate(uy, np.concatenate((u0, y0)), cfg)
