@@ -30,12 +30,8 @@ __all__ = [
     "rate_bound_strong",
     "rate_bound_proximal",
     "optimal_rho",
-    "rate_bound_precond",
     "precond_params_pick",
     "precond_K",
-    "rate_bound_reduced",
-    "rate_bound_semiglobal",
-    "max_dual_norm",
 ]
 
 _SADDLE_TOL = 1e-8
@@ -250,16 +246,6 @@ def optimal_rho(mu: float, l: float, kappa: float) -> tuple[float, float]:
     return rho_star, c_star
 
 
-def rate_bound_precond(mu: float, l: float, kappa: float, eta: float, alpha: float) -> float:
-    """Decay-rate bound min(mu, (2*eta*alpha - l*alpha^2)*kappa), needs 2*eta > l*alpha."""
-    _require_positive(mu=mu, l=l, kappa=kappa, eta=eta, alpha=alpha)
-    if not 2.0 * eta > l * alpha:
-        raise ValueError(
-            f"validity condition 2*eta > l*alpha violated: 2*eta={2.0 * eta}, l*alpha={l * alpha}"
-        )
-    return min(mu, (2.0 * eta * alpha - l * alpha**2) * kappa)
-
-
 def precond_params_pick(mu: float, l: float, kappa: float) -> tuple[float, float]:
     """Parameters (eta, alpha) making the preconditioned bound equal mu.
 
@@ -280,32 +266,3 @@ def precond_K(sigma: float, alpha: float) -> float:
     _require_positive(alpha=alpha)
     return max(2.0, 2.0 * sigma * alpha**2 + 1.0)
 
-
-def rate_bound_reduced(mu_c: float, l_s: float, kappa_s: float) -> float:
-    """Decay-rate bound min(mu_c, kappa_s/l_s) of reduced primal-dual flows."""
-    _require_positive(mu_c=mu_c, l_s=l_s, kappa_s=kappa_s)
-    return min(mu_c, kappa_s / l_s)
-
-
-def rate_bound_semiglobal(
-    mu: float, l: float, kappa: float, rho: float, m: float, zeta: float, gamma: float
-) -> float:
-    """Initial-point-dependent bound of proximal primal-dual flows.
-
-    min(mu*rho/(mu+rho), kappa/(l + rho + m*zeta*gamma)); zeta bounds the
-    dual norm along the trajectory and gamma the constraint curvature, both
-    caller-supplied (zeta may be measured post hoc, see max_dual_norm).
-    With gamma = 0 (affine constraints) this is the proximal bound.
-    """
-    _require_positive(mu=mu, l=l, kappa=kappa, rho=rho)
-    for name, v in (("m", m), ("zeta", zeta), ("gamma", gamma)):
-        if v < 0:
-            raise ValueError(f"{name} must be >= 0, got {v}")
-    return min(mu * rho / (mu + rho), kappa / (l + rho + m * zeta * gamma))
-
-
-def max_dual_norm(traj: Trajectory, y_start: int) -> float:
-    """Largest norm of the trailing dual block along a trajectory."""
-    if not 0 <= y_start < traj.states.shape[1]:
-        raise ValueError(f"y_start {y_start} out of range for dimension {traj.states.shape[1]}")
-    return float(np.max(np.linalg.norm(traj.states[:, y_start:], axis=1)))

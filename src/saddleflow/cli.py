@@ -75,9 +75,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.replace(",", " ").split()])
+        vec = np.array([float(v) for v in text.replace(",", " ").split()])
     except ValueError as err:
         raise ValueError(f"bad vector {text!r}: {err}") from None
+    if not np.isfinite(vec).all():
+        raise ValueError(f"bad vector {text!r}: entries must be finite")
+    return vec
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -99,15 +102,9 @@ class ExperimentConfig:
     algorithm: dict
     integrator: IntegratorConfig
     z0: Optional[np.ndarray]
-    quiet: bool = False
 
 
-def load_config(
-    path,
-    output_dir: Optional[str] = None,
-    seed: Optional[int] = None,
-    quiet: bool = False,
-) -> ExperimentConfig:
+def load_config(path, output_dir: Optional[str] = None, seed: Optional[int] = None) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -150,9 +147,9 @@ def load_config(
     try:
         integrator = IntegratorConfig(
             method=integ.get("method", "rk4"),
-            step=float(integ.get("step", "1e-3")),
-            horizon=float(integ.get("horizon", "10")),
-            record_every=int(integ.get("record_every", "10")),
+            step=_get_float(integ, "step", 1e-3),
+            horizon=_get_float(integ, "horizon", 10.0),
+            record_every=_get_int(integ, "record_every", 10),
         )
     except ValueError as err:
         raise ConfigError(f"{path}: bad integrator config: {err}") from None
@@ -167,7 +164,6 @@ def load_config(
         algorithm=algo,
         integrator=integrator,
         z0=z0,
-        quiet=quiet,
     )
 
 
@@ -204,6 +200,14 @@ def _get_int(d: dict, key: str, default: Optional[int] = None) -> int:
     if not value.is_integer():
         raise ValueError(f"key '{key}' must be an integer, got {d[key]!r}")
     return int(value)
+
+
+def _get_size(d: dict, key: str) -> int:
+    """A seeded block size: an integer of at least 1."""
+    size = _get_int(d, key)
+    if size < 1:
+        raise ValueError(f"key '{key}' must be >= 1, got {d[key]!r}")
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +256,7 @@ def _build_problem(cfg: ExperimentConfig):
             B = _parse_matrix(p["matrix"])
         else:
             norm = _get_float(p, "coupling_norm", 1.0 if kind == "bilinear" else 0.5)
-            B = _seeded_matrix(rng, _get_int(p, "n"), _get_int(p, "m"), norm)
+            B = _seeded_matrix(rng, _get_size(p, "n"), _get_size(p, "m"), norm)
         shape = f"n={B.shape[0]}, m={B.shape[1]}"
         if kind == "bilinear":
             return make_bilinear(B), f"bilinear ({shape})"
@@ -291,7 +295,7 @@ def _build_problem(cfg: ExperimentConfig):
             A = _parse_matrix(p["a"])
             b = _parse_vector(p["b"])
         else:
-            n, m = _get_int(p, "n"), _get_int(p, "m")
+            n, m = _get_size(p, "n"), _get_size(p, "m")
             A = rng.standard_normal((m, n)) / np.sqrt(m)
             b = rng.standard_normal(m)
         bundle = make_lasso(A, b, lam)
@@ -670,17 +674,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command is None:
             raise ConfigError("a command is required: run | compare")
         if args.command == "run":
-            cfg = load_config(args.config, args.output_dir, args.seed, args.quiet)
+            cfg = load_config(args.config, args.output_dir, args.seed)
             res = _run_to_files(cfg, cfg.output_dir)
-            if not cfg.quiet:
+            if not args.quiet:
                 print(_format_report(res), end="")
             return 0
         # compare
         if not args.configs:
             raise ConfigError("compare needs at least one config file")
-        configs = [
-            load_config(p, None, args.seed, args.quiet) for p in args.configs
-        ]
+        configs = [load_config(p, None, args.seed) for p in args.configs]
         out_dir = Path(args.output_dir) if args.output_dir else Path("saddleflow_out")
         table = compare_experiments(configs, out_dir)
         if not args.quiet:

@@ -1,4 +1,4 @@
-"""Saddle problems, gradient oracles, and saddle/stationary-point predicates.
+"""Saddle problems, gradient oracles, and the stationarity residual.
 
 A :class:`SaddleProblem` packages the value and the two block gradients of a
 convex-concave function together with its known curvature constants. Every
@@ -9,7 +9,6 @@ only as a test oracle.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -26,11 +25,8 @@ __all__ = [
     "DimensionMismatchError",
     "grad",
     "stationarity_residual",
-    "saddle_inequality_check",
     "full_domain",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class DimensionMismatchError(ValueError):
@@ -76,16 +72,6 @@ class ConvexityMeta:
             and self.kappa > self.sigma * (1 + 1e-12)
         ):
             raise ValueError(f"inconsistent meta: kappa={self.kappa} > sigma={self.sigma}")
-
-    def require(self, *names: str) -> tuple:
-        """Return the requested constants, failing loudly on a missing one."""
-        out = []
-        for name in names:
-            v = getattr(self, name)
-            if v is None:
-                raise ValueError(f"required convexity constant '{name}' is not known")
-            out.append(v)
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -167,10 +153,6 @@ class SaddleProblem:
     def dim(self) -> int:
         return self.n + self.m
 
-    def split(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = _as_vector(z, self.n + self.m, "z")
-        return z[: self.n], z[self.n :]
-
     def join(self, x, y) -> np.ndarray:
         return np.concatenate(
             (_as_vector(x, self.n, "x"), _as_vector(y, self.m, "y"))
@@ -197,11 +179,6 @@ class PointZ:
     @property
     def concat(self) -> np.ndarray:
         return np.concatenate((self.x, self.y))
-
-    @classmethod
-    def from_concat(cls, z, n: int, m: int) -> "PointZ":
-        z = _as_vector(z, n + m, "z")
-        return cls(z[:n], z[n:])
 
 
 def grad(problem: SaddleProblem, z: PointZ) -> tuple[np.ndarray, np.ndarray]:
@@ -235,63 +212,3 @@ def full_domain(problem: SaddleProblem) -> Optional[FeasibleSet]:
         return None
     return FeasibleSet.stack(FeasibleSet.free(problem.n), problem.y_set)
 
-
-def saddle_inequality_check(
-    problem: SaddleProblem,
-    z_star: PointZ,
-    samples: int = 100,
-    radius: float = 1.0,
-    tol: float = 1e-9,
-    seed: int = 0,
-    feasible: Optional[FeasibleSet] = None,
-) -> bool:
-    """Empirically test the two-sided saddle inequality at ``z_star``.
-
-    Draws ``samples`` points uniformly from the ball of the given radius
-    around ``z_star`` (intersected with ``feasible`` when given) and checks
-    S(x*, y) <= S(x*, y*) <= S(x, y*) within ``tol`` at each. Returns False
-    and logs the first violating sample on failure.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if not radius > 0:
-        raise ValueError("radius must be > 0")
-    rng = np.random.default_rng(seed)
-    x_star = _as_vector(z_star.x, problem.n, "x")
-    y_star = _as_vector(z_star.y, problem.m, "y")
-    center = np.concatenate((x_star, y_star))
-    d = center.shape[0]
-    s_star = float(problem.value(x_star, y_star))
-
-    def draw() -> np.ndarray:
-        # uniform in the ball: gaussian direction, radius ~ U^(1/d)
-        v = rng.standard_normal(d)
-        v /= max(np.linalg.norm(v), 1e-300)
-        w = center + radius * rng.uniform() ** (1.0 / d) * v
-        if feasible is None:
-            return w
-        for _ in range(64):
-            if feasible.contains(w):
-                return w
-            v = rng.standard_normal(d)
-            v /= max(np.linalg.norm(v), 1e-300)
-            w = center + radius * rng.uniform() ** (1.0 / d) * v
-        return np.clip(w, feasible.lower, feasible.upper)
-
-    for k in range(samples):
-        w = draw()
-        xs, ys = w[: problem.n], w[problem.n :]
-        upper = float(problem.value(x_star, ys))
-        lower = float(problem.value(xs, y_star))
-        if upper > s_star + tol or lower < s_star - tol:
-            logger.info(
-                "saddle inequality violated at sample %d: S(x*,y)=%.12g, "
-                "S(x*,y*)=%.12g, S(x,y*)=%.12g, point=%s",
-                k,
-                upper,
-                s_star,
-                lower,
-                np.array2string(w, precision=6),
-            )
-            return False
-    return True

@@ -51,10 +51,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "euler"):
             raise ValueError(f"method must be 'rk4' or 'euler', got {self.method!r}")
-        if not self.step > 0:
-            raise ValueError(f"step must be > 0, got {self.step}")
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
+        if not 0 < self.step < np.inf:
+            raise ValueError(f"step must be finite and > 0, got {self.step}")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
         if not self.step < self.horizon:
             raise ValueError(f"step {self.step} must be smaller than horizon {self.horizon}")
         if self.record_every < 1:
@@ -67,7 +67,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    flow_label: str = ""
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -160,7 +159,7 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
         if i % config.record_every == 0 or i == n_steps:
             times.append(i * h if i <= n_full else config.horizon)
             states.append(z.copy())
-    return Trajectory(np.asarray(times), np.asarray(states), flow_label=flow.label)
+    return Trajectory(np.asarray(times), np.asarray(states))
 
 
 def detect_equilibrium(flow: Flow, traj: Trajectory, tol: float) -> Optional[np.ndarray]:

@@ -43,6 +43,7 @@ __all__ = [
     "qp_lagrangian",
     "make_separable_qp",
     "separable_lagrangian",
+    "separable_qp_bundle",
     "make_lasso",
     "lp_oracle",
     "lasso_oracle",

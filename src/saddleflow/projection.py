@@ -66,10 +66,6 @@ class FeasibleSet:
         return self.lower.shape[0]
 
     @classmethod
-    def box(cls, lower, upper) -> "FeasibleSet":
-        return cls(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
-
-    @classmethod
     def nonnegative(cls, dim: int) -> "FeasibleSet":
         """The orthant ``p >= 0`` in ``dim`` coordinates."""
         return cls(np.zeros(dim), np.full(dim, np.inf))

@@ -7,10 +7,16 @@ and flow machinery so the tests have a second route to the same numbers.
 from __future__ import annotations
 
 import itertools
+import logging
+from typing import Optional
 
 import numpy as np
 
 import saddleflow as sf
+from saddleflow.certificates import _require_positive
+from saddleflow.core import _as_vector
+
+logger = logging.getLogger(__name__)
 
 
 def fd_gradient(f, x, scale: float = 1e-6) -> np.ndarray:
@@ -168,3 +174,85 @@ def preconditioned_pd(transform: sf.PreconditionedProblem) -> sf.Flow:
         feasible=sf.full_domain(problem),
         label=f"preconditioned_pd(xy, eta={eta}, alpha={alpha})",
     )
+
+
+# ---------------------------------------------------------------------------
+# closed forms the runs take from the transformed problems' meta, and the
+# saddle inequality sampled directly
+
+
+def rate_bound_precond(mu: float, l: float, kappa: float, eta: float, alpha: float) -> float:
+    """Decay-rate bound min(mu, (2*eta*alpha - l*alpha^2)*kappa), needs 2*eta > l*alpha."""
+    _require_positive(mu=mu, l=l, kappa=kappa, eta=eta, alpha=alpha)
+    if not 2.0 * eta > l * alpha:
+        raise ValueError(
+            f"validity condition 2*eta > l*alpha violated: 2*eta={2.0 * eta}, l*alpha={l * alpha}"
+        )
+    return min(mu, (2.0 * eta * alpha - l * alpha**2) * kappa)
+
+
+def rate_bound_reduced(mu_c: float, l_s: float, kappa_s: float) -> float:
+    """Decay-rate bound min(mu_c, kappa_s/l_s) of reduced primal-dual flows."""
+    _require_positive(mu_c=mu_c, l_s=l_s, kappa_s=kappa_s)
+    return min(mu_c, kappa_s / l_s)
+
+
+def saddle_inequality_check(
+    problem: sf.SaddleProblem,
+    z_star: sf.PointZ,
+    samples: int = 100,
+    radius: float = 1.0,
+    tol: float = 1e-9,
+    seed: int = 0,
+    feasible: Optional[sf.FeasibleSet] = None,
+) -> bool:
+    """Empirically test the two-sided saddle inequality at ``z_star``.
+
+    Draws ``samples`` points uniformly from the ball of the given radius
+    around ``z_star`` (intersected with ``feasible`` when given) and checks
+    S(x*, y) <= S(x*, y*) <= S(x, y*) within ``tol`` at each. Returns False
+    and logs the first violating sample on failure.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if not radius > 0:
+        raise ValueError("radius must be > 0")
+    rng = np.random.default_rng(seed)
+    x_star = _as_vector(z_star.x, problem.n, "x")
+    y_star = _as_vector(z_star.y, problem.m, "y")
+    center = np.concatenate((x_star, y_star))
+    d = center.shape[0]
+    s_star = float(problem.value(x_star, y_star))
+
+    def draw() -> np.ndarray:
+        # uniform in the ball: gaussian direction, radius ~ U^(1/d)
+        v = rng.standard_normal(d)
+        v /= max(np.linalg.norm(v), 1e-300)
+        w = center + radius * rng.uniform() ** (1.0 / d) * v
+        if feasible is None:
+            return w
+        for _ in range(64):
+            if feasible.contains(w):
+                return w
+            v = rng.standard_normal(d)
+            v /= max(np.linalg.norm(v), 1e-300)
+            w = center + radius * rng.uniform() ** (1.0 / d) * v
+        return np.clip(w, feasible.lower, feasible.upper)
+
+    for k in range(samples):
+        w = draw()
+        xs, ys = w[: problem.n], w[problem.n :]
+        upper = float(problem.value(x_star, ys))
+        lower = float(problem.value(xs, y_star))
+        if upper > s_star + tol or lower < s_star - tol:
+            logger.info(
+                "saddle inequality violated at sample %d: S(x*,y)=%.12g, "
+                "S(x*,y*)=%.12g, S(x,y*)=%.12g, point=%s",
+                k,
+                upper,
+                s_star,
+                lower,
+                np.array2string(w, precision=6),
+            )
+            return False
+    return True

@@ -14,7 +14,14 @@ from scipy.optimize import brentq
 import saddleflow as sf
 from saddleflow import PointZ
 
-from helpers import lasso_saddle, preconditioned_pd, qp_kkt_oracle, run_until
+from helpers import (
+    lasso_saddle,
+    preconditioned_pd,
+    qp_kkt_oracle,
+    rate_bound_reduced,
+    run_until,
+    saddle_inequality_check,
+)
 
 
 def _report(name: str, detail: str) -> None:
@@ -48,7 +55,7 @@ def test_criterion_01_bilinear_split():
     assert residual <= 1e-6
     aug_problem = sf.augment(bil, 0.1).problem
     limit = PointZ(z[:2], z[2:])
-    assert sf.saddle_inequality_check(aug_problem, limit, samples=200, radius=1.0, tol=1e-5)
+    assert saddle_inequality_check(aug_problem, limit, samples=200, radius=1.0, tol=1e-5)
 
     runtime = time.perf_counter() - start
     assert runtime < 10.0
@@ -186,7 +193,7 @@ def test_criterion_06_reduced_rate():
         np.eye(1), np.zeros(1), np.eye(1), np.zeros(1),
         np.eye(1), np.eye(1), np.array([-1.0]),
     )
-    bound = sf.rate_bound_reduced(1.0, 1.0, 1.0)
+    bound = rate_bound_reduced(1.0, 1.0, 1.0)
     reduced = sf.reduce(sep)
     flow = replace(sf.standard_flow(reduced.problem), reset=reduced.reset)
     traj = sf.integrate(

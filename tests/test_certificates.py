@@ -9,6 +9,8 @@ from scipy.optimize import brentq
 import saddleflow as sf
 from saddleflow import PointZ
 
+from helpers import rate_bound_precond, rate_bound_reduced
+
 
 def _pure_quadratic():
     # S = 0.5 x^2 - 0.5 y^2
@@ -265,10 +267,10 @@ def test_optimal_rho_is_a_maximum():
 
 
 def test_rate_bound_precond():
-    assert sf.rate_bound_precond(1.0, 1.0, 1.0, 1.5, 1.0) == pytest.approx(1.0)
-    assert sf.rate_bound_precond(1.0, 1.0, 1.0, 0.6, 1.0) == pytest.approx(0.2)
+    assert rate_bound_precond(1.0, 1.0, 1.0, 1.5, 1.0) == pytest.approx(1.0)
+    assert rate_bound_precond(1.0, 1.0, 1.0, 0.6, 1.0) == pytest.approx(0.2)
     with pytest.raises(ValueError, match="2\\*eta > l\\*alpha"):
-        sf.rate_bound_precond(1.0, 1.0, 1.0, 0.4, 1.0)
+        rate_bound_precond(1.0, 1.0, 1.0, 0.4, 1.0)
 
 
 def test_precond_params_pick():
@@ -288,7 +290,7 @@ def test_precond_pick_always_achieves_mu(mu, l_scale, kappa):
     l = mu * l_scale
     eta, alpha = sf.precond_params_pick(mu, l, kappa)
     assert 2.0 * eta > l * alpha + mu / (kappa * alpha)
-    assert sf.rate_bound_precond(mu, l, kappa, eta, alpha) == mu
+    assert rate_bound_precond(mu, l, kappa, eta, alpha) == mu
 
 
 def test_precond_K():
@@ -300,20 +302,9 @@ def test_precond_K():
 
 
 def test_rate_bound_reduced():
-    assert sf.rate_bound_reduced(1.0, 1.0, 1.0) == 1.0
-    assert sf.rate_bound_reduced(0.5, 2.0, 1.0) == 0.5
-    assert sf.rate_bound_reduced(3.0, 1.0, 2.0) == 2.0
-
-
-def test_rate_bound_semiglobal():
-    # gamma = 0 (affine constraints) recovers the proximal bound
-    assert sf.rate_bound_semiglobal(1.0, 2.0, 1.0, 1.0, 3.0, 9.0, 0.0) == sf.rate_bound_proximal(
-        1.0, 2.0, 1.0, 1.0
-    )
-    assert sf.rate_bound_semiglobal(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(1.0 / 3.0)
-    a = sf.rate_bound_semiglobal(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-    b = sf.rate_bound_semiglobal(1.0, 1.0, 1.0, 1.0, 1.0, 5.0, 1.0)
-    assert b <= a
+    assert rate_bound_reduced(1.0, 1.0, 1.0) == 1.0
+    assert rate_bound_reduced(0.5, 2.0, 1.0) == 0.5
+    assert rate_bound_reduced(3.0, 1.0, 2.0) == 2.0
 
 
 def test_bound_monotonicity_sweeps():
@@ -325,14 +316,5 @@ def test_bound_monotonicity_sweeps():
         assert sf.rate_bound_proximal(mu, l * 1.3, kappa, rho) <= base + 1e-15
         assert sf.rate_bound_proximal(mu, l, kappa * 1.3, rho) >= base - 1e-15
         assert sf.rate_bound_strong(mu, kappa) <= sf.rate_bound_strong(mu * 1.3, kappa * 1.3)
-        assert sf.rate_bound_reduced(mu, l, kappa) >= sf.rate_bound_reduced(mu, l * 1.3, kappa) - 1e-15
+        assert rate_bound_reduced(mu, l, kappa) >= rate_bound_reduced(mu, l * 1.3, kappa) - 1e-15
 
-
-def test_max_dual_norm():
-    traj = sf.Trajectory(
-        np.array([0.0, 1.0, 2.0]),
-        np.array([[1.0, 0.0, 3.0], [0.5, 4.0, 0.0], [0.1, 0.0, 0.2]]),
-    )
-    assert sf.max_dual_norm(traj, 1) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        sf.max_dual_norm(traj, 5)

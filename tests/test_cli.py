@@ -345,6 +345,19 @@ def test_bad_algorithm_or_problem_data_is_config_error(tmp_path, capsys, config,
         # alpha won over alpha_over_l
         ("lasso_pipeline.ini", "rho = 1.0", "rho = 1.0\nalpha = 0.1",
          "keys 'alpha' and 'alpha_over_l' exclude each other"),
+        # a horizon past float range: the step count overflowed int()
+        ("lp_augmented.ini", "horizon = 150", "horizon = inf", "horizon must be finite and > 0"),
+        ("lp_augmented.ini", "horizon = 150", "horizon = 1e400", "horizon must be finite and > 0"),
+        ("lp_augmented.ini", "record_every = 10", "record_every = 2.5",
+         "key 'record_every' must be an integer, got '2.5'"),
+        # an empty seeded block: the seeded matrix or its eigenvalues indexed nothing
+        ("bilinear_standard.ini", "matrix = 1.0", "n = 0\nm = 1", "key 'n' must be >= 1, got '0'"),
+        ("quadratic_standard.ini", "m = 2", "m = 0", "key 'm' must be >= 1, got '0'"),
+        ("lasso_pipeline.ini", "n = 4", "n = 0", "key 'n' must be >= 1, got '0'"),
+        # a non-finite entry reached the integrator and read as a numerical failure
+        ("quadratic_standard.ini", "seed = 7", "seed = 7\nz0 = nan 1 1 1 1",
+         "bad vector 'nan 1 1 1 1': entries must be finite"),
+        ("qp_proximal.ini", "p = 0 0", "p = 0 inf", "bad vector '0 inf': entries must be finite"),
     ],
 )
 def test_every_config_error_names_its_config(tmp_path, capsys, config, old, new, message):
@@ -355,6 +368,13 @@ def test_every_config_error_names_its_config(tmp_path, capsys, config, old, new,
     err = capsys.readouterr().err
     assert err.startswith(f"saddleflow: config error: {cfg}: ")
     assert message in err
+
+
+def test_integrator_integers_parse_as_other_sections_do(tmp_path):
+    from saddleflow.cli import load_config
+
+    text = (CONFIGS / "lp_augmented.ini").read_text().replace("record_every = 10", "record_every = 1e1")
+    assert load_config(_write(tmp_path, "lp_augmented.ini", text)).integrator.record_every == 10
 
 
 def test_seed_is_parsed_exactly_past_float_precision(tmp_path):
@@ -613,6 +633,8 @@ def _closed_form_bound(path):
     import saddleflow as sf
     from saddleflow.cli import _build_problem, load_config
 
+    from helpers import rate_bound_precond, rate_bound_reduced
+
     cfg = load_config(path)
     built, _ = _build_problem(cfg)
     kind, algo = cfg.algorithm_kind, cfg.algorithm
@@ -626,9 +648,9 @@ def _closed_form_bound(path):
     if kind == "preconditioned":
         bundle = sf.separable_qp_bundle(built) if cfg.problem_kind == "separable_qp" else built
         eta, alpha = sf.precond_params_pick(bundle.f.mu, bundle.f.l, bundle.kappa)
-        return sf.rate_bound_precond(bundle.f.mu, bundle.f.l, bundle.kappa, eta, alpha)
+        return rate_bound_precond(bundle.f.mu, bundle.f.l, bundle.kappa, eta, alpha)
     if kind == "reduced":
-        return sf.rate_bound_reduced(built.f_c.mu, built.f_s.l, built.kappa_s)
+        return rate_bound_reduced(built.f_c.mu, built.f_s.l, built.kappa_s)
     return None  # bilinear standard, the augmented flows and the Lasso pipeline
 
 

@@ -47,6 +47,10 @@ def test_integrator_config_validation():
         sf.IntegratorConfig(step=2.0, horizon=1.0)
     with pytest.raises(ValueError):
         sf.IntegratorConfig(record_every=0)
+    with pytest.raises(ValueError, match="horizon must be finite"):
+        sf.IntegratorConfig(horizon=np.inf)
+    with pytest.raises(ValueError, match="step must be finite"):
+        sf.IntegratorConfig(step=np.nan)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -237,7 +241,7 @@ def _reference_run(flow, z0, step, n_steps, method):
 def test_clamps_match_np_clip_bit_for_bit(method):
     # a rotation pushed into a box with an upper face, a pinned coordinate
     # and a free one, and the LP augmented flow on its orthant
-    box = sf.FeasibleSet.box([0.0, -0.25, 0.5, -np.inf], [0.75, np.inf, 0.5, np.inf])
+    box = sf.FeasibleSet([0.0, -0.25, 0.5, -np.inf], [0.75, np.inf, 0.5, np.inf])
     rot = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0], [0.0, 0.0, 0.0, -0.5]])
     lp = sf.LinearProgram(c=[1.0, 1.0], A=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], b=[-1.0, -0.5, 3.0])
     cases = [

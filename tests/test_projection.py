@@ -13,12 +13,12 @@ def test_project_point_orthant_clamp():
 
 
 def test_project_point_interior_identity():
-    fs = FeasibleSet.box([0.0], [1.0])
+    fs = FeasibleSet([0.0], [1.0])
     assert project_point(fs, [0.5])[0] == 0.5
 
 
 def test_project_point_corner_clamp():
-    fs = FeasibleSet.box([0.0, 0.0], [1.0, 1.0])
+    fs = FeasibleSet([0.0, 0.0], [1.0, 1.0])
     assert np.allclose(project_point(fs, [2.0, -3.0]), [1.0, 0.0])
 
 
@@ -34,7 +34,7 @@ def test_vector_field_projection_inward_unchanged():
 
 
 def test_vector_field_projection_upper_face():
-    fs = FeasibleSet.box([0.0], [1.0])
+    fs = FeasibleSet([0.0], [1.0])
     assert project_vector_field(fs, [1.0], [0.7])[0] == 0.0
 
 
@@ -51,14 +51,14 @@ def test_vector_field_projection_snaps_tiny_violation():
 
 
 def test_pinned_coordinate_is_frozen():
-    fs = FeasibleSet.box([1.0], [1.0])
+    fs = FeasibleSet([1.0], [1.0])
     assert project_vector_field(fs, [1.0], [3.0])[0] == 0.0
     assert project_vector_field(fs, [1.0], [-3.0])[0] == 0.0
 
 
 def test_empty_set_rejected():
     with pytest.raises(ValueError, match="empty"):
-        FeasibleSet.box([1.0], [0.0])
+        FeasibleSet([1.0], [0.0])
 
 
 def test_stack_concatenates_blocks():
@@ -208,7 +208,7 @@ def test_vector_field_projection_matches_clip_rule_bit_for_bit(coords, direction
 
 def test_pinned_coordinate_snapped_from_outside_is_frozen():
     # lower == upper: the clipped point sits on both faces from either side
-    fs = FeasibleSet.box([1.0, 1.0], [1.0, 1.0])
+    fs = FeasibleSet([1.0, 1.0], [1.0, 1.0])
     p = np.array([1.0 + 4e-13, 1.0 - 4e-13])
     for s in ([3.0, 3.0], [-3.0, -3.0]):
         assert np.array_equal(project_vector_field(fs, p, s), [0.0, 0.0])
