@@ -114,23 +114,20 @@ def cert_proximal(surrogate: ProximalSurrogate, w_star: PointZ) -> Certificate:
     return Certificate(value=value, bracket=bracket, label="proximal")
 
 
-def cert_augmented(
-    rho: float,
-    n: int,
-    m: int,
-    problem: Optional[SaddleProblem] = None,
-    z_star: Optional[PointZ] = None,
-) -> Certificate:
+def cert_augmented(problem: SaddleProblem, rho: float, z_star: PointZ) -> Certificate:
     """Mirror-gap certificate over the augmented state (x, x_hat, y, y_hat).
 
-    Entries [(rho/2)*||y - y_hat||^2, (rho/2)*||x - x_hat||^2], independent
-    of the underlying problem. When the base problem and one of its saddle
-    points are supplied, the bracket is the augmented saddle-gap sandwich
-    (gap of S plus the mirror term); otherwise it degenerates to the
-    certificate itself.
+    Entries [(rho/2)*||y - y_hat||^2, (rho/2)*||x - x_hat||^2] for the
+    augmentation of ``problem`` with weight rho; the bracket is the augmented
+    saddle-gap sandwich at the base saddle point ``z_star`` (gap of S plus
+    the mirror term).
     """
     if not rho > 0:
         raise ValueError(f"rho must be > 0, got {rho}")
+    _check_saddle(problem, z_star, "z_star")
+    n, m = problem.n, problem.m
+    x_star, y_star = z_star.x, z_star.y
+    s_star = float(problem.value(x_star, y_star))
 
     def value(state):
         x, xh = state[:n], state[n : 2 * n]
@@ -139,24 +136,10 @@ def cert_augmented(
         dy = y - yh
         return np.array([0.5 * rho * float(dy @ dy), 0.5 * rho * float(dx @ dx)])
 
-    if problem is None or z_star is None:
-        return Certificate(value=value, bracket=value, label="augmented")
-
-    _check_saddle(problem, z_star, "z_star")
-    x_star, y_star = z_star.x, z_star.y
-    s_star = float(problem.value(x_star, y_star))
-
     def bracket(state):
-        x, xh = state[:n], state[n : 2 * n]
-        y, yh = state[2 * n : 2 * n + m], state[2 * n + m :]
-        dx = x - xh
-        dy = y - yh
-        return np.array(
-            [
-                s_star - float(problem.value(x_star, y)) + 0.5 * rho * float(dy @ dy),
-                float(problem.value(x, y_star)) - s_star + 0.5 * rho * float(dx @ dx),
-            ]
-        )
+        x, y = state[:n], state[2 * n : 2 * n + m]
+        gaps = [s_star - float(problem.value(x_star, y)), float(problem.value(x, y_star)) - s_star]
+        return np.array(gaps) + value(state)
 
     return Certificate(value=value, bracket=bracket, label="augmented")
 

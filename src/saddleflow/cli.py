@@ -85,6 +85,8 @@ def _parse_vector(text: str) -> np.ndarray:
 
 def _parse_matrix(text: str) -> np.ndarray:
     rows = [r for r in (row.strip() for row in text.split(";")) if r]
+    if not rows:
+        raise ValueError(f"bad matrix {text!r}: the matrix is empty")
     mat = [_parse_vector(r) for r in rows]
     if len({row.shape[0] for row in mat}) > 1:
         raise ValueError(f"ragged matrix {text!r}")
@@ -188,9 +190,12 @@ def _get_float(d: dict, key: str, default: Optional[float] = None) -> float:
         return default
     text = _required(d, key)
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"key '{key}' must be a number, got {text!r}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"key '{key}' must be finite, got {text!r}")
+    return value
 
 
 def _get_int(d: dict, key: str, default: Optional[int] = None) -> int:
@@ -342,10 +347,9 @@ def _augmented(problem: SaddleProblem, desc: str, algo: dict, recover=None) -> R
     n, m = problem.n, problem.m
 
     def builder(z):
-        z_star = PointZ(z[:n], z[2 * n : 2 * n + m])
-        return cert.cert_augmented(rho, n, m, problem=problem, z_star=z_star)
+        return cert.cert_augmented(problem, rho, PointZ(z[:n], z[2 * n : 2 * n + m]))
 
-    return _saddle_run(augment(problem, rho).problem, desc, f"augmented(rho={rho})",
+    return _saddle_run(augment(problem, rho), desc, f"augmented(rho={rho})",
                        certificate=builder, recover=recover)
 
 
@@ -385,13 +389,13 @@ def _preconditioned(bundle, desc: str, algo: dict) -> RunSetup:
         eta, alpha = _get_float(algo, "eta"), _get_float(algo, "alpha")
     else:
         eta, alpha = cert.precond_params_pick(bundle.f.mu, bundle.f.l, bundle.kappa)
-    transform = precondition(bundle.f, bundle.A, bundle.b, eta, alpha)
+    problem = precondition(bundle.f, bundle.A, bundle.b, eta, alpha)
     label = f"preconditioned({space}, eta={eta:.6g}, alpha={alpha:.6g})"
-    setup = _saddle_run(transform.problem, desc, label)
+    setup = _saddle_run(problem, desc, label)
     if space == "xy":  # the uy run, recorded through the fixed map x = u - alpha*A^T*y
-        n = transform.problem.n
+        n = problem.n
         setup.record_map = np.eye(setup.flow.dim)
-        setup.record_map[:n, n:] = -alpha * transform.A.T
+        setup.record_map[:n, n:] = -alpha * bundle.A.T
     return setup
 
 
@@ -409,10 +413,10 @@ def _lasso_pipeline(bundle, desc: str, algo: dict) -> RunSetup:
     alpha_scale = _get_float(algo, "alpha_over_l", 1.0)
     alpha = _get_float(algo, "alpha", alpha_scale / bundle.l if bundle.l > 0 else 1.0)
     rho = _get_float(algo, "rho", 1.0)
-    transform, flow = bundle.dynamics(alpha, rho)
+    flow = bundle.dynamics(alpha, rho)
 
     def recover(z):
-        xhat = bundle.recover_xhat(transform, z)
+        xhat = bundle.recover(alpha, z)[: bundle.n]
         return f"x_hat {np.array2string(xhat, precision=6)}"
 
     return RunSetup(flow=flow, label=f"lasso_pipeline(alpha={alpha:.6g}, rho={rho})",

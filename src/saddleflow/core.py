@@ -121,8 +121,9 @@ class SaddleProblem:
     is meant to be run with a projected flow; None means free. ``saddle``
     carries the analytic saddle point when the builder knows it.
     ``hess_constant`` declares that ``hess_xx`` and ``hess_yy`` (those
-    supplied) return the same matrix at every point. Instances are immutable
-    and safe to share across concurrent runs.
+    supplied) return the same matrix at every point. Instances are immutable,
+    but a transformed problem's oracles close over its transform's warm-start
+    cache, so such a problem serves one run at a time.
     """
 
     n: int
@@ -131,7 +132,6 @@ class SaddleProblem:
     grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad_y: Callable[[np.ndarray, np.ndarray], np.ndarray]
     meta: ConvexityMeta = field(default_factory=ConvexityMeta)
-    convex_concave: bool = True
     y_set: Optional[FeasibleSet] = None
     saddle: Optional[tuple] = None
     hess_xx: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None

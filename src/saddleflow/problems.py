@@ -20,12 +20,7 @@ import numpy as np
 from .core import ConstraintMap, ConvexityMeta, ConvexObjective, SaddleProblem
 from .flows import Flow, standard_flow
 from .projection import FeasibleSet
-from .transforms import (
-    LassoDualProx,
-    lasso_dual_prox,
-    lasso_reformulate,
-    precondition,
-)
+from .transforms import lasso_dual_prox, lasso_reformulate, precondition
 
 __all__ = [
     "LinearProgram",
@@ -490,23 +485,25 @@ class LassoBundle:
     def l(self) -> float:
         return self.fhat.l
 
-    def dynamics(self, alpha: float, rho: float) -> tuple[LassoDualProx, Flow]:
-        """The dual-proximal transform and its flow; requires alpha < 2/l."""
+    def dynamics(self, alpha: float, rho: float) -> Flow:
+        """The flow of the dual-proximal transform over (u, v); requires alpha < 2/l."""
         if self.l > 0 and not alpha < 2.0 / self.l:
             raise ValueError(f"alpha must satisfy alpha < 2/l = {2.0 / self.l}, got {alpha}")
-        lifted_dim = self.f.dim
-        pre = precondition(
-            self.f, self.A, np.zeros(lifted_dim), eta=1.0, alpha=alpha, y_set=self.y_set
+        zeros = np.zeros(self.f.dim)
+        transform = lasso_dual_prox(
+            precondition(self.f, self.A, zeros, eta=1.0, alpha=alpha, y_set=self.y_set), rho
         )
-        transform = lasso_dual_prox(pre, rho)
-        return transform, replace(standard_flow(transform.problem), reset=transform.reset)
+        return replace(standard_flow(transform.problem), reset=transform.reset)
 
-    def recover_xhat(self, transform: LassoDualProx, state) -> np.ndarray:
-        """The original regression variable from a converged (u, v) state."""
+    def recover(self, alpha: float, state) -> np.ndarray:
+        """The lifted primal point x = u - alpha*A^T*v of a state (u, v).
+
+        ``state`` is a state of ``dynamics(alpha, rho)``; at an equilibrium,
+        x[:n] is the regression variable x_hat.
+        """
         state = np.asarray(state, dtype=float)
         lifted = self.f.dim
-        x, _ = transform.recover(state[:lifted], state[lifted:])
-        return x[: self.n]
+        return state[:lifted] - alpha * (self.A.T @ state[lifted:])
 
 
 def make_lasso(A_data, b_data, lam: float) -> LassoBundle:

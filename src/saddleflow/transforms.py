@@ -12,12 +12,18 @@ problem back to saddle points of the original one:
 plus the two-step chain used for Lasso regression: a nonsmooth-splitting
 reformulation followed by proximal regularization of the constrained dual
 block.
+
+``augment`` and ``precondition`` are closed forms and return the transformed
+``SaddleProblem`` itself. ``proximal_surrogate``, ``reduce`` and
+``lasso_dual_prox`` need an inner solve per oracle call; they return an
+object holding the transformed ``problem``, the solver, its warm-start cache
+and ``reset``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -30,9 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "InnerSolveError",
-    "AugmentedProblem",
     "ProximalSurrogate",
-    "PreconditionedProblem",
     "ReducedProblem",
     "LassoDualProx",
     "augment",
@@ -48,26 +52,15 @@ __all__ = [
 # state augmentation
 
 
-@dataclass(frozen=True)
-class AugmentedProblem:
+def augment(problem: SaddleProblem, rho: float) -> SaddleProblem:
     """The augmented function over ((x, x_hat), (y, y_hat)).
 
     Its value is S(x, y) + (rho/2)||x - x_hat||^2 - (rho/2)||y - y_hat||^2;
     saddle points satisfy x = x_hat and y = y_hat and project onto saddle
     points of the base problem.
     """
-
-    base: SaddleProblem
-    rho: float
-    problem: SaddleProblem
-
-
-def augment(problem: SaddleProblem, rho: float) -> AugmentedProblem:
-    """Augment a convex-concave problem with mirror variables."""
     if not rho > 0:
         raise ValueError(f"rho must be > 0, got {rho}")
-    if not problem.convex_concave:
-        raise ValueError("augmentation requires a convex-concave problem")
     n, m = problem.n, problem.m
 
     def value(xa, ya):
@@ -106,19 +99,17 @@ def augment(problem: SaddleProblem, rho: float) -> AugmentedProblem:
             np.concatenate((y_star, y_star)),
         )
 
-    aug = SaddleProblem(
+    return SaddleProblem(
         n=2 * n,
         m=2 * m,
         value=value,
         grad_x=grad_x,
         grad_y=grad_y,
         meta=ConvexityMeta(),
-        convex_concave=True,
         y_set=y_set,
         saddle=saddle,
         label=f"augmented({problem.label or 'problem'}, rho={rho})",
     )
-    return AugmentedProblem(base=problem, rho=rho, problem=aug)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +162,6 @@ def proximal_surrogate(problem: SaddleProblem, rho: float) -> ProximalSurrogate:
     """Build the proximal surrogate of a convex-concave problem."""
     if not rho > 0:
         raise ValueError(f"rho must be > 0, got {rho}")
-    if not problem.convex_concave:
-        raise ValueError("the proximal surrogate requires a convex-concave problem")
 
     def value(u, y):
         x = surrogate.minimizer(u, y)
@@ -203,7 +192,6 @@ def proximal_surrogate(problem: SaddleProblem, rho: float) -> ProximalSurrogate:
         grad_x=grad_u,
         grad_y=grad_y,
         meta=ConvexityMeta(mu=mu_s, q=q_s, l=l_s),
-        convex_concave=True,
         y_set=problem.y_set,
         saddle=problem.saddle,
         label=f"proximal({problem.label or 'problem'}, rho={rho})",
@@ -225,26 +213,6 @@ def proximal_surrogate(problem: SaddleProblem, rho: float) -> ProximalSurrogate:
 # preconditioning change of variables
 
 
-@dataclass(frozen=True)
-class PreconditionedProblem:
-    """The transformed Lagrangian over (u, y) after u = x + alpha*A^T*y.
-
-    The value is f(u - alpha*A^T*y) + eta*y^T(Au - b) - eta*alpha*||A^T*y||^2,
-    strongly convex-strongly concave when 2*eta > l*alpha. ``primal`` maps a
-    transformed point back to original coordinates.
-    """
-
-    f: ConvexObjective
-    A: np.ndarray
-    b: np.ndarray
-    eta: float
-    alpha: float
-    problem: SaddleProblem
-
-    def primal(self, u, y) -> np.ndarray:
-        return np.asarray(u, dtype=float) - self.alpha * (self.A.T @ np.asarray(y, dtype=float))
-
-
 def precondition(
     f: ConvexObjective,
     A,
@@ -252,9 +220,13 @@ def precondition(
     eta: float,
     alpha: float,
     y_set: Optional[FeasibleSet] = None,
-) -> PreconditionedProblem:
+) -> SaddleProblem:
     """Apply the change of variables u = x + alpha*A^T*y to f + eta*y^T(Ax - b).
 
+    The transformed Lagrangian over (u, y) has the value
+    f(u - alpha*A^T*y) + eta*y^T(Au - b) - eta*alpha*||A^T*y||^2 and is
+    strongly convex-strongly concave when 2*eta > l*alpha; a point (u, y)
+    maps back to original coordinates through x = u - alpha*A^T*y.
     Requires 2*eta > l*alpha whenever f declares its Lipschitz constant l.
     """
     if not eta > 0:
@@ -311,21 +283,19 @@ def precondition(
         gap = (2.0 * eta * alpha - f.l * alpha**2) * kappa_a
         q_val = gap if gap > 0 else None
 
-    problem = SaddleProblem(
+    return SaddleProblem(
         n=n,
         m=m,
         value=value,
         grad_x=grad_u,
         grad_y=grad_y,
         meta=ConvexityMeta(mu=f.mu, q=q_val, l=f.l, kappa=kappa_a, sigma=sigma_a),
-        convex_concave=True,
         y_set=FeasibleSet.nonnegative(m) if y_set is None else y_set,
         hess_xx=hess_xx,
         hess_yy=hess_yy,
         hess_constant=f.hess_constant,
         label=f"preconditioned({f.label or 'f'}, eta={eta}, alpha={alpha})",
     )
-    return PreconditionedProblem(f=f, A=A, b=b, eta=eta, alpha=alpha, problem=problem)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +373,6 @@ def reduce(sep: "SeparableProblem") -> ReducedProblem:
         grad_x=grad_xc,
         grad_y=grad_y,
         meta=ConvexityMeta(mu=f_c.mu, q=q_val, l=f_c.l),
-        convex_concave=True,
         y_set=FeasibleSet.nonnegative(m),
         label="reduced_lagrangian",
     )
@@ -484,14 +453,11 @@ class LassoDualProx:
     gradient of 1e-10. When the base declares a constant Hessian, the dual
     Hessian H_yy - rho*I is built once and the solve is a box QP over it,
     which first tries the active set of the previous solution.
-    When the base problem came from ``precondition``, ``recover`` maps an
-    equilibrium back to original primal-dual coordinates.
     """
 
     base: SaddleProblem
     rho: float
     problem: SaddleProblem
-    precond: Optional[PreconditionedProblem]
     _cache: WarmCache
     _dual_hess: Optional[ConstantHessian] = None
 
@@ -523,25 +489,14 @@ class LassoDualProx:
         self._cache.store(y, u, v)
         return y
 
-    def recover(self, u, v) -> tuple[np.ndarray, np.ndarray]:
-        """Original coordinates (x, y) of a transformed equilibrium (u, v)."""
-        if self.precond is None:
-            raise ValueError("recovery needs the preconditioning transform this problem came from")
-        v = np.asarray(v, dtype=float)
-        return self.precond.primal(u, v), v
-
     def reset(self) -> None:
         self._cache.clear()
 
 
-def lasso_dual_prox(
-    LC: Union[SaddleProblem, PreconditionedProblem], rho: float
-) -> LassoDualProx:
-    """Proximally regularize the (possibly constrained) dual block of ``LC``."""
+def lasso_dual_prox(base: SaddleProblem, rho: float) -> LassoDualProx:
+    """Proximally regularize the (possibly constrained) dual block of ``base``."""
     if not rho > 0:
         raise ValueError(f"rho must be > 0, got {rho}")
-    precond = LC if isinstance(LC, PreconditionedProblem) else None
-    base = LC.problem if isinstance(LC, PreconditionedProblem) else LC
 
     def value(u, v):
         y = transform.maximizer(u, v)
@@ -563,7 +518,6 @@ def lasso_dual_prox(
         grad_x=grad_u,
         grad_y=grad_v,
         meta=ConvexityMeta(),
-        convex_concave=True,
         y_set=None,
         label=f"dual_prox({base.label or 'problem'}, rho={rho})",
     )
@@ -573,7 +527,7 @@ def lasso_dual_prox(
             base.hess_yy(np.zeros(base.n), np.zeros(base.m)) - rho * np.eye(base.m)
         )
     transform = LassoDualProx(
-        base=base, rho=rho, problem=problem, precond=precond, _cache=WarmCache(),
+        base=base, rho=rho, problem=problem, _cache=WarmCache(),
         _dual_hess=dual_hess,
     )
     return transform

@@ -121,6 +121,14 @@ def lasso_saddle(bundle: sf.LassoBundle, alpha: float, tol: float = 1e-12):
     return x_orc, np.concatenate((u_star, y_star))
 
 
+def lasso_transform(flow: sf.Flow) -> sf.LassoDualProx:
+    """The dual-proximal transform behind a ``LassoBundle.dynamics`` flow.
+
+    The flow's ``reset`` is that transform's bound ``reset`` method.
+    """
+    return flow.reset.__self__
+
+
 def run_until(flow: sf.Flow, z0, config: sf.IntegratorConfig, tol: float,
               max_chunks: int = 20):
     """Integrate in horizon-sized chunks until the flow residual is small.
@@ -144,21 +152,22 @@ def run_until(flow: sf.Flow, z0, config: sf.IntegratorConfig, tol: float,
     )
 
 
-def preconditioned_pd(transform: sf.PreconditionedProblem) -> sf.Flow:
+def preconditioned_pd(f: sf.ConvexObjective, A, b, eta: float, alpha: float) -> sf.Flow:
     """Preconditioned primal-dual dynamics in original coordinates (x, y).
 
-    The saddle flow of ``transform.problem`` over (u, y), which is
-    ``standard_flow(transform.problem)``, pushed through x = u - alpha*A^T*y:
-    both produce identical trajectories under that coupling.
+    The saddle flow over (u, y) of ``precondition(f, A, b, eta, alpha)``,
+    which is ``standard_flow`` of that problem, pushed through
+    x = u - alpha*A^T*y: both produce identical trajectories under that
+    coupling.
 
     A hand-written field that projects the y velocity itself, kept as a
     second route to the (u, y) run the library records through that map.
     The two agree where no clamp acts on y; at an active face a clamp of y
     moves x in the (u, y) run only, a first-order difference in the step.
     """
-    f, A, b = transform.f, transform.A, transform.b
-    eta, alpha = transform.eta, transform.alpha
-    problem = transform.problem
+    problem = sf.precondition(f, A, b, eta, alpha)
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
     n, y_set = problem.n, problem.y_set
 
     def field(z):

@@ -43,7 +43,7 @@ def test_criterion_01_bilinear_split():
     drift = float(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0).max())
     assert drift <= 1e-6
 
-    aug = sf.standard_flow(sf.augment(bil, 0.1).problem)
+    aug = sf.standard_flow(sf.augment(bil, 0.1))
     z, elapsed, residual = run_until(
         aug,
         np.array([1.0, 0.0, 0.0, 0.0]),
@@ -53,7 +53,7 @@ def test_criterion_01_bilinear_split():
     )
     assert elapsed <= 2000.0
     assert residual <= 1e-6
-    aug_problem = sf.augment(bil, 0.1).problem
+    aug_problem = sf.augment(bil, 0.1)
     limit = PointZ(z[:2], z[2:])
     assert saddle_inequality_check(aug_problem, limit, samples=200, radius=1.0, tol=1e-5)
 
@@ -158,14 +158,14 @@ def test_criterion_05_preconditioned():
     w_star = np.concatenate((x_star + alpha * y_star, y_star))
     z_star = np.concatenate((x_star, y_star))
 
-    uy = sf.standard_flow(pre.problem)
+    uy = sf.standard_flow(pre)
     traj_uy = sf.integrate(
         uy, np.array([1.0, 0.0]), sf.IntegratorConfig(step=1e-3, horizon=22.0, record_every=10)
     )
     rep = sf.fit_rate(sf.distance_series(traj_uy, w_star), c_bound=1.0)
     assert rep.c_fit >= 0.9 * 1.0
 
-    xy = preconditioned_pd(pre)
+    xy = preconditioned_pd(bundle.f, bundle.A, bundle.b, eta, alpha)
     traj_xy = sf.integrate(
         xy, np.array([1.0, 0.0]), sf.IntegratorConfig(step=1e-3, horizon=22.0, record_every=10)
     )
@@ -224,8 +224,7 @@ def test_criterion_07_min_cost_flow():
     assert oracle.status == "optimal"
 
     problem, recover = sf.make_min_cost_flow(net)
-    aug = sf.augment(problem, 0.5)
-    flow = sf.standard_flow(aug.problem)
+    flow = sf.standard_flow(sf.augment(problem, 0.5))
     z, elapsed, residual = run_until(
         flow,
         np.ones(flow.dim),
@@ -265,7 +264,7 @@ def test_criterion_08_lasso_pipeline():
     for lam in (0.1, 1.0):
         bundle = sf.make_lasso(A, b, lam)
         x_oracle = sf.lasso_oracle(bundle, tol=1e-12)
-        transform, flow = bundle.dynamics(alpha=1.0 / bundle.l, rho=1.0)
+        flow = bundle.dynamics(alpha=1.0 / bundle.l, rho=1.0)
         z, _, _ = run_until(
             flow,
             np.zeros(flow.dim),
@@ -273,7 +272,7 @@ def test_criterion_08_lasso_pipeline():
             tol=1e-7,
             max_chunks=8,
         )
-        xhat = bundle.recover_xhat(transform, z)
+        xhat = bundle.recover(1.0 / bundle.l, z)[: bundle.n]
         err = float(np.abs(xhat - x_oracle).max())
         assert err <= 1e-5, f"lam={lam}: |xhat - oracle|_inf = {err:.2e}"
         details.append(f"lam={lam}: err={err:.1e}")
@@ -284,7 +283,7 @@ def test_criterion_08_lasso_pipeline():
     for scale in (0.5, 1.0, 1.5):
         alpha = scale / bundle.l
         _, w_star = lasso_saddle(bundle, alpha)
-        transform, flow = bundle.dynamics(alpha, rho=1.0)
+        flow = bundle.dynamics(alpha, rho=1.0)
         traj = sf.integrate(
             flow, np.zeros(flow.dim), sf.IntegratorConfig(step=0.01, horizon=45.0, record_every=10)
         )
@@ -329,11 +328,11 @@ def test_criterion_09_certificate_sandwich():
 
     # augmented certificate on the augmented flow
     bil = sf.make_bilinear([[1.0]])
-    aflow = sf.standard_flow(sf.augment(bil, 0.5).problem)
+    aflow = sf.standard_flow(sf.augment(bil, 0.5))
     atraj = sf.integrate(
         aflow, np.array([1.0, 0.0, 0.0, 0.0]), sf.IntegratorConfig(step=0.01, horizon=40.0, record_every=10)
     )
-    acert = sf.cert_augmented(0.5, 1, 1, problem=bil, z_star=PointZ([0.0], [0.0]))
+    acert = sf.cert_augmented(bil, 0.5, PointZ([0.0], [0.0]))
     reports["augmented"] = sf.eval_certificate(acert, atraj, flow=aflow)
 
     for label, rep in reports.items():
@@ -364,7 +363,7 @@ def test_criterion_10_lyapunov_monotonicity():
     runs.append(("standard", flow, np.ones(5), flow.equilibrium_hint, 10.0, 1e-3))
 
     bil = sf.make_bilinear([[1.0]])
-    aug = sf.standard_flow(sf.augment(bil, 0.5).problem)
+    aug = sf.standard_flow(sf.augment(bil, 0.5))
     z_lim, _, _ = run_until(
         aug, np.array([1.0, 0.0, 0.0, 0.0]),
         sf.IntegratorConfig(step=0.02, horizon=50.0, record_every=100), 1e-9,
@@ -378,7 +377,7 @@ def test_criterion_10_lyapunov_monotonicity():
     runs.append(("proximal", pflow, np.ones(4), pflow.equilibrium_hint, 15.0, 4e-3))
 
     lp = sf.LinearProgram(c=[1.0, 1.0], A=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], b=[-1.0, -0.5, 3.0])
-    lp_flow = sf.standard_flow(sf.augment(sf.make_lp(lp), 0.5).problem)
+    lp_flow = sf.standard_flow(sf.augment(sf.make_lp(lp), 0.5))
     z_lim, _, _ = run_until(
         lp_flow, np.ones(lp_flow.dim),
         sf.IntegratorConfig(step=0.02, horizon=80.0, record_every=100), 1e-8,
@@ -389,7 +388,7 @@ def test_criterion_10_lyapunov_monotonicity():
     eta, alpha = sf.precond_params_pick(1.0, 1.0, 1.0)
     pre = sf.precondition(qp.f, qp.A, qp.b, eta, alpha)
     x_s, y_s = qp_kkt_oracle(np.eye(1), np.zeros(1), np.eye(1), np.array([-1.0]), eta=eta)
-    uy = sf.standard_flow(pre.problem)
+    uy = sf.standard_flow(pre)
     runs.append(("preconditioned_uy", uy, np.array([1.0, 0.0]),
                  np.concatenate((x_s + alpha * y_s, y_s)), 15.0, 1e-3))
 
@@ -405,7 +404,7 @@ def test_criterion_10_lyapunov_monotonicity():
 
     A, b = _lasso_data()
     lbundle = sf.make_lasso(A, b, 0.1)
-    transform, lflow = lbundle.dynamics(alpha=1.0 / lbundle.l, rho=1.0)
+    lflow = lbundle.dynamics(alpha=1.0 / lbundle.l, rho=1.0)
     _, w_star = lasso_saddle(lbundle, 1.0 / lbundle.l)
     runs.append(("lasso", lflow, np.zeros(lflow.dim), w_star, 15.0, 1e-2))
 

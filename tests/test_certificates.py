@@ -59,21 +59,23 @@ def test_cert_proximal_values():
 
 
 def test_cert_augmented_values():
-    cert = sf.cert_augmented(2.0, 1, 1)
+    # the entries do not depend on the base problem, only on its n and m
+    bil = sf.make_bilinear([[1.0]])
+    cert = sf.cert_augmented(bil, 2.0, PointZ([0.0], [0.0]))
     diag = np.array([0.7, 0.7, -0.3, -0.3])
     assert np.allclose(cert.value(diag), 0.0)
     state = np.array([1.0, 0.0, 0.0, 0.0])
     assert np.allclose(cert.value(state), [0.0, 1.0])  # (rho/2)*1^2
-    cert_rho1 = sf.cert_augmented(1.0, 1, 2)
+    cert_rho1 = sf.cert_augmented(sf.make_bilinear([[1.0, 1.0]]), 1.0, PointZ([0.0], [0.0, 0.0]))
     state = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
     assert cert_rho1.value(state)[0] == pytest.approx(1.0)  # (1/2)*||(1,1)||^2
     with pytest.raises(ValueError, match="rho"):
-        sf.cert_augmented(0.0, 1, 1)
+        sf.cert_augmented(bil, 0.0, PointZ([0.0], [0.0]))
 
 
 def test_cert_augmented_bracket_with_problem():
     bil = sf.make_bilinear([[1.0]])
-    cert = sf.cert_augmented(0.5, 1, 1, problem=bil, z_star=PointZ([0.0], [0.0]))
+    cert = sf.cert_augmented(bil, 0.5, PointZ([0.0], [0.0]))
     state = np.array([1.0, 0.5, -0.5, 0.0])
     h = cert.value(state)
     b = cert.bracket(state)
@@ -169,7 +171,7 @@ def _preconditioned_case():
     bundle = sf.make_qp_affine(np.diag([1.0, 2.0]), np.zeros(2), np.eye(2), np.array([-1.0, -1.0]))
     eta, alpha = sf.precond_params_pick(bundle.f.mu, bundle.f.l, bundle.kappa)
     pre = sf.precondition(bundle.f, bundle.A, bundle.b, eta, alpha)
-    return pre.problem, sf.standard_flow(pre.problem), np.ones(4)
+    return pre, sf.standard_flow(pre), np.ones(4)
 
 
 def _reduced_case():

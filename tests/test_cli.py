@@ -346,8 +346,14 @@ def test_bad_algorithm_or_problem_data_is_config_error(tmp_path, capsys, config,
         ("lasso_pipeline.ini", "rho = 1.0", "rho = 1.0\nalpha = 0.1",
          "keys 'alpha' and 'alpha_over_l' exclude each other"),
         # a horizon past float range: the step count overflowed int()
-        ("lp_augmented.ini", "horizon = 150", "horizon = inf", "horizon must be finite and > 0"),
-        ("lp_augmented.ini", "horizon = 150", "horizon = 1e400", "horizon must be finite and > 0"),
+        ("lp_augmented.ini", "horizon = 150", "horizon = inf", "key 'horizon' must be finite, got 'inf'"),
+        ("lp_augmented.ini", "horizon = 150", "horizon = 1e400",
+         "key 'horizon' must be finite, got '1e400'"),
+        # a non-finite scalar reached the run and read as a numerical failure
+        ("lp_augmented.ini", "rho = 0.5", "rho = inf", "key 'rho' must be finite, got 'inf'"),
+        ("quadratic_standard.ini", "mu = 1.0", "mu = inf", "key 'mu' must be finite, got 'inf'"),
+        # an empty matrix failed inside numpy with "need at least one array to concatenate"
+        ("lp_augmented.ini", "a = -1 0; 0 -1; 1 1", "a = ", "the matrix is empty"),
         ("lp_augmented.ini", "record_every = 10", "record_every = 2.5",
          "key 'record_every' must be an integer, got '2.5'"),
         # an empty seeded block: the seeded matrix or its eigenvalues indexed nothing

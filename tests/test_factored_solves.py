@@ -18,7 +18,7 @@ import saddleflow.transforms as transforms
 from saddleflow.flows import proximal_primal_dual
 from saddleflow.transforms import InnerSolveError
 
-from helpers import bisect_root
+from helpers import bisect_root, lasso_transform
 
 AGREE = 1e-12
 
@@ -194,13 +194,14 @@ def test_lasso_run_is_byte_deterministic_with_a_warm_factor_slot(tmp_path, monke
         sf.integrate(flow, z0, config).write_csv(tmp_path / name)
         return (tmp_path / name).read_bytes()
 
-    transform, flow = bundle.dynamics(1.0 / bundle.l, 1.0)
+    flow = bundle.dynamics(1.0 / bundle.l, 1.0)
+    transform = lasso_transform(flow)
     first = run(flow, "first.csv")
     assert len(masks) >= 2  # the free set changed along the run
     transform.reset()
     assert transform._cache.point is None and transform._dual_hess._inverse is not None
     second = run(flow, "second.csv")  # starts with the last run's free block in the slot
-    fresh = run(bundle.dynamics(1.0 / bundle.l, 1.0)[1], "fresh.csv")
+    fresh = run(bundle.dynamics(1.0 / bundle.l, 1.0), "fresh.csv")
     assert first == second == fresh
 
 
@@ -334,8 +335,8 @@ def _declared_hessians(rng):
     out += [("lasso.fhat", lasso.fhat, lambda f, z: f.hess(z[:3]))]
     out += [("lasso_reformulate.f", lasso.f, lambda f, z: f.hess(z[:9]))]
     pre = sf.precondition(lasso.f, lasso.A, np.zeros(9), eta=1.0, alpha=0.5 / lasso.l, y_set=lasso.y_set)
-    out += [("precondition.hess_xx", pre.problem, lambda p, z: p.hess_xx(z[:9], z[9:18]))]
-    out += [("precondition.hess_yy", pre.problem, lambda p, z: p.hess_yy(z[:9], z[9:18]))]
+    out += [("precondition.hess_xx", pre, lambda p, z: p.hess_xx(z[:9], z[9:18]))]
+    out += [("precondition.hess_yy", pre, lambda p, z: p.hess_yy(z[:9], z[9:18]))]
     return out
 
 

@@ -32,7 +32,7 @@ def test_standard_flow_examples():
 
 
 def _augmented(problem, rho):
-    return sf.standard_flow(sf.augment(problem, rho).problem)
+    return sf.standard_flow(sf.augment(problem, rho))
 
 
 def _lp_augmented(c, A, b, rho):
@@ -131,21 +131,24 @@ def test_proximal_primal_dual_examples():
     assert np.allclose(flow.field(np.zeros(2)), 0.0, atol=1e-9)
 
 
-def _unit_precond(eta=1.5, alpha=1.0, b=0.0):
-    f = sf.ConvexObjective(
+def _unit_f():
+    return sf.ConvexObjective(
         dim=1, value=lambda x: 0.5 * float(x @ x), grad=lambda x: x.copy(),
         hess=lambda x: np.eye(1), mu=1.0, l=1.0,
     )
-    return sf.precondition(f, [[1.0]], [b], eta=eta, alpha=alpha)
+
+
+def _unit_precond(eta=1.5, alpha=1.0, b=0.0):
+    return sf.precondition(_unit_f(), [[1.0]], [b], eta=eta, alpha=alpha)
 
 
 def test_preconditioned_pd_examples():
-    uy = sf.standard_flow(_unit_precond().problem)
-    xy = preconditioned_pd(_unit_precond())
+    uy = sf.standard_flow(_unit_precond())
+    xy = preconditioned_pd(_unit_f(), [[1.0]], [0.0], 1.5, 1.0)
     assert np.allclose(uy.field(np.zeros(2)), 0.0)
     assert np.allclose(xy.field(np.zeros(2)), 0.0)
     # with eta = 1 the dual velocity at (1, 0) cancels: [-1*1 + 1*1]^+ = 0
-    uy1 = sf.standard_flow(_unit_precond(eta=1.0).problem)
+    uy1 = sf.standard_flow(_unit_precond(eta=1.0))
     out = uy1.field(np.array([1.0, 0.0]))
     assert out[0] == pytest.approx(-1.0)
     assert out[1] == 0.0
@@ -161,8 +164,8 @@ def test_preconditioned_spaces_stay_coupled():
     # trajectories in the two spaces satisfy x(t) = u(t) - alpha*A^T y(t)
     alpha = 1.0
     pre = _unit_precond(eta=1.1, alpha=alpha, b=-1.0)
-    uy = sf.standard_flow(pre.problem)
-    xy = preconditioned_pd(pre)
+    uy = sf.standard_flow(pre)
+    xy = preconditioned_pd(_unit_f(), [[1.0]], [-1.0], 1.1, alpha)
     u0, y0 = np.array([0.7]), np.array([0.3])
     cfg = sf.IntegratorConfig(step=1e-3, horizon=5.0, record_every=1)
     tu = sf.integrate(uy, np.concatenate((u0, y0)), cfg)
@@ -235,10 +238,10 @@ def test_equilibria_map_to_original_saddles():
 
     # preconditioned QP: map back through u = x + alpha*A^T y
     pre = _unit_precond(eta=1.1, alpha=1.0, b=-1.0)
-    uy_flow = sf.standard_flow(pre.problem)
+    uy_flow = sf.standard_flow(pre)
     w, _, _ = run_until(uy_flow, np.array([1.0, 0.0]),
                         sf.IntegratorConfig(step=0.002, horizon=30.0, record_every=50), 1e-9)
-    x = pre.primal(w[:1], w[1:])
+    x = w[:1] - 1.0 * w[1:]  # x = u - alpha*A^T*y with alpha = 1, A = [[1]]
     x_ref, y_ref = qp_kkt_oracle(np.eye(1), np.zeros(1), np.array([[1.0]]), np.array([-1.0]), eta=1.1)
     assert np.abs(x - x_ref).max() <= 1e-6
     assert np.abs(w[1:] - y_ref).max() <= 1e-6
@@ -373,7 +376,7 @@ def _assert_bitwise_equal(a, b):
 def test_standard_flow_of_augmented_lp_matches_hand_written_field():
     rng = np.random.default_rng(11)
     c, A, b = rng.standard_normal(2), rng.standard_normal((3, 2)), rng.standard_normal(3)
-    problem = sf.augment(sf.make_lp(sf.LinearProgram(c=c, A=A, b=b)), 0.5).problem
+    problem = sf.augment(sf.make_lp(sf.LinearProgram(c=c, A=A, b=b)), 0.5)
     flow, reference = sf.standard_flow(problem), _augmented_pd_lp_reference(c, A, b, 0.5)
     assert np.array_equal(flow.feasible.lower, np.r_[np.full(4, -np.inf), np.zeros(3), np.full(3, -np.inf)])
     signs = set()
@@ -387,7 +390,7 @@ def test_standard_flow_of_preconditioned_problem_matches_hand_written_uy_field()
     rng = np.random.default_rng(12)
     bundle = sf.make_qp_affine(np.diag([1.0, 2.0, 3.0]), rng.standard_normal(3),
                                rng.standard_normal((2, 3)), rng.standard_normal(2))
-    problem = sf.precondition(bundle.f, bundle.A, bundle.b, eta=1.0, alpha=0.5).problem
+    problem = sf.precondition(bundle.f, bundle.A, bundle.b, eta=1.0, alpha=0.5)
     flow, reference = sf.standard_flow(problem), _dual_projected_reference(problem)
     signs = set()
     for z in _face_points(rng, problem):

@@ -87,7 +87,7 @@ def test_detect_equilibrium_cases():
     pinned = sf.integrate(rot, [0.0, 0.0], sf.IntegratorConfig(step=1e-3, horizon=0.5))
     assert np.array_equal(sf.detect_equilibrium(rot, pinned, 1e-6), np.zeros(2))
 
-    aug = sf.standard_flow(sf.augment(bil, 0.5).problem)
+    aug = sf.standard_flow(sf.augment(bil, 0.5))
     traj = sf.integrate(aug, [1.0, 0.0, 0.0, 0.0],
                         sf.IntegratorConfig(step=0.02, horizon=80.0, record_every=100))
     z = sf.detect_equilibrium(aug, traj, 1e-6)
@@ -246,7 +246,7 @@ def test_clamps_match_np_clip_bit_for_bit(method):
     lp = sf.LinearProgram(c=[1.0, 1.0], A=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], b=[-1.0, -0.5, 3.0])
     cases = [
         (sf.projected_flow(sf.Flow(dim=4, field=lambda z: rot @ z + 0.3), box), [0.5, 0.0, 0.5, -0.0]),
-        (sf.standard_flow(sf.augment(sf.make_lp(lp), 0.5).problem), np.r_[np.ones(4), np.zeros(3), np.ones(3)]),
+        (sf.standard_flow(sf.augment(sf.make_lp(lp), 0.5)), np.r_[np.ones(4), np.zeros(3), np.ones(3)]),
     ]
     step, n_steps = 0.125, 160
     for flow, z0 in cases:

@@ -265,8 +265,7 @@ def test_two_node_network_augmented_dynamics_match_oracle():
     lp = sf.min_cost_flow_lp(net)
     sol = sf.lp_oracle(lp)
     problem, recover = sf.make_min_cost_flow(net)
-    aug = sf.augment(problem, 0.5)
-    flow = sf.standard_flow(aug.problem)
+    flow = sf.standard_flow(sf.augment(problem, 0.5))
     z, _, _ = run_until(flow, np.ones(flow.dim),
                         sf.IntegratorConfig(step=0.02, horizon=100.0, record_every=100), 1e-7)
     _, value = recover(z)
@@ -367,11 +366,10 @@ def test_lasso_chain_recovery_identities():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((6, 3))
     bundle = sf.make_lasso(A, rng.standard_normal(6), 0.4)
-    transform, flow = bundle.dynamics(alpha=0.8 / bundle.l, rho=1.0)
+    flow = bundle.dynamics(alpha=0.8 / bundle.l, rho=1.0)
     z, _, _ = run_until(flow, np.zeros(flow.dim),
                         sf.IntegratorConfig(step=0.01, horizon=40.0, record_every=100), 1e-8)
-    lifted = bundle.f.dim
-    x_full, y = transform.recover(z[:lifted], z[lifted:])
+    x_full = bundle.recover(0.8 / bundle.l, z)
     xhat, xplus, xminus = x_full[:3], x_full[3:6], x_full[6:]
     assert np.abs(xhat - (xplus - xminus)).max() <= 1e-8
 

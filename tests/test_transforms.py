@@ -9,7 +9,7 @@ import saddleflow.transforms as transforms_module
 from saddleflow._inner import WarmCache, newton_solve
 from saddleflow.transforms import InnerSolveError
 
-from helpers import bisect_root, check_gradients, fd_gradient, second_difference
+from helpers import bisect_root, check_gradients, fd_gradient, lasso_transform, second_difference
 
 
 def _coupled_quadratic():
@@ -31,14 +31,14 @@ def _coupled_quadratic():
 
 
 def test_augment_zero_at_joint_saddle():
-    aug = sf.augment(sf.make_bilinear([[1.0]]), 1.0).problem
+    aug = sf.augment(sf.make_bilinear([[1.0]]), 1.0)
     z = np.zeros(2)
     assert np.allclose(aug.grad_x(z, z), 0.0)
     assert np.allclose(aug.grad_y(z, z), 0.0)
 
 
 def test_augment_gradients_on_diagonal():
-    aug = sf.augment(sf.make_bilinear([[1.0]]), 1.0).problem
+    aug = sf.augment(sf.make_bilinear([[1.0]]), 1.0)
     ones = np.ones(2)
     # regularizers vanish on the diagonal x = x_hat, y = y_hat
     assert np.allclose(aug.grad_x(ones, ones), [1.0, 0.0])
@@ -46,7 +46,7 @@ def test_augment_gradients_on_diagonal():
 
 
 def test_augment_mirror_coupling():
-    aug = sf.augment(sf.make_bilinear([[1.0]]), 2.0).problem
+    aug = sf.augment(sf.make_bilinear([[1.0]]), 2.0)
     xa = np.array([1.0, 0.0])
     ya = np.zeros(2)
     gx = aug.grad_x(xa, ya)
@@ -68,16 +68,16 @@ def test_augmented_value_identity_and_gradients():
         y = rng.standard_normal(2)
         both_x = np.concatenate((x, x))
         both_y = np.concatenate((y, y))
-        assert aug.problem.value(both_x, both_y) == base.value(x, y)
-    check_gradients(aug.problem, rng, probes=8)
+        assert aug.value(both_x, both_y) == base.value(x, y)
+    check_gradients(aug, rng, probes=8)
 
 
 def test_augment_maps_saddle():
     base = sf.make_quadratic_saddle(1.0, 1.0, [[0.3]])
     aug = sf.augment(base, 1.0)
-    zs = aug.problem.saddle_vector()
+    zs = aug.saddle_vector()
     assert sf.stationarity_residual(
-        aug.problem, PointZ(zs[:2], zs[2:])
+        aug, PointZ(zs[:2], zs[2:])
     ) <= 1e-12
 
 
@@ -165,18 +165,6 @@ def test_surrogate_meta_shift():
     assert meta.q == pytest.approx(0.5)    # kappa/(l+rho)
 
 
-def test_surrogate_requires_convex_concave():
-    bad = sf.SaddleProblem(
-        n=1, m=1,
-        value=lambda x, y: -float(x @ x),
-        grad_x=lambda x, y: -2 * x,
-        grad_y=lambda x, y: np.zeros(1),
-        convex_concave=False,
-    )
-    with pytest.raises(ValueError, match="convex-concave"):
-        sf.proximal_surrogate(bad, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # preconditioning
 
@@ -194,7 +182,7 @@ def _unit_qp_transform(eta=1.0, alpha=1.0):
 
 
 def test_precondition_gradients_examples():
-    p = _unit_qp_transform().problem
+    p = _unit_qp_transform()
     assert np.allclose([p.grad_x([0.0], [0.0])[0], p.grad_y([0.0], [0.0])[0]], 0.0)
     assert p.grad_x([1.0], [0.0])[0] == pytest.approx(1.0)
     assert p.grad_y([1.0], [0.0])[0] == pytest.approx(0.0)
@@ -215,11 +203,11 @@ def test_precondition_fd_consistency_and_meta():
     )
     A = np.array([[1.0, 0.0], [1.0, 1.0]])
     pre = sf.precondition(f, A, [0.5, -0.5], eta=2.0, alpha=0.4)
-    check_gradients(pre.problem, rng, probes=8)
+    check_gradients(pre, rng, probes=8)
     kappa, sigma = np.linalg.eigvalsh(A @ A.T)[[0, -1]]
-    assert pre.problem.meta.kappa == pytest.approx(kappa)
-    assert pre.problem.meta.sigma == pytest.approx(sigma)
-    assert pre.problem.meta.q == pytest.approx((2 * 2.0 * 0.4 - 3.0 * 0.4**2) * kappa)
+    assert pre.meta.kappa == pytest.approx(kappa)
+    assert pre.meta.sigma == pytest.approx(sigma)
+    assert pre.meta.q == pytest.approx((2 * 2.0 * 0.4 - 3.0 * 0.4**2) * kappa)
 
 
 def test_precondition_validates_parameters():
@@ -237,8 +225,9 @@ def test_precondition_saddle_correspondence():
     pre = _unit_qp_transform(eta=1.5, alpha=1.0)
     # min 0.5 x^2 s.t. x <= 0 has x* = 0, weighted dual y* = 0
     w = PointZ([0.0], [0.0])
-    assert sf.stationarity_residual(pre.problem, w, feasible=sf.full_domain(pre.problem)) <= 1e-12
-    assert np.allclose(pre.primal([0.0], [0.0]), 0.0)
+    assert sf.stationarity_residual(pre, w, feasible=sf.full_domain(pre)) <= 1e-12
+    u, y, alpha, A = np.array([0.0]), np.array([0.0]), 1.0, np.array([[1.0]])
+    assert np.allclose(u - alpha * (A.T @ y), 0.0)  # x = u - alpha*A^T*y
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +361,7 @@ def test_lasso_dual_prox_gradient_fd_consistency():
     rng = np.random.default_rng(2)
     data_A = rng.standard_normal((4, 2))
     bundle = sf.make_lasso(data_A, rng.standard_normal(4), 0.3)
-    transform, _ = bundle.dynamics(alpha=0.5 / bundle.l, rho=1.0)
-    p = transform.problem
+    p = lasso_transform(bundle.dynamics(alpha=0.5 / bundle.l, rho=1.0)).problem
     for _ in range(4):
         u = rng.standard_normal(p.n)
         v = rng.standard_normal(p.m)
@@ -383,12 +371,6 @@ def test_lasso_dual_prox_gradient_fd_consistency():
         gv_fd = fd_gradient(lambda w: p.value(u, w), v)
         assert np.linalg.norm(gu - gu_fd) / (1 + np.linalg.norm(gu)) <= 1e-5
         assert np.linalg.norm(gv - gv_fd) / (1 + np.linalg.norm(gv)) <= 1e-5
-
-
-def test_lasso_dual_prox_recover_requires_transform():
-    dp = sf.lasso_dual_prox(_scalar_toy(True), rho=1.0)
-    with pytest.raises(ValueError, match="preconditioning"):
-        dp.recover([0.0], [0.0])
 
 
 def test_separate_builds_have_private_caches():
