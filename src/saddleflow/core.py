@@ -120,10 +120,13 @@ class SaddleProblem:
     ``y_set`` is the (box) domain of the maximization block when the problem
     is meant to be run with a projected flow; None means free. ``saddle``
     carries the analytic saddle point when the builder knows it.
-    ``hess_constant`` declares that ``hess_xx`` and ``hess_yy`` (those
-    supplied) return the same matrix at every point. Instances are immutable,
-    but a transformed problem's oracles close over its transform's warm-start
-    cache, so such a problem serves one run at a time.
+    ``hessian`` declares S quadratic: it is the constant (n+m) x (n+m)
+    Jacobian of the stacked gradient (grad_x, grad_y) with respect to (x, y),
+    as the oracles are written (not necessarily symmetric), or None.
+    ``hess_xx`` and ``hess_yy``, where supplied, stay the Hessian oracles of
+    the inner solves. Instances are immutable, but a transformed problem's
+    oracles close over its transform's warm-start cache, so such a problem
+    serves one run at a time.
     """
 
     n: int
@@ -137,13 +140,21 @@ class SaddleProblem:
     hess_xx: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     hess_yy: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     label: str = ""
-    hess_constant: bool = False
+    hessian: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError(f"block dimensions must be positive, got n={self.n}, m={self.m}")
-        if self.hess_constant and self.hess_xx is None and self.hess_yy is None:
-            raise ValueError("hess_constant declares Hessian oracles, but none is supplied")
+        if self.hessian is not None:
+            hessian = np.array(self.hessian, dtype=float)
+            if hessian.shape != (self.dim, self.dim):
+                raise DimensionMismatchError(
+                    f"hessian has shape {hessian.shape}, expected ({self.dim}, {self.dim})"
+                )
+            if not np.isfinite(hessian).all():
+                raise ValueError("hessian must be finite")
+            hessian.flags.writeable = False
+            object.__setattr__(self, "hessian", hessian)
         if self.y_set is not None and self.y_set.dim != self.m:
             raise DimensionMismatchError(
                 f"y_set has dimension {self.y_set.dim}, expected m={self.m}"

@@ -28,6 +28,10 @@ __all__ = [
     "proximal_primal_dual",
 ]
 
+# Relative tolerance of the probe of a declared Hessian: far above the
+# rounding of either side, far below any error in one entry of it.
+_PROBE_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Flow:
@@ -57,13 +61,18 @@ def standard_flow(problem: SaddleProblem) -> Flow:
     ``y_set``. Every transformed problem (augmented, proximal, preconditioned,
     reduced, Lasso dual-proximal) runs through this constructor; a transform
     with a warm-start cache passes its ``reset`` on with ``dataclasses.replace``.
+    A problem that declares its ``hessian`` gets the affine field
+    ``K @ z + k0`` (one matrix-vector product per evaluation), checked here
+    against the oracles at one probe point; any other problem evaluates its
+    gradient oracles on every call.
     """
     n = problem.n
 
-    def field(z):
+    def oracle_field(z):
         x, y = z[:n], z[n:]
         return np.concatenate((-problem.grad_x(x, y), problem.grad_y(x, y)))
 
+    field = oracle_field if problem.hessian is None else _affine_field(problem, oracle_field)
     flow = Flow(
         dim=problem.dim,
         field=field,
@@ -72,6 +81,34 @@ def standard_flow(problem: SaddleProblem) -> Flow:
     )
     domain = full_domain(problem)
     return flow if domain is None else projected_flow(flow, domain)
+
+
+def _affine_field(problem: SaddleProblem, oracle_field: Callable) -> Callable:
+    """The field ``K @ z + k0`` of a declared constant Hessian, checked at one probe.
+
+    K = diag(-I_n, I_m) @ hessian and k0 is the oracle field at the origin.
+    A declaration that does not reproduce the oracle field at a fixed generic
+    point raises ``ValueError``: no coordinate of the point is near zero, so
+    an error in any one entry of the declaration shows.
+    """
+    K = problem.hessian.copy()
+    K[: problem.n] *= -1.0
+    k0 = oracle_field(np.zeros(problem.dim))
+    # cos(j) + sign(cos(j))/2 for j = 1, 2, ...: sizes 0.5 to 1.5, distinct, signs mixed
+    wave = np.cos(np.arange(1.0, problem.dim + 1.0))
+    probe = wave + np.copysign(0.5, wave)
+    gap = np.abs(K @ probe + k0 - oracle_field(probe)).max()
+    scale = 1.0 + (np.abs(K) @ np.abs(probe) + np.abs(k0)).max()
+    if not gap <= _PROBE_TOL * scale:
+        raise ValueError(
+            f"declared hessian of {problem.label or 'problem'} does not match its gradient "
+            f"oracles: affine field off by {gap:.3e} at the probe point"
+        )
+
+    def field(z):
+        return K @ z + k0
+
+    return field
 
 
 def projected_flow(flow: Flow, feasible: FeasibleSet) -> Flow:

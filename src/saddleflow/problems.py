@@ -53,6 +53,19 @@ def _sym_eig_bounds(mat: np.ndarray) -> tuple[float, float]:
     return float(max(eigs[0], 0.0)), float(max(eigs[-1], 0.0))
 
 
+def _saddle_hessian(hess_x: np.ndarray, A: np.ndarray, hess_y=None) -> np.ndarray:
+    """[[hess_x, A^T], [A, hess_y]]: the Hessian of f(x) + y^T A x + g(y) for
+    quadratics f and g (hess_y None: g linear)."""
+    n, m = hess_x.shape[0], A.shape[0]
+    out = np.zeros((n + m, n + m))
+    out[:n, :n] = hess_x
+    out[:n, n:] = A.T
+    out[n:, :n] = A
+    if hess_y is not None:
+        out[n:, n:] = hess_y
+    return out
+
+
 # ---------------------------------------------------------------------------
 # plain saddle builders
 
@@ -71,6 +84,7 @@ def make_bilinear(M) -> SaddleProblem:
         meta=ConvexityMeta(mu=0.0, q=0.0, l=0.0, kappa=kappa, sigma=sigma),
         saddle=(np.zeros(n), np.zeros(m)),
         label="bilinear",
+        hessian=_saddle_hessian(np.zeros((n, n)), M.T),
     )
 
 
@@ -93,7 +107,7 @@ def make_quadratic_saddle(mu: float, q: float, B) -> SaddleProblem:
         hess_xx=lambda x, y: mu * eye_n,
         hess_yy=lambda x, y: -q * eye_m,
         label="quadratic_saddle",
-        hess_constant=True,
+        hessian=_saddle_hessian(mu * eye_n, B.T, -q * eye_m),
     )
 
 
@@ -166,6 +180,7 @@ def make_lp(lp: LinearProgram) -> SaddleProblem:
         meta=ConvexityMeta(mu=0.0, q=0.0, l=0.0),
         y_set=FeasibleSet(lower, np.full(m, np.inf)),
         label="lp_lagrangian",
+        hessian=_saddle_hessian(np.zeros((lp.n, lp.n)), A_full),
     )
 
 
@@ -330,7 +345,7 @@ def qp_lagrangian(bundle: QpBundle, eta: float = 1.0, nonneg_y: bool = True) -> 
         hess_xx=lambda x, y: f.hess(x),
         hess_yy=lambda x, y: np.zeros((m, m)),
         label="qp_lagrangian",
-        hess_constant=f.hess_constant,
+        hessian=_saddle_hessian(f.hess(np.zeros(n)), eta * A) if f.hess_constant else None,
     )
 
 
@@ -449,6 +464,11 @@ def separable_lagrangian(sep: SeparableProblem, nonneg_y: bool = True) -> Saddle
     l = None
     if sep.f_s.l is not None and sep.f_c.l is not None:
         l = max(sep.f_s.l, sep.f_c.l)
+    hessian = None
+    if sep.f_s.hess_constant and sep.f_c.hess_constant:
+        hessian = _saddle_hessian(np.zeros((n_s + n_c, n_s + n_c)), A)
+        hessian[:n_s, :n_s] = sep.f_s.hess(np.zeros(n_s))
+        hessian[n_s : n_s + n_c, n_s : n_s + n_c] = sep.f_c.hess(np.zeros(n_c))
     return SaddleProblem(
         n=n_s + n_c,
         m=m,
@@ -458,6 +478,7 @@ def separable_lagrangian(sep: SeparableProblem, nonneg_y: bool = True) -> Saddle
         meta=ConvexityMeta(mu=mu, q=0.0, l=l),
         y_set=FeasibleSet.nonnegative(m) if nonneg_y else None,
         label="separable_lagrangian",
+        hessian=hessian,
     )
 
 

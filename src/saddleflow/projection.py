@@ -36,6 +36,9 @@ class FeasibleSet:
     # onto both faces from anywhere, so its thresholds are +inf and -inf.
     _lower_face: np.ndarray = field(init=False, repr=False, compare=False)
     _upper_face: np.ndarray = field(init=False, repr=False, compare=False)
+    # False when no coordinate has a finite upper bound or is pinned: then no
+    # finite point lies on an upper face (true of every orthant and free block)
+    _has_upper_face: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = np.atleast_1d(np.array(self.lower, dtype=float))
@@ -44,11 +47,11 @@ class FeasibleSet:
             raise ValueError(
                 f"bounds must be 1-d of equal length, got {lo.shape} and {up.shape}"
             )
-        if np.isnan(lo).any() or np.isnan(up).any():
-            raise ValueError("bounds must not contain NaN")
-        empty = lo > up
-        if empty.any():
-            j = int(np.argmax(empty))
+        ordered = lo <= up  # False at a NaN bound as at an empty coordinate
+        if not ordered.all():
+            if np.isnan(lo).any() or np.isnan(up).any():
+                raise ValueError("bounds must not contain NaN")
+            j = int(np.argmin(ordered))
             raise ValueError(f"empty set: lower[{j}]={lo[j]} > upper[{j}]={up[j]}")
         pinned = lo == up
         derived = {
@@ -60,6 +63,7 @@ class FeasibleSet:
         for name, value in derived.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_has_upper_face", bool((derived["_upper_face"] < np.inf).any()))
 
     @property
     def dim(self) -> int:
@@ -132,4 +136,7 @@ def project_vector_field(fs: FeasibleSet, p, s) -> np.ndarray:
         raise ValueError(f"point outside the feasible set by {viol:.3e} (> {SNAP_TOL:.0e})")
     # the faces of np.clip(p, lo, up), found without the clip
     out = np.where(p <= fs._lower_face, np.maximum(s, 0.0), s)
+    if not fs._has_upper_face and viol == viol:
+        # only p = +inf meets an upper face at +inf, and it makes viol NaN
+        return out
     return np.where(p >= fs._upper_face, np.minimum(out, 0.0), out)

@@ -99,6 +99,18 @@ def augment(problem: SaddleProblem, rho: float) -> SaddleProblem:
             np.concatenate((y_star, y_star)),
         )
 
+    hessian = None
+    if problem.hessian is not None:
+        # state order (x, x_hat, y, y_hat); slices build it faster than np.block
+        H, rn, rm = problem.hessian, rho * np.eye(n), rho * np.eye(m)
+        x, xh = slice(0, n), slice(n, 2 * n)
+        y, yh = slice(2 * n, 2 * n + m), slice(2 * n + m, 2 * (n + m))
+        hessian = np.zeros((2 * (n + m), 2 * (n + m)))
+        hessian[x, x], hessian[x, xh], hessian[x, y] = H[:n, :n] + rn, -rn, H[:n, n:]
+        hessian[xh, x], hessian[xh, xh] = -rn, rn
+        hessian[y, x], hessian[y, y], hessian[y, yh] = H[n:, :n], H[n:, n:] - rm, rm
+        hessian[yh, y], hessian[yh, yh] = rm, -rm
+
     return SaddleProblem(
         n=2 * n,
         m=2 * m,
@@ -109,6 +121,7 @@ def augment(problem: SaddleProblem, rho: float) -> SaddleProblem:
         y_set=y_set,
         saddle=saddle,
         label=f"augmented({problem.label or 'problem'}, rho={rho})",
+        hessian=hessian,
     )
 
 
@@ -123,8 +136,8 @@ class ProximalSurrogate:
     The surrogate value is min_x { S(x, y) + (rho/2)||x - u||^2 }; its
     gradients are evaluated through the inner minimizer x_tilde(u, y), which
     is resolved by damped Newton to a residual of 1e-10. When the base
-    declares a constant Hessian, the inverse of H_xx + rho*I is factored
-    once at build time and each solve opens with that exact step.
+    declares its ``hessian``, the inverse of H_xx + rho*I is factored once
+    at build time from its x block and each solve opens with that exact step.
     """
 
     base: SaddleProblem
@@ -197,11 +210,9 @@ def proximal_surrogate(problem: SaddleProblem, rho: float) -> ProximalSurrogate:
         label=f"proximal({problem.label or 'problem'}, rho={rho})",
     )
     jacobian_inverse = None
-    if problem.hess_constant and problem.hess_xx is not None:
-        n, m = problem.n, problem.m
-        jacobian_inverse = np.linalg.inv(
-            problem.hess_xx(np.zeros(n), np.zeros(m)) + rho * np.eye(n)
-        )
+    if problem.hessian is not None:
+        n = problem.n
+        jacobian_inverse = np.linalg.inv(problem.hessian[:n, :n] + rho * np.eye(n))
     surrogate = ProximalSurrogate(
         base=problem, rho=rho, problem=surrogate_problem, _cache=WarmCache(),
         _jacobian_inverse=jacobian_inverse,
@@ -268,6 +279,11 @@ def precondition(
         gf = f.grad(primal_point(u, y))
         return -alpha * (A @ gf) + eta * (A @ u - b) - 2.0 * eta * alpha * (AAT @ y)
 
+    # one expression for hess_yy and the declared y block: the Lasso dual
+    # prox reads either, and both must give the same bits
+    def dual_curvature(hf):
+        return alpha**2 * (A @ hf @ A.T) - 2.0 * eta * alpha * AAT
+
     hess_xx = None
     hess_yy = None
     if f.hess is not None:
@@ -275,8 +291,16 @@ def precondition(
             return f.hess(primal_point(u, y))
 
         def hess_yy(u, y):
-            hf = f.hess(primal_point(u, y))
-            return alpha**2 * (A @ hf @ A.T) - 2.0 * eta * alpha * AAT
+            return dual_curvature(f.hess(primal_point(u, y)))
+
+    hessian = None
+    if f.hess_constant:
+        hf = f.hess(np.zeros(n))
+        hessian = np.empty((n + m, n + m))
+        hessian[:n, :n] = hf
+        hessian[:n, n:] = eta * A.T - alpha * (hf @ A.T)
+        hessian[n:, :n] = eta * A - alpha * (A @ hf)
+        hessian[n:, n:] = dual_curvature(hf)
 
     q_val = None
     if f.l is not None:
@@ -293,7 +317,7 @@ def precondition(
         y_set=FeasibleSet.nonnegative(m) if y_set is None else y_set,
         hess_xx=hess_xx,
         hess_yy=hess_yy,
-        hess_constant=f.hess_constant,
+        hessian=hessian,
         label=f"preconditioned({f.label or 'f'}, eta={eta}, alpha={alpha})",
     )
 
@@ -450,9 +474,10 @@ class LassoDualProx:
 
     The value is max_{y in Y} { L(u, y) - (rho/2)||y - v||^2 }; the maximizer
     y_tilde(u, v) is resolved by a projected Newton solve to a projected
-    gradient of 1e-10. When the base declares a constant Hessian, the dual
-    Hessian H_yy - rho*I is built once and the solve is a box QP over it,
-    which first tries the active set of the previous solution.
+    gradient of 1e-10. When the base declares its ``hessian``, the dual
+    Hessian H_yy - rho*I is built once from its y block and the solve is a
+    box QP over it, which first tries the active set of the previous
+    solution.
     """
 
     base: SaddleProblem
@@ -522,10 +547,8 @@ def lasso_dual_prox(base: SaddleProblem, rho: float) -> LassoDualProx:
         label=f"dual_prox({base.label or 'problem'}, rho={rho})",
     )
     dual_hess = None
-    if base.hess_constant and base.hess_yy is not None:
-        dual_hess = ConstantHessian(
-            base.hess_yy(np.zeros(base.n), np.zeros(base.m)) - rho * np.eye(base.m)
-        )
+    if base.hessian is not None:
+        dual_hess = ConstantHessian(base.hessian[base.n :, base.n :] - rho * np.eye(base.m))
     transform = LassoDualProx(
         base=base, rho=rho, problem=problem, _cache=WarmCache(),
         _dual_hess=dual_hess,

@@ -49,6 +49,21 @@ def check_gradients(problem: sf.SaddleProblem, rng, probes: int = 10,
         assert err_y <= tol, f"grad_y off by {err_y:.3e} at x={x}, y={y}"
 
 
+def face_points(rng, problem, count=200):
+    """Feasible states on which about half of the bounded duals sit on their face."""
+    lower = problem.y_set.lower
+    bounded = np.isfinite(lower)
+    points = []
+    for _ in range(count):
+        z = rng.uniform(-2.0, 2.0, size=problem.dim)
+        y = z[problem.n :]
+        y[bounded] = lower[bounded] + np.abs(y[bounded])
+        face = bounded & (rng.random(problem.m) < 0.5)
+        y[face] = lower[face]
+        points.append(z)
+    return points
+
+
 def second_difference(f, x, d, h: float = 1e-4) -> float:
     """Directional second derivative of a scalar function."""
     x = np.asarray(x, dtype=float)

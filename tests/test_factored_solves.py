@@ -37,7 +37,7 @@ def test_proximal_surrogate_paths_agree():
     rng = np.random.default_rng(40)
     base = sf.make_quadratic_saddle(0.7, 1.3, rng.standard_normal((3, 2)))
     declared = sf.proximal_surrogate(base, 0.9)
-    plain = sf.proximal_surrogate(replace(base, hess_constant=False), 0.9)
+    plain = sf.proximal_surrogate(replace(base, hessian=None), 0.9)
     assert declared._jacobian_inverse is not None and plain._jacobian_inverse is None
     for z in _walk(rng, rng.standard_normal(5), 200):
         u, y = z[:3], z[3:]
@@ -309,11 +309,11 @@ def test_undeclared_quartic_still_takes_damped_newton(monkeypatch):
 def test_declaration_needs_a_hessian_oracle():
     with pytest.raises(ValueError, match="hess_constant"):
         sf.ConvexObjective(dim=1, value=lambda x: 0.0, grad=lambda x: np.zeros(1), hess_constant=True)
-    with pytest.raises(ValueError, match="hess_constant"):
-        sf.SaddleProblem(
-            n=1, m=1, value=lambda x, y: 0.0, grad_x=lambda x, y: np.zeros(1),
-            grad_y=lambda x, y: np.zeros(1), hess_constant=True,
-        )
+    oracles = dict(value=lambda x, y: 0.0, grad_x=lambda x, y: np.zeros(1), grad_y=lambda x, y: np.zeros(1))
+    with pytest.raises(ValueError, match=r"hessian has shape \(1, 1\), expected \(2, 2\)"):
+        sf.SaddleProblem(n=1, m=1, hessian=np.eye(1), **oracles)
+    with pytest.raises(ValueError, match="hessian must be finite"):
+        sf.SaddleProblem(n=1, m=1, hessian=np.diag([1.0, np.inf]), **oracles)
 
 
 def _declared_hessians(rng):
@@ -343,7 +343,10 @@ def _declared_hessians(rng):
 def test_declaring_builders_return_one_hessian_everywhere():
     rng = np.random.default_rng(47)
     for name, owner, hess in _declared_hessians(rng):
-        assert owner.hess_constant, name
+        if isinstance(owner, sf.SaddleProblem):
+            assert owner.hessian is not None, name
+        else:
+            assert owner.hess_constant, name
         first = hess(owner, 5.0 * rng.standard_normal(18))
         for _ in range(2):
             assert np.array_equal(hess(owner, 5.0 * rng.standard_normal(18)), first), name

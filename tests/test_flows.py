@@ -6,7 +6,7 @@ import pytest
 import saddleflow as sf
 from saddleflow import PointZ
 
-from helpers import preconditioned_pd, qp_kkt_oracle, run_until
+from helpers import face_points, preconditioned_pd, qp_kkt_oracle, run_until
 
 
 def _coupled_quadratic():
@@ -347,21 +347,6 @@ def _dual_projected_reference(problem):
     return field
 
 
-def _face_points(rng, problem, count=200):
-    """Feasible states on which about half of the bounded duals sit on their face."""
-    lower = problem.y_set.lower
-    bounded = np.isfinite(lower)
-    points = []
-    for _ in range(count):
-        z = rng.uniform(-2.0, 2.0, size=problem.dim)
-        y = z[problem.n :]
-        y[bounded] = lower[bounded] + np.abs(y[bounded])
-        face = bounded & (rng.random(problem.m) < 0.5)
-        y[face] = lower[face]
-        points.append(z)
-    return points
-
-
 def _face_signs(problem, z):
     """Signs of the unprojected dual velocity on the coordinates at their lower face."""
     x, y = z[: problem.n], z[problem.n :]
@@ -377,10 +362,12 @@ def test_standard_flow_of_augmented_lp_matches_hand_written_field():
     rng = np.random.default_rng(11)
     c, A, b = rng.standard_normal(2), rng.standard_normal((3, 2)), rng.standard_normal(3)
     problem = sf.augment(sf.make_lp(sf.LinearProgram(c=c, A=A, b=b)), 0.5)
-    flow, reference = sf.standard_flow(problem), _augmented_pd_lp_reference(c, A, b, 0.5)
+    # the reference follows the oracles' order of operations: the oracle path
+    flow = sf.standard_flow(replace(problem, hessian=None))
+    reference = _augmented_pd_lp_reference(c, A, b, 0.5)
     assert np.array_equal(flow.feasible.lower, np.r_[np.full(4, -np.inf), np.zeros(3), np.full(3, -np.inf)])
     signs = set()
-    for z in _face_points(rng, problem):
+    for z in face_points(rng, problem):
         _assert_bitwise_equal(flow.field(z), reference(z))
         signs |= _face_signs(problem, z)
     assert signs == {-1.0, 1.0}  # faces met with outward and with inward velocity
@@ -391,9 +378,11 @@ def test_standard_flow_of_preconditioned_problem_matches_hand_written_uy_field()
     bundle = sf.make_qp_affine(np.diag([1.0, 2.0, 3.0]), rng.standard_normal(3),
                                rng.standard_normal((2, 3)), rng.standard_normal(2))
     problem = sf.precondition(bundle.f, bundle.A, bundle.b, eta=1.0, alpha=0.5)
-    flow, reference = sf.standard_flow(problem), _dual_projected_reference(problem)
+    # the reference follows the oracles' order of operations: the oracle path
+    flow = sf.standard_flow(replace(problem, hessian=None))
+    reference = _dual_projected_reference(problem)
     signs = set()
-    for z in _face_points(rng, problem):
+    for z in face_points(rng, problem):
         _assert_bitwise_equal(flow.field(z), reference(z))
         signs |= _face_signs(problem, z)
     assert signs == {-1.0, 1.0}
@@ -410,7 +399,7 @@ def test_standard_flow_of_reduced_problem_matches_hand_written_field():
     reference = _dual_projected_reference(sf.reduce(sep).problem)
     probe = sf.reduce(sep).problem
     signs = set()
-    for z in _face_points(rng, probe):
+    for z in face_points(rng, probe):
         _assert_bitwise_equal(flow.field(z), reference(z))
         signs |= _face_signs(probe, z)
     assert signs == {-1.0, 1.0}
