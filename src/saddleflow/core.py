@@ -26,7 +26,16 @@ __all__ = [
     "grad",
     "stationarity_residual",
     "full_domain",
+    "AFFINE_MAX_DIM",
 ]
+
+# Largest state dimension whose saddle flow runs as the dense affine field
+# K @ z + k0 of a declared ``hessian``. K @ z costs dim^2 multiply-adds where
+# the oracles cost a few block products plus a fixed ~10-20 us of numpy calls;
+# on one core of a 2-vCPU Xeon (numpy 2.4) the affine field was 1.7-7x faster
+# for bilinear, quadratic, LP and augmented problems up to dim 128, split
+# either way at 256 and lost 3-10x from 512 on.
+AFFINE_MAX_DIM = 128
 
 
 class DimensionMismatchError(ValueError):
@@ -123,8 +132,9 @@ class SaddleProblem:
     ``hessian`` declares S quadratic: it is the constant (n+m) x (n+m)
     Jacobian of the stacked gradient (grad_x, grad_y) with respect to (x, y),
     as the oracles are written (not necessarily symmetric), or None.
-    ``hess_xx`` and ``hess_yy``, where supplied, stay the Hessian oracles of
-    the inner solves. Instances are immutable, but a transformed problem's
+    ``hess_xx`` and ``hess_yy`` are the Hessian oracles of the inner solves;
+    a declaring problem that leaves one out gets its constant block of
+    ``hessian``. Instances are immutable, but a transformed problem's
     oracles close over its transform's warm-start cache, so such a problem
     serves one run at a time.
     """
@@ -155,6 +165,11 @@ class SaddleProblem:
                 raise ValueError("hessian must be finite")
             hessian.flags.writeable = False
             object.__setattr__(self, "hessian", hessian)
+            xx, yy = hessian[: self.n, : self.n], hessian[self.n :, self.n :]
+            if self.hess_xx is None:
+                object.__setattr__(self, "hess_xx", lambda x, y: xx)
+            if self.hess_yy is None:
+                object.__setattr__(self, "hess_yy", lambda x, y: yy)
         if self.y_set is not None and self.y_set.dim != self.m:
             raise DimensionMismatchError(
                 f"y_set has dimension {self.y_set.dim}, expected m={self.m}"

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._inner import WarmCache, newton_solve
-from .core import ConstraintMap, ConvexObjective, SaddleProblem, full_domain
+from .core import AFFINE_MAX_DIM, ConstraintMap, ConvexObjective, SaddleProblem, full_domain
 from .projection import FeasibleSet, project_vector_field
 
 __all__ = [
@@ -61,10 +61,11 @@ def standard_flow(problem: SaddleProblem) -> Flow:
     ``y_set``. Every transformed problem (augmented, proximal, preconditioned,
     reduced, Lasso dual-proximal) runs through this constructor; a transform
     with a warm-start cache passes its ``reset`` on with ``dataclasses.replace``.
-    A problem that declares its ``hessian`` gets the affine field
-    ``K @ z + k0`` (one matrix-vector product per evaluation), checked here
-    against the oracles at one probe point; any other problem evaluates its
-    gradient oracles on every call.
+    A problem that declares its ``hessian`` and has at most
+    ``AFFINE_MAX_DIM`` coordinates gets the affine field ``K @ z + k0`` (one
+    matrix-vector product per evaluation), checked here against the oracles
+    at one probe point; any other problem evaluates its gradient oracles on
+    every call.
     """
     n = problem.n
 
@@ -72,7 +73,9 @@ def standard_flow(problem: SaddleProblem) -> Flow:
         x, y = z[:n], z[n:]
         return np.concatenate((-problem.grad_x(x, y), problem.grad_y(x, y)))
 
-    field = oracle_field if problem.hessian is None else _affine_field(problem, oracle_field)
+    field = oracle_field
+    if problem.hessian is not None and problem.dim <= AFFINE_MAX_DIM:
+        field = _affine_field(problem, oracle_field)
     flow = Flow(
         dim=problem.dim,
         field=field,

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ConstraintMap, ConvexityMeta, ConvexObjective, SaddleProblem
+from .core import AFFINE_MAX_DIM, ConstraintMap, ConvexityMeta, ConvexObjective, SaddleProblem
 from .flows import Flow, standard_flow
 from .projection import FeasibleSet
 from .transforms import lasso_dual_prox, lasso_reformulate, precondition
@@ -66,6 +66,15 @@ def _saddle_hessian(hess_x: np.ndarray, A: np.ndarray, hess_y=None) -> np.ndarra
     return out
 
 
+def _flow_only_hessian(n: int, A: np.ndarray) -> Optional[np.ndarray]:
+    """The Hessian of y^T A x plus a linear term, declared only for the affine
+    flow: None above ``AFFINE_MAX_DIM``, where that flow is not taken and the
+    dense matrix would hold (n+m)^2 entries against the m*n of A."""
+    if n + A.shape[0] > AFFINE_MAX_DIM:
+        return None
+    return _saddle_hessian(np.zeros((n, n)), A)
+
+
 # ---------------------------------------------------------------------------
 # plain saddle builders
 
@@ -84,7 +93,7 @@ def make_bilinear(M) -> SaddleProblem:
         meta=ConvexityMeta(mu=0.0, q=0.0, l=0.0, kappa=kappa, sigma=sigma),
         saddle=(np.zeros(n), np.zeros(m)),
         label="bilinear",
-        hessian=_saddle_hessian(np.zeros((n, n)), M.T),
+        hessian=_flow_only_hessian(n, M.T),
     )
 
 
@@ -95,7 +104,6 @@ def make_quadratic_saddle(mu: float, q: float, B) -> SaddleProblem:
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n, m = B.shape
     kappa, sigma = _sym_eig_bounds(B.T @ B)
-    eye_n, eye_m = np.eye(n), np.eye(m)
     return SaddleProblem(
         n=n,
         m=m,
@@ -104,10 +112,8 @@ def make_quadratic_saddle(mu: float, q: float, B) -> SaddleProblem:
         grad_y=lambda x, y: B.T @ x - q * y,
         meta=ConvexityMeta(mu=mu, q=q, l=mu, kappa=kappa, sigma=sigma),
         saddle=(np.zeros(n), np.zeros(m)),
-        hess_xx=lambda x, y: mu * eye_n,
-        hess_yy=lambda x, y: -q * eye_m,
         label="quadratic_saddle",
-        hessian=_saddle_hessian(mu * eye_n, B.T, -q * eye_m),
+        hessian=_saddle_hessian(mu * np.eye(n), B.T, -q * np.eye(m)),
     )
 
 
@@ -180,7 +186,7 @@ def make_lp(lp: LinearProgram) -> SaddleProblem:
         meta=ConvexityMeta(mu=0.0, q=0.0, l=0.0),
         y_set=FeasibleSet(lower, np.full(m, np.inf)),
         label="lp_lagrangian",
-        hessian=_saddle_hessian(np.zeros((lp.n, lp.n)), A_full),
+        hessian=_flow_only_hessian(lp.n, A_full),
     )
 
 
@@ -331,6 +337,12 @@ def qp_lagrangian(bundle: QpBundle, eta: float = 1.0, nonneg_y: bool = True) -> 
         rhs = np.concatenate((-f.grad(np.zeros(n)), b))
         sol = np.linalg.solve(kkt, rhs)
         saddle = (sol[:n], sol[n:])
+    hessian = hess_xx = hess_yy = None
+    if f.hess_constant:
+        hessian = _saddle_hessian(f.hess(np.zeros(n)), eta * A)
+    else:
+        hess_xx = lambda x, y: f.hess(x)
+        hess_yy = lambda x, y: np.zeros((m, m))
     return SaddleProblem(
         n=n,
         m=m,
@@ -342,10 +354,10 @@ def qp_lagrangian(bundle: QpBundle, eta: float = 1.0, nonneg_y: bool = True) -> 
         ),
         y_set=FeasibleSet.nonnegative(m) if nonneg_y else None,
         saddle=saddle,
-        hess_xx=lambda x, y: f.hess(x),
-        hess_yy=lambda x, y: np.zeros((m, m)),
+        hess_xx=hess_xx,
+        hess_yy=hess_yy,
         label="qp_lagrangian",
-        hessian=_saddle_hessian(f.hess(np.zeros(n)), eta * A) if f.hess_constant else None,
+        hessian=hessian,
     )
 
 

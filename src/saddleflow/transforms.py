@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from ._inner import ConstantHessian, InnerSolveError, WarmCache, newton_solve, projected_concave_max
-from .core import ConvexityMeta, ConvexObjective, SaddleProblem
+from .core import AFFINE_MAX_DIM, ConvexityMeta, ConvexObjective, SaddleProblem
 from .projection import FeasibleSet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -100,7 +100,8 @@ def augment(problem: SaddleProblem, rho: float) -> SaddleProblem:
         )
 
     hessian = None
-    if problem.hessian is not None:
+    # declared for the affine flow only, which stops at AFFINE_MAX_DIM
+    if problem.hessian is not None and 2 * (n + m) <= AFFINE_MAX_DIM:
         # state order (x, x_hat, y, y_hat); slices build it faster than np.block
         H, rn, rm = problem.hessian, rho * np.eye(n), rho * np.eye(m)
         x, xh = slice(0, n), slice(n, 2 * n)
@@ -279,28 +280,21 @@ def precondition(
         gf = f.grad(primal_point(u, y))
         return -alpha * (A @ gf) + eta * (A @ u - b) - 2.0 * eta * alpha * (AAT @ y)
 
-    # one expression for hess_yy and the declared y block: the Lasso dual
-    # prox reads either, and both must give the same bits
-    def dual_curvature(hf):
-        return alpha**2 * (A @ hf @ A.T) - 2.0 * eta * alpha * AAT
-
-    hess_xx = None
-    hess_yy = None
-    if f.hess is not None:
-        def hess_xx(u, y):
-            return f.hess(primal_point(u, y))
-
-        def hess_yy(u, y):
-            return dual_curvature(f.hess(primal_point(u, y)))
-
-    hessian = None
+    hessian = hess_xx = hess_yy = None
     if f.hess_constant:
         hf = f.hess(np.zeros(n))
         hessian = np.empty((n + m, n + m))
         hessian[:n, :n] = hf
         hessian[:n, n:] = eta * A.T - alpha * (hf @ A.T)
         hessian[n:, :n] = eta * A - alpha * (A @ hf)
-        hessian[n:, n:] = dual_curvature(hf)
+        hessian[n:, n:] = alpha**2 * (A @ hf @ A.T) - 2.0 * eta * alpha * AAT
+    elif f.hess is not None:
+        def hess_xx(u, y):
+            return f.hess(primal_point(u, y))
+
+        def hess_yy(u, y):
+            hf = f.hess(primal_point(u, y))
+            return alpha**2 * (A @ hf @ A.T) - 2.0 * eta * alpha * AAT
 
     q_val = None
     if f.l is not None:

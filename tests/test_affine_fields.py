@@ -120,23 +120,27 @@ def test_a_perturbed_declaration_fails_the_build(name, problem):
             sf.standard_flow(replace(problem, hessian=wrong))
 
 
-def test_constant_blocks_of_the_inner_solves_keep_their_bits():
-    """The prefactored blocks read off ``hessian`` equal those built from the
-    Hessian oracles at the origin, bit for bit."""
+def test_the_affine_path_and_the_flow_only_declarations_stop_at_the_size_cap():
     rng = np.random.default_rng(134)
-    problems = dict(DECLARING)
-    for name in ("quadratic_saddle", "qp_lagrangian", "precondition_qp"):
-        problem = problems[name]
-        n, m = problem.n, problem.m
-        expected = np.linalg.inv(problem.hess_xx(np.zeros(n), np.zeros(m)) + 0.9 * np.eye(n))
-        got = sf.proximal_surrogate(problem, 0.9)._jacobian_inverse
-        assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected)), name
-    lasso = sf.make_lasso(rng.standard_normal((6, 4)) / np.sqrt(6), rng.standard_normal(6), 0.5)
-    pre = sf.precondition(lasso.f, lasso.A, np.zeros(lasso.f.dim), eta=1.0, alpha=1.0 / lasso.l,
-                          y_set=lasso.y_set)
-    expected = pre.hess_yy(np.zeros(pre.n), np.zeros(pre.m)) - 1.0 * np.eye(pre.m)
-    got = sf.lasso_dual_prox(pre, 1.0)._dual_hess.matrix
-    assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
+    cap = sf.AFFINE_MAX_DIM
+    # bilinear and LP declare up to the cap, where the affine flow reads it, and not past it
+    assert sf.make_bilinear(rng.standard_normal((cap // 2, cap // 2))).hessian is not None
+    assert sf.make_bilinear(rng.standard_normal((cap // 2 + 1, cap // 2))).hessian is None
+    lp = sf.LinearProgram(c=np.ones(cap // 2), A=np.eye(cap // 2 + 1, cap // 2), b=np.ones(cap // 2 + 1))
+    assert sf.make_lp(lp).hessian is None
+    # augment declares only when its doubled state fits under the cap
+    small = sf.make_quadratic_saddle(0.7, 1.3, rng.standard_normal((cap // 4, cap // 4)))
+    assert sf.augment(small, 0.5).hessian is not None
+    wide = sf.make_quadratic_saddle(0.7, 1.3, rng.standard_normal((cap // 4 + 1, cap // 4)))
+    assert wide.hessian is not None and sf.augment(wide, 0.5).hessian is None
+    # past the cap a declaring problem keeps its hessian for the inner solves
+    # and runs the oracle field, bit for bit
+    big = sf.make_quadratic_saddle(0.7, 1.3, rng.standard_normal((cap // 2 + 1, cap // 2)))
+    assert big.hessian is not None
+    declared, oracle = sf.standard_flow(big), sf.standard_flow(replace(big, hessian=None))
+    for _ in range(3):
+        z = rng.uniform(-2.0, 2.0, big.dim)
+        assert np.array_equal(declared.field(z), oracle.field(z))
 
 
 def _count_gradient_calls(monkeypatch) -> dict:

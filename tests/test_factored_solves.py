@@ -34,15 +34,30 @@ def _walk(rng, start, steps, scale=1e-2):
 
 
 def test_proximal_surrogate_paths_agree():
+    # the plain side keeps the hess_xx its base derived from the declaration
     rng = np.random.default_rng(40)
-    base = sf.make_quadratic_saddle(0.7, 1.3, rng.standard_normal((3, 2)))
-    declared = sf.proximal_surrogate(base, 0.9)
-    plain = sf.proximal_surrogate(replace(base, hessian=None), 0.9)
-    assert declared._jacobian_inverse is not None and plain._jacobian_inverse is None
-    for z in _walk(rng, rng.standard_normal(5), 200):
-        u, y = z[:3], z[3:]
-        a, b = declared.minimizer(u, y), plain.minimizer(u, y)
-        assert np.abs(a - b).max() <= AGREE
+    quad = sf.make_quadratic_saddle(0.7, 1.3, rng.standard_normal((3, 2)))
+    sep = sf.make_separable_qp(
+        np.diag([1.0, 2.0]), rng.standard_normal(2), np.eye(1) * 1.5, rng.standard_normal(1),
+        rng.standard_normal((2, 2)), rng.standard_normal((2, 1)), rng.standard_normal(2),
+    )
+    lp = sf.LinearProgram(c=rng.standard_normal(3), A=rng.standard_normal((2, 3)), b=rng.standard_normal(2))
+    bases = [
+        quad,
+        sf.make_bilinear(rng.standard_normal((3, 2))),
+        sf.make_lp(lp),
+        sf.make_min_cost_flow(sf.demo_network())[0],
+        sf.separable_lagrangian(sep),
+        sf.augment(quad, 0.5),
+    ]
+    for base in bases:
+        declared = sf.proximal_surrogate(base, 0.9)
+        plain = sf.proximal_surrogate(replace(base, hessian=None), 0.9)
+        assert declared._jacobian_inverse is not None and plain._jacobian_inverse is None, base.label
+        for z in _walk(rng, rng.standard_normal(base.dim), 200):
+            u, y = z[: base.n], z[base.n :]
+            a, b = declared.minimizer(u, y), plain.minimizer(u, y)
+            assert np.abs(a - b).max() <= AGREE, base.label
 
 
 def test_reduced_minimizer_paths_agree():
