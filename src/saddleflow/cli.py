@@ -25,7 +25,7 @@ import numpy as np
 from . import certificates as cert
 from ._inner import InnerSolveError
 from .core import PointZ, SaddleProblem
-from .flows import Flow, proximal_primal_dual, standard_flow
+from .flows import Flow, standard_flow
 from .integrate import (
     IntegrationError,
     IntegratorConfig,
@@ -47,6 +47,7 @@ from .problems import (
     make_quadratic_saddle,
     make_separable_qp,
     parse_network,
+    qp_lagrangian,
     separable_qp_bundle,
     LinearProgram,
 )
@@ -372,9 +373,12 @@ def _proximal(problem: SaddleProblem, desc: str, algo: dict) -> RunSetup:
 
 
 def _proximal_pd(bundle, desc: str, algo: dict) -> RunSetup:
-    # the one flow that is not the saddle flow of a problem: its bound is the closed form
+    # the proximal primal-dual flow is the saddle flow of the proximal surrogate
+    # of the Lagrangian f(x) + y^T(Ax - b) over y >= 0; its bound is the closed
+    # form of that flow, not min(mu, q) of the surrogate's meta
     rho = _get_float(algo, "rho", 1.0)
-    flow = proximal_primal_dual(bundle.f, bundle.constraints(), rho)
+    surrogate = proximal_surrogate(qp_lagrangian(bundle), rho)
+    flow = replace(standard_flow(surrogate.problem), reset=surrogate.reset)
     c_bound = cert.rate_bound_proximal(bundle.f.mu, bundle.f.l, bundle.kappa, rho)
     return RunSetup(flow=flow, label=f"proximal_pd(rho={rho})", problem_desc=desc, c_bound=c_bound,
                     cert_builder=_not_applicable("no certificate of the proximal primal-dual flow"))

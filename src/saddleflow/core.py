@@ -234,7 +234,9 @@ def stationarity_residual(
 
 def full_domain(problem: SaddleProblem) -> Optional[FeasibleSet]:
     """The stacked-state box (free x) x (y_set), or None for a free problem."""
-    if problem.y_set is None:
+    y_set = problem.y_set
+    if y_set is None:
         return None
-    return FeasibleSet.stack(FeasibleSet.free(problem.n), problem.y_set)
+    free = np.full(problem.n, np.inf)
+    return FeasibleSet(np.concatenate((-free, y_set.lower)), np.concatenate((free, y_set.upper)))
 

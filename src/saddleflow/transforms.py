@@ -17,7 +17,11 @@ block.
 ``SaddleProblem`` itself. ``proximal_surrogate``, ``reduce`` and
 ``lasso_dual_prox`` need an inner solve per oracle call; they return an
 object holding the transformed ``problem``, the solver, its warm-start cache
-and ``reset``.
+and ``reset``. Of a quadratic base, the proximal surrogate and the reduced
+problem are quadratic again: they declare their constant ``hessian`` (a
+Schur complement), so their saddle flow is affine and solves nothing per
+evaluation. The Lasso dual prox is only piecewise affine (its maximizer
+meets the faces of a box) and keeps its inner box QP.
 """
 
 from __future__ import annotations
@@ -89,7 +93,11 @@ def augment(problem: SaddleProblem, rho: float) -> SaddleProblem:
     y_set = None
     if problem.y_set is not None:
         # only the real dual block keeps its bounds; the mirror block is free
-        y_set = FeasibleSet.stack(problem.y_set, FeasibleSet.free(m))
+        free = np.full(m, np.inf)
+        y_set = FeasibleSet(
+            np.concatenate((problem.y_set.lower, -free)),
+            np.concatenate((problem.y_set.upper, free)),
+        )
 
     saddle = None
     if problem.saddle is not None:
@@ -137,8 +145,10 @@ class ProximalSurrogate:
     The surrogate value is min_x { S(x, y) + (rho/2)||x - u||^2 }; its
     gradients are evaluated through the inner minimizer x_tilde(u, y), which
     is resolved by damped Newton to a residual of 1e-10. When the base
-    declares its ``hessian``, the inverse of H_xx + rho*I is factored once
-    at build time from its x block and each solve opens with that exact step.
+    declares its ``hessian``, the inverse M of H_xx + rho*I is factored once
+    at build time from its x block and each solve opens with that exact step;
+    up to ``AFFINE_MAX_DIM`` coordinates the surrogate ``problem`` then
+    declares its own ``hessian`` too, and its saddle flow calls no solve.
     """
 
     base: SaddleProblem
@@ -199,6 +209,15 @@ def proximal_surrogate(problem: SaddleProblem, rho: float) -> ProximalSurrogate:
         q_s = meta.kappa / (meta.l + rho)
     l_s = None if meta.l is None else rho * meta.l / (meta.l + rho)
 
+    jacobian_inverse = hessian = None
+    if problem.hessian is not None:
+        n = problem.n
+        H = problem.hessian
+        jacobian_inverse = np.linalg.inv(H[:n, :n] + rho * np.eye(n))
+        # declared for the affine flow only, which stops at AFFINE_MAX_DIM
+        if problem.dim <= AFFINE_MAX_DIM:
+            hessian = _surrogate_hessian(H, n, rho, jacobian_inverse)
+
     surrogate_problem = SaddleProblem(
         n=problem.n,
         m=problem.m,
@@ -209,16 +228,30 @@ def proximal_surrogate(problem: SaddleProblem, rho: float) -> ProximalSurrogate:
         y_set=problem.y_set,
         saddle=problem.saddle,
         label=f"proximal({problem.label or 'problem'}, rho={rho})",
+        hessian=hessian,
     )
-    jacobian_inverse = None
-    if problem.hessian is not None:
-        n = problem.n
-        jacobian_inverse = np.linalg.inv(problem.hessian[:n, :n] + rho * np.eye(n))
     surrogate = ProximalSurrogate(
         base=problem, rho=rho, problem=surrogate_problem, _cache=WarmCache(),
         _jacobian_inverse=jacobian_inverse,
     )
     return surrogate
+
+
+def _surrogate_hessian(H: np.ndarray, n: int, rho: float, M: np.ndarray) -> np.ndarray:
+    """The constant Hessian of the proximal surrogate of a quadratic base.
+
+    With x_tilde = M @ (rho*u - H_xy @ y - const) and M = (H_xx + rho*I)^-1,
+    the gradients rho*(u - x_tilde) and grad_y S(x_tilde, y) have the Jacobian
+    [[rho*I - rho^2*M, rho*M@H_xy], [rho*H_yx@M, H_yy - H_yx@M@H_xy]].
+    """
+    H_xy, H_yx = H[:n, n:], H[n:, :n]
+    MH_xy = M @ H_xy
+    out = np.empty_like(H)
+    out[:n, :n] = rho * np.eye(n) - rho**2 * M
+    out[:n, n:] = rho * MH_xy
+    out[n:, :n] = rho * (H_yx @ M)
+    out[n:, n:] = H[n:, n:] - H_yx @ MH_xy
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +360,9 @@ class ReducedProblem:
     A problem over (x_c, y); ``minimizer`` resolves x_s_bar(y) from the
     optimality condition grad f_s(x_s) + A_s^T y = 0, and ``recover`` stacks
     the full primal point. A quadratic f_s (``hess_constant``) has its
-    Hessian inverted once at build time.
+    Hessian inverted once at build time. When f_c is quadratic too, the
+    reduced ``problem`` declares its ``hessian`` up to ``AFFINE_MAX_DIM``
+    coordinates, and its saddle flow calls no solve.
     """
 
     sep: "SeparableProblem"
@@ -384,6 +419,19 @@ def reduce(sep: "SeparableProblem") -> ReducedProblem:
     if sep.kappa_s is not None and sep.f_s.l is not None and sep.f_s.l > 0:
         q_val = sep.kappa_s / sep.f_s.l
 
+    jacobian_inverse = hessian = None
+    if sep.f_s.hess_constant:
+        jacobian_inverse = np.linalg.inv(sep.f_s.hess(np.zeros(sep.f_s.dim)))
+        # declared for the affine flow only, which stops at AFFINE_MAX_DIM
+        n_c = f_c.dim
+        if f_c.hess_constant and n_c + m <= AFFINE_MAX_DIM:
+            # [[Q_c, A_c^T], [A_c, -A_s Q_s^-1 A_s^T]]: x_s_bar(y) has slope -Q_s^-1 A_s^T
+            hessian = np.empty((n_c + m, n_c + m))
+            hessian[:n_c, :n_c] = f_c.hess(np.zeros(n_c))
+            hessian[:n_c, n_c:] = A_c.T
+            hessian[n_c:, :n_c] = A_c
+            hessian[n_c:, n_c:] = -(A_s @ jacobian_inverse @ A_s.T)
+
     problem = SaddleProblem(
         n=f_c.dim,
         m=m,
@@ -393,10 +441,8 @@ def reduce(sep: "SeparableProblem") -> ReducedProblem:
         meta=ConvexityMeta(mu=f_c.mu, q=q_val, l=f_c.l),
         y_set=FeasibleSet.nonnegative(m),
         label="reduced_lagrangian",
+        hessian=hessian,
     )
-    jacobian_inverse = None
-    if sep.f_s.hess_constant:
-        jacobian_inverse = np.linalg.inv(sep.f_s.hess(np.zeros(sep.f_s.dim)))
     reduced = ReducedProblem(
         sep=sep, problem=problem, _cache=WarmCache(),
         _jacobian_inverse=jacobian_inverse,

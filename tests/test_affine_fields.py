@@ -2,10 +2,12 @@
 
 A builder whose S is quadratic declares ``SaddleProblem.hessian``, the
 constant Jacobian of the stacked gradient (grad_x, grad_y); ``standard_flow``
-then evaluates K @ z + k0 instead of the oracles. Each declaration is checked
-here against central differences of its own oracles, each affine field
-against the oracle field of the same problem with the declaration removed,
-and every shipped config against the path it is meant to take.
+then evaluates K @ z + k0 instead of the oracles. The proximal surrogate and
+the reduced problem of a quadratic base declare theirs too, where each oracle
+call runs an inner solve. Each declaration is checked here against central
+differences of its own oracles, each affine field against the oracle field of
+the same problem with the declaration removed, and every shipped config
+against the path it is meant to take.
 """
 
 import re
@@ -25,12 +27,11 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CLOSED_FORM = (
     "bilinear_augmented.ini", "bilinear_standard.ini", "lp_augmented.ini",
     "mincostflow_augmented.ini", "qp_preconditioned_uy.ini", "qp_preconditioned_xy.ini",
-    "quadratic_standard.ini", "separable_preconditioned.ini",
+    "qp_proximal.ini", "quadratic_proximal.ini", "quadratic_standard.ini",
+    "separable_preconditioned.ini", "separable_reduced.ini",
 )
 # shipped configs whose field runs an inner solve on every evaluation
-INNER_SOLVE = (
-    "lasso_pipeline.ini", "qp_proximal.ini", "quadratic_proximal.ini", "separable_reduced.ini",
-)
+INNER_SOLVE = ("lasso_pipeline.ini",)
 
 
 def _declaring_problems():
@@ -64,6 +65,14 @@ def _declaring_problems():
         ("augment_quadratic", sf.augment(quad, 0.5)),
         ("augment_lp", sf.augment(lp, 0.5)),
         ("augment_min_cost_flow", sf.augment(network, 0.5)),
+        # transforms with an inner solve per oracle call; the LP's inequality
+        # duals sit on their y >= 0 faces at about half of the states below
+        ("proximal_quadratic", sf.proximal_surrogate(quad, 0.9).problem),
+        ("proximal_lp", sf.proximal_surrogate(lp, 0.9).problem),
+        ("proximal_augment_bilinear", sf.proximal_surrogate(
+            sf.augment(sf.make_bilinear(rng.standard_normal((3, 2))), 0.5), 0.9
+        ).problem),
+        ("reduce_separable", sf.reduce(sep).problem),
     ]
 
 
@@ -141,6 +150,23 @@ def test_the_affine_path_and_the_flow_only_declarations_stop_at_the_size_cap():
     for _ in range(3):
         z = rng.uniform(-2.0, 2.0, big.dim)
         assert np.array_equal(declared.field(z), oracle.field(z))
+    # the surrogate of a base past the cap keeps the prefactored inner step,
+    # declares nothing and runs the oracle field: the inner solve per call
+    surrogate, twin = sf.proximal_surrogate(big, 0.9), sf.proximal_surrogate(big, 0.9)
+    assert surrogate._jacobian_inverse is not None and surrogate.problem.hessian is None
+    flow, n = sf.standard_flow(surrogate.problem), big.n
+    for _ in range(3):
+        z = rng.uniform(-2.0, 2.0, big.dim)
+        u, y = z[:n], z[n:]
+        expected = np.concatenate((-twin.problem.grad_x(u, y), twin.problem.grad_y(u, y)))
+        assert np.array_equal(flow.field(z), expected)
+        assert surrogate._cache.match(u, y) is not None  # this call solved at z
+    # so does the reduced problem of a separable QP past the cap
+    n_c, m = cap // 2, cap // 2 + 1
+    sep = sf.make_separable_qp(
+        np.eye(m), np.zeros(m), np.eye(n_c), np.zeros(n_c), np.eye(m), np.ones((m, n_c)), np.ones(m),
+    )
+    assert sf.reduce(sep).problem.hessian is None
 
 
 def _count_gradient_calls(monkeypatch) -> dict:
@@ -206,3 +232,30 @@ def test_only_inner_solve_configs_call_gradient_oracles_while_integrating(tmp_pa
         assert counts["in_integrate"] == 0
     else:
         assert counts["in_integrate"] > 0
+
+
+def test_cli_proximal_pd_field_is_the_proximal_primal_dual_field(monkeypatch):
+    # the CLI runs the proximal primal-dual flow as the saddle flow of the
+    # proximal surrogate of the QP Lagrangian; on the oracle path that field is
+    # proximal_primal_dual's bit for bit, and the affine field agrees with it
+    rng = np.random.default_rng(135)
+    bundle = sf.make_qp_affine(np.diag([1.0, 2.0, 3.0]), rng.standard_normal(3),
+                               rng.standard_normal((2, 3)), rng.standard_normal(2))
+    algo = {"rho": "1.2"}
+    declared = cli._proximal_pd(bundle, "qp", algo).flow
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "standard_flow", lambda problem: sf.standard_flow(replace(problem, hessian=None)))
+        oracle = cli._proximal_pd(bundle, "qp", algo).flow
+    reference = sf.proximal_primal_dual(bundle.f, bundle.constraints(), 1.2)
+    for flow in (declared, oracle):
+        assert np.array_equal(flow.feasible.lower, reference.feasible.lower)
+        assert np.array_equal(flow.feasible.upper, reference.feasible.upper)
+        assert flow.reset is not None
+    on_face = 0
+    for z in face_points(rng, sf.qp_lagrangian(bundle)):
+        expected = reference.field(z)
+        out = oracle.field(z)
+        assert np.array_equal(out, expected) and np.array_equal(np.signbit(out), np.signbit(expected))
+        assert np.abs(declared.field(z) - expected).max() <= 1e-12 * (1.0 + np.linalg.norm(expected))
+        on_face += bool(np.any(z[3:] == 0.0))
+    assert on_face >= 100

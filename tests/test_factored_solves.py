@@ -33,16 +33,15 @@ def _walk(rng, start, steps, scale=1e-2):
     return states
 
 
-def test_proximal_surrogate_paths_agree():
-    # the plain side keeps the hess_xx its base derived from the declaration
-    rng = np.random.default_rng(40)
+def _surrogate_bases(rng):
+    """One base of each declaring builder, for the surrogate's two paths."""
     quad = sf.make_quadratic_saddle(0.7, 1.3, rng.standard_normal((3, 2)))
     sep = sf.make_separable_qp(
         np.diag([1.0, 2.0]), rng.standard_normal(2), np.eye(1) * 1.5, rng.standard_normal(1),
         rng.standard_normal((2, 2)), rng.standard_normal((2, 1)), rng.standard_normal(2),
     )
     lp = sf.LinearProgram(c=rng.standard_normal(3), A=rng.standard_normal((2, 3)), b=rng.standard_normal(2))
-    bases = [
+    return [
         quad,
         sf.make_bilinear(rng.standard_normal((3, 2))),
         sf.make_lp(lp),
@@ -50,7 +49,12 @@ def test_proximal_surrogate_paths_agree():
         sf.separable_lagrangian(sep),
         sf.augment(quad, 0.5),
     ]
-    for base in bases:
+
+
+def test_proximal_surrogate_paths_agree():
+    # the plain side keeps the hess_xx its base derived from the declaration
+    rng = np.random.default_rng(40)
+    for base in _surrogate_bases(rng):
         declared = sf.proximal_surrogate(base, 0.9)
         plain = sf.proximal_surrogate(replace(base, hessian=None), 0.9)
         assert declared._jacobian_inverse is not None and plain._jacobian_inverse is None, base.label
@@ -71,6 +75,30 @@ def test_reduced_minimizer_paths_agree():
     assert declared._jacobian_inverse is not None and plain._jacobian_inverse is None
     for y in _walk(rng, rng.standard_normal(2), 200):
         assert np.abs(declared.minimizer(y) - plain.minimizer(y)).max() <= AGREE
+
+
+def test_declared_transform_flows_agree_with_undeclared_builds():
+    # a declaring base gives an affine surrogate or reduced flow; without the
+    # declaration each evaluation solves, by damped Newton on the oracles
+    rng = np.random.default_rng(49)
+    pairs = []
+    for base in _surrogate_bases(rng):
+        declared = sf.proximal_surrogate(base, 0.9).problem
+        plain = sf.proximal_surrogate(replace(base, hessian=None), 0.9).problem
+        pairs.append((declared, plain))
+    sep = sf.make_separable_qp(
+        np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([0.4, -0.2]), np.eye(2), np.zeros(2),
+        np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2), np.array([0.1, -0.3]),
+    )
+    plain_sep = replace(sep, f_s=replace(sep.f_s, hess_constant=False))
+    pairs.append((sf.reduce(sep).problem, sf.reduce(plain_sep).problem))
+    for declared, plain in pairs:
+        assert declared.hessian is not None and plain.hessian is None, declared.label
+        a, b = sf.standard_flow(declared), sf.standard_flow(plain)
+        box = sf.full_domain(declared)
+        for z in _walk(rng, rng.standard_normal(declared.dim), 200):
+            z = z if box is None else box.clamp(z)
+            assert np.abs(a.field(z) - b.field(z)).max() <= AGREE, declared.label
 
 
 def test_proximal_primal_dual_field_paths_agree():

@@ -394,8 +394,10 @@ def test_standard_flow_of_reduced_problem_matches_hand_written_field():
         np.diag([1.0, 2.0, 3.0]), rng.standard_normal(3), np.diag([1.5, 0.5]), rng.standard_normal(2),
         rng.standard_normal((3, 3)), rng.standard_normal((3, 2)), rng.standard_normal(3),
     )
-    # one instance per field: their warm-start caches see the same solves
-    flow = _with_reset(sf.reduce(sep))
+    # one instance per field: their warm-start caches see the same solves;
+    # the reference follows the oracles' order of operations: the oracle path
+    reduced = sf.reduce(sep)
+    flow = replace(sf.standard_flow(replace(reduced.problem, hessian=None)), reset=reduced.reset)
     reference = _dual_projected_reference(sf.reduce(sep).problem)
     probe = sf.reduce(sep).problem
     signs = set()
