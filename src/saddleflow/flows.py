@@ -5,9 +5,11 @@ gradient ascent in the second. ``standard_flow`` builds the flow of any
 ``SaddleProblem``, transformed ones included, and projects it onto the
 problem's domain; ``projected_flow`` applies the element-wise vector field
 projection inside the field, so the integrator sees a single autonomous map
-z -> F(z). One flow is not the saddle flow of one problem and keeps its own
-field: ``proximal_primal_dual`` (an inner minimization per evaluation,
-projected through ``projected_flow``).
+z -> F(z). One flow keeps its own field: ``proximal_primal_dual`` (an inner
+minimization per evaluation, projected through ``projected_flow``), the
+saddle flow of the proximal surrogate of f(x) + y^T g(x) written out for a
+general constraint map g. The CLI runs the affine-constraint case as
+``standard_flow`` of ``proximal_surrogate(qp_lagrangian(bundle), rho).problem``.
 """
 
 from __future__ import annotations
