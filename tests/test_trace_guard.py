@@ -6,7 +6,7 @@ each projected field evaluation calls ``project_vector_field`` exactly once,
 and ``integrate`` evaluates the field four times per RK4 step. A change that
 moves a lookup site or adds a projection breaks the benchmark's traced run;
 these tests run the same install and cross-checks on one short projected
-run, on short runs of every config whose field runs an inner solve, and on
+run, on short runs of every config built on an inner-solve transform, and on
 one short ``compare``. The tracer module is loaded from its file and not
 modified.
 """
