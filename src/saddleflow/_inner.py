@@ -22,7 +22,10 @@ import numpy as np
 
 from .projection import FeasibleSet, project_vector_field
 
-__all__ = ["ConstantHessian", "InnerSolveError", "WarmCache", "newton_solve", "projected_concave_max"]
+__all__ = ["INNER_TOL", "ConstantHessian", "InnerSolveError", "WarmCache", "newton_solve", "projected_concave_max"]
+
+# Residual (or projected gradient) norm at which every inner solve returns
+INNER_TOL = 1e-10
 
 
 class InnerSolveError(RuntimeError):
@@ -102,7 +105,7 @@ def newton_solve(
     residual: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    tol: float = 1e-10,
+    tol: float = INNER_TOL,
     max_iters: int = 100,
     *,
     jacobian_inverse: Optional[np.ndarray] = None,
@@ -157,7 +160,7 @@ def projected_concave_max(
     feasible: FeasibleSet,
     y0: np.ndarray,
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    tol: float = 1e-10,
+    tol: float = INNER_TOL,
     max_iters: int = 100,
     *,
     constant_hess: Union[np.ndarray, ConstantHessian, None] = None,

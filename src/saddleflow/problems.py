@@ -396,13 +396,29 @@ class SeparableProblem:
         object.__setattr__(self, "sigma_s", sigma_s)
 
 
+def _is_symmetric(Q: np.ndarray) -> bool:
+    """``np.allclose(Q, Q.T, atol=1e-12)``, without its per-call overhead.
+
+    The same element-wise test as ``np.isclose`` (rtol 1e-5): |a - b| <=
+    1e-12 + 1e-5*|b| at a finite b, or a == b. An exactly symmetric Q,
+    the usual input, costs one comparison.
+    """
+    QT = Q.T
+    equal = Q == QT
+    if equal.all():
+        return True
+    with np.errstate(invalid="ignore"):  # inf - inf
+        close = (np.abs(Q - QT) <= 1e-12 + 1e-5 * np.abs(QT)) & np.isfinite(QT)
+    return bool((close | equal).all())
+
+
 def _quadratic_objective(Q, p, label: str) -> ConvexObjective:
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
     n = Q.shape[0]
     if Q.shape != (n, n) or p.shape != (n,):
         raise ValueError(f"inconsistent quadratic shapes: Q {Q.shape}, p {p.shape}")
-    if not np.allclose(Q, Q.T, atol=1e-12):
+    if not _is_symmetric(Q):
         raise ValueError("Q must be symmetric")
     eigs = np.linalg.eigvalsh(Q)
     if eigs[0] <= 0:
@@ -526,7 +542,7 @@ class LassoBundle:
         transform = lasso_dual_prox(
             precondition(self.f, self.A, zeros, eta=1.0, alpha=alpha, y_set=self.y_set), rho
         )
-        return replace(standard_flow(transform.problem), reset=transform.reset)
+        return replace(standard_flow(transform.problem), field=transform.field, reset=transform.reset)
 
     def recover(self, alpha: float, state) -> np.ndarray:
         """The lifted primal point x = u - alpha*A^T*v of a state (u, v).

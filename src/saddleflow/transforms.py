@@ -21,7 +21,9 @@ and ``reset``. Of a quadratic base, the proximal surrogate and the reduced
 problem are quadratic again: they declare their constant ``hessian`` (a
 Schur complement), so their saddle flow is affine and solves nothing per
 evaluation. The Lasso dual prox is only piecewise affine (its maximizer
-meets the faces of a box) and keeps its inner box QP.
+meets the faces of a box): of a quadratic base, its ``field`` is the affine
+map of one active set at a time, and it solves its inner box QP only when
+the active set changes.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ._inner import ConstantHessian, InnerSolveError, WarmCache, newton_solve, projected_concave_max
+from ._inner import INNER_TOL, ConstantHessian, InnerSolveError, WarmCache, newton_solve, projected_concave_max
 from .core import AFFINE_MAX_DIM, ConvexityMeta, ConvexObjective, SaddleProblem
+from .flows import _PROBE_TOL
 from .projection import FeasibleSet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -509,6 +512,101 @@ def lasso_reformulate(
 
 
 @dataclass(frozen=True)
+class _ActiveSetMap:
+    """The Lasso dual-prox field on one active set, with its sign test.
+
+    On the active set, y_tilde = ``S @ z + s`` and the KKT rows (y_tilde on
+    the free coordinates, the inner gradient on the pinned ones) are affine
+    in the state z = (u, v). ``W @ z + w`` gives the ``dim`` rows of the
+    field, then one sign row ``sign * KKT row`` per finite bound of a KKT
+    row: ``rows`` names its coordinate and ``floor`` is ``sign * bound``.
+    The state passes the sign test when every sign row is >= its floor: each
+    free y_tilde inside its bounds, each pinned gradient pointing out of its
+    face.
+    """
+
+    key: bytes
+    free: np.ndarray
+    dim: int
+    S: np.ndarray
+    s: np.ndarray
+    W: np.ndarray
+    w: np.ndarray
+    rows: np.ndarray
+    sign: np.ndarray
+    floor: np.ndarray
+
+    def field(self, z) -> Optional[np.ndarray]:
+        """The field at z if z passes the sign test, else None; NaN fails it."""
+        out = self.W @ z
+        out += self.w
+        # one array comparison and count_nonzero: the cheapest test of a short array
+        if np.count_nonzero(self.floor <= out[self.dim :]) == self.floor.shape[0]:
+            return out[: self.dim]
+        return None
+
+
+class _MapSlot:
+    """Mutable holder of the last confirmed ``_ActiveSetMap`` of one run."""
+
+    def __init__(self):
+        self.map: Optional[_ActiveSetMap] = None
+
+
+def _face_key(y: np.ndarray, feasible: FeasibleSet) -> tuple:
+    """(key, free, at_lower, at_upper) of the faces of the box a point lies on."""
+    at_lower, at_upper = y <= feasible.lower, y >= feasible.upper
+    return at_lower.tobytes() + at_upper.tobytes(), ~(at_lower | at_upper), at_lower, at_upper
+
+
+def _active_set_map(transform: "LassoDualProx", y: np.ndarray) -> _ActiveSetMap:
+    """The affine map of the active set of a box-QP maximizer ``y``.
+
+    With D = H_yy - rho*I, the inner gradient is G @ z + D @ y + g_y0 for
+    G = [H_yx, rho*I]. Pinning the coordinates off the free set F at their
+    faces b_P and zeroing the gradient on F gives y_tilde = S @ z + s, with
+    S_F = (-D_FF)^-1 G_F and s_F = (-D_FF)^-1 (D_FP b_P + g_y0_F).
+    """
+    base, rho, D, box = transform.base, transform.rho, transform._dual_hess.matrix, transform._feasible
+    n, m, dim = base.n, base.m, base.dim
+    H = base.hessian
+    key, free, at_lower, at_upper = _face_key(y, box)
+    gx0 = base.grad_x(np.zeros(n), np.zeros(m))
+    gy0 = base.grad_y(np.zeros(n), np.zeros(m))
+    G = np.zeros((m, dim))
+    G[:, :n] = H[n:, :n]
+    G[:, n:] = rho * np.eye(m)
+    inverse = transform._dual_hess.free_inverse(free)
+    S = np.zeros((m, dim))
+    S[free] = inverse @ G[free]
+    s = np.where(free, 0.0, y)
+    s[free] = inverse @ (D[free] @ s + gy0[free])
+    # a pinned KKT row needs an outward gradient: <= 0 on a lower face, >= 0
+    # on an upper one, either on a coordinate whose bounds coincide
+    lo = np.where(free, box.lower, np.where(at_upper & ~at_lower, 0.0, -np.inf))
+    hi = np.where(free, box.upper, np.where(at_lower & ~at_upper, 0.0, np.inf))
+    low, high = np.flatnonzero(lo > -np.inf), np.flatnonzero(hi < np.inf)
+    rows = np.concatenate((low, high))
+    sign = np.concatenate((np.ones(low.shape[0]), -np.ones(high.shape[0])))
+    kkt_slope = np.where(free[:, None], S, G + D @ S)[rows]
+    kkt_offset = np.where(free, s, D @ s + gy0)[rows]
+    W = np.empty((dim + rows.shape[0], dim))
+    w = np.empty(dim + rows.shape[0])
+    W[:n] = -(H[:n, n:] @ S)
+    W[:n, :n] -= H[:n, :n]
+    w[:n] = -(H[:n, n:] @ s + gx0)
+    W[n:dim] = rho * S
+    W[n:dim, n:] -= rho * np.eye(m)
+    w[n:dim] = rho * s
+    W[dim:] = sign[:, None] * kkt_slope
+    w[dim:] = sign * kkt_offset
+    floor = sign * np.concatenate((lo[low], hi[high]))
+    return _ActiveSetMap(
+        key=key, free=free, dim=dim, S=S, s=s, W=W, w=w, rows=rows, sign=sign, floor=floor
+    )
+
+
+@dataclass(frozen=True)
 class LassoDualProx:
     """Proximal regularization of a constrained dual block: problem over (u, v).
 
@@ -518,6 +616,13 @@ class LassoDualProx:
     Hessian H_yy - rho*I is built once from its y block and the solve is a
     box QP over it, which first tries the active set of the previous
     solution.
+
+    ``field`` is the saddle flow of ``problem``. Of a base that declares its
+    ``hessian`` with at most ``AFFINE_MAX_DIM`` coordinates, the maximizer
+    is piecewise affine in (u, v) (Bemporad, Morari, Dua & Pistikopoulos,
+    Automatica 38(1), 2002), and ``field`` evaluates the affine map of the
+    last active set plus a sign test; it solves the box QP only when the
+    test fails. Any other base gets the oracle field.
     """
 
     base: SaddleProblem
@@ -525,6 +630,66 @@ class LassoDualProx:
     problem: SaddleProblem
     _cache: WarmCache
     _dual_hess: Optional[ConstantHessian] = None
+    _slot: Optional[_MapSlot] = None
+
+    @property
+    def _feasible(self) -> FeasibleSet:
+        """The box of the dual block (free when the base has no ``y_set``)."""
+        return self.base.y_set if self.base.y_set is not None else FeasibleSet.free(self.base.m)
+
+    def field(self, z) -> np.ndarray:
+        """The saddle flow field (-grad_u, grad_v) at the state z = (u, v).
+
+        On the map path it is ``W @ z + w`` of the slot's active set when
+        the KKT rows pass the sign test; then y_tilde is the exact maximizer,
+        since the KKT conditions suffice for this strongly concave QP.
+        Otherwise the box QP finds the maximizer and its active set, and a
+        new active set replaces the slot once confirmed at the oracles
+        (``_confirm``). Where the new map still fails its sign test (a tie
+        at a face) the field is the oracle field at the box-QP maximizer.
+        """
+        slot = self._slot
+        if slot is not None and slot.map is not None:
+            f = slot.map.field(z)
+            if f is not None:
+                return f
+        n = self.base.n
+        u, v = z[:n], z[n:]
+        if slot is not None:
+            y = self.maximizer(u, v)
+            if slot.map is None or _face_key(y, self._feasible)[0] != slot.map.key:
+                amap = _active_set_map(self, y)
+                self._confirm(amap, z, y)
+                slot.map = amap
+                f = amap.field(z)
+                if f is not None:
+                    return f
+        return np.concatenate((-self.problem.grad_x(u, v), self.problem.grad_y(u, v)))
+
+    def _confirm(self, amap: _ActiveSetMap, z, y: np.ndarray) -> None:
+        """Check a new map at the oracles at one state; ``ValueError`` if it is off.
+
+        At the map's y_tilde the inner gradient of the oracle must vanish on
+        the free set to the inner tolerance, and the field and sign rows
+        must match the oracles to ``flows._PROBE_TOL`` relative. The sign of
+        the pinned gradients is the sign test's: near a tie it may point
+        inward by the box QP's tolerance.
+        """
+        base, rho = self.base, self.rho
+        u, v = z[: base.n], z[base.n :]
+        y_map = amap.S @ z + amap.s
+        d = rho * (y_map - v)
+        g = base.grad_y(u, y_map) - d
+        kkt = np.where(amap.free, y_map, g)
+        oracle = np.concatenate((-base.grad_x(u, y_map), d, amap.sign * kkt[amap.rows]))
+        gap = np.abs(amap.W @ z + amap.w - oracle).max()
+        scale = 1.0 + (np.abs(amap.W) @ np.abs(z) + np.abs(amap.w)).max()
+        stationarity = float(np.linalg.norm(g[amap.free]))
+        if not (stationarity <= INNER_TOL and gap <= _PROBE_TOL * scale):
+            raise ValueError(
+                f"active-set map of {self.problem.label} does not match its oracles: inner "
+                f"gradient {stationarity:.3e} on the free set, field off by {gap:.3e}"
+            )
 
     def maximizer(self, u, v, y0: Optional[np.ndarray] = None) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -535,7 +700,7 @@ class LassoDualProx:
                 return hit
             y0 = v if self._cache.point is None else self._cache.point
         base, rho = self.base, self.rho
-        feasible = base.y_set if base.y_set is not None else FeasibleSet.free(base.m)
+        feasible = self._feasible
 
         def phi(y):
             d = y - v
@@ -556,6 +721,8 @@ class LassoDualProx:
 
     def reset(self) -> None:
         self._cache.clear()
+        if self._slot is not None:
+            self._slot.map = None
 
 
 def lasso_dual_prox(base: SaddleProblem, rho: float) -> LassoDualProx:
@@ -586,11 +753,14 @@ def lasso_dual_prox(base: SaddleProblem, rho: float) -> LassoDualProx:
         y_set=None,
         label=f"dual_prox({base.label or 'problem'}, rho={rho})",
     )
-    dual_hess = None
+    dual_hess = slot = None
     if base.hessian is not None:
         dual_hess = ConstantHessian(base.hessian[base.n :, base.n :] - rho * np.eye(base.m))
+        # the map's W has up to (dim + 2m) x dim entries, as dense as the affine field's K
+        if base.dim <= AFFINE_MAX_DIM:
+            slot = _MapSlot()
     transform = LassoDualProx(
         base=base, rho=rho, problem=problem, _cache=WarmCache(),
-        _dual_hess=dual_hess,
+        _dual_hess=dual_hess, _slot=slot,
     )
     return transform

@@ -163,6 +163,89 @@ def test_lasso_maximizer_paths_agree_with_bounds_active(monkeypatch):
     assert hits >= 150 and misses  # the guess holds on most solves and is confirmed on all
 
 
+def _counting_box_qp_solves(monkeypatch) -> list:
+    solves = []
+    solve = inner_mod._box_qp_max
+    monkeypatch.setattr(inner_mod, "_box_qp_max", lambda *a: solves.append(1) or solve(*a))
+    return solves
+
+
+def test_lasso_active_set_map_field_agrees_with_the_oracle_fields(monkeypatch):
+    # the map holds between active-set changes; the multipliers reach their
+    # faces and leave them along the walk, and each change falls back once
+    rng = np.random.default_rng(50)
+    bundle, declared, plain = _lasso_pair(rng)
+    assert declared._slot is not None and plain._slot is None
+    reference = sf.standard_flow(declared.problem).field
+    undeclared = sf.standard_flow(plain.problem).field
+    solves = _counting_box_qp_solves(monkeypatch)
+    n, dim = bundle.n, declared.base.dim
+    states = _walk(rng, rng.standard_normal(dim), 300, scale=2e-2)
+    fallbacks = entered = left = 0
+    last = None
+    for z in states:
+        before = len(solves)
+        a = declared.field(z)
+        fallbacks += len(solves) > before
+        pinned = ~declared._slot.map.free[n:]  # the sign multipliers on their face
+        if last is not None:
+            entered += bool(np.any(pinned & ~last))
+            left += bool(np.any(~pinned & last))
+        last = pinned
+        scale = AGREE * (1.0 + np.linalg.norm(a))
+        assert np.abs(a - reference(z)).max() <= scale
+        assert np.abs(a - undeclared(z)).max() <= scale
+    assert entered >= 5 and left >= 5
+    # an active-set change costs one box QP; the other evaluations (290 of 305
+    # measured) are one matrix-vector product each
+    assert max(entered, left) <= fallbacks <= 30
+    declared.reset()
+    assert declared._slot.map is None and declared._cache.point is None
+
+
+def test_lasso_field_past_the_size_cap_is_the_oracle_field():
+    # 6n = 132 coordinates: no map, and the box QP serves every evaluation
+    rng = np.random.default_rng(51)
+    n = 22
+    bundle = sf.make_lasso(rng.standard_normal((30, n)) / np.sqrt(30), rng.standard_normal(30), 0.5)
+    flow = bundle.dynamics(0.8 / bundle.l, 1.0)
+    transform = lasso_transform(flow)
+    assert transform.base.dim == 6 * n > sf.AFFINE_MAX_DIM
+    assert transform._slot is None and transform._dual_hess is not None
+    oracle = sf.standard_flow(transform.problem).field
+    for z in _walk(rng, rng.standard_normal(6 * n), 3, scale=5e-2):
+        assert np.array_equal(flow.field(z), oracle(z))
+
+
+@pytest.mark.parametrize("row", ["field", "free", "pinned"])
+def test_a_perturbed_active_set_map_fails_its_confirmation(monkeypatch, row):
+    rng = np.random.default_rng(52)
+    bundle, declared, _ = _lasso_pair(rng)
+    dim = declared.base.dim
+    build = transforms._active_set_map
+    perturbed = []
+
+    def perturb(transform, y):
+        amap = build(transform, y)
+        rows = {
+            "field": [0],
+            "free": dim + np.flatnonzero(amap.free[amap.rows]),
+            "pinned": dim + np.flatnonzero(~amap.free[amap.rows]),
+        }[row]
+        if len(rows) == 0:
+            return amap
+        W = amap.W.copy()
+        W[rows[0], 0] += 1e-6
+        perturbed.append(1)
+        return replace(amap, W=W)
+
+    monkeypatch.setattr(transforms, "_active_set_map", perturb)
+    with pytest.raises(ValueError, match="active-set map .* does not match its oracles"):
+        for z in _walk(rng, rng.standard_normal(dim), 300, scale=5e-2):
+            declared.field(z)
+    assert perturbed
+
+
 def test_guessed_face_with_an_inward_gradient_falls_back(monkeypatch):
     # coordinate 0 starts on its face and is held there by the guess, but the
     # maximizer is interior: the gate rejects the step at the oracle

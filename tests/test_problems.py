@@ -102,6 +102,48 @@ def test_make_qp_affine_metadata():
         sf.make_qp_affine(np.eye(2), np.zeros(2), np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros(2))
 
 
+def _off_diagonal(a, b, diagonal=1.0):
+    return np.array([[diagonal, a], [b, diagonal]])
+
+
+def test_symmetry_check_accepts_and_rejects_what_allclose_does():
+    # _is_symmetric stands in for np.allclose(Q, Q.T, atol=1e-12): the same
+    # verdict at every float step across the edge of the tolerance, and on
+    # NaN and infinite entries
+    from saddleflow.problems import _is_symmetric
+
+    cases = []
+    for b in (0.0, 0.5, -3.0, 2.0e6):
+        edge = b + (1e-12 + 1e-5 * abs(b))
+        for side in (np.inf, -np.inf):
+            a = edge
+            for _ in range(40):
+                cases.append((a, b))
+                cases.append((2.0 * b - a, b))  # the edge below b
+                a = np.nextafter(a, side)
+    special = (np.nan, np.inf, -np.inf, 1.0)
+    cases += [(a, b) for a in special for b in special]
+    verdicts = set()
+    for a, b in cases:
+        for Q in (_off_diagonal(a, b), _off_diagonal(1.0, 1.0, diagonal=a)):
+            expected = np.allclose(Q, Q.T, atol=1e-12)
+            assert _is_symmetric(Q) == expected, (a, b)
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_quadratic_objective_symmetry_at_the_tolerance():
+    tol = 1e-12 + 1e-5 * 0.5
+    inside = _off_diagonal(0.5 + 0.99 * tol, 0.5, diagonal=2.0)
+    outside = _off_diagonal(0.5 + 1.01 * tol, 0.5, diagonal=2.0)
+    assert sf.make_qp_affine(inside, np.zeros(2), np.eye(2), np.zeros(2)).f.hess_constant
+    with pytest.raises(ValueError, match="Q must be symmetric"):
+        sf.make_qp_affine(outside, np.zeros(2), np.eye(2), np.zeros(2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="Q must be symmetric"):
+            sf.make_qp_affine(_off_diagonal(bad, 0.5, diagonal=2.0), np.zeros(2), np.eye(2), np.zeros(2))
+
+
 def test_qp_lagrangian_against_active_set_oracle():
     Q = np.array([[2.0, 0.3], [0.3, 1.0]])
     p_vec = np.array([1.0, -0.5])
