@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import PointZ, SaddleProblem, full_domain, stationarity_residual
+from .core import PointZ, SaddleProblem, full_domain, grad, stationarity_residual
 from .flows import Flow
 from .integrate import Trajectory
 from .transforms import ProximalSurrogate
@@ -41,11 +41,17 @@ SANDWICH_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Certificate:
-    """Two nonnegative entries plus their sandwich upper bound, per state."""
+    """Two nonnegative entries plus their sandwich upper bound, per state.
+
+    ``batch``, if set, maps the (k, dim) states to (values, brackets) of shape
+    (k, 2) at once; ``s_star``, the saddle value, scales its oracle check.
+    """
 
     value: Callable[[np.ndarray], np.ndarray]
     bracket: Callable[[np.ndarray], np.ndarray]
     label: str = "custom"
+    batch: Optional[Callable[[np.ndarray], tuple]] = None
+    s_star: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -54,34 +60,57 @@ class CertificateReport:
     max_bracket_violation: float   # max over samples and entries of value - bracket
     final_values: np.ndarray
     observability_violated: Optional[bool] = None
+    route: str = "oracle"          # "batch", or "oracle" at every state
+    oracle_gap: Optional[float] = None  # batch route: largest |batch - oracle| at the checks
+    checked_states: int = 0        # batch route: states checked against the oracles
 
 
-def _check_saddle(problem: SaddleProblem, z_star: PointZ, what: str) -> None:
+def _saddle_gaps(problem: SaddleProblem, z_star: PointZ, what: str, xs: slice, ys: slice):
+    """(S*, gaps, batch gaps) at z*, checked to be a saddle point.
+
+    gaps maps a state (x, y in its entries xs, ys) to [S* - S(x*, y), S(x, y*) - S*]
+    through the value oracle. Its batch form, None without a declared ``hessian``,
+    maps (k, dim) states to the rows [-(g_y*.dy + dy.H_yy.dy/2), g_x*.dx + dx.H_xx.dx/2],
+    centred at z*: exact for a quadratic S, from one gradient call at z*.
+    """
     res = stationarity_residual(problem, z_star, feasible=full_domain(problem))
     if res > _SADDLE_TOL:
         raise ValueError(
             f"{what} is not a saddle point: stationarity residual {res:.3e} > {_SADDLE_TOL:.0e}"
         )
+    x_star, y_star, H, n = z_star.x, z_star.y, problem.hessian, problem.n
+    s_star = float(problem.value(x_star, y_star))
+
+    def gaps(state):
+        x, y = state[xs], state[ys]
+        return np.array(
+            [s_star - float(problem.value(x_star, y)), float(problem.value(x, y_star)) - s_star]
+        )
+
+    if H is None:
+        return s_star, gaps, None
+    gx, gy = grad(problem, z_star)
+
+    def batch_gaps(states):
+        dx, dy = states[:, xs] - x_star, states[:, ys] - y_star
+        s_y = -(dy @ gy + 0.5 * ((dy @ H[n:, n:]) * dy).sum(axis=1))
+        # + 0.0 turns the -0.0 of a vanishing gap into 0.0
+        return np.column_stack((s_y, dx @ gx + 0.5 * ((dx @ H[:n, :n]) * dx).sum(axis=1))) + 0.0
+
+    return s_star, gaps, batch_gaps
 
 
 def cert_strict_cc(problem: SaddleProblem, z_star: PointZ) -> Certificate:
     """Saddle-gap certificate for strictly convex-concave problems.
 
     Entries [S(x*,y*) - S(x*,y), S(x,y*) - S(x*,y*)]; the bracket is the
-    certificate itself (the sandwich holds with equality).
+    certificate itself (the sandwich holds with equality); with a declared
+    ``hessian`` its batch form is the batch gaps.
     """
-    _check_saddle(problem, z_star, "z_star")
     n = problem.n
-    x_star, y_star = z_star.x, z_star.y
-    s_star = float(problem.value(x_star, y_star))
-
-    def value(state):
-        x, y = state[:n], state[n:]
-        return np.array(
-            [s_star - float(problem.value(x_star, y)), float(problem.value(x, y_star)) - s_star]
-        )
-
-    return Certificate(value=value, bracket=value, label="strict_cc")
+    s_star, gaps, batch_gaps = _saddle_gaps(problem, z_star, "z_star", slice(n), slice(n, None))
+    batch = None if batch_gaps is None else lambda states: (batch_gaps(states),) * 2
+    return Certificate(value=gaps, bracket=gaps, label="strict_cc", batch=batch, s_star=s_star)
 
 
 def cert_proximal(surrogate: ProximalSurrogate, w_star: PointZ) -> Certificate:
@@ -89,29 +118,31 @@ def cert_proximal(surrogate: ProximalSurrogate, w_star: PointZ) -> Certificate:
 
     Entries [S~(u*,y*) - S~(u*,y), (rho/2)*||x_tilde(u,y*) - u||^2]; the
     second bracket entry is the saddle gap S~(u,y*) - S~(u*,y*), which
-    dominates the quadratic term by convexity of the min block.
+    dominates the quadratic term by convexity of the min block. With a declared
+    ``hessian``, the batch form takes the batch gaps and x_tilde(u, y*) =
+    M(rho*u - grad_x S(0, y*)), M = (H_xx + rho*I)^-1 as the surrogate factors it.
     """
     prob = surrogate.problem
-    _check_saddle(prob, w_star, "w_star")
     n = prob.n
     u_star, y_star = w_star.x, w_star.y
-    s_star = float(prob.value(u_star, y_star))
+    s_star, gaps, batch_gaps = _saddle_gaps(prob, w_star, "w_star", slice(n), slice(n, None))
     rho = surrogate.rho
 
     def value(state):
         u, y = state[:n], state[n:]
         d = surrogate.minimizer(u, y_star) - u
-        return np.array(
-            [s_star - float(prob.value(u_star, y)), 0.5 * rho * float(d @ d)]
-        )
+        return np.array([s_star - float(prob.value(u_star, y)), 0.5 * rho * float(d @ d)])
 
-    def bracket(state):
-        u, y = state[:n], state[n:]
-        return np.array(
-            [s_star - float(prob.value(u_star, y)), float(prob.value(u, y_star)) - s_star]
-        )
+    batch = None
+    if batch_gaps is not None:
+        M, g0 = surrogate._jacobian_inverse, surrogate.base.grad_x(np.zeros(n), y_star)
 
-    return Certificate(value=value, bracket=bracket, label="proximal")
+        def batch(states):
+            U, brackets = states[:, :n], batch_gaps(states)
+            D = (rho * U - g0) @ M.T - U
+            return np.column_stack((brackets[:, 0], 0.5 * rho * (D * D).sum(axis=1))), brackets
+
+    return Certificate(value=value, bracket=gaps, label="proximal", batch=batch, s_star=s_star)
 
 
 def cert_augmented(problem: SaddleProblem, rho: float, z_star: PointZ) -> Certificate:
@@ -120,28 +151,45 @@ def cert_augmented(problem: SaddleProblem, rho: float, z_star: PointZ) -> Certif
     Entries [(rho/2)*||y - y_hat||^2, (rho/2)*||x - x_hat||^2] for the
     augmentation of ``problem`` with weight rho; the bracket is the augmented
     saddle-gap sandwich at the base saddle point ``z_star`` (gap of S plus
-    the mirror term).
+    the mirror term). With a declared ``hessian`` of the base, the batch form
+    is the row norms plus the batch gaps of the base.
     """
     if not rho > 0:
         raise ValueError(f"rho must be > 0, got {rho}")
-    _check_saddle(problem, z_star, "z_star")
     n, m = problem.n, problem.m
-    x_star, y_star = z_star.x, z_star.y
-    s_star = float(problem.value(x_star, y_star))
+    xs, xh, ys, yh = slice(n), slice(n, 2 * n), slice(2 * n, 2 * n + m), slice(2 * n + m, None)
+    s_star, gaps, batch_gaps = _saddle_gaps(problem, z_star, "z_star", xs, ys)
 
     def value(state):
-        x, xh = state[:n], state[n : 2 * n]
-        y, yh = state[2 * n : 2 * n + m], state[2 * n + m :]
-        dx = x - xh
-        dy = y - yh
+        dx, dy = state[xs] - state[xh], state[ys] - state[yh]
         return np.array([0.5 * rho * float(dy @ dy), 0.5 * rho * float(dx @ dx)])
 
     def bracket(state):
-        x, y = state[:n], state[2 * n : 2 * n + m]
-        gaps = [s_star - float(problem.value(x_star, y)), float(problem.value(x, y_star)) - s_star]
-        return np.array(gaps) + value(state)
+        return gaps(state) + value(state)
 
-    return Certificate(value=value, bracket=bracket, label="augmented")
+    batch = None
+    if batch_gaps is not None:
+        def batch(states):
+            dx, dy = states[:, xs] - states[:, xh], states[:, ys] - states[:, yh]
+            values = 0.5 * rho * np.column_stack(((dy * dy).sum(axis=1), (dx * dx).sum(axis=1)))
+            return values, batch_gaps(states) + values
+
+    return Certificate(value=value, bracket=bracket, label="augmented", batch=batch, s_star=s_star)
+
+
+def _shaped(rows, k: int) -> tuple:
+    rows = tuple(np.asarray(a, dtype=float) for a in rows)
+    for name, a in zip(("values", "brackets"), rows):
+        if a.shape != (k, 2):
+            raise ValueError(f"certificate {name} have shape {a.shape}, expected ({k}, 2)")
+    return rows
+
+
+def _oracle_rows(cert: Certificate, states: np.ndarray) -> tuple:
+    values = np.array([cert.value(s) for s in states], dtype=float)
+    if cert.bracket is cert.value:  # a second pass would repeat every oracle call
+        return _shaped((values, values), len(states))
+    return _shaped((values, [cert.bracket(s) for s in states]), len(states))
 
 
 def eval_certificate(
@@ -154,21 +202,29 @@ def eval_certificate(
 
     Reports the per-entry minimum (nonnegativity), the worst sandwich
     violation value - bracket (should stay below ``SANDWICH_TOL``), and the
-    final values. A certificate whose bracket is its own value (the same
-    callable, as in ``cert_strict_cc``) is evaluated once per state, and its
-    violation is 0 wherever the values are finite. With a flow, additionally
+    final values. A ``batch`` form, if any, evaluates every state; it must
+    agree with the oracles within 1e-12*(1 + |S*| + the largest |entry|) at
+    the first, middle and last state, else ``ValueError``. Otherwise each
+    state goes through the oracles, once if the bracket is the value itself
+    (as in ``cert_strict_cc``), whose violation is then 0 wherever finite.
+    Values and brackets must have shape (k, 2). With a flow, additionally
     flags the case where the certificate has vanished while the flow
     residual has not, which would falsify observability; certificate entries
     scale like squared distances near a saddle while the residual is linear,
     so the vanishing threshold is the squared tolerance.
     """
-    values = np.array([cert.value(s) for s in traj.states])
-    if cert.bracket is cert.value:
-        brackets = values  # a second pass would repeat every oracle call
+    k, checked = len(traj), {}
+    if cert.batch is None:
+        values, brackets = _oracle_rows(cert, traj.states)
     else:
-        brackets = np.array([cert.bracket(s) for s in traj.states])
-    if values.shape != (len(traj), 2):
-        raise ValueError(f"certificate produced shape {values.shape}, expected ({len(traj)}, 2)")
+        values, brackets = _shaped(cert.batch(traj.states), k)
+        at = sorted({0, k // 2, k - 1})
+        ov, ob = _oracle_rows(cert, traj.states[at])
+        gap = np.maximum(abs(values[at] - ov), abs(brackets[at] - ob)).max(axis=1)
+        tol = 1e-12 * (1.0 + abs(cert.s_star) + np.maximum(abs(ov), abs(ob)).max(axis=1))
+        if not (gap <= tol).all():
+            raise ValueError(f"batch certificate off its oracles at states {at}: {gap} > {tol}")
+        checked = dict(route="batch", oracle_gap=float(gap.max()), checked_states=len(at))
     observability = None
     if flow is not None:
         h_gone = float(np.linalg.norm(values[-1])) <= zero_tol**2
@@ -178,6 +234,7 @@ def eval_certificate(
         max_bracket_violation=float((values - brackets).max()),
         final_values=values[-1],
         observability_violated=observability,
+        **checked,
     )
 
 

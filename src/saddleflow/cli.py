@@ -608,6 +608,9 @@ def _format_report(res: RunResult) -> str:
         v, tol = c.max_bracket_violation, cert.SANDWICH_TOL
         verdict = f"within {tol:.0e}" if v <= tol else f"violated ({v:.3e} > {tol:.0e})"
         lines.append(f"certificate sandwich: {verdict}")
+        lines.append("certificate route: " + (
+            f"batch (declared hessian), oracle gap {c.oracle_gap:.1e} at {c.checked_states} states"
+            if c.route == "batch" else "oracle at every state (no declared hessian)"))
         if c.observability_violated:
             lines.append("WARNING: certificate vanished while the flow residual did not")
     elif res.cert_skipped:

@@ -67,9 +67,9 @@ def _saddle_hessian(hess_x: np.ndarray, A: np.ndarray, hess_y=None) -> np.ndarra
 
 
 def _flow_only_hessian(n: int, A: np.ndarray) -> Optional[np.ndarray]:
-    """The Hessian of y^T A x plus a linear term, declared only for the affine
-    flow: None above ``AFFINE_MAX_DIM``, where that flow is not taken and the
-    dense matrix would hold (n+m)^2 entries against the m*n of A."""
+    """The Hessian of y^T A x plus a linear term, for the affine flow and the
+    certificates: None above ``AFFINE_MAX_DIM``, where that flow is not taken
+    and the dense matrix would hold (n+m)^2 entries against the m*n of A."""
     if n + A.shape[0] > AFFINE_MAX_DIM:
         return None
     return _saddle_hessian(np.zeros((n, n)), A)

@@ -111,7 +111,7 @@ def augment(problem: SaddleProblem, rho: float) -> SaddleProblem:
         )
 
     hessian = None
-    # declared for the affine flow only, which stops at AFFINE_MAX_DIM
+    # declared up to AFFINE_MAX_DIM, where the affine flow stops; certificates use it too
     if problem.hessian is not None and 2 * (n + m) <= AFFINE_MAX_DIM:
         # state order (x, x_hat, y, y_hat); slices build it faster than np.block
         H, rn, rm = problem.hessian, rho * np.eye(n), rho * np.eye(m)
@@ -217,7 +217,7 @@ def proximal_surrogate(problem: SaddleProblem, rho: float) -> ProximalSurrogate:
         n = problem.n
         H = problem.hessian
         jacobian_inverse = np.linalg.inv(H[:n, :n] + rho * np.eye(n))
-        # declared for the affine flow only, which stops at AFFINE_MAX_DIM
+        # declared up to AFFINE_MAX_DIM, where the affine flow stops; certificates use it too
         if problem.dim <= AFFINE_MAX_DIM:
             hessian = _surrogate_hessian(H, n, rho, jacobian_inverse)
 
@@ -425,7 +425,7 @@ def reduce(sep: "SeparableProblem") -> ReducedProblem:
     jacobian_inverse = hessian = None
     if sep.f_s.hess_constant:
         jacobian_inverse = np.linalg.inv(sep.f_s.hess(np.zeros(sep.f_s.dim)))
-        # declared for the affine flow only, which stops at AFFINE_MAX_DIM
+        # declared up to AFFINE_MAX_DIM, where the affine flow stops; certificates use it too
         n_c = f_c.dim
         if f_c.hess_constant and n_c + m <= AFFINE_MAX_DIM:
             # [[Q_c, A_c^T], [A_c, -A_s Q_s^-1 A_s^T]]: x_s_bar(y) has slope -Q_s^-1 A_s^T

@@ -280,3 +280,18 @@ def saddle_inequality_check(
             )
             return False
     return True
+
+
+def assert_batch_matches_the_oracle(cert: sf.Certificate, traj: sf.Trajectory) -> None:
+    """The batch rows of a certificate are within the check tolerance of
+    ``eval_certificate`` of its oracle forms at every recorded state, and
+    none is -0.0."""
+    assert cert.batch is not None, cert.label
+    values, brackets = cert.batch(traj.states)
+    oracle_values = np.array([cert.value(s) for s in traj.states])
+    oracle_brackets = np.array([cert.bracket(s) for s in traj.states])
+    gap = np.maximum(abs(values - oracle_values), abs(brackets - oracle_brackets)).max(axis=1)
+    largest = np.maximum(abs(oracle_values), abs(oracle_brackets)).max(axis=1)
+    assert (gap <= 1e-12 * (1.0 + abs(cert.s_star) + largest)).all(), (cert.label, gap.max())
+    both = np.concatenate((values, brackets))
+    assert not np.signbit(both[both == 0.0]).any(), cert.label

@@ -15,6 +15,7 @@ import saddleflow as sf
 from saddleflow import PointZ
 
 from helpers import (
+    assert_batch_matches_the_oracle,
     lasso_saddle,
     preconditioned_pd,
     qp_kkt_oracle,
@@ -335,7 +336,12 @@ def test_criterion_09_certificate_sandwich():
     acert = sf.cert_augmented(bil, 0.5, PointZ([0.0], [0.0]))
     reports["augmented"] = sf.eval_certificate(acert, atraj, flow=aflow)
 
+    # each certificate takes its batch route, which matches its oracle forms
+    # at every recorded state, not only at the three states it checks
+    for c, t in ((cert, traj), (pcert, ptraj), (acert, atraj)):
+        assert_batch_matches_the_oracle(c, t)
     for label, rep in reports.items():
+        assert rep.route == "batch", label
         assert rep.min_entry.min() >= -1e-9, f"{label}: negative certificate entry"
         assert rep.max_bracket_violation <= 1e-9, f"{label}: sandwich violated"
         assert not rep.observability_violated

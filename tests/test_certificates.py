@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 import saddleflow as sf
 from saddleflow import PointZ
 
-from helpers import rate_bound_precond, rate_bound_reduced
+from helpers import assert_batch_matches_the_oracle, rate_bound_precond, rate_bound_reduced
 
 
 def _pure_quadratic():
@@ -145,8 +145,13 @@ def test_strict_cc_is_evaluated_once_per_state():
     traj = sf.integrate(sf.standard_flow(quad), [1.0, 1.0], sf.IntegratorConfig(step=0.01, horizon=0.5))
     k = len(traj)
     counted.calls = 0
-    report = sf.eval_certificate(cert, traj)
+    report = sf.eval_certificate(replace(cert, batch=None), traj)
     assert counted.calls == 2 * k  # S(x*, y) and S(x, y*) per state; the bracket pass doubled it
+    assert report.max_bracket_violation == 0.0
+    # the batch route calls the value oracle only at its three check states
+    counted.calls = 0
+    report = sf.eval_certificate(cert, traj)
+    assert (report.route, report.checked_states, counted.calls) == ("batch", 3, 2 * 3)
     assert report.max_bracket_violation == 0.0
 
 
@@ -206,13 +211,89 @@ def test_single_pass_matches_the_two_pass_evaluator(case):
     old = _two_pass_reference(cert, traj, flow=flow)
     if flow.reset is not None:
         flow.reset()
-    new = sf.eval_certificate(cert, traj, flow=flow)
+    new = sf.eval_certificate(replace(cert, batch=None), traj, flow=flow)
 
     for field in ("min_entry", "final_values"):
         a, b = getattr(old, field), getattr(new, field)
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), field
     assert new.observability_violated is old.observability_violated is False
     assert new.max_bracket_violation == 0.0
+    assert new.route == "oracle"
+
+
+# ---------------------------------------------------------------------------
+# the batch route
+
+
+@pytest.mark.parametrize("block, i, j", [("xx", 0, 0), ("xx", 2, 1), ("yy", 1, 1), ("yy", 0, 1)])
+def test_a_perturbed_hessian_block_fails_the_oracle_check(block, i, j):
+    quad, flow, z0 = _quadratic_case()
+    traj = sf.integrate(flow, z0, sf.IntegratorConfig(step=0.01, horizon=10.0, record_every=5))
+    n, z_star = quad.n, PointZ(*quad.saddle)
+    H = quad.hessian.copy()
+    H[(i, j) if block == "xx" else (n + i, n + j)] += 1e-6
+    bad = replace(quad, hessian=H)
+    assert sf.eval_certificate(sf.cert_strict_cc(quad, z_star), traj).route == "batch"
+    with pytest.raises(ValueError, match="batch certificate off its oracles"):
+        sf.eval_certificate(sf.cert_strict_cc(bad, z_star), traj)
+    # the augmented certificate takes its gaps from the same base blocks
+    x, y = traj.states[:, :n], traj.states[:, n:]
+    augmented = sf.Trajectory(traj.times, np.hstack((x, 0.5 * x, y, 0.5 * y)))
+    assert sf.eval_certificate(sf.cert_augmented(quad, 0.5, z_star), augmented).route == "batch"
+    with pytest.raises(ValueError, match="batch certificate off its oracles"):
+        sf.eval_certificate(sf.cert_augmented(bad, 0.5, z_star), augmented)
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (1, 0)])
+def test_a_perturbed_proximal_inverse_fails_the_oracle_check(i, j):
+    # a saddle away from the origin, so that grad_x S(0, y*) is not zero
+    bundle = sf.make_qp_affine(np.diag([1.0, 2.0]), np.array([0.5, -0.3]),
+                               np.array([[1.0, 0.4], [0.0, 1.0]]), np.array([-1.0, 0.5]))
+    surrogate = sf.proximal_surrogate(sf.qp_lagrangian(bundle, nonneg_y=False), 1.0)
+    flow = replace(sf.standard_flow(surrogate.problem), reset=surrogate.reset)
+    traj = sf.integrate(flow, np.ones(4), sf.IntegratorConfig(step=0.01, horizon=5.0, record_every=5))
+    w_star = PointZ(flow.equilibrium_hint[:2], flow.equilibrium_hint[2:])
+    assert np.abs(surrogate.base.grad_x(np.zeros(2), w_star.y)).min() > 0.1
+    cert = sf.cert_proximal(surrogate, w_star)
+    assert_batch_matches_the_oracle(cert, traj)
+    assert sf.eval_certificate(cert, traj).route == "batch"
+    M = surrogate._jacobian_inverse.copy()
+    M[i, j] += 1e-6
+    with pytest.raises(ValueError, match="batch certificate off its oracles"):
+        sf.eval_certificate(sf.cert_proximal(replace(surrogate, _jacobian_inverse=M), w_star), traj)
+
+
+def test_a_problem_without_hessian_keeps_the_per_state_route():
+    problem = _coupled_quadratic()
+    assert problem.hessian is None
+    traj = sf.integrate(sf.standard_flow(problem), [1.0, 1.0], sf.IntegratorConfig(step=0.01, horizon=1.0))
+    counted = _Counted(problem.value)
+    cert = sf.cert_strict_cc(replace(problem, value=counted), PointZ([0.0], [0.0]))
+    assert cert.batch is None
+    counted.calls = 0
+    report = sf.eval_certificate(cert, traj)
+    assert (report.route, report.oracle_gap, report.checked_states) == ("oracle", None, 0)
+    assert counted.calls == 2 * len(traj)
+    surrogate = sf.proximal_surrogate(problem, 1.0)
+    pcert = sf.cert_proximal(surrogate, PointZ([0.0], [0.0]))
+    assert pcert.batch is None
+    assert sf.eval_certificate(pcert, traj).route == "oracle"
+
+
+def test_a_bracket_of_the_wrong_shape_is_refused_on_both_routes():
+    traj = sf.Trajectory(np.arange(4.0), np.zeros((4, 2)))
+    short = lambda s: np.zeros(1)
+    cert = sf.Certificate(value=lambda s: np.zeros(2), bracket=short)
+    with pytest.raises(ValueError, match=r"certificate brackets have shape \(4, 1\), expected \(4, 2\)"):
+        sf.eval_certificate(cert, traj)
+    with pytest.raises(ValueError, match=r"certificate values have shape \(4, 1\), expected \(4, 2\)"):
+        sf.eval_certificate(replace(cert, value=short, bracket=lambda s: np.zeros(2)), traj)
+    # batch rows of the wrong shape, and a batch whose oracle bracket is short
+    good = lambda states: np.zeros((len(states), 2))
+    with pytest.raises(ValueError, match=r"certificate brackets have shape \(1,\), expected \(4, 2\)"):
+        sf.eval_certificate(replace(cert, batch=lambda states: (good(states), np.zeros(1))), traj)
+    with pytest.raises(ValueError, match=r"certificate brackets have shape \(3, 1\), expected \(3, 2\)"):
+        sf.eval_certificate(replace(cert, batch=lambda states: (good(states), good(states))), traj)
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,46 @@ def test_report_gives_the_sandwich_verdict(tmp_path, violation, verdict):
     assert lines[i + 1] == verdict
 
 
+# an augmented bilinear run past AFFINE_MAX_DIM: its base declares no hessian
+BIG_BILINEAR_AUGMENTED = """
+[problem]
+kind = bilinear
+n = 70
+m = 70
+
+[algorithm]
+kind = augmented
+
+[integrator]
+step = 0.05
+horizon = 1
+record_every = 5
+"""
+
+
+@pytest.mark.parametrize(
+    "text, route",
+    [
+        ((CONFIGS / "qp_preconditioned_uy.ini").read_text(),
+         r"batch \(declared hessian\), oracle gap \d\.\de[+-]\d\d at 3 states"),
+        (BIG_BILINEAR_AUGMENTED, r"oracle at every state \(no declared hessian\)"),
+    ],
+    ids=["batch", "oracle"],
+)
+def test_report_names_the_certificate_route_after_the_verdict(tmp_path, text, route):
+    import re
+
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, "run.ini", text)), "--output-dir", str(out), "--quiet"]) == 0
+    report = (out / "report.txt").read_text()
+    lines = report.splitlines()
+    (i,) = [k for k, line in enumerate(lines) if line.startswith("certificate sandwich: ")]
+    assert re.fullmatch("certificate route: " + route, lines[i + 1]), lines[i + 1]
+    # the batch gaps are centred at z*: on the shipped uy run a vanishing gap
+    # came out of them as -0.0, printed as -0.000e+00
+    assert "-0.000e+00" not in report
+
+
 @pytest.mark.parametrize(
     "config, old, new, message",
     [
@@ -686,10 +726,23 @@ def test_runs_without_a_certificate_say_so(tmp_path, config, reason):
     assert f"certificate: skipped (not applicable: {reason})\n" in report
 
 
-def test_rates_csv_bound_of_every_shipped_config_is_its_closed_form(tmp_path):
+def test_rates_csv_bound_of_every_shipped_config_is_its_closed_form(tmp_path, monkeypatch):
     # the CLI reads the bound off the meta of the problem the flow runs on; the
     # closed forms take the raw constants. Five times the shipped step keeps the
-    # records and the bound and cuts the run time.
+    # records and the bound and cuts the run time. The same runs check that
+    # every certificate's batch form matches its oracle forms at every state.
+    import saddleflow.cli as cli
+
+    from helpers import assert_batch_matches_the_oracle
+
+    evaluate, certified = cli.cert.eval_certificate, []
+
+    def checked(cert, traj, flow=None):
+        assert_batch_matches_the_oracle(cert, traj)
+        certified.append(cert.label)
+        return evaluate(cert, traj, flow=flow)
+
+    monkeypatch.setattr(cli.cert, "eval_certificate", checked)
     paths = [_coarse(tmp_path, path) for path in sorted(CONFIGS.glob("*.ini"))]
     out = tmp_path / "out"
     assert main(["compare", *paths, "--output-dir", str(out), "--quiet"]) == 0
@@ -702,3 +755,5 @@ def test_rates_csv_bound_of_every_shipped_config_is_its_closed_form(tmp_path):
         assert (float(row["c_bound"]) if row["c_bound"] else None) == expected, path.name
         bounded += expected is not None
     assert bounded == 7
+    # all but bilinear_standard, lasso_pipeline and qp_proximal
+    assert len(certified) == 9
