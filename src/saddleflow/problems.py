@@ -37,7 +37,6 @@ __all__ = [
     "make_qp_affine",
     "qp_lagrangian",
     "make_separable_qp",
-    "separable_lagrangian",
     "separable_qp_bundle",
     "make_lasso",
     "lp_oracle",
@@ -53,26 +52,59 @@ def _sym_eig_bounds(mat: np.ndarray) -> tuple[float, float]:
     return float(max(eigs[0], 0.0)), float(max(eigs[-1], 0.0))
 
 
-def _saddle_hessian(hess_x: np.ndarray, A: np.ndarray, hess_y=None) -> np.ndarray:
-    """[[hess_x, A^T], [A, hess_y]]: the Hessian of f(x) + y^T A x + g(y) for
-    quadratics f and g (hess_y None: g linear)."""
-    n, m = hess_x.shape[0], A.shape[0]
-    out = np.zeros((n + m, n + m))
-    out[:n, :n] = hess_x
-    out[:n, n:] = A.T
-    out[n:, :n] = A
-    if hess_y is not None:
-        out[n:, n:] = hess_y
-    return out
+def _linear_objective(c: np.ndarray) -> ConvexObjective:
+    """f(x) = c^T x: zero curvature (mu = l = 0) and a constant zero Hessian."""
+    n = c.shape[0]
+    return ConvexObjective(
+        dim=n,
+        value=lambda x: float(c @ x),
+        grad=lambda x: c,
+        hess=lambda x: np.zeros((n, n)),
+        mu=0.0,
+        l=0.0,
+        label="linear",
+        hess_constant=True,
+    )
 
 
-def _flow_only_hessian(n: int, A: np.ndarray) -> Optional[np.ndarray]:
-    """The Hessian of y^T A x plus a linear term, for the affine flow and the
-    certificates: None above ``AFFINE_MAX_DIM``, where that flow is not taken
-    and the dense matrix would hold (n+m)^2 entries against the m*n of A."""
-    if n + A.shape[0] > AFFINE_MAX_DIM:
-        return None
-    return _saddle_hessian(np.zeros((n, n)), A)
+def _lagrangian(
+    f: ConvexObjective, A: np.ndarray, b: np.ndarray, label: str, *,
+    q: float = 0.0, kappa=None, sigma=None, y_set=None, saddle=None,
+) -> SaddleProblem:
+    """S(x, y) = f(x) + y^T (Ax - b) - (q/2)||y||^2, the one Lagrangian builder.
+
+    Its Hessian declaration follows one rule. A quadratic f (``hess_constant``)
+    declares ``hessian`` at any size, except a linear one (l = 0, so its
+    Hessian vanishes): that declares only up to ``AFFINE_MAX_DIM``, where the
+    affine flow reads it and the dense matrix would hold (n+m)^2 entries
+    against the m*n of A. Any other f with a ``hess`` oracle gets ``hess_xx``
+    and ``hess_yy`` and no ``hessian``; an f without one gets neither.
+    """
+    m, n = A.shape
+    yy = -q * np.eye(m) if q else np.zeros((m, m))
+    hessian = hess_xx = hess_yy = None
+    if f.hess_constant:
+        if n + m <= AFFINE_MAX_DIM or f.l != 0.0:
+            top = np.concatenate((f.hess(np.zeros(n)), A.T), axis=1)  # np.block costs 4x more
+            hessian = np.concatenate((top, np.concatenate((A, yy), axis=1)))
+    elif f.hess is not None:
+        hess_xx, hess_yy = (lambda x, y: f.hess(x)), (lambda x, y: yy)
+    return SaddleProblem(
+        n=n,
+        m=m,
+        value=lambda x, y: (
+            float(f.value(x)) + float(y @ (A @ x - b)) - (0.5 * q * float(y @ y) if q else 0.0)
+        ),
+        grad_x=lambda x, y: f.grad(x) + A.T @ y,
+        grad_y=(lambda x, y: A @ x - b - q * y) if q else (lambda x, y: A @ x - b),
+        meta=ConvexityMeta(mu=f.mu, q=q, l=f.l, kappa=kappa, sigma=sigma),
+        y_set=y_set,
+        saddle=saddle,
+        hess_xx=hess_xx,
+        hess_yy=hess_yy,
+        label=label,
+        hessian=hessian,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +116,9 @@ def make_bilinear(M) -> SaddleProblem:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     n, m = M.shape
     kappa, sigma = _sym_eig_bounds(M.T @ M)
-    return SaddleProblem(
-        n=n,
-        m=m,
-        value=lambda x, y: float(x @ (M @ y)),
-        grad_x=lambda x, y: M @ y,
-        grad_y=lambda x, y: M.T @ x,
-        meta=ConvexityMeta(mu=0.0, q=0.0, l=0.0, kappa=kappa, sigma=sigma),
-        saddle=(np.zeros(n), np.zeros(m)),
-        label="bilinear",
-        hessian=_flow_only_hessian(n, M.T),
+    return _lagrangian(
+        _linear_objective(np.zeros(n)), M.T, np.zeros(m), "bilinear",
+        kappa=kappa, sigma=sigma, saddle=(np.zeros(n), np.zeros(m)),
     )
 
 
@@ -104,16 +129,10 @@ def make_quadratic_saddle(mu: float, q: float, B) -> SaddleProblem:
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n, m = B.shape
     kappa, sigma = _sym_eig_bounds(B.T @ B)
-    return SaddleProblem(
-        n=n,
-        m=m,
-        value=lambda x, y: 0.5 * mu * float(x @ x) + float(x @ (B @ y)) - 0.5 * q * float(y @ y),
-        grad_x=lambda x, y: mu * x + B @ y,
-        grad_y=lambda x, y: B.T @ x - q * y,
-        meta=ConvexityMeta(mu=mu, q=q, l=mu, kappa=kappa, sigma=sigma),
-        saddle=(np.zeros(n), np.zeros(m)),
-        label="quadratic_saddle",
-        hessian=_saddle_hessian(mu * np.eye(n), B.T, -q * np.eye(m)),
+    f = _quadratic_objective(mu * np.eye(n), np.zeros(n), "quadratic")
+    return _lagrangian(
+        f, B.T, np.zeros(m), "quadratic_saddle",
+        q=q, kappa=kappa, sigma=sigma, saddle=(np.zeros(n), np.zeros(m)),
     )
 
 
@@ -175,18 +194,10 @@ def make_lp(lp: LinearProgram) -> SaddleProblem:
     else:
         A_full, b_full, k_eq = lp.A, lp.b, 0
     m = b_full.shape[0]
-    c = lp.c
     lower = np.concatenate((np.full(k_eq, -np.inf), np.zeros(m - k_eq)))
-    return SaddleProblem(
-        n=lp.n,
-        m=m,
-        value=lambda x, y: float(c @ x) + float(y @ (A_full @ x - b_full)),
-        grad_x=lambda x, y: c + A_full.T @ y,
-        grad_y=lambda x, y: A_full @ x - b_full,
-        meta=ConvexityMeta(mu=0.0, q=0.0, l=0.0),
+    return _lagrangian(
+        _linear_objective(lp.c), A_full, b_full, "lp_lagrangian",
         y_set=FeasibleSet(lower, np.full(m, np.inf)),
-        label="lp_lagrangian",
-        hessian=_flow_only_hessian(lp.n, A_full),
     )
 
 
@@ -321,43 +332,23 @@ def make_qp_affine(Q, p, A, b) -> QpBundle:
     return QpBundle(f=f, A=A, b=b, kappa=kappa, sigma=sigma)
 
 
-def qp_lagrangian(bundle: QpBundle, eta: float = 1.0, nonneg_y: bool = True) -> SaddleProblem:
-    """(Weighted) Lagrangian f(x) + eta*y^T(Ax - b) of a QP bundle.
+def qp_lagrangian(bundle: QpBundle, nonneg_y: bool = True) -> SaddleProblem:
+    """Lagrangian f(x) + y^T(Ax - b) of a QP bundle.
 
-    With ``nonneg_y`` False the dual block is free and the unique stationary
-    point is solved from the KKT system and attached as the saddle.
+    With ``nonneg_y`` False the dual block is free; for a quadratic f
+    (``hess_constant``) the unique stationary point is then solved from the
+    KKT system and attached as the saddle.
     """
-    if not eta > 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
     f, A, b = bundle.f, bundle.A, bundle.b
     m, n = A.shape
     saddle = None
-    if not nonneg_y:
-        kkt = np.block([[f.hess(np.zeros(n)), eta * A.T], [A, np.zeros((m, m))]])
-        rhs = np.concatenate((-f.grad(np.zeros(n)), b))
-        sol = np.linalg.solve(kkt, rhs)
+    if not nonneg_y and f.hess_constant:
+        kkt = np.block([[f.hess(np.zeros(n)), A.T], [A, np.zeros((m, m))]])
+        sol = np.linalg.solve(kkt, np.concatenate((-f.grad(np.zeros(n)), b)))
         saddle = (sol[:n], sol[n:])
-    hessian = hess_xx = hess_yy = None
-    if f.hess_constant:
-        hessian = _saddle_hessian(f.hess(np.zeros(n)), eta * A)
-    else:
-        hess_xx = lambda x, y: f.hess(x)
-        hess_yy = lambda x, y: np.zeros((m, m))
-    return SaddleProblem(
-        n=n,
-        m=m,
-        value=lambda x, y: float(f.value(x)) + eta * float(y @ (A @ x - b)),
-        grad_x=lambda x, y: f.grad(x) + eta * (A.T @ y),
-        grad_y=lambda x, y: eta * (A @ x - b),
-        meta=ConvexityMeta(
-            mu=f.mu, q=0.0, l=f.l, kappa=eta**2 * bundle.kappa, sigma=eta**2 * bundle.sigma
-        ),
-        y_set=FeasibleSet.nonnegative(m) if nonneg_y else None,
-        saddle=saddle,
-        hess_xx=hess_xx,
-        hess_yy=hess_yy,
-        label="qp_lagrangian",
-        hessian=hessian,
+    return _lagrangian(
+        f, A, b, "qp_lagrangian", kappa=bundle.kappa, sigma=bundle.sigma,
+        y_set=FeasibleSet.nonnegative(m) if nonneg_y else None, saddle=saddle,
     )
 
 
@@ -467,47 +458,6 @@ def separable_qp_bundle(sep: SeparableProblem) -> QpBundle:
     )
     p = np.concatenate((sep.f_s.grad(z_s), sep.f_c.grad(z_c)))
     return make_qp_affine(Q, p, np.hstack((sep.A_s, sep.A_c)), sep.b)
-
-
-def separable_lagrangian(sep: SeparableProblem, nonneg_y: bool = True) -> SaddleProblem:
-    """Full Lagrangian of a separable program over (x, y), before reduction."""
-    n_s, n_c = sep.f_s.dim, sep.f_c.dim
-    m = sep.b.shape[0]
-    A = np.hstack((sep.A_s, sep.A_c))
-    b = sep.b
-
-    def value(x, y):
-        return (
-            float(sep.f_s.value(x[:n_s]))
-            + float(sep.f_c.value(x[n_s:]))
-            + float(y @ (A @ x - b))
-        )
-
-    def grad_x(x, y):
-        return np.concatenate((sep.f_s.grad(x[:n_s]), sep.f_c.grad(x[n_s:]))) + A.T @ y
-
-    mu = None
-    if sep.f_s.mu is not None and sep.f_c.mu is not None:
-        mu = min(sep.f_s.mu, sep.f_c.mu)
-    l = None
-    if sep.f_s.l is not None and sep.f_c.l is not None:
-        l = max(sep.f_s.l, sep.f_c.l)
-    hessian = None
-    if sep.f_s.hess_constant and sep.f_c.hess_constant:
-        hessian = _saddle_hessian(np.zeros((n_s + n_c, n_s + n_c)), A)
-        hessian[:n_s, :n_s] = sep.f_s.hess(np.zeros(n_s))
-        hessian[n_s : n_s + n_c, n_s : n_s + n_c] = sep.f_c.hess(np.zeros(n_c))
-    return SaddleProblem(
-        n=n_s + n_c,
-        m=m,
-        value=value,
-        grad_x=grad_x,
-        grad_y=lambda x, y: A @ x - b,
-        meta=ConvexityMeta(mu=mu, q=0.0, l=l),
-        y_set=FeasibleSet.nonnegative(m) if nonneg_y else None,
-        label="separable_lagrangian",
-        hessian=hessian,
-    )
 
 
 # ---------------------------------------------------------------------------

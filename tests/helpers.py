@@ -87,6 +87,18 @@ def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
+def cosh_bundle(with_hess: bool = True) -> sf.QpBundle:
+    """f(x) = sum cosh(x_i) under x_1 + 2 x_2 <= 3: convex, but not quadratic."""
+    f = sf.ConvexObjective(
+        dim=2,
+        value=lambda x: float(np.cosh(x).sum()),
+        grad=np.sinh,
+        hess=(lambda x: np.diag(np.cosh(x))) if with_hess else None,
+        mu=1.0,
+    )
+    return sf.QpBundle(f=f, A=np.array([[1.0, 2.0]]), b=np.array([3.0]), kappa=5.0, sigma=5.0)
+
+
 def qp_kkt_oracle(Q, p, A, b, eta: float = 1.0, tol: float = 1e-9):
     """Active-set enumeration for min 0.5 x'Qx + p'x s.t. Ax <= b.
 

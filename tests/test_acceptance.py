@@ -499,7 +499,7 @@ def test_criterion_12_gradient_hygiene():
         "lp": sf.make_lp(sf.LinearProgram(c=[1.0, -2.0], A=[[1.0, 1.0], [0.5, -1.0]], b=[1.0, 0.0])),
         "min_cost_flow": mcf_problem,
         "qp_lagrangian": sf.qp_lagrangian(qp),
-        "separable_lagrangian": sf.separable_lagrangian(sep),
+        "separable_lagrangian": sf.qp_lagrangian(sf.separable_qp_bundle(sep)),
         "lasso_datafit": sf.SaddleProblem(
             n=lasso_bundle.n, m=1,
             value=lambda x, y: lasso_bundle.fhat.value(x),

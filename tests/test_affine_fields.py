@@ -21,7 +21,7 @@ import saddleflow as sf
 import saddleflow._inner as inner_mod
 from saddleflow import cli
 
-from helpers import face_points
+from helpers import cosh_bundle, face_points
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # shipped configs whose field is affine in the state (up to the projection)
@@ -57,9 +57,9 @@ def _declaring_problems():
         ("quadratic_saddle", quad),
         ("lp", lp),
         ("min_cost_flow", network),
-        ("qp_lagrangian", sf.qp_lagrangian(bundle, eta=1.7)),
+        ("qp_lagrangian", sf.qp_lagrangian(bundle)),
         ("qp_lagrangian_free", sf.qp_lagrangian(bundle, nonneg_y=False)),
-        ("separable_lagrangian", sf.separable_lagrangian(sep)),
+        ("separable_lagrangian", sf.qp_lagrangian(sf.separable_qp_bundle(sep))),
         ("precondition_qp", sf.precondition(bundle.f, bundle.A, bundle.b, eta=1.0, alpha=0.5)),
         ("precondition_lasso", sf.precondition(
             lasso.f, lasso.A, np.zeros(lasso.f.dim), eta=1.0, alpha=0.8 / lasso.l, y_set=lasso.y_set
@@ -134,11 +134,17 @@ def test_a_perturbed_declaration_fails_the_build(name, problem):
 def test_the_affine_path_and_the_flow_only_declarations_stop_at_the_size_cap():
     rng = np.random.default_rng(134)
     cap = sf.AFFINE_MAX_DIM
-    # bilinear and LP declare up to the cap, where the affine flow reads it, and not past it
+    # a Lagrangian with a linear f (bilinear, LP) declares up to the cap, where the
+    # affine flow reads it, and not past it
     assert sf.make_bilinear(rng.standard_normal((cap // 2, cap // 2))).hessian is not None
     assert sf.make_bilinear(rng.standard_normal((cap // 2 + 1, cap // 2))).hessian is None
-    lp = sf.LinearProgram(c=np.ones(cap // 2), A=np.eye(cap // 2 + 1, cap // 2), b=np.ones(cap // 2 + 1))
-    assert sf.make_lp(lp).hessian is None
+    for m, declares in ((cap // 2, True), (cap // 2 + 1, False)):
+        lp = sf.LinearProgram(c=np.ones(cap // 2), A=np.eye(m, cap // 2), b=np.ones(m))
+        assert (sf.make_lp(lp).hessian is not None) == declares
+    # one with a quadratic f declares at any size
+    wide_qp = cap // 2 + 1
+    qp = sf.make_qp_affine(np.eye(wide_qp), np.zeros(wide_qp), np.eye(cap // 2, wide_qp), np.ones(cap // 2))
+    assert sf.qp_lagrangian(qp).hessian is not None
     # augment declares only when its doubled state fits under the cap
     small = sf.make_quadratic_saddle(0.7, 1.3, rng.standard_normal((cap // 4, cap // 4)))
     assert sf.augment(small, 0.5).hessian is not None
@@ -169,6 +175,14 @@ def test_the_affine_path_and_the_flow_only_declarations_stop_at_the_size_cap():
         np.eye(m), np.zeros(m), np.eye(n_c), np.zeros(n_c), np.eye(m), np.ones((m, n_c)), np.ones(m),
     )
     assert sf.reduce(sep).problem.hessian is None
+    # a Lagrangian with a non-quadratic f declares no hessian and takes hess_xx from f.hess
+    bundle = cosh_bundle()
+    lag = sf.qp_lagrangian(bundle)
+    assert lag.hessian is None
+    for _ in range(3):
+        x, y = rng.uniform(-2.0, 2.0, 2), rng.uniform(0.0, 2.0, 1)
+        assert np.array_equal(lag.hess_xx(x, y), bundle.f.hess(x))
+        assert np.array_equal(lag.hess_yy(x, y), np.zeros((1, 1)))
 
 
 def _count_gradient_calls(monkeypatch) -> dict:

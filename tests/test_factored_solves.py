@@ -46,7 +46,7 @@ def _surrogate_bases(rng):
         sf.make_bilinear(rng.standard_normal((3, 2))),
         sf.make_lp(lp),
         sf.make_min_cost_flow(sf.demo_network())[0],
-        sf.separable_lagrangian(sep),
+        sf.qp_lagrangian(sf.separable_qp_bundle(sep)),
         sf.augment(quad, 0.5),
     ]
 

@@ -6,7 +6,7 @@ import pytest
 import saddleflow as sf
 from saddleflow import PointZ
 
-from helpers import check_gradients, fd_gradient, qp_kkt_oracle, run_until
+from helpers import check_gradients, cosh_bundle, fd_gradient, qp_kkt_oracle, run_until
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +163,29 @@ def test_qp_lagrangian_free_dual_saddle():
     assert sf.stationarity_residual(problem, PointZ(*problem.saddle)) <= 1e-12
 
 
+def test_qp_lagrangian_attaches_no_kkt_point_for_a_non_quadratic_f():
+    # the KKT system at f.hess(0) is the stationarity condition only for a quadratic f;
+    # for sum cosh(x_i) its solution is no saddle, so none is attached or hinted
+    problem = sf.qp_lagrangian(cosh_bundle(), nonneg_y=False)
+    assert problem.saddle is None
+    assert sf.standard_flow(problem).equilibrium_hint is None
+
+
+def test_qp_lagrangian_of_an_f_without_hess_builds_without_curvature():
+    problem = sf.qp_lagrangian(cosh_bundle(with_hess=False), nonneg_y=False)
+    assert problem.saddle is None
+    assert problem.hessian is None and problem.hess_xx is None and problem.hess_yy is None
+
+
+def test_surrogate_of_a_qp_lagrangian_without_hess_solves_by_finite_differences():
+    surrogate = sf.proximal_surrogate(sf.qp_lagrangian(cosh_bundle(with_hess=False)), 1.0)
+    u, y = np.array([1.0, -2.0]), np.array([0.5])
+    x = surrogate.minimizer(u, y)
+    # stationarity of sum cosh(x_i) + y^T (A x - b) + (1/2)||x - u||^2
+    assert np.abs(np.sinh(x) + y[0] * np.array([1.0, 2.0]) + x - u).max() <= 1e-8
+    assert x == pytest.approx([0.2487, -1.3005], abs=1e-4)
+
+
 def test_separable_qp_builder():
     sep = sf.make_separable_qp(
         np.diag([1.0, 2.0]), np.zeros(2), np.eye(1), np.zeros(1),
@@ -230,7 +253,7 @@ def test_separable_lagrangian_matches_reduction_at_saddle():
     flow = replace(sf.standard_flow(red.problem), reset=red.reset)
     z, _, _ = run_until(flow, np.array([1.0, 0.0]),
                         sf.IntegratorConfig(step=0.002, horizon=30.0, record_every=100), 1e-9)
-    full = sf.separable_lagrangian(sep)
+    full = sf.qp_lagrangian(sf.separable_qp_bundle(sep))
     x_full = red.recover(z[:1], z[1:])
     res = sf.stationarity_residual(full, PointZ(x_full, z[1:]), feasible=sf.full_domain(full))
     assert res <= 1e-6
@@ -422,10 +445,10 @@ def test_builders_gradient_hygiene_sample():
     problems = [
         sf.make_lp(sf.min_cost_flow_lp(net)),
         sf.qp_lagrangian(sf.make_qp_affine(np.eye(2), np.ones(2), np.eye(2), np.zeros(2))),
-        sf.separable_lagrangian(
+        sf.qp_lagrangian(sf.separable_qp_bundle(
             sf.make_separable_qp(np.eye(1), np.zeros(1), np.eye(1), np.zeros(1),
                                  np.eye(1), np.eye(1), np.zeros(1))
-        ),
+        )),
     ]
     for problem in problems:
         check_gradients(problem, rng, probes=10)
