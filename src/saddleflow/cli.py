@@ -503,19 +503,25 @@ class RunResult:
 
 
 def _resolve_equilibrium(flow: Flow, traj: Trajectory, config: IntegratorConfig):
+    """(z*, how): the hint if its residual is within ``RESIDUAL_TOL``, else detection."""
+    rejected = ""
     if flow.equilibrium_hint is not None:
-        return flow.equilibrium_hint, "hint"
+        residual = flow.residual(flow.equilibrium_hint)
+        if residual <= RESIDUAL_TOL:
+            return flow.equilibrium_hint, "hint"
+        hint = np.array2string(flow.equilibrium_hint, precision=6, max_line_width=np.inf)
+        rejected = f"; hint {hint} rejected (residual {residual:.3e} > {RESIDUAL_TOL:g})"
     z = detect_equilibrium(flow, traj, RESIDUAL_TOL)
     if z is not None:
-        return z, "detected"
+        return z, "detected" + rejected
     ref_cfg = replace(
         config, horizon=10.0 * config.horizon, record_every=max(1, 10 * config.record_every)
     )
     ref = integrate(flow, traj.states[0], ref_cfg)
     z = detect_equilibrium(flow, ref, RESIDUAL_TOL)
     if z is not None:
-        return z, "detected (10x-horizon reference run)"
-    return None, "not found"
+        return z, "detected (10x-horizon reference run)" + rejected
+    return None, "not found" + rejected
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:

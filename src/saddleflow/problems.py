@@ -56,14 +56,8 @@ def _linear_objective(c: np.ndarray) -> ConvexObjective:
     """f(x) = c^T x: zero curvature (mu = l = 0) and a constant zero Hessian."""
     n = c.shape[0]
     return ConvexObjective(
-        dim=n,
-        value=lambda x: float(c @ x),
-        grad=lambda x: c,
-        hess=lambda x: np.zeros((n, n)),
-        mu=0.0,
-        l=0.0,
-        label="linear",
-        hess_constant=True,
+        dim=n, value=lambda x: float(c @ x), grad=lambda x: c, hess=lambda x: np.zeros((n, n)),
+        mu=0.0, l=0.0, label="linear", hess_constant=True,
     )
 
 
@@ -98,12 +92,7 @@ def _lagrangian(
         grad_x=lambda x, y: f.grad(x) + A.T @ y,
         grad_y=(lambda x, y: A @ x - b - q * y) if q else (lambda x, y: A @ x - b),
         meta=ConvexityMeta(mu=f.mu, q=q, l=f.l, kappa=kappa, sigma=sigma),
-        y_set=y_set,
-        saddle=saddle,
-        hess_xx=hess_xx,
-        hess_yy=hess_yy,
-        label=label,
-        hessian=hessian,
+        y_set=y_set, saddle=saddle, hess_xx=hess_xx, hess_yy=hess_yy, label=label, hessian=hessian,
     )
 
 
@@ -129,7 +118,11 @@ def make_quadratic_saddle(mu: float, q: float, B) -> SaddleProblem:
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n, m = B.shape
     kappa, sigma = _sym_eig_bounds(B.T @ B)
-    f = _quadratic_objective(mu * np.eye(n), np.zeros(n), "quadratic")
+    Q = mu * np.eye(n)  # f = (mu/2)||x||^2: its curvature is mu, no eigvalsh needed
+    f = ConvexObjective(
+        dim=n, value=lambda x: 0.5 * float(x @ (mu * x)), grad=lambda x: mu * x,
+        hess=lambda x: Q, mu=float(mu), l=float(mu), label="quadratic", hess_constant=True,
+    )
     return _lagrangian(
         f, B.T, np.zeros(m), "quadratic_saddle",
         q=q, kappa=kappa, sigma=sigma, saddle=(np.zeros(n), np.zeros(m)),
@@ -261,11 +254,8 @@ def min_cost_flow_lp(net: FlowNetwork) -> LinearProgram:
     n_e = net.num_edges
     eye = np.eye(n_e)
     return LinearProgram(
-        c=net.costs,
-        A=np.vstack((eye, -eye)),
-        b=np.concatenate((net.capacities, np.zeros(n_e))),
-        A_eq=net.incidence(),
-        b_eq=net.injections,
+        c=net.costs, A=np.vstack((eye, -eye)), b=np.concatenate((net.capacities, np.zeros(n_e))),
+        A_eq=net.incidence(), b_eq=net.injections,
     )
 
 
@@ -282,8 +272,7 @@ def make_min_cost_flow(net: FlowNetwork) -> tuple[SaddleProblem, Callable]:
     costs = net.costs
 
     def recover(state) -> tuple[np.ndarray, float]:
-        state = np.asarray(state, dtype=float)
-        x = state[:n_e]
+        x = np.asarray(state, dtype=float)[:n_e]
         return x, float(costs @ x)
 
     return problem, recover
@@ -307,10 +296,7 @@ class QpBundle:
         A, b = self.A, self.b
         zero = np.zeros((A.shape[1], A.shape[1]))
         return ConstraintMap(
-            m=A.shape[0],
-            value=lambda x: A @ x - b,
-            jacobian=lambda x: A,
-            hess=lambda x, y: zero,
+            m=A.shape[0], value=lambda x: A @ x - b, jacobian=lambda x: A, hess=lambda x, y: zero,
             label="affine",
         )
 
@@ -380,11 +366,9 @@ class SeparableProblem:
         kappa_s, sigma_s = _sym_eig_bounds(A_s @ A_s.T)
         if kappa_s <= 1e-12 * max(sigma_s, 1.0):
             raise ValueError("A_s must have full row rank (A_s A_s^T is singular)")
-        object.__setattr__(self, "A_s", A_s)
-        object.__setattr__(self, "A_c", A_c)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "kappa_s", kappa_s)
-        object.__setattr__(self, "sigma_s", sigma_s)
+        values = {"A_s": A_s, "A_c": A_c, "b": b, "kappa_s": kappa_s, "sigma_s": sigma_s}
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
 
 def _is_symmetric(Q: np.ndarray) -> bool:
@@ -415,26 +399,15 @@ def _quadratic_objective(Q, p, label: str) -> ConvexObjective:
     if eigs[0] <= 0:
         raise ValueError(f"Q must be positive definite, smallest eigenvalue {eigs[0]:.3e}")
     return ConvexObjective(
-        dim=n,
-        value=lambda x: 0.5 * float(x @ (Q @ x)) + float(p @ x),
-        grad=lambda x: Q @ x + p,
-        hess=lambda x: Q,
-        mu=float(eigs[0]),
-        l=float(eigs[-1]),
-        label=label,
-        hess_constant=True,
+        dim=n, value=lambda x: 0.5 * float(x @ (Q @ x)) + float(p @ x), grad=lambda x: Q @ x + p,
+        hess=lambda x: Q, mu=float(eigs[0]), l=float(eigs[-1]), label=label, hess_constant=True,
     )
 
 
 def make_separable_qp(Q_s, p_s, Q_c, p_c, A_s, A_c, b) -> SeparableProblem:
     """Separable QP with exact per-block curvature metadata."""
-    return SeparableProblem(
-        f_s=_quadratic_objective(Q_s, p_s, "f_s"),
-        f_c=_quadratic_objective(Q_c, p_c, "f_c"),
-        A_s=A_s,
-        A_c=A_c,
-        b=b,
-    )
+    f_s, f_c = _quadratic_objective(Q_s, p_s, "f_s"), _quadratic_objective(Q_c, p_c, "f_c")
+    return SeparableProblem(f_s=f_s, f_c=f_c, A_s=A_s, A_c=A_c, b=b)
 
 
 def separable_qp_bundle(sep: SeparableProblem) -> QpBundle:
@@ -450,12 +423,8 @@ def separable_qp_bundle(sep: SeparableProblem) -> QpBundle:
         )
     n_s, n_c = sep.f_s.dim, sep.f_c.dim
     z_s, z_c = np.zeros(n_s), np.zeros(n_c)
-    Q = np.block(
-        [
-            [sep.f_s.hess(z_s), np.zeros((n_s, n_c))],
-            [np.zeros((n_c, n_s)), sep.f_c.hess(z_c)],
-        ]
-    )
+    Q = np.zeros((n_s + n_c, n_s + n_c))
+    Q[:n_s, :n_s], Q[n_s:, n_s:] = sep.f_s.hess(z_s), sep.f_c.hess(z_c)
     p = np.concatenate((sep.f_s.grad(z_s), sep.f_c.grad(z_c)))
     return make_qp_affine(Q, p, np.hstack((sep.A_s, sep.A_c)), sep.b)
 
@@ -517,19 +486,12 @@ def make_lasso(A_data, b_data, lam: float) -> LassoBundle:
     gram = A_data.T @ A_data
     mu_hat, l_hat = _sym_eig_bounds(gram)
     fhat = ConvexObjective(
-        dim=n,
-        value=lambda x: 0.5 * float(np.sum((A_data @ x - b_data) ** 2)),
-        grad=lambda x: A_data.T @ (A_data @ x - b_data),
-        hess=lambda x: gram,
-        mu=mu_hat,
-        l=l_hat,
-        label="lasso_datafit",
-        hess_constant=True,
+        dim=n, value=lambda x: 0.5 * float(np.sum((A_data @ x - b_data) ** 2)),
+        grad=lambda x: A_data.T @ (A_data @ x - b_data), hess=lambda x: gram,
+        mu=mu_hat, l=l_hat, label="lasso_datafit", hess_constant=True,
     )
     f, A, y_set = lasso_reformulate(fhat, lam)
-    return LassoBundle(
-        A_data=A_data, b_data=b_data, lam=lam, fhat=fhat, f=f, A=A, y_set=y_set
-    )
+    return LassoBundle(A_data=A_data, b_data=b_data, lam=lam, fhat=fhat, f=f, A=A, y_set=y_set)
 
 
 def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -537,10 +499,7 @@ def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
 
 
 def lasso_oracle(
-    bundle: LassoBundle,
-    tol: float = 1e-10,
-    max_iters: int = 200_000,
-    x0=None,
+    bundle: LassoBundle, tol: float = 1e-10, max_iters: int = 200_000, x0=None
 ) -> np.ndarray:
     """Reference Lasso solution by accelerated proximal gradient.
 
@@ -548,9 +507,7 @@ def lasso_oracle(
     optimality residual drops below ``tol``; independent of the saddle-flow
     machinery. The starting point does not affect the limit.
     """
-    A, b, lam = bundle.A_data, bundle.b_data, bundle.lam
-    n = bundle.n
-    L = bundle.l
+    A, b, lam, n, L = bundle.A_data, bundle.b_data, bundle.lam, bundle.n, bundle.l
     if L <= 0:
         return np.zeros(n)
     step = 1.0 / L
@@ -610,28 +567,19 @@ def lp_oracle(
         if float(np.abs(lp.A_eq @ x_part - lp.b_eq).max()) > tol * scale_eq:
             return LpSolution(status="infeasible")
         eq_rows = _independent_rows(lp.A_eq)
-        E = lp.A_eq[eq_rows]
-        e = lp.b_eq[eq_rows]
+        E, e = lp.A_eq[eq_rows], lp.b_eq[eq_rows]
     else:
-        E = np.zeros((0, n))
-        e = np.zeros(0)
-    k = E.shape[0]
+        E, e = np.zeros((0, n)), np.zeros(0)
 
     eye = np.eye(n)
     G = np.vstack((lp.A, eye, -eye))
     g = np.concatenate((lp.b, np.full(n, box), np.full(n, box)))
-    n_free = n - k
-    if n_free < 0:
-        n_free = 0
+    n_free = max(n - E.shape[0], 0)
     if math.comb(G.shape[0], n_free) > max_bases:
-        raise ValueError(
-            f"lp_oracle size cap exceeded: C({G.shape[0]}, {n_free}) > {max_bases}"
-        )
+        raise ValueError(f"lp_oracle size cap exceeded: C({G.shape[0]}, {n_free}) > {max_bases}")
 
     feas_scale_in = 1.0 + np.abs(lp.b)
-    feas_scale_eq = None
-    if lp.A_eq is not None:
-        feas_scale_eq = 1.0 + np.abs(lp.b_eq)
+    feas_scale_eq = None if lp.A_eq is None else 1.0 + np.abs(lp.b_eq)
 
     best_any: Optional[tuple[float, np.ndarray]] = None
     best_inner: Optional[tuple[float, np.ndarray]] = None
@@ -711,11 +659,8 @@ def parse_network_text(text: str) -> FlowNetwork:
         except ValueError as err:
             raise ValueError(f"line {lineno}: {err}") from None
     return FlowNetwork(
-        injections=np.asarray(injections),
-        tails=np.asarray(tails, dtype=int),
-        heads=np.asarray(heads, dtype=int),
-        costs=np.asarray(costs),
-        capacities=np.asarray(caps),
+        injections=np.asarray(injections), tails=np.asarray(tails, dtype=int),
+        heads=np.asarray(heads, dtype=int), costs=np.asarray(costs), capacities=np.asarray(caps),
         node_ids=tuple(ids),
     )
 
@@ -733,10 +678,6 @@ def demo_network(seed: int = 2024) -> FlowNetwork:
     costs = np.round(rng.uniform(1.0, 4.0, size=7), 2)
     capacities = np.round(rng.uniform(2.0, 5.0, size=7), 2)
     return FlowNetwork(
-        injections=injections,
-        tails=tails,
-        heads=heads,
-        costs=costs,
-        capacities=capacities,
+        injections=injections, tails=tails, heads=heads, costs=costs, capacities=capacities,
         node_ids=tuple(f"n{i + 1}" for i in range(5)),
     )

@@ -35,7 +35,7 @@ import numpy as np
 
 from ._inner import INNER_TOL, ConstantHessian, InnerSolveError, WarmCache, newton_solve, projected_concave_max
 from .core import AFFINE_MAX_DIM, ConvexityMeta, ConvexObjective, SaddleProblem
-from .flows import _PROBE_TOL
+from .flows import _PROBE_TOL, AffineMap
 from .projection import FeasibleSet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -71,44 +71,24 @@ def augment(problem: SaddleProblem, rho: float) -> SaddleProblem:
     n, m = problem.n, problem.m
 
     def value(xa, ya):
-        x, xh = xa[:n], xa[n:]
-        y, yh = ya[:m], ya[m:]
-        gap_x = x - xh
-        gap_y = y - yh
-        return (
-            float(problem.value(x, y))
-            + 0.5 * rho * float(gap_x @ gap_x)
-            - 0.5 * rho * float(gap_y @ gap_y)
-        )
+        (x, xh), (y, yh) = (xa[:n], xa[n:]), (ya[:m], ya[m:])
+        gap_x, gap_y = x - xh, y - yh
+        s = float(problem.value(x, y)) + 0.5 * rho * float(gap_x @ gap_x)
+        return s - 0.5 * rho * float(gap_y @ gap_y)
 
     def grad_x(xa, ya):
-        x, xh = xa[:n], xa[n:]
-        y = ya[:m]
-        d = rho * (x - xh)
-        return np.concatenate((problem.grad_x(x, y) + d, -d))
+        d = rho * (xa[:n] - xa[n:])
+        return np.concatenate((problem.grad_x(xa[:n], ya[:m]) + d, -d))
 
     def grad_y(xa, ya):
-        x = xa[:n]
-        y, yh = ya[:m], ya[m:]
-        e = rho * (y - yh)
-        return np.concatenate((problem.grad_y(x, y) - e, e))
+        e = rho * (ya[:m] - ya[m:])
+        return np.concatenate((problem.grad_y(xa[:n], ya[:m]) - e, e))
 
-    y_set = None
-    if problem.y_set is not None:
-        # only the real dual block keeps its bounds; the mirror block is free
-        free = np.full(m, np.inf)
-        y_set = FeasibleSet(
-            np.concatenate((problem.y_set.lower, -free)),
-            np.concatenate((problem.y_set.upper, free)),
-        )
-
-    saddle = None
+    y_set = saddle = None
+    if problem.y_set is not None:  # only the real dual block keeps its bounds
+        y_set = FeasibleSet.stack(problem.y_set, FeasibleSet.free(m))
     if problem.saddle is not None:
-        x_star, y_star = problem.saddle
-        saddle = (
-            np.concatenate((x_star, x_star)),
-            np.concatenate((y_star, y_star)),
-        )
+        saddle = tuple(np.concatenate((v, v)) for v in problem.saddle)
 
     hessian = None
     # declared up to AFFINE_MAX_DIM, where the affine flow stops; certificates use it too
@@ -124,15 +104,8 @@ def augment(problem: SaddleProblem, rho: float) -> SaddleProblem:
         hessian[yh, y], hessian[yh, yh] = rm, -rm
 
     return SaddleProblem(
-        n=2 * n,
-        m=2 * m,
-        value=value,
-        grad_x=grad_x,
-        grad_y=grad_y,
-        meta=ConvexityMeta(),
-        y_set=y_set,
-        saddle=saddle,
-        label=f"augmented({problem.label or 'problem'}, rho={rho})",
+        n=2 * n, m=2 * m, value=value, grad_x=grad_x, grad_y=grad_y, meta=ConvexityMeta(),
+        y_set=y_set, saddle=saddle, label=f"augmented({problem.label or 'problem'}, rho={rho})",
         hessian=hessian,
     )
 
@@ -204,12 +177,8 @@ def proximal_surrogate(problem: SaddleProblem, rho: float) -> ProximalSurrogate:
         return problem.grad_y(x, y)
 
     meta = problem.meta
-    mu_s = None if meta.mu is None else (
-        meta.mu * rho / (meta.mu + rho) if meta.mu > 0 else 0.0
-    )
-    q_s = None
-    if meta.kappa is not None and meta.l is not None:
-        q_s = meta.kappa / (meta.l + rho)
+    mu_s = None if meta.mu is None else (meta.mu * rho / (meta.mu + rho) if meta.mu > 0 else 0.0)
+    q_s = None if meta.kappa is None or meta.l is None else meta.kappa / (meta.l + rho)
     l_s = None if meta.l is None else rho * meta.l / (meta.l + rho)
 
     jacobian_inverse = hessian = None
@@ -222,21 +191,11 @@ def proximal_surrogate(problem: SaddleProblem, rho: float) -> ProximalSurrogate:
             hessian = _surrogate_hessian(H, n, rho, jacobian_inverse)
 
     surrogate_problem = SaddleProblem(
-        n=problem.n,
-        m=problem.m,
-        value=value,
-        grad_x=grad_u,
-        grad_y=grad_y,
-        meta=ConvexityMeta(mu=mu_s, q=q_s, l=l_s),
-        y_set=problem.y_set,
-        saddle=problem.saddle,
-        label=f"proximal({problem.label or 'problem'}, rho={rho})",
-        hessian=hessian,
+        n=problem.n, m=problem.m, value=value, grad_x=grad_u, grad_y=grad_y,
+        meta=ConvexityMeta(mu=mu_s, q=q_s, l=l_s), y_set=problem.y_set, saddle=problem.saddle,
+        label=f"proximal({problem.label or 'problem'}, rho={rho})", hessian=hessian,
     )
-    surrogate = ProximalSurrogate(
-        base=problem, rho=rho, problem=surrogate_problem, _cache=WarmCache(),
-        _jacobian_inverse=jacobian_inverse,
-    )
+    surrogate = ProximalSurrogate(problem, rho, surrogate_problem, WarmCache(), jacobian_inverse)
     return surrogate
 
 
@@ -262,12 +221,7 @@ def _surrogate_hessian(H: np.ndarray, n: int, rho: float, M: np.ndarray) -> np.n
 
 
 def precondition(
-    f: ConvexObjective,
-    A,
-    b,
-    eta: float,
-    alpha: float,
-    y_set: Optional[FeasibleSet] = None,
+    f: ConvexObjective, A, b, eta: float, alpha: float, y_set: Optional[FeasibleSet] = None
 ) -> SaddleProblem:
     """Apply the change of variables u = x + alpha*A^T*y to f + eta*y^T(Ax - b).
 
@@ -294,20 +248,15 @@ def precondition(
         raise ValueError(f"b has shape {b.shape}, expected ({m},)")
     AAT = A @ A.T
     eigs = np.linalg.eigvalsh(AAT)
-    kappa_a = float(max(eigs[0], 0.0))
-    sigma_a = float(eigs[-1])
+    kappa_a, sigma_a = float(max(eigs[0], 0.0)), float(eigs[-1])
 
     def primal_point(u, y):
         return u - alpha * (A.T @ y)
 
     def value(u, y):
-        x = primal_point(u, y)
         aty = A.T @ y
-        return (
-            float(f.value(x))
-            + eta * float(y @ (A @ u - b))
-            - eta * alpha * float(aty @ aty)
-        )
+        x = primal_point(u, y)
+        return float(f.value(x)) + eta * float(y @ (A @ u - b)) - eta * alpha * float(aty @ aty)
 
     def grad_u(u, y):
         return f.grad(primal_point(u, y)) + eta * (A.T @ y)
@@ -332,22 +281,12 @@ def precondition(
             hf = f.hess(primal_point(u, y))
             return alpha**2 * (A @ hf @ A.T) - 2.0 * eta * alpha * AAT
 
-    q_val = None
-    if f.l is not None:
-        gap = (2.0 * eta * alpha - f.l * alpha**2) * kappa_a
-        q_val = gap if gap > 0 else None
-
+    q = None if f.l is None else (2.0 * eta * alpha - f.l * alpha**2) * kappa_a
     return SaddleProblem(
-        n=n,
-        m=m,
-        value=value,
-        grad_x=grad_u,
-        grad_y=grad_y,
-        meta=ConvexityMeta(mu=f.mu, q=q_val, l=f.l, kappa=kappa_a, sigma=sigma_a),
+        n=n, m=m, value=value, grad_x=grad_u, grad_y=grad_y,
+        meta=ConvexityMeta(mu=f.mu, q=q if q and q > 0 else None, l=f.l, kappa=kappa_a, sigma=sigma_a),
         y_set=FeasibleSet.nonnegative(m) if y_set is None else y_set,
-        hess_xx=hess_xx,
-        hess_yy=hess_yy,
-        hessian=hessian,
+        hess_xx=hess_xx, hess_yy=hess_yy, hessian=hessian,
         label=f"preconditioned({f.label or 'f'}, eta={eta}, alpha={alpha})",
     )
 
@@ -436,20 +375,11 @@ def reduce(sep: "SeparableProblem") -> ReducedProblem:
             hessian[n_c:, n_c:] = -(A_s @ jacobian_inverse @ A_s.T)
 
     problem = SaddleProblem(
-        n=f_c.dim,
-        m=m,
-        value=value,
-        grad_x=grad_xc,
-        grad_y=grad_y,
-        meta=ConvexityMeta(mu=f_c.mu, q=q_val, l=f_c.l),
-        y_set=FeasibleSet.nonnegative(m),
-        label="reduced_lagrangian",
-        hessian=hessian,
+        n=f_c.dim, m=m, value=value, grad_x=grad_xc, grad_y=grad_y,
+        meta=ConvexityMeta(mu=f_c.mu, q=q_val, l=f_c.l), y_set=FeasibleSet.nonnegative(m),
+        label="reduced_lagrangian", hessian=hessian,
     )
-    reduced = ReducedProblem(
-        sep=sep, problem=problem, _cache=WarmCache(),
-        _jacobian_inverse=jacobian_inverse,
-    )
+    reduced = ReducedProblem(sep, problem, WarmCache(), jacobian_inverse)
     return reduced
 
 
@@ -473,13 +403,7 @@ def lasso_reformulate(
         raise ValueError(f"lambda must be >= 0, got {lam}")
     n = fhat.dim
     eye_n = np.eye(n)
-    C = np.hstack((-eye_n, eye_n))
-    A = np.block(
-        [
-            [eye_n, C],
-            [np.zeros((2 * n, n)), -np.eye(2 * n)],
-        ]
-    )
+    A = np.block([[eye_n, -eye_n, eye_n], [np.zeros((2 * n, n)), -np.eye(2 * n)]])
 
     def value(x):
         return float(fhat.value(x[:n])) + lam * float(np.sum(x[n:]))
@@ -495,82 +419,35 @@ def lasso_reformulate(
             return out
 
     f = ConvexObjective(
-        dim=3 * n,
-        value=value,
-        grad=grad_f,
-        hess=hess,
-        mu=0.0,
-        l=fhat.l,
-        label=f"lasso_split({fhat.label or 'fhat'}, lambda={lam})",
-        hess_constant=fhat.hess_constant,
+        dim=3 * n, value=value, grad=grad_f, hess=hess, mu=0.0, l=fhat.l,
+        label=f"lasso_split({fhat.label or 'fhat'}, lambda={lam})", hess_constant=fhat.hess_constant,
     )
-    feasible = FeasibleSet(
-        np.concatenate((np.full(n, -np.inf), np.zeros(2 * n))),
-        np.full(3 * n, np.inf),
-    )
-    return f, A, feasible
+    return f, A, FeasibleSet.stack(FeasibleSet.free(n), FeasibleSet.nonnegative(2 * n))
 
 
-@dataclass(frozen=True)
-class _ActiveSetMap:
-    """The Lasso dual-prox field on one active set, with its sign test.
-
-    On the active set, y_tilde = ``S @ z + s`` and the KKT rows (y_tilde on
-    the free coordinates, the inner gradient on the pinned ones) are affine
-    in the state z = (u, v). ``W @ z + w`` gives the ``dim`` rows of the
-    field, then one sign row ``sign * KKT row`` per finite bound of a KKT
-    row: ``rows`` names its coordinate and ``floor`` is ``sign * bound``.
-    The state passes the sign test when every sign row is >= its floor: each
-    free y_tilde inside its bounds, each pinned gradient pointing out of its
-    face.
-    """
-
-    key: bytes
-    free: np.ndarray
-    dim: int
-    S: np.ndarray
-    s: np.ndarray
-    W: np.ndarray
-    w: np.ndarray
-    rows: np.ndarray
-    sign: np.ndarray
-    floor: np.ndarray
-
-    def field(self, z) -> Optional[np.ndarray]:
-        """The field at z if z passes the sign test, else None; NaN fails it."""
-        out = self.W @ z
-        out += self.w
-        # one array comparison and count_nonzero: the cheapest test of a short array
-        if np.count_nonzero(self.floor <= out[self.dim :]) == self.floor.shape[0]:
-            return out[: self.dim]
-        return None
+def _face_key(y: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
+    """The lower- and upper-face masks of a point of the box, stacked."""
+    return np.stack((y <= feasible.lower, y >= feasible.upper))
 
 
-class _MapSlot:
-    """Mutable holder of the last confirmed ``_ActiveSetMap`` of one run."""
-
-    def __init__(self):
-        self.map: Optional[_ActiveSetMap] = None
-
-
-def _face_key(y: np.ndarray, feasible: FeasibleSet) -> tuple:
-    """(key, free, at_lower, at_upper) of the faces of the box a point lies on."""
-    at_lower, at_upper = y <= feasible.lower, y >= feasible.upper
-    return at_lower.tobytes() + at_upper.tobytes(), ~(at_lower | at_upper), at_lower, at_upper
-
-
-def _active_set_map(transform: "LassoDualProx", y: np.ndarray) -> _ActiveSetMap:
-    """The affine map of the active set of a box-QP maximizer ``y``.
+def _active_set_map(transform: "LassoDualProx", y: np.ndarray) -> AffineMap:
+    """The Lasso dual-prox field on the active set of a box-QP maximizer ``y``.
 
     With D = H_yy - rho*I, the inner gradient is G @ z + D @ y + g_y0 for
     G = [H_yx, rho*I]. Pinning the coordinates off the free set F at their
     faces b_P and zeroing the gradient on F gives y_tilde = S @ z + s, with
-    S_F = (-D_FF)^-1 G_F and s_F = (-D_FF)^-1 (D_FP b_P + g_y0_F).
+    S_F = (-D_FF)^-1 G_F and s_F = (-D_FF)^-1 (D_FP b_P + g_y0_F). The map
+    gives the ``dim`` rows of the field, then one sign row ``sign * KKT row``
+    per finite bound of a KKT row (y_tilde on F, the inner gradient off it),
+    with floor ``sign * bound``: each free y_tilde inside its bounds, each
+    pinned gradient pointing out of its face. ``parts`` keeps (S, s, rows,
+    sign) for ``LassoDualProx._confirm``.
     """
     base, rho, D, box = transform.base, transform.rho, transform._dual_hess.matrix, transform._feasible
     n, m, dim = base.n, base.m, base.dim
     H = base.hessian
-    key, free, at_lower, at_upper = _face_key(y, box)
+    faces = _face_key(y, box)
+    (at_lower, at_upper), free = faces, ~faces.any(axis=0)
     gx0 = base.grad_x(np.zeros(n), np.zeros(m))
     gy0 = base.grad_y(np.zeros(n), np.zeros(m))
     G = np.zeros((m, dim))
@@ -601,9 +478,7 @@ def _active_set_map(transform: "LassoDualProx", y: np.ndarray) -> _ActiveSetMap:
     W[dim:] = sign[:, None] * kkt_slope
     w[dim:] = sign * kkt_offset
     floor = sign * np.concatenate((lo[low], hi[high]))
-    return _ActiveSetMap(
-        key=key, free=free, dim=dim, S=S, s=s, W=W, w=w, rows=rows, sign=sign, floor=floor
-    )
+    return AffineMap(faces, dim, W, w, floor, parts=(S, s, rows, sign))
 
 
 @dataclass(frozen=True)
@@ -630,7 +505,7 @@ class LassoDualProx:
     problem: SaddleProblem
     _cache: WarmCache
     _dual_hess: Optional[ConstantHessian] = None
-    _slot: Optional[_MapSlot] = None
+    _slot: Optional[list] = None  # [the last confirmed map], or None without one
 
     @property
     def _feasible(self) -> FeasibleSet:
@@ -649,24 +524,24 @@ class LassoDualProx:
         at a face) the field is the oracle field at the box-QP maximizer.
         """
         slot = self._slot
-        if slot is not None and slot.map is not None:
-            f = slot.map.field(z)
+        if slot is not None and slot[0] is not None:
+            f = slot[0](z)
             if f is not None:
                 return f
         n = self.base.n
         u, v = z[:n], z[n:]
         if slot is not None:
             y = self.maximizer(u, v)
-            if slot.map is None or _face_key(y, self._feasible)[0] != slot.map.key:
+            if slot[0] is None or _face_key(y, self._feasible).tobytes() != slot[0].key:
                 amap = _active_set_map(self, y)
                 self._confirm(amap, z, y)
-                slot.map = amap
-                f = amap.field(z)
+                slot[0] = amap
+                f = amap(z)
                 if f is not None:
                     return f
         return np.concatenate((-self.problem.grad_x(u, v), self.problem.grad_y(u, v)))
 
-    def _confirm(self, amap: _ActiveSetMap, z, y: np.ndarray) -> None:
+    def _confirm(self, amap: AffineMap, z, y: np.ndarray) -> None:
         """Check a new map at the oracles at one state; ``ValueError`` if it is off.
 
         At the map's y_tilde the inner gradient of the oracle must vanish on
@@ -677,14 +552,15 @@ class LassoDualProx:
         """
         base, rho = self.base, self.rho
         u, v = z[: base.n], z[base.n :]
-        y_map = amap.S @ z + amap.s
+        S, s, rows, sign = amap.parts
+        free = ~amap.faces.any(axis=0)
+        y_map = S @ z + s
         d = rho * (y_map - v)
         g = base.grad_y(u, y_map) - d
-        kkt = np.where(amap.free, y_map, g)
-        oracle = np.concatenate((-base.grad_x(u, y_map), d, amap.sign * kkt[amap.rows]))
+        oracle = np.concatenate((-base.grad_x(u, y_map), d, sign * np.where(free, y_map, g)[rows]))
         gap = np.abs(amap.W @ z + amap.w - oracle).max()
         scale = 1.0 + (np.abs(amap.W) @ np.abs(z) + np.abs(amap.w)).max()
-        stationarity = float(np.linalg.norm(g[amap.free]))
+        stationarity = float(np.linalg.norm(g[free]))
         if not (stationarity <= INNER_TOL and gap <= _PROBE_TOL * scale):
             raise ValueError(
                 f"active-set map of {self.problem.label} does not match its oracles: inner "
@@ -722,7 +598,7 @@ class LassoDualProx:
     def reset(self) -> None:
         self._cache.clear()
         if self._slot is not None:
-            self._slot.map = None
+            self._slot[0] = None
 
 
 def lasso_dual_prox(base: SaddleProblem, rho: float) -> LassoDualProx:
@@ -744,13 +620,7 @@ def lasso_dual_prox(base: SaddleProblem, rho: float) -> LassoDualProx:
         return rho * (y - np.asarray(v, dtype=float))
 
     problem = SaddleProblem(
-        n=base.n,
-        m=base.m,
-        value=value,
-        grad_x=grad_u,
-        grad_y=grad_v,
-        meta=ConvexityMeta(),
-        y_set=None,
+        n=base.n, m=base.m, value=value, grad_x=grad_u, grad_y=grad_v, meta=ConvexityMeta(),
         label=f"dual_prox({base.label or 'problem'}, rho={rho})",
     )
     dual_hess = slot = None
@@ -758,7 +628,7 @@ def lasso_dual_prox(base: SaddleProblem, rho: float) -> LassoDualProx:
         dual_hess = ConstantHessian(base.hessian[base.n :, base.n :] - rho * np.eye(base.m))
         # the map's W has up to (dim + 2m) x dim entries, as dense as the affine field's K
         if base.dim <= AFFINE_MAX_DIM:
-            slot = _MapSlot()
+            slot = [None]
     transform = LassoDualProx(
         base=base, rho=rho, problem=problem, _cache=WarmCache(),
         _dual_hess=dual_hess, _slot=slot,

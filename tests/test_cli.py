@@ -650,14 +650,19 @@ def test_preconditioned_xy_start_outside_the_box_keeps_its_x(tmp_path):
 
 
 def test_every_shipped_flow_with_a_feasible_set_is_a_projected_flow():
-    # feasibility is enforced in one place: the projection of projected_flow
+    # feasibility is enforced in one place: the projection projected_flow
+    # sets, inside its closure or as the box of an affine field
     from saddleflow.cli import build_setup, load_config
+    from saddleflow.flows import AffineField
 
     projected = 0
     for path in sorted(CONFIGS.glob("*.ini")):
         flow = build_setup(load_config(path)).flow
         if flow.feasible is not None:
-            assert flow.field.__qualname__ == "projected_flow.<locals>.field", path.name
+            if isinstance(flow.field, AffineField):
+                assert flow.field.box is flow.feasible, path.name
+            else:
+                assert flow.field.__qualname__ == "projected_flow.<locals>.field", path.name
             projected += 1
     assert projected == 7
 
@@ -757,3 +762,28 @@ def test_rates_csv_bound_of_every_shipped_config_is_its_closed_form(tmp_path, mo
     assert bounded == 7
     # all but bilinear_standard, lasso_pipeline and qp_proximal
     assert len(certified) == 9
+
+
+def test_a_wrong_saddle_hint_is_rejected_and_named():
+    # S(x, y) = x^2/2 + xy - y^2, saddle at the origin, built by hand with a
+    # wrong analytic saddle: detection finds the origin and names the hint
+    import numpy as np
+
+    import saddleflow as sf
+    from saddleflow.cli import _resolve_equilibrium
+
+    def problem(saddle):
+        return sf.SaddleProblem(
+            n=1, m=1, value=lambda x, y: float(0.5 * x @ x + x @ y - y @ y),
+            grad_x=lambda x, y: x + y, grad_y=lambda x, y: x - 2.0 * y,
+            meta=sf.ConvexityMeta(mu=1.0, q=2.0), saddle=saddle,
+        )
+
+    config = sf.IntegratorConfig(step=0.01, horizon=30.0, record_every=10)
+    wrong = sf.standard_flow(problem((np.array([1.0]), np.array([0.5]))))
+    traj = sf.integrate(wrong, [1.0, 1.0], config)
+    z, how = _resolve_equilibrium(wrong, traj, config)
+    assert how == "detected; hint [1.  0.5] rejected (residual 1.500e+00 > 1e-06)"
+    assert np.abs(z).max() <= 1e-6
+    right = sf.standard_flow(problem((np.zeros(1), np.zeros(1))))
+    assert _resolve_equilibrium(right, traj, config)[1] == "hint"

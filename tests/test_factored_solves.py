@@ -187,7 +187,7 @@ def test_lasso_active_set_map_field_agrees_with_the_oracle_fields(monkeypatch):
         before = len(solves)
         a = declared.field(z)
         fallbacks += len(solves) > before
-        pinned = ~declared._slot.map.free[n:]  # the sign multipliers on their face
+        pinned = declared._slot[0].faces.any(axis=0)[n:]  # the sign multipliers on their face
         if last is not None:
             entered += bool(np.any(pinned & ~last))
             left += bool(np.any(~pinned & last))
@@ -200,7 +200,7 @@ def test_lasso_active_set_map_field_agrees_with_the_oracle_fields(monkeypatch):
     # measured) are one matrix-vector product each
     assert max(entered, left) <= fallbacks <= 30
     declared.reset()
-    assert declared._slot.map is None and declared._cache.point is None
+    assert declared._slot == [None] and declared._cache.point is None
 
 
 def test_lasso_field_past_the_size_cap_is_the_oracle_field():
@@ -227,10 +227,12 @@ def test_a_perturbed_active_set_map_fails_its_confirmation(monkeypatch, row):
 
     def perturb(transform, y):
         amap = build(transform, y)
+        sign_rows = amap.parts[2]
+        free = ~amap.faces.any(axis=0)
         rows = {
             "field": [0],
-            "free": dim + np.flatnonzero(amap.free[amap.rows]),
-            "pinned": dim + np.flatnonzero(~amap.free[amap.rows]),
+            "free": dim + np.flatnonzero(free[sign_rows]),
+            "pinned": dim + np.flatnonzero(~free[sign_rows]),
         }[row]
         if len(rows) == 0:
             return amap

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -244,9 +246,12 @@ def test_clamps_match_np_clip_bit_for_bit(method):
     box = sf.FeasibleSet([0.0, -0.25, 0.5, -np.inf], [0.75, np.inf, 0.5, np.inf])
     rot = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0], [0.0, 0.0, 0.0, -0.5]])
     lp = sf.LinearProgram(c=[1.0, 1.0], A=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], b=[-1.0, -0.5, 3.0])
+    # the LP field runs as a plain callable: its 4-stage steps are the loop
+    # compared here (tests/test_step_map.py compares its map steps with them)
+    lp_flow = sf.standard_flow(sf.augment(sf.make_lp(lp), 0.5))
     cases = [
         (sf.projected_flow(sf.Flow(dim=4, field=lambda z: rot @ z + 0.3), box), [0.5, 0.0, 0.5, -0.0]),
-        (sf.standard_flow(sf.augment(sf.make_lp(lp), 0.5)), np.r_[np.ones(4), np.zeros(3), np.ones(3)]),
+        (replace(lp_flow, field=lambda z: lp_flow.field(z)), np.r_[np.ones(4), np.zeros(3), np.ones(3)]),
     ]
     step, n_steps = 0.125, 160
     for flow, z0 in cases:
