@@ -65,6 +65,21 @@ class WarmCache:
         self.point = point
         self.key = tuple(np.array(k, dtype=float, copy=True) for k in key)
 
+    def solve(self, solve: Callable, start, x0, *key) -> np.ndarray:
+        """``solve(x0)``, stored under ``key``; an explicit ``x0`` always solves.
+
+        Otherwise a matching ``key`` returns the stored point, and a solve
+        starts at the stored point, or at ``start`` when none is stored.
+        """
+        if x0 is None:
+            hit = self.match(*key)
+            if hit is not None:
+                return hit
+            x0 = start if self.point is None else self.point
+        point = solve(x0)
+        self.store(point, *key)
+        return point
+
 
 class ConstantHessian:
     """The constant Hessian ``matrix`` of a concave quadratic over a box.

@@ -2,9 +2,10 @@
 
 A certificate is a two-entry nonnegative function of the state, sandwiched
 from above by saddle-value gaps; its vanishing along a whole trajectory
-forces the flow to sit at an equilibrium. The rate bounds are the min-of-
-curvature constants of the exponential envelopes, plus the parameter rules
-that optimize them.
+forces the flow to sit at an equilibrium. Its builders take the saddle point
+as one stacked vector (x*, y*), as a run's state carries it. The rate bounds
+are the min-of-curvature constants of the exponential envelopes, plus the
+parameter rules that optimize them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import PointZ, SaddleProblem, full_domain, grad, stationarity_residual
+from .core import SaddleProblem, full_domain, grad, stationarity_residual
 from .flows import Flow
 from .integrate import Trajectory
 from .transforms import ProximalSurrogate
@@ -65,8 +66,8 @@ class CertificateReport:
     checked_states: int = 0        # batch route: states checked against the oracles
 
 
-def _saddle_gaps(problem: SaddleProblem, z_star: PointZ, what: str, xs: slice, ys: slice):
-    """(S*, gaps, batch gaps) at z*, checked to be a saddle point.
+def _saddle_gaps(problem: SaddleProblem, z_star, what: str, xs: slice, ys: slice):
+    """(S*, gaps, batch gaps) at the stacked point z*, checked to be a saddle point.
 
     gaps maps a state (x, y in its entries xs, ys) to [S* - S(x*, y), S(x, y*) - S*]
     through the value oracle. Its batch form, None without a declared ``hessian``,
@@ -78,7 +79,8 @@ def _saddle_gaps(problem: SaddleProblem, z_star: PointZ, what: str, xs: slice, y
         raise ValueError(
             f"{what} is not a saddle point: stationarity residual {res:.3e} > {_SADDLE_TOL:.0e}"
         )
-    x_star, y_star, H, n = z_star.x, z_star.y, problem.hessian, problem.n
+    z_star, H, n = np.asarray(z_star, dtype=float), problem.hessian, problem.n
+    x_star, y_star = z_star[:n], z_star[n:]
     s_star = float(problem.value(x_star, y_star))
 
     def gaps(state):
@@ -100,7 +102,7 @@ def _saddle_gaps(problem: SaddleProblem, z_star: PointZ, what: str, xs: slice, y
     return s_star, gaps, batch_gaps
 
 
-def cert_strict_cc(problem: SaddleProblem, z_star: PointZ) -> Certificate:
+def cert_strict_cc(problem: SaddleProblem, z_star) -> Certificate:
     """Saddle-gap certificate for strictly convex-concave problems.
 
     Entries [S(x*,y*) - S(x*,y), S(x,y*) - S(x*,y*)]; the bracket is the
@@ -113,8 +115,8 @@ def cert_strict_cc(problem: SaddleProblem, z_star: PointZ) -> Certificate:
     return Certificate(value=gaps, bracket=gaps, label="strict_cc", batch=batch, s_star=s_star)
 
 
-def cert_proximal(surrogate: ProximalSurrogate, w_star: PointZ) -> Certificate:
-    """Certificate of the proximal surrogate at its saddle (u*, y*).
+def cert_proximal(surrogate: ProximalSurrogate, w_star) -> Certificate:
+    """Certificate of the proximal surrogate at its stacked saddle w* = (u*, y*).
 
     Entries [S~(u*,y*) - S~(u*,y), (rho/2)*||x_tilde(u,y*) - u||^2]; the
     second bracket entry is the saddle gap S~(u,y*) - S~(u*,y*), which
@@ -124,8 +126,9 @@ def cert_proximal(surrogate: ProximalSurrogate, w_star: PointZ) -> Certificate:
     """
     prob = surrogate.problem
     n = prob.n
-    u_star, y_star = w_star.x, w_star.y
     s_star, gaps, batch_gaps = _saddle_gaps(prob, w_star, "w_star", slice(n), slice(n, None))
+    w_star = np.asarray(w_star, dtype=float)
+    u_star, y_star = w_star[:n], w_star[n:]
     rho = surrogate.rho
 
     def value(state):
@@ -145,14 +148,14 @@ def cert_proximal(surrogate: ProximalSurrogate, w_star: PointZ) -> Certificate:
     return Certificate(value=value, bracket=gaps, label="proximal", batch=batch, s_star=s_star)
 
 
-def cert_augmented(problem: SaddleProblem, rho: float, z_star: PointZ) -> Certificate:
+def cert_augmented(problem: SaddleProblem, rho: float, z_star) -> Certificate:
     """Mirror-gap certificate over the augmented state (x, x_hat, y, y_hat).
 
     Entries [(rho/2)*||y - y_hat||^2, (rho/2)*||x - x_hat||^2] for the
     augmentation of ``problem`` with weight rho; the bracket is the augmented
-    saddle-gap sandwich at the base saddle point ``z_star`` (gap of S plus
-    the mirror term). With a declared ``hessian`` of the base, the batch form
-    is the row norms plus the batch gaps of the base.
+    saddle-gap sandwich at the stacked base saddle point ``z_star`` = (x*, y*)
+    (gap of S plus the mirror term). With a declared ``hessian`` of the base,
+    the batch form is the row norms plus the batch gaps of the base.
     """
     if not rho > 0:
         raise ValueError(f"rho must be > 0, got {rho}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import certificates as cert
 from ._inner import InnerSolveError
-from .core import PointZ, SaddleProblem
+from .core import SaddleProblem
 from .flows import Flow, standard_flow
 from .integrate import (
     IntegrationError,
@@ -326,10 +326,10 @@ def _saddle_run(problem: SaddleProblem, desc: str, label: str, reset=None,
     for every other algorithm. The bound min(mu, q) of its meta and the default
     certificate ``strict_cc`` both need mu > 0 and q > 0.
     """
-    meta, n = problem.meta, problem.n
+    meta = problem.meta
     strong = (meta.mu or 0) > 0 and (meta.q or 0) > 0
     if certificate is None and strong:
-        certificate = lambda z: cert.cert_strict_cc(problem, PointZ(z[:n], z[n:]))
+        certificate = lambda z: cert.cert_strict_cc(problem, z)
     elif certificate is None:
         certificate = _not_applicable(
             f"strict_cc needs mu > 0 and q > 0, got mu={meta.mu}, q={meta.q}"
@@ -346,12 +346,9 @@ def _standard(problem: SaddleProblem, desc: str, algo: dict) -> RunSetup:
 def _augmented(problem: SaddleProblem, desc: str, algo: dict, recover=None) -> RunSetup:
     rho = _get_float(algo, "rho", 1.0)
     n, m = problem.n, problem.m
-
-    def builder(z):
-        return cert.cert_augmented(problem, rho, PointZ(z[:n], z[2 * n : 2 * n + m]))
-
-    return _saddle_run(augment(problem, rho), desc, f"augmented(rho={rho})",
-                       certificate=builder, recover=recover)
+    base = np.r_[:n, 2 * n : 2 * n + m]  # (x, y) of the augmented state (x, x_hat, y, y_hat)
+    return _saddle_run(augment(problem, rho), desc, f"augmented(rho={rho})", recover=recover,
+                       certificate=lambda z: cert.cert_augmented(problem, rho, z[base]))
 
 
 def _augmented_network(net, desc: str, algo: dict) -> RunSetup:
@@ -367,9 +364,8 @@ def _augmented_network(net, desc: str, algo: dict) -> RunSetup:
 def _proximal(problem: SaddleProblem, desc: str, algo: dict) -> RunSetup:
     rho = _get_float(algo, "rho", 1.0)
     surrogate = proximal_surrogate(problem, rho)
-    n = problem.n
     return _saddle_run(surrogate.problem, desc, f"proximal(rho={rho})", reset=surrogate.reset,
-                       certificate=lambda z: cert.cert_proximal(surrogate, PointZ(z[:n], z[n:])))
+                       certificate=lambda z: cert.cert_proximal(surrogate, z))
 
 
 def _proximal_pd(bundle, desc: str, algo: dict) -> RunSetup:

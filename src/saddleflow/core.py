@@ -4,7 +4,8 @@ A :class:`SaddleProblem` packages the value and the two block gradients of a
 convex-concave function together with its known curvature constants. Every
 flow, transformation, and certificate in the library consumes this interface;
 gradients are analytic (builders supply them), finite differences are used
-only as a test oracle.
+only as a test oracle. A point is one stacked vector z = (x, y) of length
+n + m, as flows carry it; the functions here split it by the problem's ``n``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "ConvexObjective",
     "ConstraintMap",
     "SaddleProblem",
-    "PointZ",
     "DimensionMismatchError",
     "grad",
     "stationarity_residual",
@@ -39,15 +39,13 @@ AFFINE_MAX_DIM = 128
 
 
 class DimensionMismatchError(ValueError):
-    """A vector does not match the block dimension it is used for."""
+    """A vector does not match the length it is used for."""
 
 
-def _as_vector(v, dim: int, block: str) -> np.ndarray:
+def _as_vector(v, dim: int, what: str) -> np.ndarray:
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.ndim != 1 or v.shape[0] != dim:
-        raise DimensionMismatchError(
-            f"block '{block}' expects dimension {dim}, got shape {v.shape}"
-        )
+        raise DimensionMismatchError(f"{what} expects length {dim}, got shape {v.shape}")
     return v
 
 
@@ -128,7 +126,8 @@ class SaddleProblem:
     ``value(x, y)`` evaluates S, ``grad_x``/``grad_y`` its block gradients.
     ``y_set`` is the (box) domain of the maximization block when the problem
     is meant to be run with a projected flow; None means free. ``saddle``
-    carries the analytic saddle point when the builder knows it.
+    carries the analytic saddle point when the builder knows it, as one
+    stacked vector (x*, y*) of length n + m.
     ``hessian`` declares S quadratic: it is the constant (n+m) x (n+m)
     Jacobian of the stacked gradient (grad_x, grad_y) with respect to (x, y),
     as the oracles are written (not necessarily symmetric), or None.
@@ -146,7 +145,7 @@ class SaddleProblem:
     grad_y: Callable[[np.ndarray, np.ndarray], np.ndarray]
     meta: ConvexityMeta = field(default_factory=ConvexityMeta)
     y_set: Optional[FeasibleSet] = None
-    saddle: Optional[tuple] = None
+    saddle: Optional[np.ndarray] = None
     hess_xx: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     hess_yy: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     label: str = ""
@@ -155,6 +154,10 @@ class SaddleProblem:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError(f"block dimensions must be positive, got n={self.n}, m={self.m}")
+        if self.saddle is not None:
+            saddle = _as_vector(np.array(self.saddle, dtype=float), self.dim, "saddle")
+            saddle.flags.writeable = False
+            object.__setattr__(self, "saddle", saddle)
         if self.hessian is not None:
             hessian = np.array(self.hessian, dtype=float)
             if hessian.shape != (self.dim, self.dim):
@@ -179,47 +182,20 @@ class SaddleProblem:
     def dim(self) -> int:
         return self.n + self.m
 
-    def join(self, x, y) -> np.ndarray:
-        return np.concatenate(
-            (_as_vector(x, self.n, "x"), _as_vector(y, self.m, "y"))
-        )
 
-    def saddle_vector(self) -> Optional[np.ndarray]:
-        if self.saddle is None:
-            return None
-        x_star, y_star = self.saddle
-        return self.join(x_star, y_star)
-
-
-@dataclass(frozen=True)
-class PointZ:
-    """A stacked primal-dual point (x, y)."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-        object.__setattr__(self, "y", np.atleast_1d(np.asarray(self.y, dtype=float)))
-
-    @property
-    def concat(self) -> np.ndarray:
-        return np.concatenate((self.x, self.y))
-
-
-def grad(problem: SaddleProblem, z: PointZ) -> tuple[np.ndarray, np.ndarray]:
-    """Both block gradients of the problem at ``z``; dimensions are checked."""
-    x = _as_vector(z.x, problem.n, "x")
-    y = _as_vector(z.y, problem.m, "y")
+def grad(problem: SaddleProblem, z) -> tuple[np.ndarray, np.ndarray]:
+    """Both block gradients at the stacked point z = (x, y); lengths are checked."""
+    z = _as_vector(z, problem.dim, "point z = (x, y)")
+    x, y = z[: problem.n], z[problem.n :]
     gx = _as_vector(problem.grad_x(x, y), problem.n, "grad_x")
     gy = _as_vector(problem.grad_y(x, y), problem.m, "grad_y")
     return gx, gy
 
 
 def stationarity_residual(
-    problem: SaddleProblem, z: PointZ, feasible: Optional[FeasibleSet] = None
+    problem: SaddleProblem, z, feasible: Optional[FeasibleSet] = None
 ) -> float:
-    """Norm of the (projected) saddle-flow direction at ``z``.
+    """Norm of the (projected) saddle-flow direction at the stacked point ``z``.
 
     Zero exactly at equilibria: stationary points without a feasible set,
     and points where the projected field vanishes with one. ``feasible``
@@ -228,7 +204,7 @@ def stationarity_residual(
     gx, gy = grad(problem, z)
     f = np.concatenate((-gx, gy))
     if feasible is not None:
-        f = project_vector_field(feasible, z.concat, f)
+        f = project_vector_field(feasible, np.asarray(z, dtype=float), f)
     return float(np.linalg.norm(f))
 
 

@@ -83,7 +83,7 @@ def standard_flow(problem: SaddleProblem) -> Flow:
     flow = Flow(
         dim=problem.dim,
         field=field,
-        equilibrium_hint=problem.saddle_vector(),
+        equilibrium_hint=problem.saddle,
         label=f"standard({problem.label or 'problem'})",
     )
     domain = full_domain(problem)
@@ -273,21 +273,19 @@ def proximal_primal_dual(f: ConvexObjective, g: ConstraintMap, rho: float) -> Fl
     if f.hess_constant:
         jacobian_inverse = np.linalg.inv(f.hess(np.zeros(n)) + rho * eye)
 
-    def minimizer(u, y):
-        def residual(x):
-            return f.grad(x) + g.jacobian(x).T @ y + rho * (x - u)
-
-        jacobian = None
-        if f.hess is not None and g.hess is not None:
-            jacobian = lambda x: f.hess(x) + g.hess(x, y) + rho * eye
-        x0 = u if cache.point is None else cache.point
-        x = newton_solve(residual, x0, jacobian, jacobian_inverse=jacobian_inverse)
-        cache.point = x
-        return x
-
     def field(z):
         u, y = z[:n], z[n:]
-        x = minimizer(u, y)
+
+        def solve(x0):
+            def residual(x):
+                return f.grad(x) + g.jacobian(x).T @ y + rho * (x - u)
+
+            jacobian = None
+            if f.hess is not None and g.hess is not None:
+                jacobian = lambda x: f.hess(x) + g.hess(x, y) + rho * eye
+            return newton_solve(residual, x0, jacobian, jacobian_inverse=jacobian_inverse)
+
+        x = cache.solve(solve, u, None, u, y)
         return np.concatenate((rho * (x - u), g.value(x)))
 
     flow = Flow(dim=n + m, field=field, label=f"proximal_pd(rho={rho})", reset=cache.clear)

@@ -247,7 +247,8 @@ def fit_rate(
     initial value and stops when d reaches max(100*floor, 1e-9*d(0)). The
     verdict is "pass" when c_fit >= 0.9*c_bound, "fail" below it, and
     "no_bound" when no bound is supplied. Requires at least 3 usable samples
-    (d above ``floor``) in the window.
+    (d above ``floor``) in the window. r^2 is NaN when ln d spans less than
+    1e-9 over them: a series that does not decay leaves it nothing to explain.
     """
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -265,7 +266,7 @@ def fit_rate(
     resid = logd - (slope * tw + intercept)
     ss_res = float(resid @ resid)
     ss_tot = float(np.sum((logd - logd.mean()) ** 2))
-    r2 = 1.0 if ss_tot <= 1e-300 else 1.0 - ss_res / ss_tot
+    r2 = float("nan") if np.ptp(logd) < 1e-9 else 1.0 - ss_res / ss_tot
     c_fit = float(-slope)
     if c_bound is None:
         verdict = "no_bound"

@@ -71,16 +71,16 @@ def _lagrangian(
     declares ``hessian`` at any size, except a linear one (l = 0, so its
     Hessian vanishes): that declares only up to ``AFFINE_MAX_DIM``, where the
     affine flow reads it and the dense matrix would hold (n+m)^2 entries
-    against the m*n of A. Any other f with a ``hess`` oracle gets ``hess_xx``
-    and ``hess_yy`` and no ``hessian``; an f without one gets neither.
+    against the m*n of A. Any other f with a ``hess`` oracle, a linear one
+    past the cap included, gets ``hess_xx`` and ``hess_yy`` and no
+    ``hessian``; an f without one gets neither.
     """
     m, n = A.shape
     yy = -q * np.eye(m) if q else np.zeros((m, m))
     hessian = hess_xx = hess_yy = None
-    if f.hess_constant:
-        if n + m <= AFFINE_MAX_DIM or f.l != 0.0:
-            top = np.concatenate((f.hess(np.zeros(n)), A.T), axis=1)  # np.block costs 4x more
-            hessian = np.concatenate((top, np.concatenate((A, yy), axis=1)))
+    if f.hess_constant and (n + m <= AFFINE_MAX_DIM or f.l != 0.0):
+        top = np.concatenate((f.hess(np.zeros(n)), A.T), axis=1)  # np.block costs 4x more
+        hessian = np.concatenate((top, np.concatenate((A, yy), axis=1)))
     elif f.hess is not None:
         hess_xx, hess_yy = (lambda x, y: f.hess(x)), (lambda x, y: yy)
     return SaddleProblem(
@@ -107,7 +107,7 @@ def make_bilinear(M) -> SaddleProblem:
     kappa, sigma = _sym_eig_bounds(M.T @ M)
     return _lagrangian(
         _linear_objective(np.zeros(n)), M.T, np.zeros(m), "bilinear",
-        kappa=kappa, sigma=sigma, saddle=(np.zeros(n), np.zeros(m)),
+        kappa=kappa, sigma=sigma, saddle=np.zeros(n + m),
     )
 
 
@@ -125,7 +125,7 @@ def make_quadratic_saddle(mu: float, q: float, B) -> SaddleProblem:
     )
     return _lagrangian(
         f, B.T, np.zeros(m), "quadratic_saddle",
-        q=q, kappa=kappa, sigma=sigma, saddle=(np.zeros(n), np.zeros(m)),
+        q=q, kappa=kappa, sigma=sigma, saddle=np.zeros(n + m),
     )
 
 
@@ -330,8 +330,7 @@ def qp_lagrangian(bundle: QpBundle, nonneg_y: bool = True) -> SaddleProblem:
     saddle = None
     if not nonneg_y and f.hess_constant:
         kkt = np.block([[f.hess(np.zeros(n)), A.T], [A, np.zeros((m, m))]])
-        sol = np.linalg.solve(kkt, np.concatenate((-f.grad(np.zeros(n)), b)))
-        saddle = (sol[:n], sol[n:])
+        saddle = np.linalg.solve(kkt, np.concatenate((-f.grad(np.zeros(n)), b)))
     return _lagrangian(
         f, A, b, "qp_lagrangian", kappa=bundle.kappa, sigma=bundle.sigma,
         y_set=FeasibleSet.nonnegative(m) if nonneg_y else None, saddle=saddle,

@@ -64,7 +64,10 @@ def augment(problem: SaddleProblem, rho: float) -> SaddleProblem:
 
     Its value is S(x, y) + (rho/2)||x - x_hat||^2 - (rho/2)||y - y_hat||^2;
     saddle points satisfy x = x_hat and y = y_hat and project onto saddle
-    points of the base problem.
+    points of the base problem. A base whose ``hessian`` the augmented
+    problem does not declare passes on its Hessian oracles as the blocks
+    [[H_xx + rho*I, -rho*I], [-rho*I, rho*I]] and
+    [[H_yy - rho*I, rho*I], [rho*I, -rho*I]].
     """
     if not rho > 0:
         raise ValueError(f"rho must be > 0, got {rho}")
@@ -88,13 +91,15 @@ def augment(problem: SaddleProblem, rho: float) -> SaddleProblem:
     if problem.y_set is not None:  # only the real dual block keeps its bounds
         y_set = FeasibleSet.stack(problem.y_set, FeasibleSet.free(m))
     if problem.saddle is not None:
-        saddle = tuple(np.concatenate((v, v)) for v in problem.saddle)
+        s = problem.saddle
+        saddle = np.concatenate((s[:n], s[:n], s[n:], s[n:]))
 
-    hessian = None
+    hessian = hess_xx = hess_yy = None
+    rn, rm = rho * np.eye(n), rho * np.eye(m)
     # declared up to AFFINE_MAX_DIM, where the affine flow stops; certificates use it too
     if problem.hessian is not None and 2 * (n + m) <= AFFINE_MAX_DIM:
         # state order (x, x_hat, y, y_hat); slices build it faster than np.block
-        H, rn, rm = problem.hessian, rho * np.eye(n), rho * np.eye(m)
+        H = problem.hessian
         x, xh = slice(0, n), slice(n, 2 * n)
         y, yh = slice(2 * n, 2 * n + m), slice(2 * n + m, 2 * (n + m))
         hessian = np.zeros((2 * (n + m), 2 * (n + m)))
@@ -102,11 +107,17 @@ def augment(problem: SaddleProblem, rho: float) -> SaddleProblem:
         hessian[xh, x], hessian[xh, xh] = -rn, rn
         hessian[y, x], hessian[y, y], hessian[y, yh] = H[n:, :n], H[n:, n:] - rm, rm
         hessian[yh, y], hessian[yh, yh] = rm, -rm
+    else:
+        mirror = lambda h, r: np.block([[h + r, -r], [-r, r]])
+        if problem.hess_xx is not None:
+            hess_xx = lambda xa, ya: mirror(problem.hess_xx(xa[:n], ya[:m]), rn)
+        if problem.hess_yy is not None:
+            hess_yy = lambda xa, ya: -mirror(-problem.hess_yy(xa[:n], ya[:m]), rm)
 
     return SaddleProblem(
         n=2 * n, m=2 * m, value=value, grad_x=grad_x, grad_y=grad_y, meta=ConvexityMeta(),
-        y_set=y_set, saddle=saddle, label=f"augmented({problem.label or 'problem'}, rho={rho})",
-        hessian=hessian,
+        y_set=y_set, saddle=saddle, hess_xx=hess_xx, hess_yy=hess_yy, hessian=hessian,
+        label=f"augmented({problem.label or 'problem'}, rho={rho})",
     )
 
 
@@ -137,22 +148,17 @@ class ProximalSurrogate:
         """The inner minimizer x_tilde(u, y); deterministic given (u, y, x0)."""
         u = np.asarray(u, dtype=float)
         y = np.asarray(y, dtype=float)
-        if x0 is None:
-            hit = self._cache.match(u, y)
-            if hit is not None:
-                return hit
-            x0 = u if self._cache.point is None else self._cache.point
+        base, rho = self.base, self.rho
 
-        def residual(x):
-            return self.base.grad_x(x, y) + self.rho * (x - u)
+        def solve(x0):
+            jacobian = None
+            if base.hess_xx is not None:
+                # identity built per Jacobian call: the factored step seldom needs one
+                jacobian = lambda x: base.hess_xx(x, y) + rho * np.eye(base.n)
+            residual = lambda x: base.grad_x(x, y) + rho * (x - u)
+            return newton_solve(residual, x0, jacobian, jacobian_inverse=self._jacobian_inverse)
 
-        jacobian = None
-        if self.base.hess_xx is not None:
-            # identity built per Jacobian call: the factored step seldom needs one
-            jacobian = lambda x: self.base.hess_xx(x, y) + self.rho * np.eye(self.base.n)
-        x = newton_solve(residual, x0, jacobian, jacobian_inverse=self._jacobian_inverse)
-        self._cache.store(x, u, y)
-        return x
+        return self._cache.solve(solve, u, x0, u, y)
 
     def reset(self) -> None:
         self._cache.clear()
@@ -314,21 +320,14 @@ class ReducedProblem:
 
     def minimizer(self, y, x0: Optional[np.ndarray] = None) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        f_s, A_s = self.sep.f_s, self.sep.A_s
-        if x0 is None:
-            hit = self._cache.match(y)
-            if hit is not None:
-                return hit
-            x0 = np.zeros(f_s.dim) if self._cache.point is None else self._cache.point
-        aty = A_s.T @ y
+        f_s = self.sep.f_s
 
-        def residual(x):
-            return f_s.grad(x) + aty
+        def solve(x0):
+            aty = self.sep.A_s.T @ y
+            residual = lambda x: f_s.grad(x) + aty
+            return newton_solve(residual, x0, f_s.hess, jacobian_inverse=self._jacobian_inverse)
 
-        jacobian = f_s.hess if f_s.hess is not None else None
-        x = newton_solve(residual, x0, jacobian, jacobian_inverse=self._jacobian_inverse)
-        self._cache.store(x, y)
-        return x
+        return self._cache.solve(solve, np.zeros(f_s.dim), x0, y)
 
     def recover(self, x_c, y) -> np.ndarray:
         """The full primal point (x_s_bar(y), x_c)."""
@@ -570,13 +569,7 @@ class LassoDualProx:
     def maximizer(self, u, v, y0: Optional[np.ndarray] = None) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        if y0 is None:
-            hit = self._cache.match(u, v)
-            if hit is not None:
-                return hit
-            y0 = v if self._cache.point is None else self._cache.point
         base, rho = self.base, self.rho
-        feasible = self._feasible
 
         def phi(y):
             d = y - v
@@ -589,11 +582,10 @@ class LassoDualProx:
         if base.hess_yy is not None and self._dual_hess is None:
             eye = np.eye(base.m)
             hess = lambda y: base.hess_yy(u, y) - rho * eye
-        y = projected_concave_max(
-            phi, dphi, feasible, y0, hess, constant_hess=self._dual_hess
+        solve = lambda y0: projected_concave_max(
+            phi, dphi, self._feasible, y0, hess, constant_hess=self._dual_hess
         )
-        self._cache.store(y, u, v)
-        return y
+        return self._cache.solve(solve, v, y0, u, v)
 
     def reset(self) -> None:
         self._cache.clear()

@@ -235,14 +235,14 @@ def rate_bound_reduced(mu_c: float, l_s: float, kappa_s: float) -> float:
 
 def saddle_inequality_check(
     problem: sf.SaddleProblem,
-    z_star: sf.PointZ,
+    z_star: np.ndarray,
     samples: int = 100,
     radius: float = 1.0,
     tol: float = 1e-9,
     seed: int = 0,
     feasible: Optional[sf.FeasibleSet] = None,
 ) -> bool:
-    """Empirically test the two-sided saddle inequality at ``z_star``.
+    """Empirically test the two-sided saddle inequality at the stacked ``z_star``.
 
     Draws ``samples`` points uniformly from the ball of the given radius
     around ``z_star`` (intersected with ``feasible`` when given) and checks
@@ -254,9 +254,8 @@ def saddle_inequality_check(
     if not radius > 0:
         raise ValueError("radius must be > 0")
     rng = np.random.default_rng(seed)
-    x_star = _as_vector(z_star.x, problem.n, "x")
-    y_star = _as_vector(z_star.y, problem.m, "y")
-    center = np.concatenate((x_star, y_star))
+    center = _as_vector(z_star, problem.dim, "z_star")
+    x_star, y_star = center[: problem.n], center[problem.n :]
     d = center.shape[0]
     s_star = float(problem.value(x_star, y_star))
 

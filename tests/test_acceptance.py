@@ -12,7 +12,6 @@ import pytest
 from scipy.optimize import brentq
 
 import saddleflow as sf
-from saddleflow import PointZ
 
 from helpers import (
     assert_batch_matches_the_oracle,
@@ -55,8 +54,7 @@ def test_criterion_01_bilinear_split():
     assert elapsed <= 2000.0
     assert residual <= 1e-6
     aug_problem = sf.augment(bil, 0.1)
-    limit = PointZ(z[:2], z[2:])
-    assert saddle_inequality_check(aug_problem, limit, samples=200, radius=1.0, tol=1e-5)
+    assert saddle_inequality_check(aug_problem, z, samples=200, radius=1.0, tol=1e-5)
 
     runtime = time.perf_counter() - start
     assert runtime < 10.0
@@ -315,7 +313,7 @@ def test_criterion_09_certificate_sandwich():
     quad = sf.make_quadratic_saddle(1.0, 2.0, B)
     flow = sf.standard_flow(quad)
     traj = sf.integrate(flow, np.ones(5), sf.IntegratorConfig(step=1e-3, horizon=15.0, record_every=10))
-    cert = sf.cert_strict_cc(quad, PointZ(*quad.saddle))
+    cert = sf.cert_strict_cc(quad, quad.saddle)
     reports["strict_cc"] = sf.eval_certificate(cert, traj, flow=flow)
 
     # proximal certificate on the proximal flow
@@ -324,7 +322,7 @@ def test_criterion_09_certificate_sandwich():
     surrogate = sf.proximal_surrogate(S, 1.0)
     pflow = replace(sf.standard_flow(surrogate.problem), reset=surrogate.reset)
     ptraj = sf.integrate(pflow, np.ones(4), sf.IntegratorConfig(step=4e-3, horizon=20.0, record_every=10))
-    pcert = sf.cert_proximal(surrogate, PointZ(np.zeros(2), np.zeros(2)))
+    pcert = sf.cert_proximal(surrogate, np.zeros(4))
     reports["proximal"] = sf.eval_certificate(pcert, ptraj, flow=pflow)
 
     # augmented certificate on the augmented flow
@@ -333,7 +331,7 @@ def test_criterion_09_certificate_sandwich():
     atraj = sf.integrate(
         aflow, np.array([1.0, 0.0, 0.0, 0.0]), sf.IntegratorConfig(step=0.01, horizon=40.0, record_every=10)
     )
-    acert = sf.cert_augmented(bil, 0.5, PointZ([0.0], [0.0]))
+    acert = sf.cert_augmented(bil, 0.5, [0.0, 0.0])
     reports["augmented"] = sf.eval_certificate(acert, atraj, flow=aflow)
 
     # each certificate takes its batch route, which matches its oracle forms

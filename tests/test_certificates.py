@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import saddleflow as sf
-from saddleflow import PointZ
 
 from helpers import assert_batch_matches_the_oracle, rate_bound_precond, rate_bound_reduced
 
@@ -24,7 +23,7 @@ def _coupled_quadratic():
         value=lambda x, y: 0.5 * float(x @ x) + float(y @ x),
         grad_x=lambda x, y: x + y,
         grad_y=lambda x, y: x.copy(),
-        saddle=(np.zeros(1), np.zeros(1)),
+        saddle=np.zeros(2),
         hess_xx=lambda x, y: np.eye(1),
     )
 
@@ -34,7 +33,7 @@ def _coupled_quadratic():
 
 
 def test_cert_strict_cc_values():
-    cert = sf.cert_strict_cc(_pure_quadratic(), PointZ([0.0], [0.0]))
+    cert = sf.cert_strict_cc(_pure_quadratic(), [0.0, 0.0])
     assert np.allclose(cert.value(np.zeros(2)), 0.0)
     assert np.allclose(cert.value(np.array([1.0, 0.0])), [0.0, 0.5])
     assert np.allclose(cert.value(np.array([0.0, 2.0])), [2.0, 0.0])
@@ -43,12 +42,12 @@ def test_cert_strict_cc_values():
 
 def test_cert_strict_cc_rejects_non_saddle():
     with pytest.raises(ValueError, match="not a saddle"):
-        sf.cert_strict_cc(_pure_quadratic(), PointZ([1.0], [0.0]))
+        sf.cert_strict_cc(_pure_quadratic(), [1.0, 0.0])
 
 
 def test_cert_proximal_values():
     sur = sf.proximal_surrogate(_coupled_quadratic(), 1.0)
-    cert = sf.cert_proximal(sur, PointZ([0.0], [0.0]))
+    cert = sf.cert_proximal(sur, [0.0, 0.0])
     assert np.allclose(cert.value(np.zeros(2)), 0.0, atol=1e-12)
     h = cert.value(np.array([1.0, 0.0]))
     assert h[1] == pytest.approx(0.125, abs=1e-9)  # (rho/2)(0.5 - 1)^2
@@ -61,21 +60,21 @@ def test_cert_proximal_values():
 def test_cert_augmented_values():
     # the entries do not depend on the base problem, only on its n and m
     bil = sf.make_bilinear([[1.0]])
-    cert = sf.cert_augmented(bil, 2.0, PointZ([0.0], [0.0]))
+    cert = sf.cert_augmented(bil, 2.0, [0.0, 0.0])
     diag = np.array([0.7, 0.7, -0.3, -0.3])
     assert np.allclose(cert.value(diag), 0.0)
     state = np.array([1.0, 0.0, 0.0, 0.0])
     assert np.allclose(cert.value(state), [0.0, 1.0])  # (rho/2)*1^2
-    cert_rho1 = sf.cert_augmented(sf.make_bilinear([[1.0, 1.0]]), 1.0, PointZ([0.0], [0.0, 0.0]))
+    cert_rho1 = sf.cert_augmented(sf.make_bilinear([[1.0, 1.0]]), 1.0, [0.0, 0.0, 0.0])
     state = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
     assert cert_rho1.value(state)[0] == pytest.approx(1.0)  # (1/2)*||(1,1)||^2
     with pytest.raises(ValueError, match="rho"):
-        sf.cert_augmented(bil, 0.0, PointZ([0.0], [0.0]))
+        sf.cert_augmented(bil, 0.0, [0.0, 0.0])
 
 
 def test_cert_augmented_bracket_with_problem():
     bil = sf.make_bilinear([[1.0]])
-    cert = sf.cert_augmented(bil, 0.5, PointZ([0.0], [0.0]))
+    cert = sf.cert_augmented(bil, 0.5, [0.0, 0.0])
     state = np.array([1.0, 0.5, -0.5, 0.0])
     h = cert.value(state)
     b = cert.bracket(state)
@@ -85,7 +84,7 @@ def test_cert_augmented_bracket_with_problem():
 
 
 def test_eval_certificate_pinned_trajectory():
-    cert = sf.cert_strict_cc(_pure_quadratic(), PointZ([0.0], [0.0]))
+    cert = sf.cert_strict_cc(_pure_quadratic(), [0.0, 0.0])
     traj = sf.Trajectory(np.array([0.0, 1.0]), np.zeros((2, 2)))
     report = sf.eval_certificate(cert, traj)
     assert np.allclose(report.min_entry, 0.0)
@@ -107,7 +106,7 @@ def test_eval_certificate_flags_falsified_observability():
     quad = _pure_quadratic()
     qflow = sf.standard_flow(quad)
     qtraj = sf.integrate(qflow, [1.0, 1.0], sf.IntegratorConfig(step=0.01, horizon=20.0))
-    qcert = sf.cert_strict_cc(quad, PointZ([0.0], [0.0]))
+    qcert = sf.cert_strict_cc(quad, [0.0, 0.0])
     qreport = sf.eval_certificate(qcert, qtraj, flow=qflow)
     assert qreport.observability_violated is False
 
@@ -140,7 +139,7 @@ class _Counted:
 def test_strict_cc_is_evaluated_once_per_state():
     quad = _pure_quadratic()
     counted = _Counted(quad.value)
-    cert = sf.cert_strict_cc(replace(quad, value=counted), PointZ([0.0], [0.0]))
+    cert = sf.cert_strict_cc(replace(quad, value=counted), [0.0, 0.0])
     assert cert.bracket is cert.value
     traj = sf.integrate(sf.standard_flow(quad), [1.0, 1.0], sf.IntegratorConfig(step=0.01, horizon=0.5))
     k = len(traj)
@@ -203,7 +202,7 @@ def test_single_pass_matches_the_two_pass_evaluator(case):
     z_star = flow.equilibrium_hint
     if z_star is None:
         z_star = sf.detect_equilibrium(flow, traj, 1e-9)
-    cert = sf.cert_strict_cc(problem, PointZ(z_star[: problem.n], z_star[problem.n :]))
+    cert = sf.cert_strict_cc(problem, z_star)
 
     # both evaluators start from the same warm-start cache
     if flow.reset is not None:
@@ -229,7 +228,7 @@ def test_single_pass_matches_the_two_pass_evaluator(case):
 def test_a_perturbed_hessian_block_fails_the_oracle_check(block, i, j):
     quad, flow, z0 = _quadratic_case()
     traj = sf.integrate(flow, z0, sf.IntegratorConfig(step=0.01, horizon=10.0, record_every=5))
-    n, z_star = quad.n, PointZ(*quad.saddle)
+    n, z_star = quad.n, quad.saddle
     H = quad.hessian.copy()
     H[(i, j) if block == "xx" else (n + i, n + j)] += 1e-6
     bad = replace(quad, hessian=H)
@@ -252,8 +251,8 @@ def test_a_perturbed_proximal_inverse_fails_the_oracle_check(i, j):
     surrogate = sf.proximal_surrogate(sf.qp_lagrangian(bundle, nonneg_y=False), 1.0)
     flow = replace(sf.standard_flow(surrogate.problem), reset=surrogate.reset)
     traj = sf.integrate(flow, np.ones(4), sf.IntegratorConfig(step=0.01, horizon=5.0, record_every=5))
-    w_star = PointZ(flow.equilibrium_hint[:2], flow.equilibrium_hint[2:])
-    assert np.abs(surrogate.base.grad_x(np.zeros(2), w_star.y)).min() > 0.1
+    w_star = flow.equilibrium_hint
+    assert np.abs(surrogate.base.grad_x(np.zeros(2), w_star[2:])).min() > 0.1
     cert = sf.cert_proximal(surrogate, w_star)
     assert_batch_matches_the_oracle(cert, traj)
     assert sf.eval_certificate(cert, traj).route == "batch"
@@ -268,14 +267,14 @@ def test_a_problem_without_hessian_keeps_the_per_state_route():
     assert problem.hessian is None
     traj = sf.integrate(sf.standard_flow(problem), [1.0, 1.0], sf.IntegratorConfig(step=0.01, horizon=1.0))
     counted = _Counted(problem.value)
-    cert = sf.cert_strict_cc(replace(problem, value=counted), PointZ([0.0], [0.0]))
+    cert = sf.cert_strict_cc(replace(problem, value=counted), [0.0, 0.0])
     assert cert.batch is None
     counted.calls = 0
     report = sf.eval_certificate(cert, traj)
     assert (report.route, report.oracle_gap, report.checked_states) == ("oracle", None, 0)
     assert counted.calls == 2 * len(traj)
     surrogate = sf.proximal_surrogate(problem, 1.0)
-    pcert = sf.cert_proximal(surrogate, PointZ([0.0], [0.0]))
+    pcert = sf.cert_proximal(surrogate, [0.0, 0.0])
     assert pcert.batch is None
     assert sf.eval_certificate(pcert, traj).route == "oracle"
 

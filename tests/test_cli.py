@@ -780,10 +780,21 @@ def test_a_wrong_saddle_hint_is_rejected_and_named():
         )
 
     config = sf.IntegratorConfig(step=0.01, horizon=30.0, record_every=10)
-    wrong = sf.standard_flow(problem((np.array([1.0]), np.array([0.5]))))
+    wrong = sf.standard_flow(problem(np.array([1.0, 0.5])))
     traj = sf.integrate(wrong, [1.0, 1.0], config)
     z, how = _resolve_equilibrium(wrong, traj, config)
     assert how == "detected; hint [1.  0.5] rejected (residual 1.500e+00 > 1e-06)"
     assert np.abs(z).max() <= 1e-6
-    right = sf.standard_flow(problem((np.zeros(1), np.zeros(1))))
+    right = sf.standard_flow(problem(np.zeros(2)))
     assert _resolve_equilibrium(right, traj, config)[1] == "hint"
+
+
+def test_bilinear_standard_prints_no_r_squared_for_its_flat_distance(tmp_path):
+    # the undamped bilinear flow circles its saddle: ln d moves by about 1e-13
+    out = tmp_path / "out"
+    assert main(["run", str(CONFIGS / "bilinear_standard.ini"), "--output-dir", str(out), "--quiet"]) == 0
+    with open(out / "rates.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["r_squared"] == "nan" and row["verdict"] == "no_bound"
+    assert abs(float(row["c_fit"])) <= 1e-12
+    assert "(r^2=nan, window=[0, 20])" in (out / "report.txt").read_text()

@@ -1,0 +1,73 @@
+"""tools/compare_runs.py against this checkout and against a changed copy of it."""
+
+import importlib.util
+import shutil
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("compare_runs", ROOT / "tools" / "compare_runs.py")
+compare_runs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_runs)
+
+SHORT = """
+[experiment]
+seed = 1
+
+[problem]
+kind = quadratic_saddle
+mu = 1.0
+q = 2.0
+matrix = 0.5
+
+[algorithm]
+kind = standard
+
+[integrator]
+step = 0.01
+horizon = 30
+record_every = 100
+"""
+
+
+def _config(tmp_path, text=SHORT) -> Path:
+    path = tmp_path / "short.ini"
+    path.write_text(text)
+    return path
+
+
+def _changed_copy(tmp_path, file: str, old: str, new: str) -> Path:
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src", other / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    path = other / "src" / "saddleflow" / file
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return other
+
+
+def test_a_checkout_against_itself_is_identical(tmp_path, capsys):
+    assert compare_runs.main([str(ROOT), str(_config(tmp_path))]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith("short.ini: identical") and out[-1] == "1 of 1 configs identical"
+
+
+def test_a_changed_checkout_shows_which_files_differ_and_how(tmp_path, capsys):
+    other = _changed_copy(tmp_path, "integrate.py", "states.append(z.copy())",
+                          "states.append(z + 1e-9)")
+    assert compare_runs.main([str(other), str(_config(tmp_path))]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith("short.ini: differs") and out[-1] == "0 of 1 configs identical"
+    assert "  trajectory.csv: largest state difference 1.000e-09 * (1 + ||z||)" in out
+    assert "  rates.csv:" in out and "  report.txt:" in out
+    changed = [line for line in out if line.startswith("    - ")]
+    assert any(line.startswith("    - final residual:") for line in changed)
+    assert not any("wall time:" in line for line in out)
+
+
+def test_the_same_failure_in_both_checkouts_is_no_difference(tmp_path, capsys):
+    bad = _config(tmp_path, SHORT.replace("kind = standard", "kind = standard\nrho = 1.0"))
+    assert compare_runs.main([str(ROOT), str(bad)]) == 0
+    other = _changed_copy(tmp_path, "cli.py", '"saddleflow: config error: ', '"config error: ')
+    assert compare_runs.main([str(other), str(bad)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "  exit codes 1 (this) and 1 (other)" in out

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import saddleflow as sf
-from saddleflow import PointZ
 from saddleflow.core import DimensionMismatchError
 
 from helpers import check_gradients, saddle_inequality_check
@@ -21,47 +20,46 @@ def _quadratic_cross():
 
 def test_grad_bilinear_example():
     p = sf.make_bilinear([[1.0]])
-    gx, gy = sf.grad(p, PointZ([1.0], [2.0]))
+    gx, gy = sf.grad(p, [1.0, 2.0])
     assert gx[0] == 2.0 and gy[0] == 1.0
 
 
 def test_grad_quadratic_example():
     p = sf.make_quadratic_saddle(1.0, 1.0, [[0.0]])
-    gx, gy = sf.grad(p, PointZ([3.0], [-4.0]))
+    gx, gy = sf.grad(p, [3.0, -4.0])
     assert gx[0] == 3.0 and gy[0] == 4.0
 
 
 def test_grad_lp_lagrangian_example():
     p = sf.make_lp(sf.LinearProgram(c=[1.0], A=[[1.0]], b=[0.0]))
-    gx, gy = sf.grad(p, PointZ([2.0], [3.0]))
+    gx, gy = sf.grad(p, [2.0, 3.0])
     assert gx[0] == 4.0 and gy[0] == 2.0
 
 
-def test_grad_dimension_mismatch_names_block():
+def test_grad_dimension_mismatch_names_the_stacked_length():
     p = sf.make_bilinear([[1.0]])
-    with pytest.raises(DimensionMismatchError, match="'x'"):
-        sf.grad(p, PointZ([1.0, 2.0], [1.0]))
-    with pytest.raises(DimensionMismatchError, match="'y'"):
-        sf.grad(p, PointZ([1.0], [1.0, 2.0]))
+    for z in ([1.0], [1.0, 2.0, 3.0], np.zeros((2, 1))):
+        with pytest.raises(DimensionMismatchError, match="expects length 2"):
+            sf.grad(p, z)
 
 
 def test_stationarity_residual_at_saddle():
-    assert sf.stationarity_residual(_quadratic_cross(), PointZ([0.0], [0.0])) == 0.0
+    assert sf.stationarity_residual(_quadratic_cross(), [0.0, 0.0]) == 0.0
 
 
 def test_stationarity_residual_bilinear():
     p = sf.make_bilinear([[1.0]])
-    assert sf.stationarity_residual(p, PointZ([1.0], [0.0])) == pytest.approx(1.0)
+    assert sf.stationarity_residual(p, [1.0, 0.0]) == pytest.approx(1.0)
 
 
 def test_stationarity_residual_projected_lp_boundary():
     # at y = 0 on the orthant face the outward dual component is removed
     p = sf.make_lp(sf.LinearProgram(c=[1.0], A=[[1.0]], b=[0.0]))
-    z = PointZ([-1.0], [0.0])
+    z = np.array([-1.0, 0.0])
     dom = sf.full_domain(p)
-    gy = p.grad_y(z.x, z.y)
+    gy = p.grad_y(z[:1], z[1:])
     assert gy[0] == -1.0
-    projected = sf.project_vector_field(dom, z.concat, np.array([-1.0, gy[0]]))
+    projected = sf.project_vector_field(dom, z, np.array([-1.0, gy[0]]))
     assert projected[1] == 0.0
     assert sf.stationarity_residual(p, z, feasible=dom) == pytest.approx(1.0)
 
@@ -69,37 +67,30 @@ def test_stationarity_residual_projected_lp_boundary():
 def test_stationarity_residual_outside_set_raises():
     p = sf.make_lp(sf.LinearProgram(c=[1.0], A=[[1.0]], b=[0.0]))
     with pytest.raises(ValueError, match="outside"):
-        sf.stationarity_residual(p, PointZ([0.0], [-1.0]), feasible=sf.full_domain(p))
+        sf.stationarity_residual(p, [0.0, -1.0], feasible=sf.full_domain(p))
 
 
 def test_saddle_inequality_check_quadratic():
     p = sf.make_quadratic_saddle(1.0, 1.0, [[0.0]])
-    assert saddle_inequality_check(p, PointZ([0.0], [0.0]), samples=200, radius=2.0)
+    assert saddle_inequality_check(p, [0.0, 0.0], samples=200, radius=2.0)
 
 
 def test_saddle_inequality_check_bilinear_origin():
     p = sf.make_bilinear([[1.0]])
-    assert saddle_inequality_check(p, PointZ([0.0], [0.0]), samples=200, radius=1.0)
+    assert saddle_inequality_check(p, [0.0, 0.0], samples=200, radius=1.0)
 
 
 def test_saddle_inequality_check_rejects_non_saddle():
     p = sf.make_bilinear([[1.0]])
-    assert not saddle_inequality_check(p, PointZ([1.0], [1.0]), samples=200, radius=1.0)
+    assert not saddle_inequality_check(p, [1.0, 1.0], samples=200, radius=1.0)
 
 
 def test_saddle_inequality_check_validates_args():
     p = sf.make_bilinear([[1.0]])
     with pytest.raises(ValueError):
-        saddle_inequality_check(p, PointZ([0.0], [0.0]), samples=0)
+        saddle_inequality_check(p, [0.0, 0.0], samples=0)
     with pytest.raises(ValueError):
-        saddle_inequality_check(p, PointZ([0.0], [0.0]), radius=0.0)
-
-
-def test_point_z_concat_roundtrip():
-    z = PointZ([1.0, 2.0], [3.0])
-    assert np.array_equal(z.concat, [1.0, 2.0, 3.0])
-    back = PointZ(z.concat[:2], z.concat[2:])
-    assert np.array_equal(back.x, z.x) and np.array_equal(back.y, z.y)
+        saddle_inequality_check(p, [0.0, 0.0], radius=0.0)
 
 
 def test_convexity_meta_invariants():
@@ -117,15 +108,6 @@ def test_full_domain_composition():
     assert dom.dim == 3
     assert np.isinf(dom.lower[0]) and dom.lower[1] == 0.0 and dom.lower[2] == 0.0
     assert sf.full_domain(sf.make_bilinear([[1.0]])) is None
-
-
-def test_problem_split_join():
-    p = sf.make_bilinear([[1.0, 0.0], [0.0, 1.0]])
-    z = p.join([1.0, 2.0], [3.0, 4.0])
-    x, y = z[: p.n], z[p.n :]
-    assert np.array_equal(x, [1.0, 2.0]) and np.array_equal(y, [3.0, 4.0])
-    with pytest.raises(DimensionMismatchError):
-        p.join([1.0], [3.0, 4.0])
 
 
 def test_builders_pass_gradient_checks():
@@ -147,6 +129,6 @@ def test_zero_residual_implies_saddle_inequality():
         sf.make_quadratic_saddle(0.7, 1.3, rng.standard_normal((2, 2))),
     ]
     for problem in builders:
-        z_star = PointZ(*problem.saddle)
+        z_star = problem.saddle
         assert sf.stationarity_residual(problem, z_star) <= 1e-12
         assert saddle_inequality_check(problem, z_star, samples=100, radius=1.5)

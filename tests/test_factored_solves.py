@@ -478,3 +478,53 @@ def test_declaring_builders_return_one_hessian_everywhere():
         first = hess(owner, 5.0 * rng.standard_normal(18))
         for _ in range(2):
             assert np.array_equal(hess(owner, 5.0 * rng.standard_normal(18)), first), name
+
+
+def _counting_fd_jacobians(monkeypatch) -> list:
+    """Record each finite-difference Jacobian an inner solve takes."""
+    calls = []
+    fd = inner_mod.fd_jacobian
+    monkeypatch.setattr(inner_mod, "fd_jacobian", lambda *a, **k: calls.append(1) or fd(*a, **k))
+    return calls
+
+
+def test_a_linear_lagrangian_past_the_size_cap_keeps_its_hessian_oracles(monkeypatch):
+    # dim 140 > AFFINE_MAX_DIM: no ``hessian``, but hess_xx/hess_yy of the linear f
+    B = np.random.default_rng(48).standard_normal((70, 70))
+    problem = sf.make_bilinear(B)
+    assert problem.dim > sf.AFFINE_MAX_DIM and problem.hessian is None
+    assert np.array_equal(problem.hess_xx(np.ones(70), np.ones(70)), np.zeros((70, 70)))
+    assert np.array_equal(problem.hess_yy(np.ones(70), np.ones(70)), np.zeros((70, 70)))
+    calls = _counting_fd_jacobians(monkeypatch)
+    surrogate = sf.proximal_surrogate(problem, 1.0)
+    u, y = np.cos(np.arange(70.0)), np.sin(np.arange(70.0))
+    x = surrogate.minimizer(u, y)
+    assert calls == []
+    assert np.linalg.norm(B @ y + (x - u)) <= 1e-10
+
+
+def test_augment_past_the_size_cap_passes_block_hessian_oracles(monkeypatch):
+    # an 80-dim quadratic base declares its hessian; its augmentation (dim 160) cannot
+    rng = np.random.default_rng(49)
+    base = sf.make_quadratic_saddle(1.0, 1.0, rng.standard_normal((40, 40)))
+    aug = sf.augment(base, 1.0)
+    assert base.hessian is not None and aug.hessian is None
+    calls = _counting_fd_jacobians(monkeypatch)
+    surrogate = sf.proximal_surrogate(aug, 1.0)
+    u, y = np.cos(np.arange(80.0)), np.sin(np.arange(80.0))
+    x = surrogate.minimizer(u, y)
+    assert calls == []
+    assert np.linalg.norm(aug.grad_x(x, y) + (x - u)) <= 1e-10
+
+
+def test_block_hessian_oracles_of_augment_are_the_declared_blocks():
+    # the same base with and without its declaration: the oracles are the blocks
+    base = sf.make_quadratic_saddle(0.7, 1.3, np.random.default_rng(50).standard_normal((2, 3)))
+    declared = sf.augment(base, 0.6)
+    oracles = sf.augment(replace(base, hessian=None), 0.6)
+    assert oracles.hessian is None
+    xa, ya = np.arange(4.0), np.arange(6.0)
+    assert np.array_equal(oracles.hess_xx(xa, ya), declared.hessian[:4, :4])
+    assert np.array_equal(oracles.hess_yy(xa, ya), declared.hessian[4:, 4:])
+    bare = replace(base, hessian=None, hess_xx=None, hess_yy=None)
+    assert sf.augment(bare, 0.6).hess_xx is None and sf.augment(bare, 0.6).hess_yy is None

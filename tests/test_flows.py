@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import saddleflow as sf
-from saddleflow import PointZ
 
 from helpers import face_points, preconditioned_pd, qp_kkt_oracle, run_until
 
@@ -17,7 +16,7 @@ def _coupled_quadratic():
         grad_x=lambda x, y: x + y,
         grad_y=lambda x, y: x.copy(),
         meta=sf.ConvexityMeta(mu=1.0, q=0.0, l=1.0, kappa=1.0, sigma=1.0),
-        saddle=(np.zeros(1), np.zeros(1)),
+        saddle=np.zeros(2),
         hess_xx=lambda x, y: np.eye(1),
     )
 
@@ -227,14 +226,14 @@ def test_equilibria_map_to_original_saddles():
     aug_flow = _augmented(bil, 0.5)
     z, _, _ = run_until(aug_flow, np.array([1.0, 0.0, 0.0, 0.0]),
                         sf.IntegratorConfig(step=0.02, horizon=40.0, record_every=50), 1e-8)
-    assert sf.stationarity_residual(bil, PointZ(z[:1], z[2:3])) <= 1e-6
+    assert sf.stationarity_residual(bil, z[[0, 2]]) <= 1e-6
 
     # proximal surrogate of the coupled quadratic
     sur = sf.proximal_surrogate(base, 1.0)
     prox_flow = _with_reset(sur)
     w, _, _ = run_until(prox_flow, np.array([1.0, 1.0]),
                         sf.IntegratorConfig(step=0.01, horizon=40.0, record_every=50), 1e-8)
-    assert sf.stationarity_residual(base, PointZ(w[:1], w[1:])) <= 1e-6
+    assert sf.stationarity_residual(base, w) <= 1e-6
 
     # preconditioned QP: map back through u = x + alpha*A^T y
     pre = _unit_precond(eta=1.1, alpha=1.0, b=-1.0)

@@ -281,3 +281,23 @@ def test_csv_bytes_match_per_value_formatting(tmp_path):
         traj.write_csv(tmp_path / "new.csv")
         reference(traj, tmp_path / "ref.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_fit_rate_of_a_flat_series_reports_no_r_squared():
+    # ln d spans 1e-15 here: ss_tot is rounding, so r^2 would be noise
+    t = np.linspace(0.0, 20.0, 201)
+    noise = 1e-15 * np.cos(np.arange(201.0))
+    rep = sf.fit_rate(np.column_stack((t, 1.0 + noise)), c_bound=1.0)
+    assert np.isnan(rep.r_squared)
+    assert abs(rep.c_fit) <= 1e-12 and rep.verdict == "fail" and rep.window == (0.0, 20.0)
+    assert np.isnan(sf.fit_rate(np.column_stack((t, np.full(201, 0.7)))).r_squared)
+
+
+def test_fit_rate_of_a_decaying_series_keeps_its_r_squared():
+    t = np.linspace(0.0, 6.0, 120)
+    d = np.exp(-0.8 * t) * (1.0 + 0.01 * np.cos(7.0 * t))
+    rep = sf.fit_rate(np.column_stack((t, d)), window=(0.0, 6.0))
+    logd = np.log(d)
+    resid = logd - np.polyval(np.polyfit(t, logd, 1), t)
+    expected = 1.0 - float(resid @ resid) / float(np.sum((logd - logd.mean()) ** 2))
+    assert rep.r_squared == expected and 0.99 < expected < 1.0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import saddleflow as sf
-from saddleflow import PointZ
 
 from helpers import check_gradients, cosh_bundle, fd_gradient, qp_kkt_oracle, run_until
 
@@ -16,7 +15,7 @@ from helpers import check_gradients, cosh_bundle, fd_gradient, qp_kkt_oracle, ru
 def test_bilinear_builder():
     p = sf.make_bilinear([[1.0]])
     assert p.value(np.array([2.0]), np.array([3.0])) == 6.0
-    assert sf.stationarity_residual(p, PointZ(*p.saddle)) == 0.0
+    assert sf.stationarity_residual(p, p.saddle) == 0.0
     M = np.array([[1.0, 2.0], [0.0, 1.0]])
     p2 = sf.make_bilinear(M)
     kappa, sigma = np.linalg.eigvalsh(M.T @ M)[[0, -1]]
@@ -152,7 +151,7 @@ def test_qp_lagrangian_against_active_set_oracle():
     bundle = sf.make_qp_affine(Q, p_vec, A, b)
     x_ref, y_ref = qp_kkt_oracle(Q, p_vec, A, b)
     problem = sf.qp_lagrangian(bundle)
-    res = sf.stationarity_residual(problem, PointZ(x_ref, y_ref), feasible=sf.full_domain(problem))
+    res = sf.stationarity_residual(problem, np.concatenate((x_ref, y_ref)), feasible=sf.full_domain(problem))
     assert res <= 1e-8
 
 
@@ -160,7 +159,7 @@ def test_qp_lagrangian_free_dual_saddle():
     bundle = sf.make_qp_affine(np.diag([1.0, 2.0]), np.zeros(2), np.eye(2), np.zeros(2))
     problem = sf.qp_lagrangian(bundle, nonneg_y=False)
     assert problem.saddle is not None
-    assert sf.stationarity_residual(problem, PointZ(*problem.saddle)) <= 1e-12
+    assert sf.stationarity_residual(problem, problem.saddle) <= 1e-12
 
 
 def test_qp_lagrangian_attaches_no_kkt_point_for_a_non_quadratic_f():
@@ -255,7 +254,7 @@ def test_separable_lagrangian_matches_reduction_at_saddle():
                         sf.IntegratorConfig(step=0.002, horizon=30.0, record_every=100), 1e-9)
     full = sf.qp_lagrangian(sf.separable_qp_bundle(sep))
     x_full = red.recover(z[:1], z[1:])
-    res = sf.stationarity_residual(full, PointZ(x_full, z[1:]), feasible=sf.full_domain(full))
+    res = sf.stationarity_residual(full, np.concatenate((x_full, z[1:])), feasible=sf.full_domain(full))
     assert res <= 1e-6
 
 

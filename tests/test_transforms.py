@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import saddleflow as sf
-from saddleflow import PointZ
 import saddleflow.transforms as transforms_module
 from saddleflow._inner import WarmCache, newton_solve
 from saddleflow.transforms import InnerSolveError
@@ -21,7 +20,7 @@ def _coupled_quadratic():
         grad_x=lambda x, y: x + y,
         grad_y=lambda x, y: x.copy(),
         meta=sf.ConvexityMeta(mu=1.0, q=0.0, l=1.0, kappa=1.0, sigma=1.0),
-        saddle=(np.zeros(1), np.zeros(1)),
+        saddle=np.zeros(2),
         hess_xx=lambda x, y: np.eye(1),
     )
 
@@ -75,10 +74,7 @@ def test_augmented_value_identity_and_gradients():
 def test_augment_maps_saddle():
     base = sf.make_quadratic_saddle(1.0, 1.0, [[0.3]])
     aug = sf.augment(base, 1.0)
-    zs = aug.saddle_vector()
-    assert sf.stationarity_residual(
-        aug, PointZ(zs[:2], zs[2:])
-    ) <= 1e-12
+    assert sf.stationarity_residual(aug, aug.saddle) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +220,7 @@ def test_precondition_saddle_correspondence():
     # saddle of the weighted Lagrangian maps to the transformed saddle
     pre = _unit_qp_transform(eta=1.5, alpha=1.0)
     # min 0.5 x^2 s.t. x <= 0 has x* = 0, weighted dual y* = 0
-    w = PointZ([0.0], [0.0])
+    w = [0.0, 0.0]
     assert sf.stationarity_residual(pre, w, feasible=sf.full_domain(pre)) <= 1e-12
     u, y, alpha, A = np.array([0.0]), np.array([0.0]), 1.0, np.array([[1.0]])
     assert np.allclose(u - alpha * (A.T @ y), 0.0)  # x = u - alpha*A^T*y
@@ -455,3 +451,27 @@ def test_warm_cache_match_is_array_equal_per_key():
         )
         assert (cache.match(*query) is point) == expected
     assert cache.match(*hit) is point
+
+
+def test_warm_cache_solve_looks_up_solves_and_stores_through_its_methods(monkeypatch):
+    # the lookups go through ``match`` and ``store``, where a tracer counts them
+    looked, stored = [], []
+    match, store = WarmCache.match, WarmCache.store
+    monkeypatch.setattr(WarmCache, "match", lambda self, *k: looked.append(k) or match(self, *k))
+    monkeypatch.setattr(WarmCache, "store", lambda self, p, *k: stored.append(k) or store(self, p, *k))
+    cache, starts = WarmCache(), []
+
+    def solve(x0):
+        starts.append(x0)
+        return x0 + 1.0
+
+    first = cache.solve(solve, np.zeros(1), None, np.ones(2))
+    assert np.array_equal(first, [1.0]) and len(starts) == 1 and np.array_equal(starts[0], [0.0])
+    assert cache.solve(solve, np.zeros(1), None, np.ones(2)) is first and len(starts) == 1
+    second = cache.solve(solve, np.zeros(1), None, np.zeros(2))
+    assert starts[-1] is first and np.array_equal(second, [2.0])
+    explicit = np.array([5.0])
+    assert np.array_equal(cache.solve(solve, np.zeros(1), explicit, np.zeros(2)), [6.0])
+    assert starts[-1] is explicit
+    assert len(looked) == 3 and len(stored) == 3 and cache.point is not second
+
