@@ -38,7 +38,7 @@ class InnerSolveError(RuntimeError):
 
 @dataclass
 class WarmCache:
-    """Mutable warm-start slot owned by a single trajectory run.
+    """Mutable warm-start slot, in its owner's ``caches`` for ``integrate`` to clear.
 
     Also memoizes the last solve: flow fields evaluate several transformed
     gradients at one state, each of which needs the same inner solution.
@@ -65,18 +65,15 @@ class WarmCache:
         self.point = point
         self.key = tuple(np.array(k, dtype=float, copy=True) for k in key)
 
-    def solve(self, solve: Callable, start, x0, *key) -> np.ndarray:
-        """``solve(x0)``, stored under ``key``; an explicit ``x0`` always solves.
+    def solve(self, solve: Callable, start, *key) -> np.ndarray:
+        """``solve(x0)``, stored under ``key``; a matching ``key`` returns the stored point.
 
-        Otherwise a matching ``key`` returns the stored point, and a solve
-        starts at the stored point, or at ``start`` when none is stored.
+        A solve starts at the stored point, or at ``start`` when none is stored.
         """
-        if x0 is None:
-            hit = self.match(*key)
-            if hit is not None:
-                return hit
-            x0 = start if self.point is None else self.point
-        point = solve(x0)
+        hit = self.match(*key)
+        if hit is not None:
+            return hit
+        point = solve(start if self.point is None else self.point)
         self.store(point, *key)
         return point
 

@@ -38,6 +38,8 @@ __all__ = [
 _SADDLE_TOL = 1e-8
 # largest value - bracket that still counts as the sandwich holding
 SANDWICH_TOL = 1e-9
+# flow residual above which a vanished certificate falsifies observability
+_ZERO_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,6 @@ def eval_certificate(
     cert: Certificate,
     traj: Trajectory,
     flow: Optional[Flow] = None,
-    zero_tol: float = 1e-6,
 ) -> CertificateReport:
     """Evaluate a certificate along a trajectory.
 
@@ -212,9 +213,9 @@ def eval_certificate(
     (as in ``cert_strict_cc``), whose violation is then 0 wherever finite.
     Values and brackets must have shape (k, 2). With a flow, additionally
     flags the case where the certificate has vanished while the flow
-    residual has not, which would falsify observability; certificate entries
-    scale like squared distances near a saddle while the residual is linear,
-    so the vanishing threshold is the squared tolerance.
+    residual has not (is above 1e-6), which would falsify observability;
+    certificate entries scale like squared distances near a saddle while the
+    residual is linear, so the vanishing threshold is the squared tolerance.
     """
     k, checked = len(traj), {}
     if cert.batch is None:
@@ -230,8 +231,8 @@ def eval_certificate(
         checked = dict(route="batch", oracle_gap=float(gap.max()), checked_states=len(at))
     observability = None
     if flow is not None:
-        h_gone = float(np.linalg.norm(values[-1])) <= zero_tol**2
-        observability = bool(h_gone and flow.residual(traj.final_state) > zero_tol)
+        h_gone = float(np.linalg.norm(values[-1])) <= _ZERO_TOL**2
+        observability = bool(h_gone and flow.residual(traj.final_state) > _ZERO_TOL)
     return CertificateReport(
         min_entry=values.min(axis=0),
         max_bracket_violation=float((values - brackets).max()),

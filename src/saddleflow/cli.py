@@ -318,8 +318,8 @@ def _not_applicable(reason: str):
     return builder
 
 
-def _saddle_run(problem: SaddleProblem, desc: str, label: str, reset=None,
-                certificate=None, recover=None) -> RunSetup:
+def _saddle_run(problem: SaddleProblem, desc: str, label: str, certificate=None,
+                recover=None) -> RunSetup:
     """The saddle flow of ``problem``, with its rate bound and certificate.
 
     ``problem`` is the base problem for ``standard`` and the transformed one
@@ -334,7 +334,7 @@ def _saddle_run(problem: SaddleProblem, desc: str, label: str, reset=None,
         certificate = _not_applicable(
             f"strict_cc needs mu > 0 and q > 0, got mu={meta.mu}, q={meta.q}"
         )
-    return RunSetup(flow=replace(standard_flow(problem), reset=reset), label=label,
+    return RunSetup(flow=standard_flow(problem), label=label,
                     problem_desc=desc, recover=recover, cert_builder=certificate,
                     c_bound=cert.rate_bound_strong(meta.mu, meta.q) if strong else None)
 
@@ -364,7 +364,7 @@ def _augmented_network(net, desc: str, algo: dict) -> RunSetup:
 def _proximal(problem: SaddleProblem, desc: str, algo: dict) -> RunSetup:
     rho = _get_float(algo, "rho", 1.0)
     surrogate = proximal_surrogate(problem, rho)
-    return _saddle_run(surrogate.problem, desc, f"proximal(rho={rho})", reset=surrogate.reset,
+    return _saddle_run(surrogate.problem, desc, f"proximal(rho={rho})",
                        certificate=lambda z: cert.cert_proximal(surrogate, z))
 
 
@@ -374,7 +374,7 @@ def _proximal_pd(bundle, desc: str, algo: dict) -> RunSetup:
     # form of that flow, not min(mu, q) of the surrogate's meta
     rho = _get_float(algo, "rho", 1.0)
     surrogate = proximal_surrogate(qp_lagrangian(bundle), rho)
-    flow = replace(standard_flow(surrogate.problem), reset=surrogate.reset)
+    flow = standard_flow(surrogate.problem)
     c_bound = cert.rate_bound_proximal(bundle.f.mu, bundle.f.l, bundle.kappa, rho)
     return RunSetup(flow=flow, label=f"proximal_pd(rho={rho})", problem_desc=desc, c_bound=c_bound,
                     cert_builder=_not_applicable("no certificate of the proximal primal-dual flow"))
@@ -405,7 +405,7 @@ def _preconditioned_separable(sep, desc: str, algo: dict) -> RunSetup:
 
 def _reduced(sep, desc: str, algo: dict) -> RunSetup:
     reduced = reduce_transform(sep)
-    return _saddle_run(reduced.problem, desc, "reduced_pd", reset=reduced.reset)
+    return _saddle_run(reduced.problem, desc, "reduced_pd")
 
 
 def _lasso_pipeline(bundle, desc: str, algo: dict) -> RunSetup:
@@ -646,8 +646,16 @@ def _run_to_files(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
 
 
 def compare_experiments(configs: list[ExperimentConfig], out_dir: Path) -> Path:
-    """Run the configs one after another; returns the comparison CSV path."""
-    results = [_run_to_files(c, out_dir / c.path.stem) for c in configs]
+    """Run the configs one after another; returns the comparison CSV path.
+
+    Each config writes into ``out_dir``/<file stem>: a shared stem is a ``ConfigError``.
+    """
+    dirs = [out_dir / c.path.stem for c in configs]
+    for i, d in enumerate(dirs):
+        if d in dirs[:i]:
+            first = configs[dirs.index(d)].path
+            raise ConfigError(f"{first} and {configs[i].path} share the output directory {d}")
+    results = [_run_to_files(c, d) for c, d in zip(configs, dirs)]
     out_dir.mkdir(parents=True, exist_ok=True)
     table = out_dir / "comparison.csv"
     with open(table, "w", newline="") as fh:

@@ -133,9 +133,9 @@ class SaddleProblem:
     as the oracles are written (not necessarily symmetric), or None.
     ``hess_xx`` and ``hess_yy`` are the Hessian oracles of the inner solves;
     a declaring problem that leaves one out gets its constant block of
-    ``hessian``. Instances are immutable, but a transformed problem's
-    oracles close over its transform's warm-start cache, so such a problem
-    serves one run at a time.
+    ``hessian``. ``caches`` holds the mutable state the oracles close over
+    (a transform's warm starts), each with ``clear()``; ``integrate`` clears
+    them before every run. A problem with caches serves one run at a time.
     """
 
     n: int
@@ -150,6 +150,7 @@ class SaddleProblem:
     hess_yy: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     label: str = ""
     hessian: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    caches: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:

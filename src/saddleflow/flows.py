@@ -43,7 +43,7 @@ class Flow:
 
     When ``feasible`` is present the projection is already applied inside
     ``field``; the integrator additionally clamps states onto the set.
-    ``reset`` clears any warm-start cache before a fresh run.
+    ``integrate`` clears each of ``caches`` (the field's warm starts) first.
     """
 
     dim: int
@@ -51,7 +51,7 @@ class Flow:
     feasible: Optional[FeasibleSet] = None
     equilibrium_hint: Optional[np.ndarray] = None
     label: str = ""
-    reset: Optional[Callable[[], None]] = None
+    caches: tuple = ()
 
     def residual(self, z) -> float:
         """Norm of the (projected) field: zero exactly at equilibria."""
@@ -63,8 +63,8 @@ def standard_flow(problem: SaddleProblem) -> Flow:
 
     Projected onto ``full_domain(problem)`` whenever the problem has a
     ``y_set``. Every transformed problem (augmented, proximal, preconditioned,
-    reduced, Lasso dual-proximal) runs through this constructor; a transform
-    with a warm-start cache passes its ``reset`` on with ``dataclasses.replace``.
+    reduced, Lasso dual-proximal) runs through this constructor, and the
+    flow takes on the problem's ``caches``.
     A problem that declares its ``hessian`` and has at most
     ``AFFINE_MAX_DIM`` coordinates gets the ``AffineField`` ``K @ z + k0`` (one
     matrix-vector product per evaluation), checked here against the oracles
@@ -85,6 +85,7 @@ def standard_flow(problem: SaddleProblem) -> Flow:
         field=field,
         equilibrium_hint=problem.saddle,
         label=f"standard({problem.label or 'problem'})",
+        caches=problem.caches,
     )
     domain = full_domain(problem)
     return flow if domain is None else projected_flow(flow, domain)
@@ -285,8 +286,8 @@ def proximal_primal_dual(f: ConvexObjective, g: ConstraintMap, rho: float) -> Fl
                 jacobian = lambda x: f.hess(x) + g.hess(x, y) + rho * eye
             return newton_solve(residual, x0, jacobian, jacobian_inverse=jacobian_inverse)
 
-        x = cache.solve(solve, u, None, u, y)
+        x = cache.solve(solve, u, u, y)
         return np.concatenate((rho * (x - u), g.value(x)))
 
-    flow = Flow(dim=n + m, field=field, label=f"proximal_pd(rho={rho})", reset=cache.clear)
+    flow = Flow(dim=n + m, field=field, label=f"proximal_pd(rho={rho})", caches=(cache,))
     return projected_flow(flow, FeasibleSet.stack(FeasibleSet.free(n), FeasibleSet.nonnegative(m)))

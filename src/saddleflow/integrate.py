@@ -35,6 +35,9 @@ __all__ = [
     "envelope_check",
 ]
 
+# distances at or below this are rounding noise to the rate fit
+_FIT_FLOOR = 1e-12
+
 
 class IntegrationError(RuntimeError):
     """A non-finite state was produced; carries the last finite time."""
@@ -127,8 +130,8 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
             stacklevel=2,
         )
         z = project_point(fs, z)
-    if flow.reset is not None:
-        flow.reset()
+    for cache in flow.caches:
+        cache.clear()
 
     h = config.step
     n_full = int(config.horizon / h + 1e-9)
@@ -222,12 +225,12 @@ def max_increment(series) -> float:
     return float(np.max(np.diff(v)))
 
 
-def _auto_window(t: np.ndarray, d: np.ndarray, floor: float) -> tuple:
+def _auto_window(t: np.ndarray, d: np.ndarray) -> tuple:
     """Fit window: skip the transient, stop above the numerical noise floor."""
     d0 = d[0]
     below_half = np.nonzero(d < 0.5 * d0)[0]
     t_start = t[below_half[0]] if below_half.size else t[0]
-    cutoff = max(100.0 * floor, 1e-9 * d0)
+    cutoff = max(100.0 * _FIT_FLOOR, 1e-9 * d0)
     tail = np.nonzero(d <= cutoff)[0]
     t_end = t[tail[0]] if tail.size else t[-1]
     if t_end <= t_start:
@@ -235,29 +238,25 @@ def _auto_window(t: np.ndarray, d: np.ndarray, floor: float) -> tuple:
     return (float(t_start), float(t_end))
 
 
-def fit_rate(
-    series,
-    window: Optional[tuple] = None,
-    floor: float = 1e-12,
-    c_bound: Optional[float] = None,
-) -> RateReport:
+def fit_rate(series, window: Optional[tuple] = None, c_bound: Optional[float] = None) -> RateReport:
     """Least-squares slope of ln d(t) over a window, negated.
 
     With an automatic window the fit starts once d drops below half its
-    initial value and stops when d reaches max(100*floor, 1e-9*d(0)). The
-    verdict is "pass" when c_fit >= 0.9*c_bound, "fail" below it, and
-    "no_bound" when no bound is supplied. Requires at least 3 usable samples
-    (d above ``floor``) in the window. r^2 is NaN when ln d spans less than
-    1e-9 over them: a series that does not decay leaves it nothing to explain.
+    initial value and stops when d reaches max(100*floor, 1e-9*d(0)), for the
+    floor 1e-12. The verdict is "pass" when c_fit >= 0.9*c_bound, "fail"
+    below it, and "no_bound" when no bound is supplied. Requires at least 3
+    usable samples (d above the floor) in the window. r^2 is NaN when ln d
+    spans less than 1e-9 over them: a series that does not decay leaves it
+    nothing to explain.
     """
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"series must be a (k, 2) array, got shape {arr.shape}")
     t, d = arr[:, 0], arr[:, 1]
     if window is None:
-        window = _auto_window(t, d, floor)
+        window = _auto_window(t, d)
     t0, t1 = float(window[0]), float(window[1])
-    mask = (t >= t0) & (t <= t1) & (d > floor)
+    mask = (t >= t0) & (t <= t1) & (d > _FIT_FLOOR)
     if int(mask.sum()) < 3:
         raise ValueError(f"too few usable samples in window [{t0}, {t1}]: {int(mask.sum())}")
     tw = t[mask]

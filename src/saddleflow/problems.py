@@ -460,7 +460,7 @@ class LassoBundle:
         transform = lasso_dual_prox(
             precondition(self.f, self.A, zeros, eta=1.0, alpha=alpha, y_set=self.y_set), rho
         )
-        return replace(standard_flow(transform.problem), field=transform.field, reset=transform.reset)
+        return replace(standard_flow(transform.problem), field=transform.field)
 
     def recover(self, alpha: float, state) -> np.ndarray:
         """The lifted primal point x = u - alpha*A^T*v of a state (u, v).

@@ -16,14 +16,14 @@ block.
 ``augment`` and ``precondition`` are closed forms and return the transformed
 ``SaddleProblem`` itself. ``proximal_surrogate``, ``reduce`` and
 ``lasso_dual_prox`` need an inner solve per oracle call; they return an
-object holding the transformed ``problem``, the solver, its warm-start cache
-and ``reset``. Of a quadratic base, the proximal surrogate and the reduced
-problem are quadratic again: they declare their constant ``hessian`` (a
-Schur complement), so their saddle flow is affine and solves nothing per
-evaluation. The Lasso dual prox is only piecewise affine (its maximizer
-meets the faces of a box): of a quadratic base, its ``field`` is the affine
-map of one active set at a time, and it solves its inner box QP only when
-the active set changes.
+object holding the solver and the transformed ``problem``, whose ``caches``
+add the solver's warm-start cache to the base's. Of a quadratic base, the
+proximal surrogate and the reduced problem are quadratic again: they
+declare their constant ``hessian`` (a Schur complement), so their saddle
+flow is affine and solves nothing per evaluation. The Lasso dual prox is
+only piecewise affine (its maximizer meets the faces of a box): of a
+quadratic base, its ``field`` is the affine map of one active set at a
+time, and it solves its inner box QP only when the active set changes.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def augment(problem: SaddleProblem, rho: float) -> SaddleProblem:
     return SaddleProblem(
         n=2 * n, m=2 * m, value=value, grad_x=grad_x, grad_y=grad_y, meta=ConvexityMeta(),
         y_set=y_set, saddle=saddle, hess_xx=hess_xx, hess_yy=hess_yy, hessian=hessian,
-        label=f"augmented({problem.label or 'problem'}, rho={rho})",
+        label=f"augmented({problem.label or 'problem'}, rho={rho})", caches=problem.caches,
     )
 
 
@@ -144,8 +144,8 @@ class ProximalSurrogate:
     _cache: WarmCache
     _jacobian_inverse: Optional[np.ndarray] = None
 
-    def minimizer(self, u, y, x0: Optional[np.ndarray] = None) -> np.ndarray:
-        """The inner minimizer x_tilde(u, y); deterministic given (u, y, x0)."""
+    def minimizer(self, u, y) -> np.ndarray:
+        """The inner minimizer x_tilde(u, y), warm-started at the last one."""
         u = np.asarray(u, dtype=float)
         y = np.asarray(y, dtype=float)
         base, rho = self.base, self.rho
@@ -158,10 +158,7 @@ class ProximalSurrogate:
             residual = lambda x: base.grad_x(x, y) + rho * (x - u)
             return newton_solve(residual, x0, jacobian, jacobian_inverse=self._jacobian_inverse)
 
-        return self._cache.solve(solve, u, x0, u, y)
-
-    def reset(self) -> None:
-        self._cache.clear()
+        return self._cache.solve(solve, u, u, y)
 
 
 def proximal_surrogate(problem: SaddleProblem, rho: float) -> ProximalSurrogate:
@@ -196,12 +193,14 @@ def proximal_surrogate(problem: SaddleProblem, rho: float) -> ProximalSurrogate:
         if problem.dim <= AFFINE_MAX_DIM:
             hessian = _surrogate_hessian(H, n, rho, jacobian_inverse)
 
+    cache = WarmCache()
     surrogate_problem = SaddleProblem(
         n=problem.n, m=problem.m, value=value, grad_x=grad_u, grad_y=grad_y,
         meta=ConvexityMeta(mu=mu_s, q=q_s, l=l_s), y_set=problem.y_set, saddle=problem.saddle,
         label=f"proximal({problem.label or 'problem'}, rho={rho})", hessian=hessian,
+        caches=problem.caches + (cache,),
     )
-    surrogate = ProximalSurrogate(problem, rho, surrogate_problem, WarmCache(), jacobian_inverse)
+    surrogate = ProximalSurrogate(problem, rho, surrogate_problem, cache, jacobian_inverse)
     return surrogate
 
 
@@ -318,7 +317,7 @@ class ReducedProblem:
     _cache: WarmCache
     _jacobian_inverse: Optional[np.ndarray] = None
 
-    def minimizer(self, y, x0: Optional[np.ndarray] = None) -> np.ndarray:
+    def minimizer(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         f_s = self.sep.f_s
 
@@ -327,14 +326,11 @@ class ReducedProblem:
             residual = lambda x: f_s.grad(x) + aty
             return newton_solve(residual, x0, f_s.hess, jacobian_inverse=self._jacobian_inverse)
 
-        return self._cache.solve(solve, np.zeros(f_s.dim), x0, y)
+        return self._cache.solve(solve, np.zeros(f_s.dim), y)
 
     def recover(self, x_c, y) -> np.ndarray:
         """The full primal point (x_s_bar(y), x_c)."""
         return np.concatenate((self.minimizer(y), np.asarray(x_c, dtype=float)))
-
-    def reset(self) -> None:
-        self._cache.clear()
 
 
 def reduce(sep: "SeparableProblem") -> ReducedProblem:
@@ -373,12 +369,13 @@ def reduce(sep: "SeparableProblem") -> ReducedProblem:
             hessian[n_c:, :n_c] = A_c
             hessian[n_c:, n_c:] = -(A_s @ jacobian_inverse @ A_s.T)
 
+    cache = WarmCache()
     problem = SaddleProblem(
         n=f_c.dim, m=m, value=value, grad_x=grad_xc, grad_y=grad_y,
         meta=ConvexityMeta(mu=f_c.mu, q=q_val, l=f_c.l), y_set=FeasibleSet.nonnegative(m),
-        label="reduced_lagrangian", hessian=hessian,
+        label="reduced_lagrangian", hessian=hessian, caches=(cache,),
     )
-    reduced = ReducedProblem(sep, problem, WarmCache(), jacobian_inverse)
+    reduced = ReducedProblem(sep, problem, cache, jacobian_inverse)
     return reduced
 
 
@@ -504,7 +501,7 @@ class LassoDualProx:
     problem: SaddleProblem
     _cache: WarmCache
     _dual_hess: Optional[ConstantHessian] = None
-    _slot: Optional[list] = None  # [the last confirmed map], or None without one
+    _slot: Optional[list] = None  # [] or [the last confirmed map]; None without the map path
 
     @property
     def _feasible(self) -> FeasibleSet:
@@ -523,7 +520,7 @@ class LassoDualProx:
         at a face) the field is the oracle field at the box-QP maximizer.
         """
         slot = self._slot
-        if slot is not None and slot[0] is not None:
+        if slot:
             f = slot[0](z)
             if f is not None:
                 return f
@@ -531,10 +528,10 @@ class LassoDualProx:
         u, v = z[:n], z[n:]
         if slot is not None:
             y = self.maximizer(u, v)
-            if slot[0] is None or _face_key(y, self._feasible).tobytes() != slot[0].key:
+            if not slot or _face_key(y, self._feasible).tobytes() != slot[0].key:
                 amap = _active_set_map(self, y)
                 self._confirm(amap, z, y)
-                slot[0] = amap
+                slot[:] = [amap]
                 f = amap(z)
                 if f is not None:
                     return f
@@ -566,7 +563,7 @@ class LassoDualProx:
                 f"gradient {stationarity:.3e} on the free set, field off by {gap:.3e}"
             )
 
-    def maximizer(self, u, v, y0: Optional[np.ndarray] = None) -> np.ndarray:
+    def maximizer(self, u, v) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         base, rho = self.base, self.rho
@@ -585,12 +582,7 @@ class LassoDualProx:
         solve = lambda y0: projected_concave_max(
             phi, dphi, self._feasible, y0, hess, constant_hess=self._dual_hess
         )
-        return self._cache.solve(solve, v, y0, u, v)
-
-    def reset(self) -> None:
-        self._cache.clear()
-        if self._slot is not None:
-            self._slot[0] = None
+        return self._cache.solve(solve, v, u, v)
 
 
 def lasso_dual_prox(base: SaddleProblem, rho: float) -> LassoDualProx:
@@ -611,18 +603,17 @@ def lasso_dual_prox(base: SaddleProblem, rho: float) -> LassoDualProx:
         y = transform.maximizer(u, v)
         return rho * (y - np.asarray(v, dtype=float))
 
-    problem = SaddleProblem(
-        n=base.n, m=base.m, value=value, grad_x=grad_u, grad_y=grad_v, meta=ConvexityMeta(),
-        label=f"dual_prox({base.label or 'problem'}, rho={rho})",
-    )
+    cache = WarmCache()
     dual_hess = slot = None
     if base.hessian is not None:
         dual_hess = ConstantHessian(base.hessian[base.n :, base.n :] - rho * np.eye(base.m))
         # the map's W has up to (dim + 2m) x dim entries, as dense as the affine field's K
         if base.dim <= AFFINE_MAX_DIM:
-            slot = [None]
-    transform = LassoDualProx(
-        base=base, rho=rho, problem=problem, _cache=WarmCache(),
-        _dual_hess=dual_hess, _slot=slot,
+            slot = []
+    problem = SaddleProblem(
+        n=base.n, m=base.m, value=value, grad_x=grad_u, grad_y=grad_v, meta=ConvexityMeta(),
+        label=f"dual_prox({base.label or 'problem'}, rho={rho})",
+        caches=base.caches + (cache,) + (() if slot is None else (slot,)),
     )
+    transform = LassoDualProx(base, rho, problem, cache, dual_hess, slot)
     return transform

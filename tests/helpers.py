@@ -151,9 +151,18 @@ def lasso_saddle(bundle: sf.LassoBundle, alpha: float, tol: float = 1e-12):
 def lasso_transform(flow: sf.Flow) -> sf.LassoDualProx:
     """The dual-proximal transform behind a ``LassoBundle.dynamics`` flow.
 
-    The flow's ``reset`` is that transform's bound ``reset`` method.
+    The flow's ``field`` is that transform's bound ``field`` method.
     """
-    return flow.reset.__self__
+    return flow.field.__self__
+
+
+def start_next_solve_at(transform, point) -> None:
+    """Make the next inner solve of ``transform`` start at ``point``.
+
+    The point is stored under no key, so no lookup matches it and the next
+    solve warm-starts there.
+    """
+    transform._cache.store(np.array(point, dtype=float))
 
 
 def run_until(flow: sf.Flow, z0, config: sf.IntegratorConfig, tol: float,

@@ -5,7 +5,6 @@ summary lines; tolerances are fixed here and nowhere else.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,7 +105,7 @@ def test_criterion_03_proximal_rate():
     for rho in (0.5, rho_star, 2.0):
         bound = sf.rate_bound_proximal(1.0, 2.0, 1.0, rho)
         surrogate = sf.proximal_surrogate(S, rho)
-        flow = replace(sf.standard_flow(surrogate.problem), reset=surrogate.reset)
+        flow = sf.standard_flow(surrogate.problem)
         horizon = min(90.0, 23.0 / bound)
         traj = sf.integrate(
             flow, np.ones(4), sf.IntegratorConfig(step=4e-3, horizon=horizon, record_every=10)
@@ -194,7 +193,7 @@ def test_criterion_06_reduced_rate():
     )
     bound = rate_bound_reduced(1.0, 1.0, 1.0)
     reduced = sf.reduce(sep)
-    flow = replace(sf.standard_flow(reduced.problem), reset=reduced.reset)
+    flow = sf.standard_flow(reduced.problem)
     traj = sf.integrate(
         flow, np.array([1.0, 0.0]), sf.IntegratorConfig(step=2e-3, horizon=25.0, record_every=10)
     )
@@ -320,7 +319,7 @@ def test_criterion_09_certificate_sandwich():
     bundle = sf.make_qp_affine(np.diag([1.0, 2.0]), np.zeros(2), np.eye(2), np.zeros(2))
     S = sf.qp_lagrangian(bundle, nonneg_y=False)
     surrogate = sf.proximal_surrogate(S, 1.0)
-    pflow = replace(sf.standard_flow(surrogate.problem), reset=surrogate.reset)
+    pflow = sf.standard_flow(surrogate.problem)
     ptraj = sf.integrate(pflow, np.ones(4), sf.IntegratorConfig(step=4e-3, horizon=20.0, record_every=10))
     pcert = sf.cert_proximal(surrogate, np.zeros(4))
     reports["proximal"] = sf.eval_certificate(pcert, ptraj, flow=pflow)
@@ -377,7 +376,7 @@ def test_criterion_10_lyapunov_monotonicity():
     bundle = sf.make_qp_affine(np.diag([1.0, 2.0]), np.zeros(2), np.eye(2), np.zeros(2))
     S = sf.qp_lagrangian(bundle, nonneg_y=False)
     surrogate = sf.proximal_surrogate(S, 1.0)
-    pflow = replace(sf.standard_flow(surrogate.problem), reset=surrogate.reset)
+    pflow = sf.standard_flow(surrogate.problem)
     runs.append(("proximal", pflow, np.ones(4), pflow.equilibrium_hint, 15.0, 4e-3))
 
     lp = sf.LinearProgram(c=[1.0, 1.0], A=[[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], b=[-1.0, -0.5, 3.0])
@@ -399,7 +398,7 @@ def test_criterion_10_lyapunov_monotonicity():
     sep = sf.make_separable_qp(np.eye(1), np.zeros(1), np.eye(1), np.zeros(1),
                                np.eye(1), np.eye(1), np.array([-1.0]))
     reduced = sf.reduce(sep)
-    rflow = replace(sf.standard_flow(reduced.problem), reset=reduced.reset)
+    rflow = sf.standard_flow(reduced.problem)
     z_lim, _, _ = run_until(
         rflow, np.array([1.0, 0.0]),
         sf.IntegratorConfig(step=0.002, horizon=30.0, record_every=100), 1e-9,

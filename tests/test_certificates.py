@@ -188,7 +188,7 @@ def _reduced_case():
         np.array([-0.5, 0.4]),
     )
     reduced = sf.reduce(sep)
-    flow = replace(sf.standard_flow(reduced.problem), reset=reduced.reset)
+    flow = sf.standard_flow(reduced.problem)
     return reduced.problem, flow, np.ones(4)
 
 
@@ -204,12 +204,12 @@ def test_single_pass_matches_the_two_pass_evaluator(case):
         z_star = sf.detect_equilibrium(flow, traj, 1e-9)
     cert = sf.cert_strict_cc(problem, z_star)
 
-    # both evaluators start from the same warm-start cache
-    if flow.reset is not None:
-        flow.reset()
+    # both evaluators start from the same (cleared) warm-start caches
+    for cache in flow.caches:
+        cache.clear()
     old = _two_pass_reference(cert, traj, flow=flow)
-    if flow.reset is not None:
-        flow.reset()
+    for cache in flow.caches:
+        cache.clear()
     new = sf.eval_certificate(replace(cert, batch=None), traj, flow=flow)
 
     for field in ("min_entry", "final_values"):
@@ -249,7 +249,7 @@ def test_a_perturbed_proximal_inverse_fails_the_oracle_check(i, j):
     bundle = sf.make_qp_affine(np.diag([1.0, 2.0]), np.array([0.5, -0.3]),
                                np.array([[1.0, 0.4], [0.0, 1.0]]), np.array([-1.0, 0.5]))
     surrogate = sf.proximal_surrogate(sf.qp_lagrangian(bundle, nonneg_y=False), 1.0)
-    flow = replace(sf.standard_flow(surrogate.problem), reset=surrogate.reset)
+    flow = sf.standard_flow(surrogate.problem)
     traj = sf.integrate(flow, np.ones(4), sf.IntegratorConfig(step=0.01, horizon=5.0, record_every=5))
     w_star = flow.equilibrium_hint
     assert np.abs(surrogate.base.grad_x(np.zeros(2), w_star[2:])).min() > 0.1

@@ -529,6 +529,18 @@ def test_compare_stops_at_a_bad_config_with_config_error(tmp_path, capsys):
     assert not (out / "comparison.csv").exists()
 
 
+def test_compare_refuses_configs_that_share_a_file_stem(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = _write(tmp_path / "a", "x.ini", QUADRATIC)
+    second = _write(tmp_path / "b", "x.ini", BILINEAR_AUGMENTED)
+    out = tmp_path / "cmp"
+    assert main(["compare", str(first), str(second), "--output-dir", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"{first} and {second} share the output directory {out / 'x'}" in err
+    assert not out.exists()  # refused before any run
+
+
 def test_singular_matrix_while_building_stays_numerical_failure(tmp_path, capsys, monkeypatch):
     import numpy as np
 

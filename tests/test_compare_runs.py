@@ -71,3 +71,13 @@ def test_the_same_failure_in_both_checkouts_is_no_difference(tmp_path, capsys):
     assert compare_runs.main([str(other), str(bad)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert "  exit codes 1 (this) and 1 (other)" in out
+
+
+def test_the_default_configs_are_the_shipped_ones_then_the_benchmark_inputs(tmp_path):
+    configs = compare_runs.default_configs(tmp_path)
+    shipped = sorted((ROOT / "configs").glob("*.ini"))
+    generated = configs[len(shipped):]
+    assert configs[: len(shipped)] == shipped and len(generated) == 30
+    dirs = {c.parent for c in generated}
+    assert {d.parent for d in dirs} == {tmp_path} and len(dirs) == 6  # 3 workloads x 2 seeds
+    assert {d.name.rpartition("_")[2] for d in dirs} == {"2024", "31337"}

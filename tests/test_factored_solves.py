@@ -18,7 +18,7 @@ import saddleflow.transforms as transforms
 from saddleflow.flows import proximal_primal_dual
 from saddleflow.transforms import InnerSolveError
 
-from helpers import bisect_root, lasso_transform
+from helpers import bisect_root, lasso_transform, start_next_solve_at
 
 AGREE = 1e-12
 
@@ -199,8 +199,9 @@ def test_lasso_active_set_map_field_agrees_with_the_oracle_fields(monkeypatch):
     # an active-set change costs one box QP; the other evaluations (290 of 305
     # measured) are one matrix-vector product each
     assert max(entered, left) <= fallbacks <= 30
-    declared.reset()
-    assert declared._slot == [None] and declared._cache.point is None
+    for cache in declared.problem.caches:
+        cache.clear()
+    assert declared._slot == [] and declared._cache.point is None
 
 
 def test_lasso_field_past_the_size_cap_is_the_oracle_field():
@@ -326,7 +327,8 @@ def test_lasso_run_is_byte_deterministic_with_a_warm_factor_slot(tmp_path, monke
     transform = lasso_transform(flow)
     first = run(flow, "first.csv")
     assert len(masks) >= 2  # the free set changed along the run
-    transform.reset()
+    for cache in flow.caches:
+        cache.clear()
     assert transform._cache.point is None and transform._dual_hess._inverse is not None
     second = run(flow, "second.csv")  # starts with the last run's free block in the slot
     fresh = run(bundle.dynamics(1.0 / bundle.l, 1.0), "fresh.csv")
@@ -342,8 +344,10 @@ def test_lasso_maximizer_starting_on_the_bound():
         v = rng.standard_normal(lifted)
         y0 = np.clip(rng.standard_normal(lifted), bundle.y_set.lower, None)
         y0[n : n + 3] = 0.0
-        a = declared.maximizer(u, v, y0=y0)
-        b = plain.maximizer(u, v, y0=y0)
+        start_next_solve_at(declared, y0)
+        start_next_solve_at(plain, y0)
+        a = declared.maximizer(u, v)
+        b = plain.maximizer(u, v)
         assert np.abs(a - b).max() <= AGREE
 
 
@@ -422,15 +426,17 @@ def test_undeclared_quartic_still_takes_damped_newton(monkeypatch):
     monkeypatch.setattr(inner_mod, "fd_jacobian", lambda *a, **k: fd_calls.append(1) or fd(*a, **k))
     sur = sf.proximal_surrogate(quartic, 1.0)
     assert sur._jacobian_inverse is None
-    x_t = sur.minimizer([1.0], [0.0], x0=np.array([0.0]))[0]
+    start_next_solve_at(sur, [0.0])
+    x_t = sur.minimizer([1.0], [0.0])[0]
     assert x_t == pytest.approx(bisect_root(lambda t: t**3 + t - 1.0, 0.0, 1.0), abs=1e-9)
     assert len(fd_calls) >= 3  # several damped Newton iterations
     monkeypatch.setattr(
         transforms, "newton_solve", functools.partial(inner_mod.newton_solve, tol=1e-12, max_iters=2)
     )
     capped = sf.proximal_surrogate(quartic, 1.0)
+    start_next_solve_at(capped, [37.0])  # far from the solution: two iterations cannot reach it
     with pytest.raises(InnerSolveError) as err:
-        capped.minimizer([1.0], [0.0], x0=np.array([37.0]))
+        capped.minimizer([1.0], [0.0])
     assert err.value.residual > 0.0
 
 

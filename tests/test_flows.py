@@ -38,11 +38,6 @@ def _lp_augmented(c, A, b, rho):
     return _augmented(sf.make_lp(sf.LinearProgram(c=c, A=A, b=b)), rho)
 
 
-def _with_reset(transform):
-    """The saddle flow of a transform's problem, with its warm-start reset."""
-    return replace(sf.standard_flow(transform.problem), reset=transform.reset)
-
-
 def test_augmented_flow_matches_display():
     flow = _augmented(sf.make_bilinear([[1.0]]), 1.0)
     assert np.allclose(flow.field(np.zeros(4)), 0.0)
@@ -55,7 +50,7 @@ def test_augmented_flow_matches_display():
 
 def test_proximal_flow_examples():
     sur = sf.proximal_surrogate(_coupled_quadratic(), 1.0)
-    flow = _with_reset(sur)
+    flow = sf.standard_flow(sur.problem)
     assert np.allclose(flow.field(np.array([1.0, 0.0])), [-0.5, 0.5], atol=1e-9)
     assert np.allclose(flow.field(np.array([0.0, 1.0])), [-0.5, -0.5], atol=1e-9)
     assert np.allclose(flow.field(np.zeros(2)), 0.0, atol=1e-10)
@@ -179,7 +174,7 @@ def test_reduced_pd_examples():
         np.eye(1), np.zeros(1), np.eye(1), np.zeros(1),
         np.eye(1), np.eye(1), np.zeros(1),
     )
-    flow = _with_reset(sf.reduce(sep))
+    flow = sf.standard_flow(sf.reduce(sep).problem)
     out = flow.field(np.array([1.0, 1.0]))
     assert out[0] == pytest.approx(-2.0)            # -(grad f_c + A_c^T y)
     assert out[1] == pytest.approx(0.0, abs=1e-10)  # A_s xbar + A_c x_c - b = 0
@@ -198,7 +193,7 @@ def test_lasso_flow_consistent_with_dual_prox():
         hess_yy=lambda u, y: -2.0 * np.eye(1),
     )
     dp = sf.lasso_dual_prox(toy, rho=1.0)
-    flow = _with_reset(dp)
+    flow = sf.standard_flow(dp.problem)
     assert np.allclose(flow.field(np.zeros(2)), 0.0, atol=1e-10)
     # u = 1, v = 2: ytilde = 1; udot = -grad_u = -ytilde; vdot = rho*(ytilde - v)
     out = flow.field(np.array([1.0, 2.0]))
@@ -230,7 +225,7 @@ def test_equilibria_map_to_original_saddles():
 
     # proximal surrogate of the coupled quadratic
     sur = sf.proximal_surrogate(base, 1.0)
-    prox_flow = _with_reset(sur)
+    prox_flow = sf.standard_flow(sur.problem)
     w, _, _ = run_until(prox_flow, np.array([1.0, 1.0]),
                         sf.IntegratorConfig(step=0.01, horizon=40.0, record_every=50), 1e-8)
     assert sf.stationarity_residual(base, w) <= 1e-6
@@ -270,12 +265,14 @@ def test_bilinear_conservation_short():
     assert drift <= 1e-7
 
 
-def test_flow_reset_clears_warm_cache():
+def test_flow_caches_clear_the_warm_cache():
     sur = sf.proximal_surrogate(_coupled_quadratic(), 1.0)
-    flow = _with_reset(sur)
+    flow = sf.standard_flow(sur.problem)
+    assert [id(c) for c in flow.caches] == [id(sur._cache)]
     flow.field(np.array([1.0, 0.0]))
     assert sur._cache.point is not None
-    flow.reset()
+    for cache in flow.caches:
+        cache.clear()
     assert sur._cache.point is None
 
 
@@ -301,7 +298,7 @@ def test_proximal_flow_keeps_the_dual_domain():
     # dual would instead drive x onto x1 + x2 = 10
     Q, p, A, b = np.diag([1.0, 2.0]), np.array([-2.0, -2.0]), np.array([[1.0, 1.0]]), np.array([10.0])
     surrogate = sf.proximal_surrogate(sf.qp_lagrangian(sf.make_qp_affine(Q, p, A, b)), 1.0)
-    flow = _with_reset(surrogate)
+    flow = sf.standard_flow(surrogate.problem)
     assert flow.feasible is not None and flow.feasible.lower[2] == 0.0
     z, _, _ = run_until(
         flow, np.array([0.0, 0.0, 1.0]), sf.IntegratorConfig(step=0.02, horizon=40.0, record_every=100), 1e-9
@@ -396,7 +393,7 @@ def test_standard_flow_of_reduced_problem_matches_hand_written_field():
     # one instance per field: their warm-start caches see the same solves;
     # the reference follows the oracles' order of operations: the oracle path
     reduced = sf.reduce(sep)
-    flow = replace(sf.standard_flow(replace(reduced.problem, hessian=None)), reset=reduced.reset)
+    flow = sf.standard_flow(replace(reduced.problem, hessian=None))
     reference = _dual_projected_reference(sf.reduce(sep).problem)
     probe = sf.reduce(sep).problem
     signs = set()

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -249,7 +247,7 @@ def test_separable_lagrangian_matches_reduction_at_saddle():
         np.eye(1), np.eye(1), np.array([-1.0]),
     )
     red = sf.reduce(sep)
-    flow = replace(sf.standard_flow(red.problem), reset=red.reset)
+    flow = sf.standard_flow(red.problem)
     z, _, _ = run_until(flow, np.array([1.0, 0.0]),
                         sf.IntegratorConfig(step=0.002, horizon=30.0, record_every=100), 1e-9)
     full = sf.qp_lagrangian(sf.separable_qp_bundle(sep))

@@ -8,7 +8,9 @@ import saddleflow.transforms as transforms_module
 from saddleflow._inner import WarmCache, newton_solve
 from saddleflow.transforms import InnerSolveError
 
-from helpers import bisect_root, check_gradients, fd_gradient, lasso_transform, second_difference
+from helpers import (
+    bisect_root, check_gradients, fd_gradient, lasso_transform, second_difference, start_next_solve_at,
+)
 
 
 def _coupled_quadratic():
@@ -83,8 +85,10 @@ def test_augment_maps_saddle():
 
 def test_inner_minimizer_linear_cases():
     sur = sf.proximal_surrogate(_coupled_quadratic(), 1.0)
-    assert sur.minimizer([1.0], [0.0], x0=np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-10)
-    assert sur.minimizer([0.0], [1.0], x0=np.array([0.0]))[0] == pytest.approx(-0.5, abs=1e-10)
+    start_next_solve_at(sur, [0.0])
+    assert sur.minimizer([1.0], [0.0])[0] == pytest.approx(0.5, abs=1e-10)
+    start_next_solve_at(sur, [0.0])
+    assert sur.minimizer([0.0], [1.0])[0] == pytest.approx(-0.5, abs=1e-10)
 
 
 def test_inner_minimizer_cubic_against_bisection():
@@ -96,7 +100,8 @@ def test_inner_minimizer_cubic_against_bisection():
         grad_y=lambda x, y: np.zeros(1),
     )
     sur = sf.proximal_surrogate(quartic, 1.0)
-    x_t = sur.minimizer([1.0], [0.0], x0=np.array([0.0]))[0]
+    start_next_solve_at(sur, [0.0])
+    x_t = sur.minimizer([1.0], [0.0])[0]
     root = bisect_root(lambda t: t**3 + t - 1.0, 0.0, 1.0)
     assert root == pytest.approx(0.6823278, abs=1e-7)
     assert x_t == pytest.approx(root, abs=1e-9)
@@ -114,16 +119,19 @@ def test_inner_minimizer_iteration_cap_carries_residual(monkeypatch):
         transforms_module, "newton_solve", functools.partial(newton_solve, tol=1e-12, max_iters=2)
     )
     sur = sf.proximal_surrogate(quartic, 1.0)
+    start_next_solve_at(sur, [37.0])  # far from the solution: two iterations cannot reach it
     with pytest.raises(InnerSolveError) as err:
-        sur.minimizer([1.0], [0.0], x0=np.array([37.0]))
+        sur.minimizer([1.0], [0.0])
     assert err.value.residual > 0.0
 
 
 def test_inner_minimizer_deterministic():
     sur = sf.proximal_surrogate(_coupled_quadratic(), 1.0)
-    a = sur.minimizer([0.3], [0.4], x0=np.array([5.0]))
-    b = sur.minimizer([0.3], [0.4], x0=np.array([5.0]))
-    assert np.array_equal(a, b)
+    start_next_solve_at(sur, [5.0])
+    a = sur.minimizer([0.3], [0.4])
+    start_next_solve_at(sur, [5.0])
+    b = sur.minimizer([0.3], [0.4])
+    assert b is not a and np.array_equal(a, b)
 
 
 def test_surrogate_gradients_match_lemma_formulas():
@@ -379,21 +387,21 @@ def test_separate_builds_have_private_caches():
 
 
 # (build, solver looked up in transforms, position of its start argument,
-#  solve(key, start), default start for a key, three keys)
+#  solve(key), default start for a key, three keys)
 WARM_START_CASES = {
     "proximal_surrogate": (
         lambda: sf.proximal_surrogate(_coupled_quadratic(), 1.0), "newton_solve", 1,
-        lambda t, key, start=None: t.minimizer(*key, x0=start), lambda key: key[0],
+        lambda t, key: t.minimizer(*key), lambda key: key[0],
         [([1.0], [0.0]), ([2.0], [1.0]), ([-1.0], [0.5])],
     ),
     "reduce": (
         lambda: sf.reduce(_unit_separable()), "newton_solve", 1,
-        lambda t, key, start=None: t.minimizer(*key, x0=start), lambda key: np.zeros(1),
+        lambda t, key: t.minimizer(*key), lambda key: np.zeros(1),
         [([2.0],), ([3.0],), ([-1.0],)],
     ),
     "lasso_dual_prox": (
         lambda: sf.lasso_dual_prox(_scalar_toy(True), rho=1.0), "projected_concave_max", 3,
-        lambda t, key, start=None: t.maximizer(*key, y0=start), lambda key: key[1],
+        lambda t, key: t.maximizer(*key), lambda key: key[1],
         [([1.0], [2.0]), ([0.3], [-0.9]), ([4.0], [1.0])],
     ),
 }
@@ -419,16 +427,10 @@ def test_warm_start_rule(case, monkeypatch):
     solve(t, k2)
     assert len(starts) == 2 and np.array_equal(starts[1], first)  # new key: last solution
 
-    explicit = np.array([0.25])
-    third = solve(t, k3, explicit)
-    assert len(starts) == 3 and np.array_equal(starts[2], explicit)
-    assert solve(t, k3) is third and len(starts) == 3  # an explicit start still stores
-    solve(t, k3, explicit)
-    assert len(starts) == 4  # an explicit start skips the lookup
-
-    t.reset()
-    solve(t, k1)
-    assert len(starts) == 5 and np.array_equal(starts[4], default(k1))
+    for cache in t.problem.caches:  # as integrate does before a run
+        cache.clear()
+    solve(t, k3)
+    assert len(starts) == 3 and np.array_equal(starts[2], default(k3))  # cleared: cold start
 
 
 def test_warm_cache_match_is_array_equal_per_key():
@@ -465,13 +467,10 @@ def test_warm_cache_solve_looks_up_solves_and_stores_through_its_methods(monkeyp
         starts.append(x0)
         return x0 + 1.0
 
-    first = cache.solve(solve, np.zeros(1), None, np.ones(2))
+    first = cache.solve(solve, np.zeros(1), np.ones(2))
     assert np.array_equal(first, [1.0]) and len(starts) == 1 and np.array_equal(starts[0], [0.0])
-    assert cache.solve(solve, np.zeros(1), None, np.ones(2)) is first and len(starts) == 1
-    second = cache.solve(solve, np.zeros(1), None, np.zeros(2))
+    assert cache.solve(solve, np.zeros(1), np.ones(2)) is first and len(starts) == 1
+    second = cache.solve(solve, np.zeros(1), np.zeros(2))
     assert starts[-1] is first and np.array_equal(second, [2.0])
-    explicit = np.array([5.0])
-    assert np.array_equal(cache.solve(solve, np.zeros(1), explicit, np.zeros(2)), [6.0])
-    assert starts[-1] is explicit
-    assert len(looked) == 3 and len(stored) == 3 and cache.point is not second
+    assert len(looked) == 3 and len(stored) == 2 and cache.point is second
 

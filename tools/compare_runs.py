@@ -2,13 +2,18 @@
 
 Usage: python tools/compare_runs.py OTHER_CHECKOUT [CONFIG ...]
 
-Runs each config (default: this checkout's configs/*.ini) once with this
-checkout's ``src`` and once with OTHER_CHECKOUT's ``src``, each as
+Runs each config once with this checkout's ``src`` and once with
+OTHER_CHECKOUT's ``src``, each as
 ``saddleflow run`` in a subprocess of its own with a fresh temporary output
 directory. It then compares trajectory.csv, rates.csv and report.txt, the
 last without its ``wall time:`` line. For each config it prints which files
 differ: for trajectory.csv the largest state difference over 1 + ||z||, for
 the other two the lines that differ. Exits 1 if anything differs, else 0.
+
+With no CONFIG, the configs are this checkout's configs/*.ini plus every
+benchmark workload's inputs at the seeds ``BENCH_SEEDS``, as
+``bench/inputs.py`` writes them (with this checkout's ``src``) into a
+temporary directory.
 """
 
 from __future__ import annotations
@@ -24,6 +29,21 @@ import numpy as np
 
 HERE = Path(__file__).resolve().parents[1]
 FILES = ("trajectory.csv", "rates.csv", "report.txt")
+BENCH_SEEDS = (2024, 31337)
+
+
+def default_configs(directory: Path) -> list:
+    """configs/*.ini, then the benchmark configs at ``BENCH_SEEDS``, written into ``directory``."""
+    sys.path[:0] = [str(HERE / "src"), str(HERE / "bench")]
+    import inputs
+
+    configs = sorted((HERE / "configs").glob("*.ini"))
+    for workload in inputs.WORKLOADS:
+        for seed in BENCH_SEEDS:
+            out = directory / f"{workload}_{seed}"
+            inputs.write_inputs(workload, seed, out)
+            configs += sorted(out.glob("*.ini"))
+    return configs
 
 
 def run(checkout: Path, config: Path, out: Path) -> subprocess.CompletedProcess:
@@ -88,19 +108,23 @@ def compare(config: Path, other: Path) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", type=Path, help="the checkout to compare against")
-    parser.add_argument("configs", type=Path, nargs="*", help="default: configs/*.ini")
+    parser.add_argument("configs", type=Path, nargs="*",
+                        help="default: configs/*.ini and the benchmark inputs")
     args = parser.parse_args(argv)
     other = args.other.resolve()
     if not (other / "src" / "saddleflow").is_dir():
         parser.error(f"{other} holds no src/saddleflow")
-    configs = [c.resolve() for c in args.configs] or sorted((HERE / "configs").glob("*.ini"))
-    differing = 0
-    for config in configs:
-        report = compare(config, other)
-        differing += bool(report)
-        print(f"{os.path.relpath(config)}: {'differs' if report else 'identical'}")
-        for line in report:
-            print(line)
+    with tempfile.TemporaryDirectory() as inputs_dir:
+        configs = [c.resolve() for c in args.configs] or default_configs(Path(inputs_dir))
+        differing = 0
+        for config in configs:
+            report = compare(config, other)
+            differing += bool(report)
+            generated = config.is_relative_to(inputs_dir)
+            name = os.path.relpath(config, inputs_dir if generated else None)
+            print(f"{name}: {'differs' if report else 'identical'}")
+            for line in report:
+                print(line)
     print(f"{len(configs) - differing} of {len(configs)} configs identical")
     return 1 if differing else 0
 
