@@ -3,11 +3,14 @@
 RK4 (default) or explicit Euler with a fixed step, plus one fractional step
 so runs end exactly at the horizon. For projected flows the projected field
 is evaluated at every stage and stage points as well as accepted states are
-clamped onto the feasible set, which keeps trajectories feasible and is
-first-order accurate at active faces. A full RK4 step of an ``AffineField``
-is one ``AffineMap`` of its active set (``AffineField.step_map``): the same
-step in closed form, taken while its sign test holds, with a 4-stage step
-wherever a stage point would touch a face.
+clamped onto the feasible set, which keeps trajectories feasible. Away from
+faces the error is fourth order. Near face events, measured against exact
+piecewise-affine solutions of lp_augmented and mincostflow_augmented over
+t in [0, 4], each halving of the step from 0.02 to 0.0025 cut the error 2.6
+to 36 times: between first and third order, depending on where an event
+falls in a step. The full RK4 steps of an
+``AffineField`` are ``AffineMap`` products of its active set: the same
+steps in closed form, taken while their sign test holds (see ``integrate``).
 """
 
 from __future__ import annotations
@@ -119,6 +122,19 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     When the flow has a feasible set, the start point is clamped onto it
     with a warning if it lies outside, and every accepted state is clamped.
     Raises :class:`IntegrationError` on a non-finite state.
+
+    The full RK4 steps of an ``AffineField`` are taken by one map path, in
+    this order of fallback. A *chunk* (``AffineField.chunk``) takes L steps
+    as one product and yields every state the record grid keeps inside it;
+    it is built from the one-step map of the active set once that map has
+    taken a step, and tried at each step where it fits the grid. Where its
+    sign test fails, or an output is not finite, one-step maps take the
+    steps one by one up to the end of that chunk. A one-step map
+    (``AffineField.step_map``, the chunk of L = 1) that fails its test sends
+    the run to the active set at the state, whose map is built and tried
+    once; if that fails too, the 4-stage step is taken. A new active set
+    drops the chunk. Euler, the fractional last step and any other field
+    take 4-stage steps.
     """
     z = np.atleast_1d(np.asarray(z0, dtype=float)).copy()
     if z.shape != (flow.dim,):
@@ -134,6 +150,7 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
         cache.clear()
 
     h = config.step
+    every = config.record_every
     n_full = int(config.horizon / h + 1e-9)
     rem = config.horizon - n_full * h
     has_rem = rem > 1e-9 * h
@@ -141,12 +158,14 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     field = flow.field
     clamp = fs.clamp if fs is not None else None
     # A wrapper of an affine field (``__wrapped__``, as functools.wraps sets)
-    # is evaluated at all four stages, and keeps the map's state where the two
-    # agree: a pass-through wrapper records the same run, any other its own.
+    # is evaluated at all four stages, and keeps the map's states where the
+    # two agree: a pass-through wrapper records the same run, any other its own.
     affine = field if isinstance(field, AffineField) else getattr(field, "__wrapped__", None)
     if not isinstance(affine, AffineField) or config.method != "rk4":
         affine = None
-    amap = None  # the one step map a run keeps
+    amap = chunk = None  # the run's one-step map, and the chunk built from it
+    held = False  # the one-step map took the last step
+    retry = 0  # after a failed chunk, the step at which it is tried again
 
     def stages(z, hi):
         if config.method == "euler":
@@ -162,33 +181,61 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
             k4 = field(z + hi * k3)
         return z + (hi / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
-    times = [0.0]
-    states = [z.copy()]
-    for i in range(1, n_steps + 1):
-        hi = h if i <= n_full else rem  # fractional last step lands on the horizon
-        out = None
-        if affine is not None and i <= n_full:
-            out = None if amap is None else amap(z)
-            if out is None:  # a new active set: build its map once, then retry
-                faces = affine.faces(z)
-                if amap is None or faces.tobytes() != amap.key:
-                    amap = affine.step_map(z, h, faces)
-                    out = amap(z)
-        if out is None:
-            z = stages(z, hi)
-        elif affine is field:
-            z = out
+    marks, blocks = [0], [z[None].copy()]  # recorded step numbers and states
+    i = 0
+    while i < n_steps:
+        taken = None  # the map that takes the next steps
+        if affine is not None and i < n_full:
+            if chunk is None and held and i % every == 0:  # the active set holds: chunk it
+                chunk = affine.chunk(amap, z, every, n_full - i)
+            steps = 1 if chunk is None else chunk.records[-1]
+            if steps > 1 and i >= retry and i % min(steps, every) == 0 and i + steps <= n_full:
+                out = chunk(z)
+                if out is not None and np.count_nonzero(np.isfinite(out)) == out.shape[0]:
+                    taken = chunk
+                else:  # one-step maps, one by one, up to the end of this chunk
+                    retry = i + steps
+            if taken is None:
+                out = None if amap is None else amap(z)
+                if out is None:  # a new active set: build its map once, then retry
+                    faces = affine.faces(z)
+                    if amap is None or faces.tobytes() != amap.key:
+                        amap, chunk, retry = affine.step_map(z, h, faces), None, 0
+                        out = amap(z)
+                taken = None if out is None else amap
+                held = taken is not None
+        if taken is None:
+            records = (1,)
+            rows = stages(z, h if i < n_full else rem)[None]  # fractional last step: on the horizon
         else:
-            step = stages(z, hi)
-            z = out if np.abs(out - step).max() <= 1e-12 * (1.0 + np.linalg.norm(step)) else step
-        if clamp is not None:
-            z = clamp(z)
+            records = taken.records
+            rows = out.reshape(len(records), -1)
+            if affine is not field:
+                walk, p = [], z
+                for j in range(1, records[-1] + 1):
+                    p = stages(p, h)
+                    if j < records[-1] and clamp is not None:
+                        p = clamp(p)
+                    if j % every == 0 or j == records[-1]:  # the steps of ``records``
+                        walk.append(p)
+                walk = np.array(walk)
+                gap = np.abs(rows - walk).max(axis=1)
+                if not np.all(gap <= 1e-12 * (1.0 + np.linalg.norm(walk, axis=1))):
+                    rows = walk
+        z = rows[-1] if clamp is None else clamp(rows[-1])
         if np.count_nonzero(np.isfinite(z)) != z.shape[0]:  # cheaper than .all() on short arrays
-            raise IntegrationError("non-finite state encountered", times[-1])
-        if i % config.record_every == 0 or i == n_steps:
-            times.append(i * h if i <= n_full else config.horizon)
-            states.append(z.copy())
-    return Trajectory(np.asarray(times), np.asarray(states))
+            raise IntegrationError("non-finite state encountered", marks[-1] * h)
+        if len(records) > 1:  # intermediate states: inside the box, so unclamped
+            blocks.append(rows[:-1].copy())
+            marks.extend(i + j for j in records[:-1])
+        i += records[-1]
+        if i % every == 0 or i == n_steps:
+            blocks.append(z[None].copy())
+            marks.append(i)
+    times = np.asarray(marks, dtype=float) * h
+    if has_rem:
+        times[-1] = config.horizon
+    return Trajectory(times, np.concatenate(blocks))
 
 
 def detect_equilibrium(flow: Flow, traj: Trajectory, tol: float) -> Optional[np.ndarray]:

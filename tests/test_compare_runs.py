@@ -48,20 +48,33 @@ def _changed_copy(tmp_path, file: str, old: str, new: str) -> Path:
 def test_a_checkout_against_itself_is_identical(tmp_path, capsys):
     assert compare_runs.main([str(ROOT), str(_config(tmp_path))]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0].endswith("short.ini: identical") and out[-1] == "1 of 1 configs identical"
+    assert out[0].endswith("short.ini: identical")
+    assert out[-1] == ("1 of 1 configs identical; largest state difference 0.000e+00 * (1 + ||z||); "
+                       "verdict-bearing lines differing: none")
 
 
 def test_a_changed_checkout_shows_which_files_differ_and_how(tmp_path, capsys):
-    other = _changed_copy(tmp_path, "integrate.py", "states.append(z.copy())",
-                          "states.append(z + 1e-9)")
+    other = _changed_copy(tmp_path, "integrate.py", "blocks.append(z[None].copy())",
+                          "blocks.append(z[None] + 1e-9)")
     assert compare_runs.main([str(other), str(_config(tmp_path))]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[0].endswith("short.ini: differs") and out[-1] == "0 of 1 configs identical"
+    assert out[0].endswith("short.ini: differs")
+    assert out[-1] == ("0 of 1 configs identical; largest state difference 1.000e-09 * (1 + ||z||); "
+                       "verdict-bearing lines differing: none")
     assert "  trajectory.csv: largest state difference 1.000e-09 * (1 + ||z||)" in out
     assert "  rates.csv:" in out and "  report.txt:" in out
     changed = [line for line in out if line.startswith("    - ")]
     assert any(line.startswith("    - final residual:") for line in changed)
     assert not any("wall time:" in line for line in out)
+
+
+def test_the_summary_names_the_verdict_bearing_lines_that_differ(tmp_path, capsys):
+    other = _changed_copy(tmp_path, "cli.py", 'f"converged: yes (residual', 'f"converged: YES (residual')
+    assert compare_runs.main([str(other), str(_config(tmp_path)), str(_config(tmp_path))]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "    - converged: YES (residual <= 1e-06)" in out  # the other checkout's line
+    assert out[-1] == ("0 of 2 configs identical; largest state difference 0.000e+00 * (1 + ||z||); "
+                       "verdict-bearing lines differing: converged: in 2")
 
 
 def test_the_same_failure_in_both_checkouts_is_no_difference(tmp_path, capsys):

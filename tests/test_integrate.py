@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import saddleflow as sf
+from saddleflow import flows
 from saddleflow.integrate import IntegrationError
 
 
@@ -61,6 +62,38 @@ def test_non_finite_state_reports_last_time():
     with pytest.raises(IntegrationError) as err:
         sf.integrate(blow_up, [10.0], sf.IntegratorConfig(step=0.01, horizon=5.0))
     assert err.value.t_last >= 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("cap, every", [(300, 1), (300, 10), (None, 1)])
+def test_a_divergent_affine_field_stops_where_one_step_maps_stop(monkeypatch, cap, every):
+    # z' = 2z grows by e^0.2 a step and leaves the finite numbers near step 3550;
+    # 300 entries make chunks of 50 (every 1) or 500 steps (every 10) that do
+    # so inside a chunk, while the default cap makes one chunk of the whole run,
+    # which is not finite at build
+    flow = sf.Flow(dim=2, field=sf.AffineField(2.0 * np.eye(2), np.zeros(2)))
+    config = sf.IntegratorConfig(step=0.1, horizon=400.0, record_every=every)
+    outputs = []  # (map, output) of every map call
+    call = sf.AffineMap.__call__
+
+    def logging(amap, z):
+        outputs.append((amap, call(amap, z)))
+        return outputs[-1][1]
+
+    monkeypatch.setattr(sf.AffineMap, "__call__", logging)
+
+    def t_last():
+        with pytest.raises(IntegrationError) as err:
+            sf.integrate(flow, [1.0, 0.5], config)
+        return err.value.t_last
+
+    if cap is not None:
+        monkeypatch.setattr(flows, "CHUNK_MAX_ENTRIES", cap)
+    chunked = t_last()
+    non_finite = [m for m, out in outputs if m.records[-1] > 1 and not np.isfinite(out).all()]
+    assert len(non_finite) == (0 if cap is None else 1)  # then one-step maps, one by one
+    monkeypatch.setattr(flows, "CHUNK_MAX_ENTRIES", 0)
+    assert chunked == t_last() > 300.0
 
 
 def test_initial_state_outside_set_warns_and_clamps():

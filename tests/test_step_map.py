@@ -98,21 +98,44 @@ def test_map_steps_agree_with_four_stage_steps_on_shipped_configs(name, config, 
     assert passed >= 0.9 * len(states), name
 
 
+def _maps_taken(monkeypatch) -> list:
+    """(map, state, output) of every map call whose sign test passes."""
+    taken = []
+    call = sf.AffineMap.__call__
+
+    def logging(self, z):
+        out = call(self, z)
+        if out is not None:
+            taken.append((self, z.copy(), out))
+        return out
+
+    monkeypatch.setattr(sf.AffineMap, "__call__", logging)
+    return taken
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_map_steps_agree_on_walks_that_cross_faces(seed):
+def test_map_steps_agree_on_walks_that_cross_faces(monkeypatch, seed):
     flow, z0 = _walk_flow(seed)
     h = 0.05
     config = sf.IntegratorConfig(step=h, horizon=60.0)
+    taken = _maps_taken(monkeypatch)
     fast = sf.integrate(flow, z0, config)
     slow = sf.integrate(replace(flow, field=lambda z: flow.field(z)), z0, config)
+    # the state each step of the run got from the map that took it: a chunk or a one-step map
+    index = {z.tobytes(): t for t, z in enumerate(fast.states)}
+    took = {}
+    for amap, z, out in taken:
+        for j, row in zip(amap.records, out.reshape(len(amap.records), -1)):
+            took[index[z.tobytes()] + j] = flow.feasible.clamp(row)
+    assert any(amap.records[-1] > 1 for amap, _, _ in taken)
     keys, mapped = set(), 0
-    for z, z_next in zip(fast.states[:-1], fast.states[1:]):
+    for t, (z, z_next) in enumerate(zip(fast.states[:-1], fast.states[1:])):
         out, faces = _map_step(flow, z, h)
         keys.add(faces.tobytes())
         if out is not None:
             mapped += 1
             assert _agree(out, _four_stage(flow, z, h))
-            assert np.array_equal(out, z_next)  # the run took this map step
+            assert np.array_equal(took[t + 1], z_next)  # the run took a map step here
     assert len(keys) >= 4  # coordinates enter faces and leave them
     assert mapped >= 0.8 * (len(fast) - 1)
     scale = AGREE * 100 * (1.0 + np.linalg.norm(slow.states, axis=1))
@@ -137,6 +160,72 @@ def test_a_perturbed_step_map_fails_its_build_state_check(monkeypatch, row):
         flow.field.step_map(z, 0.05, flow.field.faces(z))
     with pytest.raises(ValueError, match="RK4 step map off the 4-stage step"):
         sf.integrate(flow, z, sf.IntegratorConfig(step=0.05, horizon=1.0))
+
+
+@pytest.mark.parametrize("row", ["final state", "intermediate state", "signed", "inner bound"])
+def test_a_perturbed_chunk_fails_its_build_state_check(monkeypatch, row):
+    flow, z0 = _walk_flow(1)
+    traj = sf.integrate(flow, z0, sf.IntegratorConfig(step=0.05, horizon=3.0))
+    z = next(z for z in traj.states if flow.field.faces(z)[:, :4].any())  # on a face
+    k = int(np.argmax(np.abs(z)))
+    field, dim = flow.field, flow.dim
+    amap = field.step_map(z, 0.05, field.faces(z))
+    chunk = field.chunk(amap, z, 1, 6)  # unperturbed, it passes
+    assert chunk.records == (1, 2, 3, 4, 5, 6) and chunk.floor.shape[0] > 6 * amap.floor.shape[0]
+    build = flows.AffineMap
+
+    def perturbed(faces, dim_out, W, w, floor, records=(1,)):
+        if records[-1] > 1:
+            W[{"final state": dim_out - dim, "intermediate state": 0, "signed": dim_out, "inner bound": -1}[row], k] += 1e-6
+        return build(faces, dim_out, W, w, floor, records=records)
+
+    monkeypatch.setattr(flows, "AffineMap", perturbed)
+    with pytest.raises(ValueError, match="RK4 chunk of 6 steps off its step map"):
+        field.chunk(amap, z, 1, 6)
+    with pytest.raises(ValueError, match="RK4 chunk of .* steps off its step map"):
+        sf.integrate(flow, z, sf.IntegratorConfig(step=0.05, horizon=1.0))
+
+
+def _one_step_maps(monkeypatch):
+    """Runs take one-step maps only: no chunk of two steps fits."""
+    monkeypatch.setattr(flows, "CHUNK_MAX_ENTRIES", 0)
+
+
+def _chunked_and_one_step_runs(monkeypatch, flow, z0, config):
+    taken = _maps_taken(monkeypatch)
+    chunked = sf.integrate(flow, z0, config)
+    assert any(amap.records[-1] > 1 for amap, _, _ in taken)  # chunks took steps
+    with monkeypatch.context() as patch:
+        _one_step_maps(patch)
+        del taken[:]
+        one_step = sf.integrate(flow, z0, config)
+        assert taken and all(amap.records == (1,) for amap, _, _ in taken)
+    return chunked, one_step
+
+
+def _assert_same_run(chunked, one_step):
+    assert np.array_equal(chunked.times, one_step.times)
+    scale = 1e-13 * (1.0 + np.linalg.norm(one_step.states, axis=1))
+    assert np.all(np.abs(chunked.states - one_step.states).max(axis=1) <= scale)
+
+
+@pytest.mark.parametrize(
+    "name, config, flow", list(_shipped_affine()), ids=lambda v: v if isinstance(v, str) else ""
+)
+def test_chunked_runs_match_one_step_runs_on_shipped_configs(monkeypatch, name, config, flow):
+    z0 = np.ones(flow.dim) if flow.feasible is None else flow.feasible.clamp(np.ones(flow.dim))
+    _assert_same_run(*_chunked_and_one_step_runs(monkeypatch, flow, z0, config))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("every, horizon", [(1, 60.0), (3, 60.0), (10, 60.0), (7, 61.23)])
+def test_chunked_runs_match_one_step_runs_on_walks(monkeypatch, seed, every, horizon):
+    # 61.23 is 1224 steps of 0.05, not a multiple of 7, then a fractional step of 0.03
+    flow, z0 = _walk_flow(seed)
+    config = sf.IntegratorConfig(step=0.05, horizon=horizon, record_every=every)
+    chunked, one_step = _chunked_and_one_step_runs(monkeypatch, flow, z0, config)
+    _assert_same_run(chunked, one_step)
+    assert chunked.times[-1] == horizon
 
 
 def test_a_map_fails_once_a_face_coordinate_has_left_its_face():
