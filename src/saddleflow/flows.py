@@ -294,18 +294,19 @@ class AffineField:
         if steps == 1:
             return amap
         records = tuple(range(every, steps + 1, every)) if steps >= every else (steps,)
-        c = dim + 1
+        c, k, b = dim + 1, len(records), inner.shape[0]
+        cut = (k * dim, k * dim + steps * signed)  # output rows, then signed rows, then inner rows
         T = np.zeros((c, c))
         T[:dim, :dim], T[:dim, dim], T[dim, dim] = amap.W[:dim], amap.w[:dim], 1.0
         S = np.column_stack((amap.W[dim:], amap.w[dim:]))
 
-        def rows(powers):  # (L + 1, c, cols): T^j p for j = 0..L
+        def rows(powers):  # (L + 1, c, cols): T^j p for j = 0..L; filled in place, no temporaries
             cols = powers.shape[2]
-            return np.concatenate((
-                powers[list(records), :dim].reshape(-1, cols),
-                (S @ powers[:steps]).reshape(-1, cols),
-                (sign * powers[1:steps, inner]).reshape(-1, cols),
-            ))
+            out = np.empty((cut[1] + (steps - 1) * b, cols))
+            out[: cut[0]].reshape(k, dim, cols)[...] = powers[records[0] :: every, :dim]
+            np.matmul(S, powers[:steps], out=out[cut[0] : cut[1]].reshape(steps, signed, cols))
+            np.multiply(sign, powers[1:steps, inner], out=out[cut[1] :].reshape(steps - 1, b, cols))
+            return out
 
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries are caught below
             # T^0..T^L by doubling: one batched product per doubling
@@ -316,12 +317,12 @@ class AffineField:
             full = rows(powers)
             # the check: the chunk's states at z, each one step of amap after the one before
             states = powers @ np.append(z, 1.0)
+            del powers  # the check's |W| takes its memory
             expected = rows(np.concatenate((states[:1], states[:-1] @ T.T))[:, :, None])[:, 0]
         if not (np.isfinite(expected).all() and np.isfinite(full).all()):
             return amap  # the state leaves the finite numbers: one-step maps find where
         floor = np.concatenate((np.tile(amap.floor, steps), np.tile(inner_floor, steps - 1)))
-        chunk = AffineMap(amap.faces, len(records) * dim, full[:, :dim], full[:, dim].copy(), floor,
-                          records=records)
+        chunk = AffineMap(amap.faces, k * dim, full[:, :dim], full[:, dim].copy(), floor, records=records)
         _check(chunk, z, expected, f"RK4 chunk of {steps} steps off its step map")
         return chunk
 
