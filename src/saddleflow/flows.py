@@ -276,7 +276,8 @@ class AffineField:
         intermediate state: the chunk stays on the active set of ``amap``.
 
         L is at most ``room`` and the largest such that the chunk holds at
-        most ``CHUNK_MAX_ENTRIES`` entries, rows x (dim + 1). At L = 1, or
+        most ``CHUNK_MAX_ENTRIES`` entries, rows x (dim + 1), unless equal
+        shorter chunks cover more of ``room`` (``_chunk_steps``). At L = 1, or
         where L steps from z leave the finite numbers, the chunk is ``amap``
         itself. ``ValueError`` if the chunk's rows at z are off the same rows
         made of its states there, each one application of ``amap`` after the

@@ -125,16 +125,16 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
 
     The full RK4 steps of an ``AffineField`` are taken by one map path, in
     this order of fallback. A *chunk* (``AffineField.chunk``) takes L steps
-    as one product and yields every state the record grid keeps inside it;
-    it is built from the one-step map of the active set once that map has
-    taken a step, and tried at each step where it fits the grid. Where its
-    sign test fails, or an output is not finite, one-step maps take the
-    steps one by one up to the end of that chunk. A one-step map
-    (``AffineField.step_map``, the chunk of L = 1) that fails its test sends
-    the run to the active set at the state, whose map is built and tried
-    once; if that fails too, the 4-stage step is taken. A new active set
-    drops the chunk. Euler, the fractional last step and any other field
-    take 4-stage steps.
+    as one product and yields every state the record grid keeps inside it.
+    It is built from the one-step map of the active set, at a record-grid
+    step once that map has taken a step, and tried at each step where it
+    fits the grid. Where its sign test fails, or an output is not finite,
+    one-step maps take the steps one by one up to the end of that chunk. A
+    one-step map (``AffineField.step_map``, the chunk of L = 1) that fails
+    its test sends the run to the active set at the state, whose map is
+    built and tried once; if that fails too, the 4-stage step is taken. A
+    new active set drops the chunk. Euler, the fractional last step and any
+    other field take 4-stage steps.
     """
     z = np.atleast_1d(np.asarray(z0, dtype=float)).copy()
     if z.shape != (flow.dim,):
