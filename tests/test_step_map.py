@@ -186,17 +186,12 @@ def test_a_perturbed_chunk_fails_its_build_state_check(monkeypatch, row):
         sf.integrate(flow, z, sf.IntegratorConfig(step=0.05, horizon=1.0))
 
 
-def _one_step_maps(monkeypatch):
-    """Runs take one-step maps only: no chunk of two steps fits."""
-    monkeypatch.setattr(flows, "CHUNK_MAX_ENTRIES", 0)
-
-
 def _chunked_and_one_step_runs(monkeypatch, flow, z0, config):
     taken = _maps_taken(monkeypatch)
     chunked = sf.integrate(flow, z0, config)
     assert any(amap.records[-1] > 1 for amap, _, _ in taken)  # chunks took steps
     with monkeypatch.context() as patch:
-        _one_step_maps(patch)
+        patch.setattr(flows, "CHUNK_MAX_ENTRIES", 0)  # no chunk of two steps fits
         del taken[:]
         one_step = sf.integrate(flow, z0, config)
         assert taken and all(amap.records == (1,) for amap, _, _ in taken)
