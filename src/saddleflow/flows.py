@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "AffineField",
     "AffineMap",
     "Flow",
+    "Piece",
     "standard_flow",
     "projected_flow",
     "proximal_primal_dual",
@@ -43,6 +45,9 @@ _PROBE_TOL = 1e-10
 # 11.7 ms. On dims 2 to 10 every cap from 2**13 up ran as fast (medians of
 # 25 interleaved runs, 2-vCPU Xeon).
 CHUNK_MAX_ENTRIES = 2**15
+# Entries of W per block of the build checks' |W| @ |z|: 128 KB of float64, half
+# the largest chunk.
+_CHECK_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -114,8 +119,7 @@ def _affine_field(problem: SaddleProblem, oracle_field: Callable) -> "AffineFiel
     wave = np.cos(np.arange(1.0, problem.dim + 1.0))
     probe = wave + np.copysign(0.5, wave)
     gap = np.abs(K @ probe + k0 - oracle_field(probe)).max()
-    scale = 1.0 + (np.abs(K) @ np.abs(probe) + np.abs(k0)).max()
-    if not gap <= _PROBE_TOL * scale:
+    if not gap <= _PROBE_TOL * _scale(K, k0, probe):
         raise ValueError(
             f"declared hessian of {problem.label or 'problem'} does not match its gradient "
             f"oracles: affine field off by {gap:.3e} at the probe point"
@@ -130,14 +134,14 @@ class AffineMap:
     The map holds on one active set; ``faces`` stacks its lower-face and
     upper-face masks, and their bytes are the map's ``key``. Calling the map
     at z gives its output rows when every signed row is >= its ``floor``,
-    else None; NaN fails the test. The RK4 steps of an ``AffineField`` and
-    the Lasso dual-prox field on an inner active set are such maps; ``parts``
-    holds what a builder keeps to check its map.
+    else None; NaN fails the test. The Lasso dual-prox field on an inner
+    active set is such a map, and ``parts`` holds what its builder keeps to
+    check it.
 
     A map of RK4 steps takes ``records[-1]`` steps: the one-step map of
-    ``AffineField.step_map`` (``records == (1,)``) or a *chunk* of several
-    (``AffineField.chunk``). Its output rows are the states after each step
-    count in ``records``, one state after another.
+    ``Piece.step_map`` (``records == (1,)``) or a *chunk* of several
+    (``Piece.chunk``). Its output rows are the states after each step count
+    in ``records``, one state after another.
     """
 
     faces: np.ndarray
@@ -162,106 +166,120 @@ class AffineMap:
 
 
 @dataclass(frozen=True, eq=False)
-class AffineField:
-    """The field ``K @ z + k0``, projected onto ``box`` when one is set.
+class Piece:
+    """A field on one active set: ``M @ z + m`` wherever ``G @ z + g >= floor``.
 
-    ``standard_flow`` builds it of a declared Hessian and ``projected_flow``
-    sets its box. ``integrate`` takes its full RK4 steps as ``AffineMap``
-    products: chunks of several steps (``chunk``) where they pass their sign
-    test, else one-step maps (``step_map``).
+    ``faces`` stacks the active set's lower- and upper-face masks, and their
+    bytes are the ``key``. A field exposes its piece at a state z:
+    ``AffineField.piece`` from K and the box faces at z,
+    ``LassoDualProx.piece`` from its inner active-set map. With a ``box``,
+    the field is projected onto it: ``faces`` are the state's own, the field
+    is zero on the active set, and the builder adds the box's rows.
+    ``step_map`` turns the piece into the map of one RK4 step, and ``chunk``
+    composes that map into runs of steps.
     """
 
-    K: np.ndarray
-    k0: np.ndarray
+    faces: np.ndarray
+    M: np.ndarray
+    m: np.ndarray
+    G: np.ndarray
+    g: np.ndarray
+    floor: np.ndarray
     box: Optional[FeasibleSet] = None
 
-    def __call__(self, z):
-        if self.box is None:
-            return self.K @ z + self.k0
-        return project_vector_field(self.box, z, self.K @ z + self.k0)
+    @property
+    def key(self) -> bytes:
+        return self.faces.tobytes()
 
-    def faces(self, z) -> np.ndarray:
-        """Lower- and upper-face masks of the active set A at z, stacked.
+    def step_map(self, z, h: float) -> AffineMap:
+        """One RK4 step of size h on this piece, checked at z.
 
-        A is where the projection zeroes the field: a face coordinate whose
-        field K z + k0 points out of its face or vanishes, and every pinned
-        coordinate (on both faces).
-        """
-        if self.box is None:
-            return np.zeros((2, z.shape[0]), dtype=bool)
-        g = self.K @ z + self.k0
-        lower, upper = z <= self.box._lower_face, z >= self.box._upper_face
-        active = (lower & (g <= 0.0)) | (upper & (g >= 0.0)) | (lower & upper)
-        return np.stack((lower & active, upper & active))
-
-    def step_map(self, z, h: float, faces: np.ndarray) -> AffineMap:
-        """One RK4 step of size h on the active set ``faces``, checked at z.
-
-        With the field zeroed on A, the step is z -> R z + r with
-        R = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24 for M = K off A (Hairer,
-        Norsett & Wanner, *Solving ODEs I*, IV.2); its rows on A are e_i with
-        r_i = 0. The signed rows hold exactly where the projected and clamped
-        4-stage step is this map: every free coordinate with a finite bound
-        strictly inside it at the stage points p2, p3, p4; every coordinate of
-        A on its face at z, with K p + k0 pointing out of it or zero at all
-        four stages. The next state needs no row, since both paths clamp it.
-        ``ValueError`` if the map's rows at z are off the 4-stage arithmetic
-        there by more than ``_PROBE_TOL`` relative.
+        With the field zeroed on the active set A (with a box), the step is
+        z -> R z + r with R = I + hN + (hN)^2/2 + (hN)^3/6 + (hN)^4/24 for
+        N = M off A (Hairer, Norsett & Wanner, *Solving ODEs I*, IV.2); its
+        rows on A are e_i with r_i = 0. The signed rows hold exactly where the
+        4-stage step (projected and clamped, with a box) is this map: the
+        piece's rows at all four stage points z, p2, p3, p4; with a box, also
+        every free coordinate with a finite bound strictly inside it at p2,
+        p3, p4, and every coordinate of A on its face at z, with M p + m
+        pointing out of it or zero at all four stages. The next state needs
+        no row, since both paths clamp it. ``ValueError`` if the map's rows at
+        z are off the 4-stage arithmetic there by more than ``_PROBE_TOL``
+        relative.
         """
         dim = z.shape[0]
-        rows, floor = self._step_rows(np.eye(dim + 1), h, faces)
-        amap = AffineMap(faces, dim, rows[:, :dim].copy(), rows[:, dim].copy(), floor)
-        expected = self._step_rows(np.append(z, 1.0)[:, None], h, faces)[0][:, 0]
+        rows, floor = self._step_rows(np.eye(dim + 1), h)
+        amap = AffineMap(self.faces, dim, rows[:, :dim].copy(), rows[:, dim].copy(), floor)
+        expected = self._step_rows(np.append(z, 1.0)[:, None], h)[0][:, 0]
         _check(amap, z, expected, "RK4 step map off the 4-stage step")
         return amap
 
-    def _step_rows(self, p, h: float, faces: np.ndarray) -> tuple:
+    def _step_rows(self, p, h: float) -> tuple:
         """(rows, floor) of the step map applied to p, in homogeneous coordinates.
 
         p is the identity of dim + 1, which gives [W | w], or a state with a
         trailing 1 as one column, which gives W @ z + w: both run the same
         4-stage arithmetic.
         """
-        dim, cols = faces.shape[1], p.shape[1]
-        raw = np.zeros((dim + 1, dim + 1))  # (z, 1) -> (K z + k0, 0)
-        raw[:dim, :dim], raw[:dim, dim] = self.K, self.k0
-        active = faces.any(axis=0)
-        moving = np.where(np.append(active, True)[:, None], 0.0, raw)
+        dim, cols = self.M.shape[0], p.shape[1]
+        raw = np.zeros((dim + 1, dim + 1))  # (z, 1) -> (M z + m, 0)
+        raw[:dim, :dim], raw[:dim, dim] = self.M, self.m
+        moving = raw
+        if self.box is not None:
+            moving = np.where(np.append(self.faces.any(axis=0), True)[:, None], 0.0, raw)
         points, slopes = [p], []
         for c in (0.5 * h, 0.5 * h, h, None):
             slopes.append(moving @ points[-1])
             if c is not None:
                 points.append(p + c * slopes[-1])
         k1, k2, k3, k4 = slopes
-        state = (p + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))[:dim]
-        if self.box is None:  # no bound, so no signed row
-            return state, np.zeros(0)
+        rows = [(p + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))[:dim]]
+        floor = [np.zeros(0)]  # no signed row without a box or rows of the piece
+        if self.box is not None:
+            lower, upper, lower_floor, upper_floor = self._inside
+            stages = np.stack(points[1:])  # p2, p3, p4
+            on_lower = np.flatnonzero(self.faces[0] & ~self.faces[1])
+            on_upper = np.flatnonzero(self.faces[1] & ~self.faces[0])
+            g = raw[np.concatenate((on_lower, on_upper))] @ np.stack(points)  # M p + m at the four stages
+            rows += [
+                stages[:, lower].reshape(-1, cols),
+                -stages[:, upper].reshape(-1, cols),
+                -p[on_lower],
+                p[on_upper],
+                -g[:, : on_lower.shape[0]].reshape(-1, cols),
+                g[:, on_lower.shape[0] :].reshape(-1, cols),
+            ]
+            floor += [
+                np.tile(lower_floor, 3),
+                np.tile(upper_floor, 3),
+                -self.box.lower[on_lower],
+                self.box.upper[on_upper],
+                np.zeros(4 * (on_lower.shape[0] + on_upper.shape[0])),
+            ]
+        if self.G.shape[0]:  # the piece's own rows, at all four stages
+            rows.append((np.column_stack((self.G, self.g)) @ np.stack(points)).reshape(-1, cols))
+            floor.append(np.tile(self.floor, 4))
+        return np.concatenate(rows), np.concatenate(floor)
+
+    @cached_property
+    def _inside(self) -> tuple:
+        """(lower, upper, lower floor, upper floor) of the box's inside rows.
+
+        ``lower`` and ``upper`` are the free coordinates with a finite lower
+        and a finite upper bound; ``z[lower] >= lower floor`` and
+        ``-z[upper] >= upper floor`` keep them strictly inside. None without
+        a box.
+        """
+        if self.box is None:
+            none = np.zeros(0, dtype=np.intp)
+            return none, none, np.zeros(0), np.zeros(0)
+        free = ~self.faces.any(axis=0)
         lo, up = self.box.lower, self.box.upper
-        stages = np.stack(points[1:])  # p2, p3, p4
-        lower, upper = np.flatnonzero(~active & (lo > -np.inf)), np.flatnonzero(~active & (up < np.inf))
-        on_lower = np.flatnonzero(faces[0] & ~faces[1])
-        on_upper = np.flatnonzero(faces[1] & ~faces[0])
-        g = raw[np.concatenate((on_lower, on_upper))] @ np.stack(points)  # K p + k0 at the four stages
-        rows = np.concatenate((
-            state,
-            stages[:, lower].reshape(-1, cols),
-            -stages[:, upper].reshape(-1, cols),
-            -p[on_lower],
-            p[on_upper],
-            -g[:, : on_lower.shape[0]].reshape(-1, cols),
-            g[:, on_lower.shape[0] :].reshape(-1, cols),
-        ))
-        floor = np.concatenate((
-            np.tile(np.nextafter(lo[lower], np.inf), 3),
-            np.tile(np.nextafter(-up[upper], np.inf), 3),
-            -lo[on_lower],
-            up[on_upper],
-            np.zeros(4 * (on_lower.shape[0] + on_upper.shape[0])),
-        ))
-        return rows, floor
+        lower, upper = np.flatnonzero(free & (lo > -np.inf)), np.flatnonzero(free & (up < np.inf))
+        return lower, upper, np.nextafter(lo[lower], np.inf), np.nextafter(-up[upper], np.inf)
 
     def chunk(self, amap: AffineMap, z, every: int, room: int) -> AffineMap:
-        """The longest chunk of the one-step map ``amap`` that fits, checked at z.
+        """The longest chunk of this piece's one-step map ``amap`` that fits, checked at z.
 
         A chunk of L steps is ``amap`` composed L times in homogeneous
         coordinates, T^j for T = [[R, r], [0, 1]]. Its output rows are the
@@ -269,11 +287,11 @@ class AffineField:
         or at j = L alone (L a divisor of it), so a chunk that starts on the
         record grid, or at a multiple of L, gives exactly the states the grid
         records, and its last. Its signed rows are each step's signed rows at
-        T^j (j = 0..L-1), then, at every intermediate state (j = 1..L-1), one
-        row per finite bound of each free coordinate, strictly inside it, as
-        the stage points already are. Where they pass, every one of the L
+        T^j (j = 0..L-1), then, at every intermediate state (j = 1..L-1), the
+        box's rows that keep each free coordinate strictly inside its bounds,
+        as the stage points already are. Where they pass, every one of the L
         one-step maps passes at its state and the per-step clamp changes no
-        intermediate state: the chunk stays on the active set of ``amap``.
+        intermediate state: the chunk stays on this piece.
 
         L is at most ``room`` and the largest such that the chunk holds at
         most ``CHUNK_MAX_ENTRIES`` entries, rows x (dim + 1), unless equal
@@ -283,13 +301,9 @@ class AffineField:
         made of its states there, each one application of ``amap`` after the
         one before, by more than ``_PROBE_TOL`` relative.
         """
-        dim, signed = amap.faces.shape[1], amap.floor.shape[0]
-        free = ~amap.faces.any(axis=0)
-        lo = self.box.lower if self.box is not None else np.full(dim, -np.inf)
-        up = self.box.upper if self.box is not None else np.full(dim, np.inf)
-        lower, upper = np.flatnonzero(free & (lo > -np.inf)), np.flatnonzero(free & (up < np.inf))
-        inner = np.concatenate((lower, upper))
-        inner_floor = np.concatenate((np.nextafter(lo[lower], np.inf), np.nextafter(-up[upper], np.inf)))
+        dim, signed = amap.dim, amap.floor.shape[0]
+        lower, upper, lower_floor, upper_floor = self._inside
+        inner, inner_floor = np.concatenate((lower, upper)), np.concatenate((lower_floor, upper_floor))
         sign = np.concatenate((np.ones(lower.shape[0]), -np.ones(upper.shape[0])))[:, None]
         steps = _chunk_steps(dim, signed, inner.shape[0], every, room)
         if steps == 1:
@@ -318,7 +332,7 @@ class AffineField:
             full = rows(powers)
             # the check: the chunk's states at z, each one step of amap after the one before
             states = powers @ np.append(z, 1.0)
-            del powers  # the check's |W| takes its memory
+            del powers  # the check's products copy the strided W into its memory
             expected = rows(np.concatenate((states[:1], states[:-1] @ T.T))[:, :, None])[:, 0]
         if not (np.isfinite(expected).all() and np.isfinite(full).all()):
             return amap  # the state leaves the finite numbers: one-step maps find where
@@ -328,11 +342,59 @@ class AffineField:
         return chunk
 
 
+@dataclass(frozen=True, eq=False)
+class AffineField:
+    """The field ``K @ z + k0``, projected onto ``box`` when one is set.
+
+    ``standard_flow`` builds it of a declared Hessian and ``projected_flow``
+    sets its box. ``integrate`` takes its full RK4 steps as ``AffineMap``
+    products of its ``piece`` at the state: chunks of several steps
+    (``Piece.chunk``) where they pass their sign test, else one-step maps
+    (``Piece.step_map``).
+    """
+
+    K: np.ndarray
+    k0: np.ndarray
+    box: Optional[FeasibleSet] = None
+
+    def __call__(self, z):
+        if self.box is None:
+            return self.K @ z + self.k0
+        return project_vector_field(self.box, z, self.K @ z + self.k0)
+
+    def faces(self, z) -> np.ndarray:
+        """Lower- and upper-face masks of the active set A at z, stacked.
+
+        A is where the projection zeroes the field: a face coordinate whose
+        field K z + k0 points out of its face or vanishes, and every pinned
+        coordinate (on both faces).
+        """
+        if self.box is None:
+            return np.zeros((2, z.shape[0]), dtype=bool)
+        g = self.K @ z + self.k0
+        lower, upper = z <= self.box._lower_face, z >= self.box._upper_face
+        active = (lower & (g <= 0.0)) | (upper & (g >= 0.0)) | (lower & upper)
+        return np.stack((lower & active, upper & active))
+
+    def piece(self, z) -> Piece:
+        """The piece at z: K z + k0, projected onto the box, on the active set at z (``faces``)."""
+        none = np.zeros(0)
+        return Piece(self.faces(z), self.K, self.k0, np.zeros((0, z.shape[0])), none, none, self.box)
+
+
+def _scale(W: np.ndarray, w: np.ndarray, z) -> float:
+    """1 + max_i (|W_i| @ |z| + |w_i|), over blocks of rows: no |W| as large as W."""
+    size, top = np.abs(z), np.abs(w)
+    block = max(1, _CHECK_BLOCK // size.shape[0])
+    for r in range(0, top.shape[0], block):
+        top[r : r + block] += np.abs(W[r : r + block]) @ size
+    return 1.0 + top.max()
+
+
 def _check(amap: AffineMap, z, expected: np.ndarray, what: str) -> None:
     """``ValueError`` if ``amap``'s rows at z are off ``expected`` beyond ``_PROBE_TOL``."""
     gap = np.abs(amap.W @ z + amap.w - expected).max()
-    scale = 1.0 + (np.abs(amap.W) @ np.abs(z) + np.abs(amap.w)).max()
-    if not gap <= _PROBE_TOL * scale:
+    if not gap <= _PROBE_TOL * _scale(amap.W, amap.w, z):
         raise ValueError(f"{what} by {gap:.3e} at its build state")
 
 

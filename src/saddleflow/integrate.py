@@ -8,9 +8,13 @@ faces the error is fourth order. Near face events, measured against exact
 piecewise-affine solutions of lp_augmented and mincostflow_augmented over
 t in [0, 4], each halving of the step from 0.02 to 0.0025 cut the error 2.6
 to 36 times: between first and third order, depending on where an event
-falls in a step. The full RK4 steps of an
-``AffineField`` are ``AffineMap`` products of its active set: the same
-steps in closed form, taken while their sign test holds (see ``integrate``).
+falls in a step. A field that exposes its *piece* at a state, the affine
+field M z + m of its active set with the signed rows where it holds
+(``flows.Piece``), has its full RK4 steps taken as ``AffineMap`` products of
+that piece: the same steps in closed form, taken while their sign test
+holds (see ``integrate``). ``AffineField`` does, on the faces of its box, and
+so does the Lasso dual-prox field (``LassoDualProx``), on the active sets of
+its inner box QP.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flows import AffineField, Flow
+from .flows import Flow
 from .projection import project_point
 
 __all__ = [
@@ -123,18 +127,19 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     with a warning if it lies outside, and every accepted state is clamped.
     Raises :class:`IntegrationError` on a non-finite state.
 
-    The full RK4 steps of an ``AffineField`` are taken by one map path, in
-    this order of fallback. A *chunk* (``AffineField.chunk``) takes L steps
-    as one product and yields every state the record grid keeps inside it.
-    It is built from the one-step map of the active set, at a record-grid
-    step once that map has taken a step, and tried at each step where it
-    fits the grid. Where its sign test fails, or an output is not finite,
-    one-step maps take the steps one by one up to the end of that chunk. A
-    one-step map (``AffineField.step_map``, the chunk of L = 1) that fails
-    its test sends the run to the active set at the state, whose map is
-    built and tried once; if that fails too, the 4-stage step is taken. A
-    new active set drops the chunk. Euler, the fractional last step and any
-    other field take 4-stage steps.
+    The full RK4 steps of a field with pieces (an ``AffineField``, or the
+    bound ``field`` of a ``LassoDualProx``) are taken by one map path, in
+    this order of fallback. A *chunk* (``Piece.chunk``) takes L steps as one
+    product and yields every state the record grid keeps inside it. It is
+    built from the one-step map of the piece, at a record-grid step once
+    that map has taken a step, and tried at each step where it fits the
+    grid. Where its sign test fails, or an output is not finite, one-step
+    maps take the steps one by one up to the end of that chunk. A one-step
+    map (``Piece.step_map``, the chunk of L = 1) that fails its test sends
+    the run to the field's piece at the state; a new piece has its map
+    built and tried once, and where that fails too, or the piece is not
+    new, the 4-stage step is taken. A new piece drops the chunk. Euler, the
+    fractional last step and any other field take 4-stage steps.
     """
     z = np.atleast_1d(np.asarray(z0, dtype=float)).copy()
     if z.shape != (flow.dim,):
@@ -157,13 +162,11 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     n_steps = n_full + (1 if has_rem else 0)
     field = flow.field
     clamp = fs.clamp if fs is not None else None
-    # A wrapper of an affine field (``__wrapped__``, as functools.wraps sets)
-    # is evaluated at all four stages, and keeps the map's states where the
-    # two agree: a pass-through wrapper records the same run, any other its own.
-    affine = field if isinstance(field, AffineField) else getattr(field, "__wrapped__", None)
-    if not isinstance(affine, AffineField) or config.method != "rk4":
-        affine = None
-    amap = chunk = None  # the run's one-step map, and the chunk built from it
+    # A wrapper of a field with pieces (``__wrapped__``, as functools.wraps
+    # sets) is evaluated at all four stages, and keeps the map's states where
+    # the two agree: a pass-through wrapper records the same run, any other its own.
+    owner, wrapped = _piece_owner(field) if config.method == "rk4" else (None, False)
+    piece = amap = chunk = None  # the run's piece, its one-step map, and the chunk built from it
     held = False  # the one-step map took the last step
     retry = 0  # after a failed chunk, the step at which it is tried again
 
@@ -185,9 +188,9 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     i = 0
     while i < n_steps:
         taken = None  # the map that takes the next steps
-        if affine is not None and i < n_full:
-            if chunk is None and held and i % every == 0:  # the active set holds: chunk it
-                chunk = affine.chunk(amap, z, every, n_full - i)
+        if owner is not None and i < n_full:
+            if chunk is None and held and i % every == 0:  # the piece holds: chunk it
+                chunk = piece.chunk(amap, z, every, n_full - i)
             steps = 1 if chunk is None else chunk.records[-1]
             if steps > 1 and i >= retry and i % min(steps, every) == 0 and i + steps <= n_full:
                 out = chunk(z)
@@ -197,10 +200,10 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
                     retry = i + steps
             if taken is None:
                 out = None if amap is None else amap(z)
-                if out is None:  # a new active set: build its map once, then retry
-                    faces = affine.faces(z)
-                    if amap is None or faces.tobytes() != amap.key:
-                        amap, chunk, retry = affine.step_map(z, h, faces), None, 0
+                if out is None:  # a new piece: build its map once, then retry
+                    new = owner.piece(z)
+                    if new is not None and (amap is None or new.key != amap.key):
+                        piece, amap, chunk, retry = new, new.step_map(z, h), None, 0
                         out = amap(z)
                 taken = None if out is None else amap
                 held = taken is not None
@@ -210,7 +213,7 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
         else:
             records = taken.records
             rows = out.reshape(len(records), -1)
-            if affine is not field:
+            if wrapped:
                 walk, p = [], z
                 for j in range(1, records[-1] + 1):
                     p = stages(p, h)
@@ -236,6 +239,20 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     if has_rem:
         times[-1] = config.horizon
     return Trajectory(times, np.concatenate(blocks))
+
+
+def _piece_owner(field) -> tuple:
+    """(owner, wrapped): what gives ``field``'s pieces (``piece(z)``), and if field wraps it.
+
+    The owner is the field itself (an ``AffineField``) or the object of a
+    bound method (``LassoDualProx.field``), found on the field or on its
+    ``__wrapped__``; else None.
+    """
+    for f, wrapped in ((field, False), (getattr(field, "__wrapped__", None), True)):
+        owner = getattr(f, "__self__", f)
+        if hasattr(owner, "piece"):
+            return owner, wrapped
+    return None, False
 
 
 def detect_equilibrium(flow: Flow, traj: Trajectory, tol: float) -> Optional[np.ndarray]:

@@ -35,7 +35,7 @@ import numpy as np
 
 from ._inner import INNER_TOL, ConstantHessian, InnerSolveError, WarmCache, newton_solve, projected_concave_max
 from .core import AFFINE_MAX_DIM, ConvexityMeta, ConvexObjective, SaddleProblem
-from .flows import _PROBE_TOL, AffineMap
+from .flows import _PROBE_TOL, AffineMap, Piece, _scale
 from .projection import FeasibleSet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -493,7 +493,9 @@ class LassoDualProx:
     is piecewise affine in (u, v) (Bemporad, Morari, Dua & Pistikopoulos,
     Automatica 38(1), 2002), and ``field`` evaluates the affine map of the
     last active set plus a sign test; it solves the box QP only when the
-    test fails. Any other base gets the oracle field.
+    test fails. ``piece`` gives that map as a ``flows.Piece``, of which
+    ``integrate`` builds RK4 step maps and chunks. Any other base gets the
+    oracle field.
     """
 
     base: SaddleProblem
@@ -516,7 +518,7 @@ class LassoDualProx:
         since the KKT conditions suffice for this strongly concave QP.
         Otherwise the box QP finds the maximizer and its active set, and a
         new active set replaces the slot once confirmed at the oracles
-        (``_confirm``). Where the new map still fails its sign test (a tie
+        (``_update``). Where the new map still fails its sign test (a tie
         at a face) the field is the oracle field at the box-QP maximizer.
         """
         slot = self._slot
@@ -524,18 +526,41 @@ class LassoDualProx:
             f = slot[0](z)
             if f is not None:
                 return f
-        n = self.base.n
-        u, v = z[:n], z[n:]
-        if slot is not None:
-            y = self.maximizer(u, v)
-            if not slot or _face_key(y, self._feasible).tobytes() != slot[0].key:
-                amap = _active_set_map(self, y)
-                self._confirm(amap, z, y)
-                slot[:] = [amap]
-                f = amap(z)
-                if f is not None:
-                    return f
+        if slot is not None and self._update(z):
+            f = slot[0](z)
+            if f is not None:
+                return f
+        u, v = z[: self.base.n], z[self.base.n :]
         return np.concatenate((-self.problem.grad_x(u, v), self.problem.grad_y(u, v)))
+
+    def piece(self, z) -> Optional[Piece]:
+        """The field's piece at z on the map path, else None.
+
+        It is the slot's active-set map, once its sign test passes at z (the
+        box QP at z updates the slot first where it fails, as ``field``
+        does): the field rows, then the KKT rows with their floors.
+        """
+        slot = self._slot
+        if slot is None:
+            return None
+        if not slot or slot[0](z) is None:
+            self._update(z)
+        amap, dim = slot[0], self.base.dim
+        return Piece(amap.faces, amap.W[:dim], amap.w[:dim], amap.W[dim:], amap.w[dim:], amap.floor)
+
+    def _update(self, z) -> bool:
+        """Solve the box QP at z; True if its active set is new and now fills the slot.
+
+        The new active set's map must pass ``_confirm`` at z first.
+        """
+        n, slot = self.base.n, self._slot
+        y = self.maximizer(z[:n], z[n:])
+        if slot and _face_key(y, self._feasible).tobytes() == slot[0].key:
+            return False
+        amap = _active_set_map(self, y)
+        self._confirm(amap, z, y)
+        slot[:] = [amap]
+        return True
 
     def _confirm(self, amap: AffineMap, z, y: np.ndarray) -> None:
         """Check a new map at the oracles at one state; ``ValueError`` if it is off.
@@ -555,9 +580,8 @@ class LassoDualProx:
         g = base.grad_y(u, y_map) - d
         oracle = np.concatenate((-base.grad_x(u, y_map), d, sign * np.where(free, y_map, g)[rows]))
         gap = np.abs(amap.W @ z + amap.w - oracle).max()
-        scale = 1.0 + (np.abs(amap.W) @ np.abs(z) + np.abs(amap.w)).max()
         stationarity = float(np.linalg.norm(g[free]))
-        if not (stationarity <= INNER_TOL and gap <= _PROBE_TOL * scale):
+        if not (stationarity <= INNER_TOL and gap <= _PROBE_TOL * _scale(amap.W, amap.w, z)):
             raise ValueError(
                 f"active-set map of {self.problem.label} does not match its oracles: inner "
                 f"gradient {stationarity:.3e} on the free set, field off by {gap:.3e}"

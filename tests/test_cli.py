@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from saddleflow import cli
 from saddleflow.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -183,6 +184,25 @@ def test_compare_empty_list_is_usage_error(capsys):
 
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 1
+
+
+def test_successive_calls_in_one_process_parse_their_own_arguments(tmp_path, capsys):
+    # the parser is built once per process; no call sees the command or the
+    # flags of the call before it
+    assert cli._parser() is cli._parser()
+    cfg = _write(tmp_path, "quad.ini", QUADRATIC)
+    seeded, cmp_out, plain = tmp_path / "seeded", tmp_path / "cmp", tmp_path / "plain"
+    assert main(["run", str(cfg), "--output-dir", str(seeded), "--seed", "8", "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["compare", str(cfg), "--output-dir", str(cmp_out)]) == 0
+    assert capsys.readouterr().out.startswith("algorithm,c_bound")  # not quiet, and a table
+    assert main(["run", str(cfg), "--output-dir", str(plain), "--quiet"]) == 0
+    compared = (cmp_out / "quad" / "trajectory.csv").read_bytes()
+    assert compared == (plain / "trajectory.csv").read_bytes()  # seed 7 from the config, twice
+    assert compared != (seeded / "trajectory.csv").read_bytes()
+    assert main(["run", str(cfg), "--no-such-flag"]) == 1  # a usage error still exits 1
+    assert "config error" in capsys.readouterr().err
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "after"), "--quiet"]) == 0
 
 
 def test_z0_must_match_dimension(tmp_path, capsys):

@@ -35,9 +35,27 @@ def _config(tmp_path, text=SHORT) -> Path:
     return path
 
 
-def _changed_copy(tmp_path, file: str, old: str, new: str) -> Path:
+# Appended to a copy of integrate.py: every recorded state moves by 1e-9,
+# whatever the body of ``integrate`` is.
+SHIFTED_STATES = """
+
+_unshifted = integrate
+
+
+def integrate(flow, z0, config):
+    traj = _unshifted(flow, z0, config)
+    return Trajectory(traj.times, traj.states + 1e-9)
+"""
+
+
+def _copy(tmp_path) -> Path:
     other = tmp_path / "other"
     shutil.copytree(ROOT / "src", other / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    return other
+
+
+def _changed_copy(tmp_path, file: str, old: str, new: str) -> Path:
+    other = _copy(tmp_path)
     path = other / "src" / "saddleflow" / file
     text = path.read_text()
     assert text.count(old) == 1
@@ -54,9 +72,13 @@ def test_a_checkout_against_itself_is_identical(tmp_path, capsys):
 
 
 def test_a_changed_checkout_shows_which_files_differ_and_how(tmp_path, capsys):
-    other = _changed_copy(tmp_path, "integrate.py", "blocks.append(z[None].copy())",
-                          "blocks.append(z[None] + 1e-9)")
-    assert compare_runs.main([str(other), str(_config(tmp_path))]) == 1
+    other = _copy(tmp_path)
+    with open(other / "src" / "saddleflow" / "integrate.py", "a") as fh:
+        fh.write(SHIFTED_STATES)
+    # at t = 12 the distance to the saddle is still far above 1e-9, so the
+    # shift moves the fitted rate but not the fit window or the verdict
+    short = _config(tmp_path, SHORT.replace("horizon = 30", "horizon = 12"))
+    assert compare_runs.main([str(other), str(short)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0].endswith("short.ini: differs")
     assert out[-1] == ("0 of 1 configs identical; largest state difference 1.000e-09 * (1 + ||z||); "

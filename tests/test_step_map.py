@@ -1,13 +1,16 @@
-"""RK4 step maps of affine fields against the 4-stage step they replace.
+"""RK4 step maps of piecewise-affine fields against the 4-stage step they replace.
 
-``integrate`` takes each full RK4 step of an ``AffineField`` as one
-``AffineMap``: ``W @ z + w`` plus a sign test. These tests compare map steps
-with 4-stage steps on the shipped affine configs and on seeded walks that
-cross faces, check the build-state check, and pin down which steps take the
-4-stage path.
+``integrate`` takes each full RK4 step of an ``AffineField``, and of the
+Lasso dual-prox field, as one ``AffineMap`` of the field's piece:
+``W @ z + w`` plus a sign test. These tests compare map steps with 4-stage
+steps on the shipped configs, on the benchmark's Lasso inputs and on seeded
+walks that cross faces, check the build-state check, and pin down which
+steps take the 4-stage path.
 """
 
 import functools
+import importlib.util
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,10 +18,12 @@ import numpy as np
 import pytest
 
 import saddleflow as sf
-from saddleflow import flows
+from helpers import lasso_transform
+from saddleflow import flows, transforms
 from saddleflow.cli import build_setup, load_config, main
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 AGREE = 1e-12
 
 
@@ -34,13 +39,12 @@ def _four_stage(flow, z, h):
 
 
 def _map_step(flow, z, h):
-    """The clamped map step from z on the active set at z, or None if its test fails."""
-    field = flow.field
-    faces = field.faces(z)
-    out = field.step_map(z, h, faces)(z)
+    """The clamped map step from z on the piece at z, or None if its test fails."""
+    piece = flow.field.piece(z)
+    out = piece.step_map(z, h)(z)
     if out is None:
-        return None, faces
-    return (flow.feasible.clamp(out) if flow.feasible is not None else out), faces
+        return None, piece.faces
+    return (flow.feasible.clamp(out) if flow.feasible is not None else out), piece.faces
 
 
 def _agree(a, b):
@@ -154,10 +158,10 @@ def test_a_perturbed_step_map_fails_its_build_state_check(monkeypatch, row):
         W[{"state": 0, "stage point": dim, "face": -1}[row], k] += 1e-6
         return build(faces, dim, W, w, floor)
 
-    flow.field.step_map(z, 0.05, flow.field.faces(z))  # unperturbed, it passes
+    flow.field.piece(z).step_map(z, 0.05)  # unperturbed, it passes
     monkeypatch.setattr(flows, "AffineMap", perturbed)
     with pytest.raises(ValueError, match="RK4 step map off the 4-stage step"):
-        flow.field.step_map(z, 0.05, flow.field.faces(z))
+        flow.field.piece(z).step_map(z, 0.05)
     with pytest.raises(ValueError, match="RK4 step map off the 4-stage step"):
         sf.integrate(flow, z, sf.IntegratorConfig(step=0.05, horizon=1.0))
 
@@ -169,8 +173,9 @@ def test_a_perturbed_chunk_fails_its_build_state_check(monkeypatch, row):
     z = next(z for z in traj.states if flow.field.faces(z)[:, :4].any())  # on a face
     k = int(np.argmax(np.abs(z)))
     field, dim = flow.field, flow.dim
-    amap = field.step_map(z, 0.05, field.faces(z))
-    chunk = field.chunk(amap, z, 1, 6)  # unperturbed, it passes
+    piece = field.piece(z)
+    amap = piece.step_map(z, 0.05)
+    chunk = piece.chunk(amap, z, 1, 6)  # unperturbed, it passes
     assert chunk.records == (1, 2, 3, 4, 5, 6) and chunk.floor.shape[0] > 6 * amap.floor.shape[0]
     build = flows.AffineMap
 
@@ -181,7 +186,7 @@ def test_a_perturbed_chunk_fails_its_build_state_check(monkeypatch, row):
 
     monkeypatch.setattr(flows, "AffineMap", perturbed)
     with pytest.raises(ValueError, match="RK4 chunk of 6 steps off its step map"):
-        field.chunk(amap, z, 1, 6)
+        piece.chunk(amap, z, 1, 6)
     with pytest.raises(ValueError, match="RK4 chunk of .* steps off its step map"):
         sf.integrate(flow, z, sf.IntegratorConfig(step=0.05, horizon=1.0))
 
@@ -230,20 +235,20 @@ def test_a_map_fails_once_a_face_coordinate_has_left_its_face():
     box = sf.FeasibleSet([0.0, -np.inf], [np.inf, np.inf])
     field = sf.AffineField(-np.eye(2), np.array([-1.0, 0.0]), box)
     z = np.array([0.0, 1.0])
-    amap = field.step_map(z, 0.1, field.faces(z))
+    amap = field.piece(z).step_map(z, 0.1)
     assert amap(z)[0] == 0.0
     assert amap(np.array([0.05, 1.0])) is None
 
 
 def _count_builds(monkeypatch) -> list:
     builds = []
-    build = sf.AffineField.step_map
+    build = sf.Piece.step_map
 
-    def counting(self, z, h, faces):
-        builds.append(faces.tobytes())
-        return build(self, z, h, faces)
+    def counting(self, z, h):
+        builds.append(self.key)
+        return build(self, z, h)
 
-    monkeypatch.setattr(sf.AffineField, "step_map", counting)
+    monkeypatch.setattr(sf.Piece, "step_map", counting)
     return builds
 
 
@@ -324,3 +329,105 @@ def test_a_replaced_field_is_integrated_not_the_stale_map(monkeypatch):
     assert len(calls) == 4 * 200
     twice, _ = wrapped(2.0)
     assert np.array_equal(sf.integrate(twice, z0, config).states, traj.states)
+
+
+# ---------------------------------------------------------------------------
+# Lasso pieces: the dual-prox field on one active set of its inner box QP
+
+LASSO = ["shipped", "bench_2024", "bench_31337"]
+
+
+@functools.cache
+def _bench_inputs():
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _lasso(name, tmp_path):
+    """(integrator config, flow, z0) of configs/lasso_pipeline.ini or of the benchmark's at a seed."""
+    path = CONFIGS / "lasso_pipeline.ini"
+    if name != "shipped":
+        _bench_inputs().write_inputs("inner_solve", int(name.rpartition("_")[2]), tmp_path)
+        path = tmp_path / "lasso_pipeline.ini"
+    cfg = load_config(path)
+    flow = build_setup(cfg).flow
+    return cfg.integrator, flow, cfg.z0 if cfg.z0 is not None else np.ones(flow.dim)
+
+
+@pytest.mark.parametrize("name", LASSO)
+def test_lasso_map_steps_and_chunks_agree_with_four_stage_steps(monkeypatch, tmp_path, name):
+    config, flow, z0 = _lasso(name, tmp_path)
+    taken = _maps_taken(monkeypatch)
+    sf.integrate(flow, z0, config)
+    steps = [(amap, z, out) for amap, z, out in taken if not amap.parts]  # not the field's own map
+    assert any(amap.records[-1] > 1 for amap, _, _ in steps)  # chunks took steps
+    assert len({amap.key for amap, _, _ in steps}) >= 2  # on pieces of several active sets
+    for amap, z, out in steps:
+        p, done = z, 0
+        for j, row in zip(amap.records, out.reshape(len(amap.records), -1)):
+            for _ in range(j - done):
+                p = _four_stage(flow, p, config.step)
+            done = j
+            assert _agree(row, p), (name, amap.records)
+    _assert_same_run(*_chunked_and_one_step_runs(monkeypatch, flow, z0, config))
+
+
+@pytest.mark.parametrize("stage", ["z", "p4"])
+def test_a_perturbed_lasso_step_map_fails_its_build_state_check(monkeypatch, tmp_path, stage):
+    config, flow, z0 = _lasso("shipped", tmp_path)
+    piece = lasso_transform(flow).piece(z0)
+    assert piece.G.shape[0] > 0 and piece.box is None  # KKT rows, and no box rows
+    piece.step_map(z0, config.step)  # unperturbed, it passes
+    build = flows.AffineMap
+
+    def perturbed(faces, dim, W, w, floor):
+        W[{"z": dim, "p4": -1}[stage], 0] += 1e-6  # the first KKT row at z, or the last at p4
+        return build(faces, dim, W, w, floor)
+
+    monkeypatch.setattr(flows, "AffineMap", perturbed)
+    with pytest.raises(ValueError, match="RK4 step map off the 4-stage step"):
+        piece.step_map(z0, config.step)
+    with pytest.raises(ValueError, match="RK4 step map off the 4-stage step"):
+        sf.integrate(flow, z0, config)
+
+
+@pytest.mark.parametrize("name", ["shipped", "bench_2024"])
+def test_a_wrapped_lasso_field_records_the_same_trajectory(tmp_path, name):
+    # a functools.wraps wrapper, as a tracer makes, is evaluated at all four
+    # stages and still records the unwrapped run byte for byte
+    config, flow, z0 = _lasso(name, tmp_path)
+    calls = []
+
+    def traced(z):
+        calls.append(1)
+        return flow.field(z)
+
+    wrapped = replace(flow, field=functools.update_wrapper(traced, flow.field))
+    records = []
+    for k, run in enumerate((flow, wrapped, flow)):
+        sf.integrate(run, z0, config).write_csv(tmp_path / f"{k}.csv")
+        records.append((tmp_path / f"{k}.csv").read_bytes())
+    assert records[0] == records[1] == records[2]
+    assert len(calls) == 4 * round(config.horizon / config.step)
+
+
+@pytest.mark.parametrize("seed", [2024, 31337])
+def test_lasso_runs_evaluate_the_field_rarely_and_solve_no_more_box_qps(monkeypatch, tmp_path, seed):
+    calls, solves = [], []
+    field, solve = transforms.LassoDualProx.field, transforms.projected_concave_max
+    monkeypatch.setattr(transforms.LassoDualProx, "field", lambda self, z: calls.append(1) or field(self, z))
+    monkeypatch.setattr(transforms, "projected_concave_max", lambda *a, **k: solves.append(1) or solve(*a, **k))
+    config, flow, z0 = _lasso(f"bench_{seed}", tmp_path)
+    mapped = sf.integrate(flow, z0, config)
+    counts = len(calls), len(solves)
+    del calls[:], solves[:]
+    # every step at all four stages, through the field's one-slot map: the
+    # path that ran before the Lasso had pieces
+    four_stage = sf.integrate(replace(flow, field=lambda z: flow.field(z)), z0, config)
+    assert len(calls) == 4 * 375 == 1500
+    assert counts[0] < 100 and counts[1] <= len(solves)
+    scale = AGREE * (1.0 + np.linalg.norm(four_stage.states, axis=1))
+    assert np.all(np.abs(mapped.states - four_stage.states).max(axis=1) <= scale)
