@@ -118,43 +118,28 @@ def _affine_field(problem: SaddleProblem, oracle_field: Callable) -> "AffineFiel
     # cos(j) + sign(cos(j))/2 for j = 1, 2, ...: sizes 0.5 to 1.5, distinct, signs mixed
     wave = np.cos(np.arange(1.0, problem.dim + 1.0))
     probe = wave + np.copysign(0.5, wave)
-    gap = np.abs(K @ probe + k0 - oracle_field(probe)).max()
-    if not gap <= _PROBE_TOL * _scale(K, k0, probe):
-        raise ValueError(
-            f"declared hessian of {problem.label or 'problem'} does not match its gradient "
-            f"oracles: affine field off by {gap:.3e} at the probe point"
-        )
+    what = f"declared hessian of {problem.label or 'problem'} does not match its gradient oracles"
+    _check(K, k0, probe, oracle_field(probe), f"{what}: affine field at the probe point off")
     return AffineField(K, k0)
 
 
 @dataclass(frozen=True)
 class AffineMap:
-    """``W @ z + w`` with a sign test: ``dim`` output rows, then signed rows.
+    """``records[-1]`` RK4 steps of one piece: ``W @ z + w`` with a sign test.
 
-    The map holds on one active set; ``faces`` stacks its lower-face and
-    upper-face masks, and their bytes are the map's ``key``. Calling the map
-    at z gives its output rows when every signed row is >= its ``floor``,
-    else None; NaN fails the test. The Lasso dual-prox field on an inner
-    active set is such a map, and ``parts`` holds what its builder keeps to
-    check it.
-
-    A map of RK4 steps takes ``records[-1]`` steps: the one-step map of
-    ``Piece.step_map`` (``records == (1,)``) or a *chunk* of several
+    ``W`` has ``dim`` output rows, then signed rows. Calling the map at z
+    gives its output rows when every signed row is >= its ``floor``, else
+    None; NaN fails the test. The map is the one-step map of
+    ``Piece.step_map`` (``records == (1,)``) or a *chunk* of several steps
     (``Piece.chunk``). Its output rows are the states after each step count
     in ``records``, one state after another.
     """
 
-    faces: np.ndarray
     dim: int
     W: np.ndarray
     w: np.ndarray
     floor: np.ndarray
-    parts: tuple = ()
     records: tuple = (1,)
-
-    @property
-    def key(self) -> bytes:
-        return self.faces.tobytes()
 
     def __call__(self, z) -> Optional[np.ndarray]:
         out = self.W @ z
@@ -172,11 +157,13 @@ class Piece:
     ``faces`` stacks the active set's lower- and upper-face masks, and their
     bytes are the ``key``. A field exposes its piece at a state z:
     ``AffineField.piece`` from K and the box faces at z,
-    ``LassoDualProx.piece`` from its inner active-set map. With a ``box``,
-    the field is projected onto it: ``faces`` are the state's own, the field
-    is zero on the active set, and the builder adds the box's rows.
-    ``step_map`` turns the piece into the map of one RK4 step, and ``chunk``
-    composes that map into runs of steps.
+    ``LassoDualProx.piece`` from the active set of its inner box QP. With a
+    ``box``, the field is projected onto it: ``faces`` are the state's own,
+    the field is zero on the active set, and the builder adds the box's
+    rows. Without one, calling the piece at z gives M z + m where its signed
+    rows hold, in one product of the stacked rows ``W``. ``step_map`` turns
+    the piece into the map of one RK4 step, and ``chunk`` composes that map
+    into runs of steps.
     """
 
     faces: np.ndarray
@@ -190,6 +177,24 @@ class Piece:
     @property
     def key(self) -> bytes:
         return self.faces.tobytes()
+
+    @property
+    def dim(self) -> int:
+        return self.M.shape[0]
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        """[M; G]: the field rows, then the signed rows, for one product of both."""
+        return np.concatenate((self.M, self.G))
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """[m; g], the offsets of ``W``."""
+        return np.concatenate((self.m, self.g))
+
+    # M z + m when every signed row is >= its floor at z, else None: the same
+    # test as a map's, and not projected (a piece on a box is its field's to evaluate)
+    __call__ = AffineMap.__call__
 
     def step_map(self, z, h: float) -> AffineMap:
         """One RK4 step of size h on this piece, checked at z.
@@ -209,9 +214,9 @@ class Piece:
         """
         dim = z.shape[0]
         rows, floor = self._step_rows(np.eye(dim + 1), h)
-        amap = AffineMap(self.faces, dim, rows[:, :dim].copy(), rows[:, dim].copy(), floor)
+        amap = AffineMap(dim, rows[:, :dim].copy(), rows[:, dim].copy(), floor)
         expected = self._step_rows(np.append(z, 1.0)[:, None], h)[0][:, 0]
-        _check(amap, z, expected, "RK4 step map off the 4-stage step")
+        _check(amap.W, amap.w, z, expected, "RK4 step map off the 4-stage step at its build state")
         return amap
 
     def _step_rows(self, p, h: float) -> tuple:
@@ -267,8 +272,8 @@ class Piece:
 
         ``lower`` and ``upper`` are the free coordinates with a finite lower
         and a finite upper bound; ``z[lower] >= lower floor`` and
-        ``-z[upper] >= upper floor`` keep them strictly inside. None without
-        a box.
+        ``-z[upper] >= upper floor`` keep them strictly inside. All four are
+        empty without a box.
         """
         if self.box is None:
             none = np.zeros(0, dtype=np.intp)
@@ -337,8 +342,8 @@ class Piece:
         if not (np.isfinite(expected).all() and np.isfinite(full).all()):
             return amap  # the state leaves the finite numbers: one-step maps find where
         floor = np.concatenate((np.tile(amap.floor, steps), np.tile(inner_floor, steps - 1)))
-        chunk = AffineMap(amap.faces, k * dim, full[:, :dim], full[:, dim].copy(), floor, records=records)
-        _check(chunk, z, expected, f"RK4 chunk of {steps} steps off its step map")
+        chunk = AffineMap(k * dim, full[:, :dim], full[:, dim].copy(), floor, records=records)
+        _check(chunk.W, chunk.w, z, expected, f"RK4 chunk of {steps} steps off its step map at its build state")
         return chunk
 
 
@@ -391,11 +396,14 @@ def _scale(W: np.ndarray, w: np.ndarray, z) -> float:
     return 1.0 + top.max()
 
 
-def _check(amap: AffineMap, z, expected: np.ndarray, what: str) -> None:
-    """``ValueError`` if ``amap``'s rows at z are off ``expected`` beyond ``_PROBE_TOL``."""
-    gap = np.abs(amap.W @ z + amap.w - expected).max()
-    if not gap <= _PROBE_TOL * _scale(amap.W, amap.w, z):
-        raise ValueError(f"{what} by {gap:.3e} at its build state")
+def _check(W: np.ndarray, w: np.ndarray, z, expected: np.ndarray, what: str) -> None:
+    """``ValueError`` (``what`` by the gap) if ``W @ z + w`` is off ``expected`` beyond ``_PROBE_TOL``.
+
+    The gap is relative to ``_scale``: 1 plus the largest row of |W| |z| + |w|.
+    """
+    gap = np.abs(W @ z + w - expected).max()
+    if not gap <= _PROBE_TOL * _scale(W, w, z):
+        raise ValueError(f"{what} by {gap:.3e}")
 
 
 def _chunk_steps(dim: int, signed: int, bounded: int, every: int, room: int) -> int:

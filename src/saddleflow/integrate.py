@@ -202,7 +202,7 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
                 out = None if amap is None else amap(z)
                 if out is None:  # a new piece: build its map once, then retry
                     new = owner.piece(z)
-                    if new is not None and (amap is None or new.key != amap.key):
+                    if new is not None and (piece is None or new.key != piece.key):
                         piece, amap, chunk, retry = new, new.step_map(z, h), None, 0
                         out = amap(z)
                 taken = None if out is None else amap
@@ -227,7 +227,7 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
                     rows = walk
         z = rows[-1] if clamp is None else clamp(rows[-1])
         if np.count_nonzero(np.isfinite(z)) != z.shape[0]:  # cheaper than .all() on short arrays
-            raise IntegrationError("non-finite state encountered", marks[-1] * h)
+            raise IntegrationError("non-finite state encountered", i * h)  # the failing step starts at i
         if len(records) > 1:  # intermediate states: inside the box, so unclamped
             blocks.append(rows[:-1].copy())
             marks.extend(i + j for j in records[:-1])

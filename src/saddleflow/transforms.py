@@ -22,7 +22,7 @@ proximal surrogate and the reduced problem are quadratic again: they
 declare their constant ``hessian`` (a Schur complement), so their saddle
 flow is affine and solves nothing per evaluation. The Lasso dual prox is
 only piecewise affine (its maximizer meets the faces of a box): of a
-quadratic base, its ``field`` is the affine map of one active set at a
+quadratic base, its ``field`` is the ``flows.Piece`` of one active set at a
 time, and it solves its inner box QP only when the active set changes.
 """
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from ._inner import INNER_TOL, ConstantHessian, InnerSolveError, WarmCache, newton_solve, projected_concave_max
 from .core import AFFINE_MAX_DIM, ConvexityMeta, ConvexObjective, SaddleProblem
-from .flows import _PROBE_TOL, AffineMap, Piece, _scale
+from .flows import Piece, _check
 from .projection import FeasibleSet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -426,18 +426,23 @@ def _face_key(y: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
     return np.stack((y <= feasible.lower, y >= feasible.upper))
 
 
-def _active_set_map(transform: "LassoDualProx", y: np.ndarray) -> AffineMap:
-    """The Lasso dual-prox field on the active set of a box-QP maximizer ``y``.
+def _active_set_map(transform: "LassoDualProx", y: np.ndarray, z) -> Piece:
+    """The Lasso dual-prox field's piece on the active set of the box-QP maximizer ``y`` at z.
 
     With D = H_yy - rho*I, the inner gradient is G @ z + D @ y + g_y0 for
     G = [H_yx, rho*I]. Pinning the coordinates off the free set F at their
     faces b_P and zeroing the gradient on F gives y_tilde = S @ z + s, with
-    S_F = (-D_FF)^-1 G_F and s_F = (-D_FF)^-1 (D_FP b_P + g_y0_F). The map
-    gives the ``dim`` rows of the field, then one sign row ``sign * KKT row``
+    S_F = (-D_FF)^-1 G_F and s_F = (-D_FF)^-1 (D_FP b_P + g_y0_F). The piece
+    has the ``dim`` rows of the field, then one signed row ``sign * KKT row``
     per finite bound of a KKT row (y_tilde on F, the inner gradient off it),
     with floor ``sign * bound``: each free y_tilde inside its bounds, each
-    pinned gradient pointing out of its face. ``parts`` keeps (S, s, rows,
-    sign) for ``LassoDualProx._confirm``.
+    pinned gradient pointing out of its face.
+
+    ``ValueError`` unless the piece matches the oracles at z: at its
+    y_tilde the inner gradient must vanish on F to the inner tolerance, and
+    the field and KKT rows must match the oracles' to ``flows._PROBE_TOL``
+    relative. The sign of the pinned gradients is the sign test's: near a
+    tie it may point inward by the box QP's tolerance.
     """
     base, rho, D, box = transform.base, transform.rho, transform._dual_hess.matrix, transform._feasible
     n, m, dim = base.n, base.m, base.dim
@@ -463,18 +468,27 @@ def _active_set_map(transform: "LassoDualProx", y: np.ndarray) -> AffineMap:
     sign = np.concatenate((np.ones(low.shape[0]), -np.ones(high.shape[0])))
     kkt_slope = np.where(free[:, None], S, G + D @ S)[rows]
     kkt_offset = np.where(free, s, D @ s + gy0)[rows]
-    W = np.empty((dim + rows.shape[0], dim))
-    w = np.empty(dim + rows.shape[0])
+    W = np.empty((dim, dim))  # the field rows
+    w = np.empty(dim)
     W[:n] = -(H[:n, n:] @ S)
     W[:n, :n] -= H[:n, :n]
     w[:n] = -(H[:n, n:] @ s + gx0)
-    W[n:dim] = rho * S
-    W[n:dim, n:] -= rho * np.eye(m)
-    w[n:dim] = rho * s
-    W[dim:] = sign[:, None] * kkt_slope
-    w[dim:] = sign * kkt_offset
+    W[n:] = rho * S
+    W[n:, n:] -= rho * np.eye(m)
+    w[n:] = rho * s
     floor = sign * np.concatenate((lo[low], hi[high]))
-    return AffineMap(faces, dim, W, w, floor, parts=(S, s, rows, sign))
+    piece = Piece(faces, W, w, sign[:, None] * kkt_slope, sign * kkt_offset, floor)
+    u, v = z[:n], z[n:]
+    y_piece = S @ z + s
+    d = rho * (y_piece - v)
+    g = base.grad_y(u, y_piece) - d
+    oracle = np.concatenate((-base.grad_x(u, y_piece), d, sign * np.where(free, y_piece, g)[rows]))
+    stationarity = float(np.linalg.norm(g[free]))
+    what = f"active-set piece of {transform.problem.label} does not match its oracles"
+    if not stationarity <= INNER_TOL:
+        raise ValueError(f"{what}: inner gradient {stationarity:.3e} on the free set")
+    _check(piece.W, piece.w, z, oracle, f"{what}: rows off")
+    return piece
 
 
 @dataclass(frozen=True)
@@ -491,11 +505,12 @@ class LassoDualProx:
     ``field`` is the saddle flow of ``problem``. Of a base that declares its
     ``hessian`` with at most ``AFFINE_MAX_DIM`` coordinates, the maximizer
     is piecewise affine in (u, v) (Bemporad, Morari, Dua & Pistikopoulos,
-    Automatica 38(1), 2002), and ``field`` evaluates the affine map of the
-    last active set plus a sign test; it solves the box QP only when the
-    test fails. ``piece`` gives that map as a ``flows.Piece``, of which
-    ``integrate`` builds RK4 step maps and chunks. Any other base gets the
-    oracle field.
+    Automatica 38(1), 2002). The field then has a *piece* on each active
+    set of the box QP, a checked ``flows.Piece``, and a one-piece slot
+    holds the last one: ``field`` evaluates it plus a sign test, and
+    solves the box QP only when the test fails. ``integrate`` builds RK4
+    step maps and chunks of the slot's piece (``piece``). Any other base
+    gets the oracle field.
     """
 
     base: SaddleProblem
@@ -503,7 +518,7 @@ class LassoDualProx:
     problem: SaddleProblem
     _cache: WarmCache
     _dual_hess: Optional[ConstantHessian] = None
-    _slot: Optional[list] = None  # [] or [the last confirmed map]; None without the map path
+    _slot: Optional[list] = None  # [] or [the last piece]; None without pieces
 
     @property
     def _feasible(self) -> FeasibleSet:
@@ -513,79 +528,36 @@ class LassoDualProx:
     def field(self, z) -> np.ndarray:
         """The saddle flow field (-grad_u, grad_v) at the state z = (u, v).
 
-        On the map path it is ``W @ z + w`` of the slot's active set when
-        the KKT rows pass the sign test; then y_tilde is the exact maximizer,
-        since the KKT conditions suffice for this strongly concave QP.
-        Otherwise the box QP finds the maximizer and its active set, and a
-        new active set replaces the slot once confirmed at the oracles
-        (``_update``). Where the new map still fails its sign test (a tie
-        at a face) the field is the oracle field at the box-QP maximizer.
+        With pieces it is ``M @ z + m`` of the slot's piece when its KKT
+        rows pass the sign test; then y_tilde is the exact maximizer, since
+        the KKT conditions suffice for this strongly concave QP. Otherwise
+        it is the piece at z (``piece``), and where that one still fails its
+        sign test (a tie at a face) the oracle field at the box-QP maximizer.
         """
         slot = self._slot
-        if slot:
-            f = slot[0](z)
-            if f is not None:
-                return f
-        if slot is not None and self._update(z):
-            f = slot[0](z)
-            if f is not None:
-                return f
+        f = slot[0](z) if slot else None
+        if f is None and slot is not None:
+            f = self.piece(z)(z)
+        if f is not None:
+            return f
         u, v = z[: self.base.n], z[self.base.n :]
         return np.concatenate((-self.problem.grad_x(u, v), self.problem.grad_y(u, v)))
 
     def piece(self, z) -> Optional[Piece]:
-        """The field's piece at z on the map path, else None.
+        """The field's piece at z with pieces, else None.
 
-        It is the slot's active-set map, once its sign test passes at z (the
-        box QP at z updates the slot first where it fails, as ``field``
-        does): the field rows, then the KKT rows with their floors.
+        It is the slot's piece where its sign test passes at z. Where it
+        fails, the box QP at z finds the active set, and a new one fills the
+        slot with its piece, checked at z (``_active_set_map``).
         """
         slot = self._slot
         if slot is None:
             return None
         if not slot or slot[0](z) is None:
-            self._update(z)
-        amap, dim = slot[0], self.base.dim
-        return Piece(amap.faces, amap.W[:dim], amap.w[:dim], amap.W[dim:], amap.w[dim:], amap.floor)
-
-    def _update(self, z) -> bool:
-        """Solve the box QP at z; True if its active set is new and now fills the slot.
-
-        The new active set's map must pass ``_confirm`` at z first.
-        """
-        n, slot = self.base.n, self._slot
-        y = self.maximizer(z[:n], z[n:])
-        if slot and _face_key(y, self._feasible).tobytes() == slot[0].key:
-            return False
-        amap = _active_set_map(self, y)
-        self._confirm(amap, z, y)
-        slot[:] = [amap]
-        return True
-
-    def _confirm(self, amap: AffineMap, z, y: np.ndarray) -> None:
-        """Check a new map at the oracles at one state; ``ValueError`` if it is off.
-
-        At the map's y_tilde the inner gradient of the oracle must vanish on
-        the free set to the inner tolerance, and the field and sign rows
-        must match the oracles to ``flows._PROBE_TOL`` relative. The sign of
-        the pinned gradients is the sign test's: near a tie it may point
-        inward by the box QP's tolerance.
-        """
-        base, rho = self.base, self.rho
-        u, v = z[: base.n], z[base.n :]
-        S, s, rows, sign = amap.parts
-        free = ~amap.faces.any(axis=0)
-        y_map = S @ z + s
-        d = rho * (y_map - v)
-        g = base.grad_y(u, y_map) - d
-        oracle = np.concatenate((-base.grad_x(u, y_map), d, sign * np.where(free, y_map, g)[rows]))
-        gap = np.abs(amap.W @ z + amap.w - oracle).max()
-        stationarity = float(np.linalg.norm(g[free]))
-        if not (stationarity <= INNER_TOL and gap <= _PROBE_TOL * _scale(amap.W, amap.w, z)):
-            raise ValueError(
-                f"active-set map of {self.problem.label} does not match its oracles: inner "
-                f"gradient {stationarity:.3e} on the free set, field off by {gap:.3e}"
-            )
+            y = self.maximizer(z[: self.base.n], z[self.base.n :])
+            if not slot or _face_key(y, self._feasible).tobytes() != slot[0].key:
+                slot[:] = [_active_set_map(self, y, z)]
+        return slot[0]
 
     def maximizer(self, u, v) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -631,7 +603,7 @@ def lasso_dual_prox(base: SaddleProblem, rho: float) -> LassoDualProx:
     dual_hess = slot = None
     if base.hessian is not None:
         dual_hess = ConstantHessian(base.hessian[base.n :, base.n :] - rho * np.eye(base.m))
-        # the map's W has up to (dim + 2m) x dim entries, as dense as the affine field's K
+        # a piece has up to (dim + 2m) x dim entries, as dense as the affine field's K
         if base.dim <= AFFINE_MAX_DIM:
             slot = []
     problem = SaddleProblem(

@@ -160,7 +160,10 @@ def test_missing_section_is_config_error(tmp_path, capsys):
 def test_numerical_failure_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "boom.ini", DIVERGENT)
     assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 2
-    assert "numerical failure" in capsys.readouterr().err
+    # each Euler step of 5 multiplies the state by -4: step 512 leaves the
+    # finite numbers, so the last finite state is at t = 511 * 5, between records
+    err = capsys.readouterr().err
+    assert "numerical failure: non-finite state encountered (last finite time t=2555)" in err
 
 
 def test_compare_writes_table(tmp_path, capsys):

@@ -223,30 +223,49 @@ def test_a_perturbed_active_set_map_fails_its_confirmation(monkeypatch, row):
     rng = np.random.default_rng(52)
     bundle, declared, _ = _lasso_pair(rng)
     dim = declared.base.dim
-    build = transforms._active_set_map
+    bounded = declared._feasible.lower > -np.inf  # the sign multipliers: y >= 0
+    build = transforms.Piece
     perturbed = []
 
-    def perturb(transform, y):
-        amap = build(transform, y)
-        sign_rows = amap.parts[2]
-        free = ~amap.faces.any(axis=0)
-        rows = {
-            "field": [0],
-            "free": dim + np.flatnonzero(free[sign_rows]),
-            "pinned": dim + np.flatnonzero(~free[sign_rows]),
-        }[row]
-        if len(rows) == 0:
-            return amap
-        W = amap.W.copy()
-        W[rows[0], 0] += 1e-6
-        perturbed.append(1)
-        return replace(amap, W=W)
+    def perturb(faces, M, m, G, g, floor):
+        # the KKT rows: one per free sign multiplier (y_tilde >= 0), then one
+        # per pinned one (its gradient <= 0); the unbounded equality multipliers have none
+        free_rows = np.count_nonzero(~faces.any(axis=0) & bounded)
+        rows, at, end = {"field": (M, 0, dim), "free": (G, 0, free_rows), "pinned": (G, free_rows, G.shape[0])}[row]
+        if at < end:
+            rows[at, 0] += 1e-6
+            perturbed.append(1)
+        return build(faces, M, m, G, g, floor)
 
-    monkeypatch.setattr(transforms, "_active_set_map", perturb)
-    with pytest.raises(ValueError, match="active-set map .* does not match its oracles"):
+    monkeypatch.setattr(transforms, "Piece", perturb)
+    with pytest.raises(ValueError, match="active-set piece .* does not match its oracles"):
         for z in _walk(rng, rng.standard_normal(dim), 300, scale=5e-2):
             declared.field(z)
     assert perturbed
+
+
+def test_a_new_piece_that_fails_its_own_rows_gives_the_oracle_field():
+    # a tie at a face: the box QP starts at its maximizer with a sign multiplier
+    # y_j on its face, where the gradient points inward by 1e-12, far below
+    # the QP's tolerance, so it returns that point as it is; the new piece's
+    # pinned row for j then fails at z, and the field is the oracle field
+    rng = np.random.default_rng(53)
+    _, declared, _ = _lasso_pair(rng)
+    n, dim, box = declared.base.n, declared.base.dim, declared._feasible
+    z = rng.standard_normal(dim)
+    y = declared.maximizer(z[:n], z[n:])
+    gradient = declared.base.grad_y(z[:n], y) - declared.rho * (y - z[n:])
+    j = np.flatnonzero(y <= box.lower)[0]
+    assert gradient[j] < 0.0  # pinned, outward
+    z[n + j] += (1e-12 - gradient[j]) / declared.rho  # the gradient on j alone moves, to +1e-12
+    for cache in declared.problem.caches:
+        cache.clear()
+    start_next_solve_at(declared, y)
+    field = declared.field(z)
+    assert field.tobytes() == sf.standard_flow(declared.problem).field(z).tobytes()
+    piece = declared._slot[0]
+    assert piece.key == transforms._face_key(y, box).tobytes() and piece.faces[0, j]
+    assert piece(z) is None  # the slot holds the new piece, which fails its own rows at z
 
 
 def test_guessed_face_with_an_inward_gradient_falls_back(monkeypatch):

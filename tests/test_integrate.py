@@ -58,10 +58,15 @@ def test_integrator_config_validation():
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_non_finite_state_reports_last_time():
-    blow_up = sf.Flow(dim=1, field=lambda z: z**3, label="blowup")
-    with pytest.raises(IntegrationError) as err:
-        sf.integrate(blow_up, [10.0], sf.IntegratorConfig(step=0.01, horizon=5.0))
-    assert err.value.t_last >= 0.0
+    # z' = z^2 from z0 = 1 blows up at t = 1; RK4 steps of 0.01 stay finite
+    # up to t = 1.02, off the record grid of 10 and 100 steps
+    blow_up = sf.Flow(dim=1, field=lambda z: z**2, label="blowup")
+    for every in (1, 10, 100):
+        config = sf.IntegratorConfig(step=0.01, horizon=5.0, record_every=every)
+        with pytest.raises(IntegrationError) as err:
+            sf.integrate(blow_up, [1.0], config)
+        assert err.value.t_last == pytest.approx(1.02, abs=1e-12), every
+        assert "(last finite time t=1.02)" in str(err.value)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")

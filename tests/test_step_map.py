@@ -154,9 +154,9 @@ def test_a_perturbed_step_map_fails_its_build_state_check(monkeypatch, row):
     k = int(np.argmax(np.abs(z)))
     build = flows.AffineMap
 
-    def perturbed(faces, dim, W, w, floor):
+    def perturbed(dim, W, w, floor):
         W[{"state": 0, "stage point": dim, "face": -1}[row], k] += 1e-6
-        return build(faces, dim, W, w, floor)
+        return build(dim, W, w, floor)
 
     flow.field.piece(z).step_map(z, 0.05)  # unperturbed, it passes
     monkeypatch.setattr(flows, "AffineMap", perturbed)
@@ -179,10 +179,10 @@ def test_a_perturbed_chunk_fails_its_build_state_check(monkeypatch, row):
     assert chunk.records == (1, 2, 3, 4, 5, 6) and chunk.floor.shape[0] > 6 * amap.floor.shape[0]
     build = flows.AffineMap
 
-    def perturbed(faces, dim_out, W, w, floor, records=(1,)):
+    def perturbed(dim_out, W, w, floor, records=(1,)):
         if records[-1] > 1:
             W[{"final state": dim_out - dim, "intermediate state": 0, "signed": dim_out, "inner bound": -1}[row], k] += 1e-6
-        return build(faces, dim_out, W, w, floor, records=records)
+        return build(dim_out, W, w, floor, records=records)
 
     monkeypatch.setattr(flows, "AffineMap", perturbed)
     with pytest.raises(ValueError, match="RK4 chunk of 6 steps off its step map"):
@@ -357,14 +357,28 @@ def _lasso(name, tmp_path):
     return cfg.integrator, flow, cfg.z0 if cfg.z0 is not None else np.ones(flow.dim)
 
 
+def _piece_keys(monkeypatch) -> dict:
+    """id of every step map and chunk built -> the key of the piece it was built of."""
+    keys = {}
+    for name in ("step_map", "chunk"):
+
+        def logging(self, *args, build=getattr(sf.Piece, name)):
+            amap = build(self, *args)
+            keys[id(amap)] = self.key
+            return amap
+
+        monkeypatch.setattr(sf.Piece, name, logging)
+    return keys
+
+
 @pytest.mark.parametrize("name", LASSO)
 def test_lasso_map_steps_and_chunks_agree_with_four_stage_steps(monkeypatch, tmp_path, name):
     config, flow, z0 = _lasso(name, tmp_path)
-    taken = _maps_taken(monkeypatch)
+    keys = _piece_keys(monkeypatch)
+    steps = _maps_taken(monkeypatch)
     sf.integrate(flow, z0, config)
-    steps = [(amap, z, out) for amap, z, out in taken if not amap.parts]  # not the field's own map
     assert any(amap.records[-1] > 1 for amap, _, _ in steps)  # chunks took steps
-    assert len({amap.key for amap, _, _ in steps}) >= 2  # on pieces of several active sets
+    assert len({keys[id(amap)] for amap, _, _ in steps}) >= 2  # on pieces of several active sets
     for amap, z, out in steps:
         p, done = z, 0
         for j, row in zip(amap.records, out.reshape(len(amap.records), -1)):
@@ -383,9 +397,9 @@ def test_a_perturbed_lasso_step_map_fails_its_build_state_check(monkeypatch, tmp
     piece.step_map(z0, config.step)  # unperturbed, it passes
     build = flows.AffineMap
 
-    def perturbed(faces, dim, W, w, floor):
+    def perturbed(dim, W, w, floor):
         W[{"z": dim, "p4": -1}[stage], 0] += 1e-6  # the first KKT row at z, or the last at p4
-        return build(faces, dim, W, w, floor)
+        return build(dim, W, w, floor)
 
     monkeypatch.setattr(flows, "AffineMap", perturbed)
     with pytest.raises(ValueError, match="RK4 step map off the 4-stage step"):
