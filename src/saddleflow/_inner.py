@@ -239,7 +239,8 @@ def projected_concave_max(
 
 def _free_newton_step(hmat: np.ndarray, g: np.ndarray, y: np.ndarray, feasible: FeasibleSet):
     """Newton ascent step on the coordinates not held at a face by the gradient."""
-    free = ~((y == feasible.lower) & (g < 0.0)) & ~((y == feasible.upper) & (g > 0.0))
+    lower, upper = feasible.on_faces(y)
+    free = ~(lower & (g < 0.0)) & ~(upper & (g > 0.0))
     step = np.zeros_like(y)
     gf = g[free]
     try:
@@ -258,7 +259,7 @@ def _box_qp_max(grad, feasible: FeasibleSet, y0, model: ConstantHessian, tol: fl
         return y
     # Nocedal & Wright, Numerical Optimization, 2nd ed., sec. 16.5: while the
     # active set does not change, one solve with the free block is the answer
-    free = (y > feasible.lower) & (y < feasible.upper)
+    free = ~feasible.on_faces(y).any(axis=0)
     y_free = y.copy()
     y_free[free] += model.free_inverse(free) @ g[free]
     if feasible.contains(y_free):

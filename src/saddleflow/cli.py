@@ -116,7 +116,7 @@ def load_config(path, output_dir: Optional[str] = None, seed: Optional[int] = No
     try:
         ini.read(path)
     except configparser.Error as err:
-        raise ConfigError(f"cannot parse {path}: {err}") from None
+        raise ConfigError(f"{path}: cannot parse: {err}") from None
     for section in ("problem", "algorithm", "integrator"):
         if section not in ini:
             raise ConfigError(f"{path}: missing [{section}] section")
@@ -544,7 +544,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     res.z_star, res.equilibrium_how = _resolve_equilibrium(setup.flow, traj, cfg.integrator)
     if res.z_star is None:
-        res.rate_skipped = "no equilibrium found"
+        res.rate_skipped = res.cert_skipped = "no equilibrium found"
     else:
         z_star = res.z_star if V is None else V @ res.z_star
         try:
@@ -552,10 +552,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         except ValueError as err:
             res.rate_skipped = str(err)
         res.lyapunov_increment = max_increment(lyapunov_series(recorded, z_star))
-
-    if res.z_star is None:
-        res.cert_skipped = "no equilibrium found"
-    else:
         try:
             certificate = setup.cert_builder(res.z_star)
             res.cert_report = cert.eval_certificate(certificate, traj, flow=setup.flow)

@@ -377,7 +377,7 @@ class AffineField:
         if self.box is None:
             return np.zeros((2, z.shape[0]), dtype=bool)
         g = self.K @ z + self.k0
-        lower, upper = z <= self.box._lower_face, z >= self.box._upper_face
+        lower, upper = self.box.on_faces(z)
         active = (lower & (g <= 0.0)) | (upper & (g >= 0.0)) | (lower & upper)
         return np.stack((lower & active, upper & active))
 

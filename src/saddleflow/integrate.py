@@ -127,19 +127,24 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     with a warning if it lies outside, and every accepted state is clamped.
     Raises :class:`IntegrationError` on a non-finite state.
 
+    The config fixes the record grid: step 0, every ``record_every``-th
+    step and the last one (at the horizon after a fractional step). Every
+    path writes exactly the grid states, once each, into one array.
+
     The full RK4 steps of a field with pieces (an ``AffineField``, or the
     bound ``field`` of a ``LassoDualProx``) are taken by one map path, in
     this order of fallback. A *chunk* (``Piece.chunk``) takes L steps as one
-    product and yields every state the record grid keeps inside it. It is
-    built from the one-step map of the piece, at a record-grid step once
-    that map has taken a step, and tried at each step where it fits the
-    grid. Where its sign test fails, or an output is not finite, one-step
-    maps take the steps one by one up to the end of that chunk. A one-step
-    map (``Piece.step_map``, the chunk of L = 1) that fails its test sends
-    the run to the field's piece at the state; a new piece has its map
-    built and tried once, and where that fails too, or the piece is not
-    new, the 4-stage step is taken. A new piece drops the chunk. Euler, the
-    fractional last step and any other field take 4-stage steps.
+    product, L a multiple or a divisor of ``record_every``. It is built from
+    the one-step map of the piece, at a grid step once that map has taken a
+    step, and tried where it starts on the grid or at a multiple of L, so
+    its output rows are grid states. Where its sign test fails, or an output
+    is not finite, one-step maps take the steps one by one up to the end of
+    that chunk. A one-step map (``Piece.step_map``, the chunk of L = 1) that
+    fails its test sends the run to the field's piece at the state; a new
+    piece has its map built and tried once, and where that fails too, or
+    the piece is not new, the 4-stage step is taken. A new piece drops the
+    chunk. Euler, the fractional last step and any other field take 4-stage
+    steps.
     """
     z = np.atleast_1d(np.asarray(z0, dtype=float)).copy()
     if z.shape != (flow.dim,):
@@ -184,7 +189,12 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
             k4 = field(z + hi * k3)
         return z + (hi / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
-    marks, blocks = [0], [z[None].copy()]  # recorded step numbers and states
+    # the record grid; the row of grid step i is ceil(i / every)
+    times = np.append(np.arange(0, n_steps, every), n_steps) * h
+    if has_rem:
+        times[-1] = config.horizon
+    states = np.empty((times.shape[0], z.shape[0]))
+    states[0] = z
     i = 0
     while i < n_steps:
         taken = None  # the map that takes the next steps
@@ -214,14 +224,13 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
             records = taken.records
             rows = out.reshape(len(records), -1)
             if wrapped:
-                walk, p = [], z
+                walk, p = np.empty_like(rows), z
                 for j in range(1, records[-1] + 1):
                     p = stages(p, h)
                     if j < records[-1] and clamp is not None:
                         p = clamp(p)
                     if j % every == 0 or j == records[-1]:  # the steps of ``records``
-                        walk.append(p)
-                walk = np.array(walk)
+                        walk[j // every - 1] = p  # a last step short of ``every`` is row -1
                 gap = np.abs(rows - walk).max(axis=1)
                 if not np.all(gap <= 1e-12 * (1.0 + np.linalg.norm(walk, axis=1))):
                     rows = walk
@@ -229,16 +238,11 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
         if np.count_nonzero(np.isfinite(z)) != z.shape[0]:  # cheaper than .all() on short arrays
             raise IntegrationError("non-finite state encountered", i * h)  # the failing step starts at i
         if len(records) > 1:  # intermediate states: inside the box, so unclamped
-            blocks.append(rows[:-1].copy())
-            marks.extend(i + j for j in records[:-1])
+            states[i // every + 1 : i // every + len(records)] = rows[:-1]
         i += records[-1]
         if i % every == 0 or i == n_steps:
-            blocks.append(z[None].copy())
-            marks.append(i)
-    times = np.asarray(marks, dtype=float) * h
-    if has_rem:
-        times[-1] = config.horizon
-    return Trajectory(times, np.concatenate(blocks))
+            states[-(-i // every)] = z
+    return Trajectory(times, states)
 
 
 def _piece_owner(field) -> tuple:
@@ -330,7 +334,7 @@ def fit_rate(series, window: Optional[tuple] = None, c_bound: Optional[float] = 
     ss_res = float(resid @ resid)
     ss_tot = float(np.sum((logd - logd.mean()) ** 2))
     r2 = float("nan") if np.ptp(logd) < 1e-9 else 1.0 - ss_res / ss_tot
-    c_fit = float(-slope)
+    c_fit = float(-slope) + 0.0  # a flat series gives -0.0, which prints as -0
     if c_bound is None:
         verdict = "no_bound"
     else:

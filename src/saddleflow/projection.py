@@ -31,9 +31,9 @@ class FeasibleSet:
 
     lower: np.ndarray
     upper: np.ndarray
-    # Face thresholds of project_vector_field: p <= _lower_face is the lower
-    # face of the clipped point. A pinned coordinate (lower == upper) clips
-    # onto both faces from anywhere, so its thresholds are +inf and -inf.
+    # Face thresholds of on_faces and project_vector_field: p <= _lower_face is
+    # the lower face of the clipped point. A pinned coordinate (lower == upper)
+    # clips onto both faces from anywhere, so its thresholds are +inf and -inf.
     _lower_face: np.ndarray = field(init=False, repr=False, compare=False)
     _upper_face: np.ndarray = field(init=False, repr=False, compare=False)
     # False when no coordinate has a finite upper bound or is pinned: then no
@@ -96,6 +96,10 @@ class FeasibleSet:
         p = np.asarray(p, dtype=float)
         out = np.maximum(self.lower - p, p - self.upper)
         return float(max(np.max(out, initial=0.0), 0.0))
+
+    def on_faces(self, p) -> np.ndarray:
+        """The stacked lower- and upper-face masks of ``np.clip(p, lower, upper)``."""
+        return np.array((p <= self._lower_face, p >= self._upper_face))
 
     def clamp(self, p) -> np.ndarray:
         """Element-wise clamp of ``p`` onto the box, without validation.

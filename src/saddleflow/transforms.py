@@ -421,11 +421,6 @@ def lasso_reformulate(
     return f, A, FeasibleSet.stack(FeasibleSet.free(n), FeasibleSet.nonnegative(2 * n))
 
 
-def _face_key(y: np.ndarray, feasible: FeasibleSet) -> np.ndarray:
-    """The lower- and upper-face masks of a point of the box, stacked."""
-    return np.stack((y <= feasible.lower, y >= feasible.upper))
-
-
 def _active_set_map(transform: "LassoDualProx", y: np.ndarray, z) -> Piece:
     """The Lasso dual-prox field's piece on the active set of the box-QP maximizer ``y`` at z.
 
@@ -447,7 +442,7 @@ def _active_set_map(transform: "LassoDualProx", y: np.ndarray, z) -> Piece:
     base, rho, D, box = transform.base, transform.rho, transform._dual_hess.matrix, transform._feasible
     n, m, dim = base.n, base.m, base.dim
     H = base.hessian
-    faces = _face_key(y, box)
+    faces = box.on_faces(y)
     (at_lower, at_upper), free = faces, ~faces.any(axis=0)
     gx0 = base.grad_x(np.zeros(n), np.zeros(m))
     gy0 = base.grad_y(np.zeros(n), np.zeros(m))
@@ -555,7 +550,7 @@ class LassoDualProx:
             return None
         if not slot or slot[0](z) is None:
             y = self.maximizer(z[: self.base.n], z[self.base.n :])
-            if not slot or _face_key(y, self._feasible).tobytes() != slot[0].key:
+            if not slot or self._feasible.on_faces(y).tobytes() != slot[0].key:
                 slot[:] = [_active_set_map(self, y, z)]
         return slot[0]
 

@@ -276,6 +276,21 @@ def test_report_states_why_the_certificate_is_skipped(tmp_path, monkeypatch):
     assert "max_bracket_violation=" not in report
 
 
+def test_report_warns_when_the_certificate_vanishes_but_the_residual_does_not(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    import saddleflow.cli as cli
+
+    evaluate = cli.cert.eval_certificate
+    monkeypatch.setattr(
+        cli.cert, "eval_certificate", lambda *a, **k: replace(evaluate(*a, **k), observability_violated=True)
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, "quad.ini", QUADRATIC)), "--output-dir", str(out), "--quiet"]) == 0
+    lines = (out / "report.txt").read_text().splitlines()
+    assert "WARNING: certificate vanished while the flow residual did not" in lines
+
+
 def test_report_without_equilibrium_gives_reasons(tmp_path):
     text = (CONFIGS / "separable_reduced.ini").read_text().replace("horizon = 40", "horizon = 0.1")
     cfg = _write(tmp_path, "reduced_short.ini", text)
@@ -427,6 +442,12 @@ def test_bad_algorithm_or_problem_data_is_config_error(tmp_path, capsys, config,
         ("quadratic_standard.ini", "seed = 7", "seed = 7\nz0 = nan 1 1 1 1",
          "bad vector 'nan 1 1 1 1': entries must be finite"),
         ("qp_proximal.ini", "p = 0 0", "p = 0 inf", "bad vector '0 inf': entries must be finite"),
+        # branches no other test reached
+        ("lp_augmented.ini", "a = -1 0; 0 -1; 1 1", "a = -1 0; 0 -1; 1", "ragged matrix '-1 0; 0 -1; 1'"),
+        ("lp_augmented.ini", "seed = 0", "seed = 0\n[experiment]", "section 'experiment' already exists"),
+        ("lp_augmented.ini", "kind = augmented\n", "", "[algorithm] needs a 'kind' key"),
+        ("lp_augmented.ini", "kind = lp", "kind = lq", "unknown problem kind 'lq'"),
+        ("lp_augmented.ini", "step = 0.01", "step = fast", "key 'step' must be a number, got 'fast'"),
     ],
 )
 def test_every_config_error_names_its_config(tmp_path, capsys, config, old, new, message):

@@ -264,7 +264,7 @@ def test_a_new_piece_that_fails_its_own_rows_gives_the_oracle_field():
     field = declared.field(z)
     assert field.tobytes() == sf.standard_flow(declared.problem).field(z).tobytes()
     piece = declared._slot[0]
-    assert piece.key == transforms._face_key(y, box).tobytes() and piece.faces[0, j]
+    assert piece.key == box.on_faces(y).tobytes() and piece.faces[0, j]
     assert piece(z) is None  # the slot holds the new piece, which fails its own rows at z
 
 

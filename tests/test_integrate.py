@@ -174,6 +174,12 @@ def test_fit_rate_constant_series():
     assert rep.c_fit == pytest.approx(0.0, abs=1e-12)
 
 
+def test_fit_rate_of_a_series_that_never_changes_is_plus_zero():
+    # ln 1 = 0 at every time: the slope is 0.0, and its negation printed as -0
+    rep = sf.fit_rate(np.column_stack((np.arange(5.0), np.ones(5))))
+    assert rep.c_fit == 0.0 and not np.signbit(rep.c_fit)
+
+
 def test_fit_rate_decoupled_quadratic_exact():
     # B = 0 decouples the blocks into plain linear decays at rates mu and q
     flow = sf.standard_flow(sf.make_quadratic_saddle(1.0, 2.0, [[0.0]]))

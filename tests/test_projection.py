@@ -228,6 +228,17 @@ def test_clamp_is_np_clip_bit_for_bit(coords, shifts):
         assert _same_bits(project_point(fs, point), np.clip(point, lower, upper))
 
 
+@settings(max_examples=500, deadline=None)
+@given(coords=st.lists(_box_coordinate(), min_size=1, max_size=8))
+def test_on_faces_are_the_faces_of_the_clipped_point(coords):
+    lower, upper, p = (np.array(col, dtype=float) for col in zip(*coords))
+    fs = FeasibleSet(lower, upper)
+    clipped = np.clip(p, lower, upper)
+    # a clipped coordinate is on a face where it equals the bound, a pinned one on both
+    assert np.array_equal(fs.on_faces(clipped), np.stack((clipped <= lower, clipped >= upper)))
+    assert np.array_equal(fs.on_faces(p), fs.on_faces(clipped))
+
+
 def test_bounds_are_read_only_copies():
     lower, upper = np.array([0.0, 1.0]), np.array([1.0, 1.0])
     fs = FeasibleSet(lower, upper)

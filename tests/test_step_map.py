@@ -331,6 +331,35 @@ def test_a_replaced_field_is_integrated_not_the_stale_map(monkeypatch):
     assert np.array_equal(sf.integrate(twice, z0, config).states, traj.states)
 
 
+@pytest.mark.parametrize("cap, divisor", [(flows.CHUNK_MAX_ENTRIES, False), (2**10, True)])
+def test_a_wrapped_field_records_the_grid_states_of_its_run(monkeypatch, cap, divisor):
+    # 11.23 is 224 steps of 0.05 and a fractional one, and still far from
+    # the equilibrium. Chunks record every 10th state inside them; a cap of
+    # 2**10 entries leaves chunks of 2 or 5 steps, divisors of record_every,
+    # that record only their last state.
+    flow, z0 = _walk_flow(1)
+    config = sf.IntegratorConfig(step=0.05, horizon=11.23, record_every=10)
+    monkeypatch.setattr(flows, "CHUNK_MAX_ENTRIES", cap)
+    taken = _maps_taken(monkeypatch)
+    plain = sf.integrate(flow, z0, config)
+    chunks = {amap.records for amap, _, _ in taken if amap.records[-1] > 1}
+    assert chunks and all((records[-1] < 10) == divisor for records in chunks)
+    grid = np.append(np.arange(0, 225, 10), 225) * 0.05
+    grid[-1] = 11.23
+    assert np.array_equal(plain.times, grid)
+
+    def wrapped(scale):
+        def field(z):
+            return scale * flow.field(z)
+
+        return replace(flow, field=functools.update_wrapper(field, flow.field))
+
+    # a pass-through wrapper keeps the map's states, any other records its own run
+    assert sf.integrate(wrapped(1.0), z0, config).states.tobytes() == plain.states.tobytes()
+    doubled = replace(flow, field=lambda z: 2 * flow.field(z))
+    assert np.array_equal(sf.integrate(wrapped(2.0), z0, config).states, sf.integrate(doubled, z0, config).states)
+
+
 # ---------------------------------------------------------------------------
 # Lasso pieces: the dual-prox field on one active set of its inner box QP
 
