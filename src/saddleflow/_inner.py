@@ -16,7 +16,7 @@ gradient oracle only to start and to confirm convergence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -175,7 +175,7 @@ def projected_concave_max(
     tol: float = INNER_TOL,
     max_iters: int = 100,
     *,
-    constant_hess: Union[np.ndarray, ConstantHessian, None] = None,
+    constant_hess: Optional[ConstantHessian] = None,
 ) -> np.ndarray:
     """Maximize a strongly concave function over a box.
 
@@ -186,8 +186,8 @@ def projected_concave_max(
     (the element-wise vector field projection of the gradient) has norm
     below ``tol``.
 
-    ``constant_hess`` is the Hessian of a concave quadratic, as a matrix or
-    as a :class:`ConstantHessian` that keeps its free-block inverse between
+    ``constant_hess`` is the Hessian of a concave quadratic, as a
+    :class:`ConstantHessian` that keeps its free-block inverse between
     solves. A start point whose projected gradient is already below ``tol``
     is returned as it is. Otherwise the solve guesses the active set: the
     coordinates on a face at the start point stay there and the rest take
@@ -200,8 +200,6 @@ def projected_concave_max(
     ends only once the projected gradient of the oracle is below ``tol``.
     """
     if constant_hess is not None:
-        if not isinstance(constant_hess, ConstantHessian):
-            constant_hess = ConstantHessian(constant_hess)
         return _box_qp_max(grad, feasible, y0, constant_hess, tol, max_iters)
     y = feasible.clamp(np.asarray(y0, dtype=float))
     nres = np.inf

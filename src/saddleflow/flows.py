@@ -156,14 +156,11 @@ class Piece:
 
     ``faces`` stacks the active set's lower- and upper-face masks, and their
     bytes are the ``key``. A field exposes its piece at a state z:
-    ``AffineField.piece`` from K and the box faces at z,
-    ``LassoDualProx.piece`` from the active set of its inner box QP. With a
-    ``box``, the field is projected onto it: ``faces`` are the state's own,
-    the field is zero on the active set, and the builder adds the box's
-    rows. Without one, calling the piece at z gives M z + m where its signed
-    rows hold, in one product of the stacked rows ``W``. ``step_map`` turns
-    the piece into the map of one RK4 step, and ``chunk`` composes that map
-    into runs of steps.
+    ``AffineField.piece`` from K and the faces of its box at z,
+    ``LassoDualProx.piece`` from the active set of its inner box QP. Calling
+    the piece at z gives M z + m where its signed rows hold, in one product
+    of the stacked rows ``W``. ``step_map`` turns the piece into the map of
+    one RK4 step, and ``chunk`` composes that map into runs of steps.
     """
 
     faces: np.ndarray
@@ -172,7 +169,6 @@ class Piece:
     G: np.ndarray
     g: np.ndarray
     floor: np.ndarray
-    box: Optional[FeasibleSet] = None
 
     @property
     def key(self) -> bytes:
@@ -192,96 +188,53 @@ class Piece:
         """[m; g], the offsets of ``W``."""
         return np.concatenate((self.m, self.g))
 
-    # M z + m when every signed row is >= its floor at z, else None: the same
-    # test as a map's, and not projected (a piece on a box is its field's to evaluate)
+    # M z + m when every signed row is >= its floor at z, else None: the same test as a map's
     __call__ = AffineMap.__call__
 
     def step_map(self, z, h: float) -> AffineMap:
         """One RK4 step of size h on this piece, checked at z.
 
-        With the field zeroed on the active set A (with a box), the step is
-        z -> R z + r with R = I + hN + (hN)^2/2 + (hN)^3/6 + (hN)^4/24 for
-        N = M off A (Hairer, Norsett & Wanner, *Solving ODEs I*, IV.2); its
-        rows on A are e_i with r_i = 0. The signed rows hold exactly where the
-        4-stage step (projected and clamped, with a box) is this map: the
-        piece's rows at all four stage points z, p2, p3, p4; with a box, also
-        every free coordinate with a finite bound strictly inside it at p2,
-        p3, p4, and every coordinate of A on its face at z, with M p + m
-        pointing out of it or zero at all four stages. The next state needs
-        no row, since both paths clamp it. ``ValueError`` if the map's rows at
-        z are off the 4-stage arithmetic there by more than ``_PROBE_TOL``
-        relative.
+        The step is z -> R z + r with R = I + hM + (hM)^2/2 + (hM)^3/6 +
+        (hM)^4/24 (Hairer, Norsett & Wanner, *Solving ODEs I*, IV.2). Its
+        signed rows are the piece's own rows at the four stage points z, p2,
+        p3 and p4, and they hold exactly where the 4-stage step, with its
+        projection and clamps, is this map. A stage row that equals the same
+        row at z, such as a face that the stages hold fixed, is kept once.
+        The next state needs no row, since both paths clamp it.
+        ``ValueError`` if the map's rows at z are off the 4-stage arithmetic
+        there by more than ``_PROBE_TOL`` relative.
         """
         dim = z.shape[0]
-        rows, floor = self._step_rows(np.eye(dim + 1), h)
-        amap = AffineMap(dim, rows[:, :dim].copy(), rows[:, dim].copy(), floor)
-        expected = self._step_rows(np.append(z, 1.0)[:, None], h)[0][:, 0]
+        state, stages = self._step_rows(np.eye(dim + 1), h)
+        keep = np.ones(stages.shape[:2], dtype=bool)
+        keep[1:] = (stages[1:] != stages[0]).any(axis=2)
+        rows = np.concatenate((state, stages[keep]))
+        amap = AffineMap(dim, rows[:, :dim].copy(), rows[:, dim].copy(), np.tile(self.floor, 4)[keep.ravel()])
+        at_z, stages_at_z = self._step_rows(np.append(z, 1.0)[:, None], h)
+        expected = np.concatenate((at_z, stages_at_z[keep]))[:, 0]
         _check(amap.W, amap.w, z, expected, "RK4 step map off the 4-stage step at its build state")
         return amap
 
     def _step_rows(self, p, h: float) -> tuple:
-        """(rows, floor) of the step map applied to p, in homogeneous coordinates.
+        """(next state, signed rows at the four stage points) of the step map applied to p.
 
-        p is the identity of dim + 1, which gives [W | w], or a state with a
-        trailing 1 as one column, which gives W @ z + w: both run the same
-        4-stage arithmetic.
+        p is the identity of dim + 1, which gives [R | r] and the stages'
+        [G | g] products, or a state with a trailing 1 as one column, which
+        gives their values at that state: both run the same 4-stage
+        arithmetic, in homogeneous coordinates. The signed rows have shape
+        (4, rows of G, columns of p).
         """
-        dim, cols = self.M.shape[0], p.shape[1]
-        raw = np.zeros((dim + 1, dim + 1))  # (z, 1) -> (M z + m, 0)
-        raw[:dim, :dim], raw[:dim, dim] = self.M, self.m
-        moving = raw
-        if self.box is not None:
-            moving = np.where(np.append(self.faces.any(axis=0), True)[:, None], 0.0, raw)
+        dim = self.M.shape[0]
+        field = np.zeros((dim + 1, dim + 1))  # (z, 1) -> (M z + m, 0)
+        field[:dim, :dim], field[:dim, dim] = self.M, self.m
         points, slopes = [p], []
         for c in (0.5 * h, 0.5 * h, h, None):
-            slopes.append(moving @ points[-1])
+            slopes.append(field @ points[-1])
             if c is not None:
                 points.append(p + c * slopes[-1])
         k1, k2, k3, k4 = slopes
-        rows = [(p + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))[:dim]]
-        floor = [np.zeros(0)]  # no signed row without a box or rows of the piece
-        if self.box is not None:
-            lower, upper, lower_floor, upper_floor = self._inside
-            stages = np.stack(points[1:])  # p2, p3, p4
-            on_lower = np.flatnonzero(self.faces[0] & ~self.faces[1])
-            on_upper = np.flatnonzero(self.faces[1] & ~self.faces[0])
-            g = raw[np.concatenate((on_lower, on_upper))] @ np.stack(points)  # M p + m at the four stages
-            rows += [
-                stages[:, lower].reshape(-1, cols),
-                -stages[:, upper].reshape(-1, cols),
-                -p[on_lower],
-                p[on_upper],
-                -g[:, : on_lower.shape[0]].reshape(-1, cols),
-                g[:, on_lower.shape[0] :].reshape(-1, cols),
-            ]
-            floor += [
-                np.tile(lower_floor, 3),
-                np.tile(upper_floor, 3),
-                -self.box.lower[on_lower],
-                self.box.upper[on_upper],
-                np.zeros(4 * (on_lower.shape[0] + on_upper.shape[0])),
-            ]
-        if self.G.shape[0]:  # the piece's own rows, at all four stages
-            rows.append((np.column_stack((self.G, self.g)) @ np.stack(points)).reshape(-1, cols))
-            floor.append(np.tile(self.floor, 4))
-        return np.concatenate(rows), np.concatenate(floor)
-
-    @cached_property
-    def _inside(self) -> tuple:
-        """(lower, upper, lower floor, upper floor) of the box's inside rows.
-
-        ``lower`` and ``upper`` are the free coordinates with a finite lower
-        and a finite upper bound; ``z[lower] >= lower floor`` and
-        ``-z[upper] >= upper floor`` keep them strictly inside. All four are
-        empty without a box.
-        """
-        if self.box is None:
-            none = np.zeros(0, dtype=np.intp)
-            return none, none, np.zeros(0), np.zeros(0)
-        free = ~self.faces.any(axis=0)
-        lo, up = self.box.lower, self.box.upper
-        lower, upper = np.flatnonzero(free & (lo > -np.inf)), np.flatnonzero(free & (up < np.inf))
-        return lower, upper, np.nextafter(lo[lower], np.inf), np.nextafter(-up[upper], np.inf)
+        state = (p + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))[:dim]
+        return state, np.column_stack((self.G, self.g)) @ np.stack(points)
 
     def chunk(self, amap: AffineMap, z, every: int, room: int) -> AffineMap:
         """The longest chunk of this piece's one-step map ``amap`` that fits, checked at z.
@@ -292,11 +245,9 @@ class Piece:
         or at j = L alone (L a divisor of it), so a chunk that starts on the
         record grid, or at a multiple of L, gives exactly the states the grid
         records, and its last. Its signed rows are each step's signed rows at
-        T^j (j = 0..L-1), then, at every intermediate state (j = 1..L-1), the
-        box's rows that keep each free coordinate strictly inside its bounds,
-        as the stage points already are. Where they pass, every one of the L
-        one-step maps passes at its state and the per-step clamp changes no
-        intermediate state: the chunk stays on this piece.
+        T^j (j = 0..L-1). Where they pass, every one of the L one-step maps
+        passes at its state: each intermediate state lies on this piece, so
+        the per-step clamp changes none of them.
 
         L is at most ``room`` and the largest such that the chunk holds at
         most ``CHUNK_MAX_ENTRIES`` entries, rows x (dim + 1), unless equal
@@ -307,25 +258,21 @@ class Piece:
         one before, by more than ``_PROBE_TOL`` relative.
         """
         dim, signed = amap.dim, amap.floor.shape[0]
-        lower, upper, lower_floor, upper_floor = self._inside
-        inner, inner_floor = np.concatenate((lower, upper)), np.concatenate((lower_floor, upper_floor))
-        sign = np.concatenate((np.ones(lower.shape[0]), -np.ones(upper.shape[0])))[:, None]
-        steps = _chunk_steps(dim, signed, inner.shape[0], every, room)
+        steps = _chunk_steps(dim, signed, every, room)
         if steps == 1:
             return amap
         records = tuple(range(every, steps + 1, every)) if steps >= every else (steps,)
-        c, k, b = dim + 1, len(records), inner.shape[0]
-        cut = (k * dim, k * dim + steps * signed)  # output rows, then signed rows, then inner rows
+        c, k = dim + 1, len(records)
+        cut = k * dim  # output rows, then signed rows
         T = np.zeros((c, c))
         T[:dim, :dim], T[:dim, dim], T[dim, dim] = amap.W[:dim], amap.w[:dim], 1.0
         S = np.column_stack((amap.W[dim:], amap.w[dim:]))
 
         def rows(powers):  # (L + 1, c, cols): T^j p for j = 0..L; filled in place, no temporaries
             cols = powers.shape[2]
-            out = np.empty((cut[1] + (steps - 1) * b, cols))
-            out[: cut[0]].reshape(k, dim, cols)[...] = powers[records[0] :: every, :dim]
-            np.matmul(S, powers[:steps], out=out[cut[0] : cut[1]].reshape(steps, signed, cols))
-            np.multiply(sign, powers[1:steps, inner], out=out[cut[1] :].reshape(steps - 1, b, cols))
+            out = np.empty((cut + steps * signed, cols))
+            out[:cut].reshape(k, dim, cols)[...] = powers[records[0] :: every, :dim]
+            np.matmul(S, powers[:steps], out=out[cut:].reshape(steps, signed, cols))
             return out
 
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries are caught below
@@ -341,7 +288,7 @@ class Piece:
             expected = rows(np.concatenate((states[:1], states[:-1] @ T.T))[:, :, None])[:, 0]
         if not (np.isfinite(expected).all() and np.isfinite(full).all()):
             return amap  # the state leaves the finite numbers: one-step maps find where
-        floor = np.concatenate((np.tile(amap.floor, steps), np.tile(inner_floor, steps - 1)))
+        floor = np.tile(amap.floor, steps)
         chunk = AffineMap(k * dim, full[:, :dim], full[:, dim].copy(), floor, records=records)
         _check(chunk.W, chunk.w, z, expected, f"RK4 chunk of {steps} steps off its step map at its build state")
         return chunk
@@ -353,9 +300,9 @@ class AffineField:
 
     ``standard_flow`` builds it of a declared Hessian and ``projected_flow``
     sets its box. ``integrate`` takes its full RK4 steps as ``AffineMap``
-    products of its ``piece`` at the state: chunks of several steps
-    (``Piece.chunk``) where they pass their sign test, else one-step maps
-    (``Piece.step_map``).
+    products of its ``piece`` at the state, whose signed rows hold the
+    box's faces: chunks of several steps (``Piece.chunk``) where they pass
+    their sign test, else one-step maps (``Piece.step_map``).
     """
 
     K: np.ndarray
@@ -382,9 +329,33 @@ class AffineField:
         return np.stack((lower & active, upper & active))
 
     def piece(self, z) -> Piece:
-        """The piece at z: K z + k0, projected onto the box, on the active set at z (``faces``)."""
-        none = np.zeros(0)
-        return Piece(self.faces(z), self.K, self.k0, np.zeros((0, z.shape[0])), none, none, self.box)
+        """The piece at z: K z + k0 projected onto the box, on the active set A at z (``faces``).
+
+        M and m are K and k0 with the rows of A zeroed. The box's faces
+        become signed rows: each free coordinate with a finite bound lies
+        strictly inside it (floor the next float past the bound), and each
+        coordinate of A on one face only sits on that face, with its raw
+        field K z + k0 pointing out of it or zero. A pinned coordinate needs
+        no row. Wherever the rows hold, M z + m is the projected field, and
+        a step map's rows on A are e_i, so a map step never moves them.
+        """
+        faces = self.faces(z)
+        active = faces.any(axis=0)
+        M, m = np.where(active[:, None], 0.0, self.K), np.where(active, 0.0, self.k0)
+        if self.box is None:
+            return Piece(faces, M, m, np.zeros((0, z.shape[0])), np.zeros(0), np.zeros(0))
+        eye, lo, up = np.eye(z.shape[0]), self.box.lower, self.box.upper
+        lower, upper = np.flatnonzero(~active & (lo > -np.inf)), np.flatnonzero(~active & (up < np.inf))
+        on_lower, on_upper = np.flatnonzero(faces[0] & ~faces[1]), np.flatnonzero(faces[1] & ~faces[0])
+        held = on_lower.shape[0] + on_upper.shape[0]
+        # z_i > lo_i and -z_i > -up_i inside; -z_i >= -lo_i or z_i >= up_i on a
+        # face, with the raw field -(K z + k0)_i or (K z + k0)_i >= 0 there
+        bounds = (eye[lower], -eye[upper], -eye[on_lower], eye[on_upper])
+        G = np.concatenate(bounds + (-self.K[on_lower], self.K[on_upper]))
+        g = np.concatenate((np.zeros(G.shape[0] - held), -self.k0[on_lower], self.k0[on_upper]))
+        inside = np.nextafter(np.concatenate((lo[lower], -up[upper])), np.inf)
+        floor = np.concatenate((inside, -lo[on_lower], up[on_upper], np.zeros(held)))
+        return Piece(faces, M, m, G, g, floor)
 
 
 def _scale(W: np.ndarray, w: np.ndarray, z) -> float:
@@ -406,16 +377,15 @@ def _check(W: np.ndarray, w: np.ndarray, z, expected: np.ndarray, what: str) -> 
         raise ValueError(f"{what} by {gap:.3e}")
 
 
-def _chunk_steps(dim: int, signed: int, bounded: int, every: int, room: int) -> int:
+def _chunk_steps(dim: int, signed: int, every: int, room: int) -> int:
     """The most steps L <= room of a chunk that fits ``CHUNK_MAX_ENTRIES``.
 
     L is a multiple of ``every`` or a divisor of it. The chunk has
-    k dim + L signed + (L - 1) bounded rows of dim + 1 entries, for k
-    output states: L / every, or 1 when L < every.
+    k dim + L signed rows of dim + 1 entries, for k output states: L /
+    every, or 1 when L < every.
     """
-    budget = CHUNK_MAX_ENTRIES // (dim + 1) + bounded  # for k dim + L (signed + bounded) rows
-    per_step = signed + bounded
-    m = min(budget // (dim + every * per_step), room // every)
+    budget = CHUNK_MAX_ENTRIES // (dim + 1)  # rows
+    m = min(budget // (dim + every * signed), room // every)
     if m >= 1:
         whole = room // every  # record intervals in the room
         chunks = -(-whole // m)
@@ -423,7 +393,7 @@ def _chunk_steps(dim: int, signed: int, bounded: int, every: int, room: int) -> 
             m = whole // chunks
         return m * every
     divisors = [d for k in range(1, math.isqrt(every) + 1) if every % k == 0 for d in (k, every // k)]
-    fitting = [d for d in divisors if d < every and d <= room and dim + d * per_step <= budget]
+    fitting = [d for d in divisors if d < every and d <= room and dim + d * signed <= budget]
     return max(fitting, default=1)
 
 

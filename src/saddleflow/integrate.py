@@ -143,8 +143,10 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     fails its test sends the run to the field's piece at the state; a new
     piece has its map built and tried once, and where that fails too, or
     the piece is not new, the 4-stage step is taken. A new piece drops the
-    chunk. Euler, the fractional last step and any other field take 4-stage
-    steps.
+    chunk. A step from a state where a free coordinate sits on its face,
+    with its field pointing inward, fails the map's inside rows at that
+    state and is a 4-stage step. Euler, the fractional last step and any
+    other field take 4-stage steps.
     """
     z = np.atleast_1d(np.asarray(z0, dtype=float)).copy()
     if z.shape != (flow.dim,):
@@ -168,8 +170,9 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     field = flow.field
     clamp = fs.clamp if fs is not None else None
     # A wrapper of a field with pieces (``__wrapped__``, as functools.wraps
-    # sets) is evaluated at all four stages, and keeps the map's states where
-    # the two agree: a pass-through wrapper records the same run, any other its own.
+    # sets) is evaluated at all four stages, and keeps the map's states while
+    # the two agree: a pass-through wrapper records the same run. From the
+    # first block where they differ, the run is the wrapper's own, in 4-stage steps.
     owner, wrapped = _piece_owner(field) if config.method == "rk4" else (None, False)
     piece = amap = chunk = None  # the run's piece, its one-step map, and the chunk built from it
     held = False  # the one-step map took the last step
@@ -233,7 +236,7 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
                         walk[j // every - 1] = p  # a last step short of ``every`` is row -1
                 gap = np.abs(rows - walk).max(axis=1)
                 if not np.all(gap <= 1e-12 * (1.0 + np.linalg.norm(walk, axis=1))):
-                    rows = walk
+                    rows, owner = walk, None
         z = rows[-1] if clamp is None else clamp(rows[-1])
         if np.count_nonzero(np.isfinite(z)) != z.shape[0]:  # cheaper than .all() on short arrays
             raise IntegrationError("non-finite state encountered", i * h)  # the failing step starts at i

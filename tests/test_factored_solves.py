@@ -282,7 +282,7 @@ def test_guessed_face_with_an_inward_gradient_falls_back(monkeypatch):
 
     steps = _counting_newton_steps(monkeypatch)
     y = inner_mod.projected_concave_max(
-        None, grad, feasible, np.array([0.0, 2.0]), None, tol=1e-12, constant_hess=H
+        None, grad, feasible, np.array([0.0, 2.0]), None, tol=1e-12, constant_hess=inner_mod.ConstantHessian(H)
     )
     guess = points[1]
     assert guess[0] == 0.0 and guess[1] > 0.0  # the free step, inside the box
@@ -307,7 +307,8 @@ def test_free_step_leaving_the_box_falls_back(monkeypatch):
         return H @ y + c
 
     steps = _counting_newton_steps(monkeypatch)
-    y = inner_mod.projected_concave_max(None, grad, feasible, y0, None, tol=1e-12, constant_hess=H)
+    model = inner_mod.ConstantHessian(H)
+    y = inner_mod.projected_concave_max(None, grad, feasible, y0, None, tol=1e-12, constant_hess=model)
     assert steps
     assert all(feasible.contains(p) for p in points)  # no oracle call outside the box
     assert np.linalg.norm(sf.project_vector_field(feasible, y, grad(y))) <= 1e-12
@@ -382,7 +383,7 @@ def test_box_qp_confirms_convergence_at_the_oracle():
     value = lambda y: 0.5 * float(y @ (H @ y)) + float(c @ y)
     exact = inner_mod.projected_concave_max(value, grad, feasible, np.zeros(4), lambda y: H, tol=1e-12)
     y = inner_mod.projected_concave_max(
-        value, grad, feasible, np.zeros(4), None, tol=1e-12, constant_hess=1.1 * H
+        value, grad, feasible, np.zeros(4), None, tol=1e-12, constant_hess=inner_mod.ConstantHessian(1.1 * H)
     )
     assert np.linalg.norm(sf.project_vector_field(feasible, y, grad(y))) <= 1e-12
     assert np.abs(y - exact).max() <= 1e-11
@@ -403,7 +404,7 @@ def test_box_qp_never_calls_value_or_hess():
         raise AssertionError("called")
 
     y = inner_mod.projected_concave_max(
-        refuse, grad, sf.FeasibleSet.nonnegative(3), np.ones(3), refuse, constant_hess=H
+        refuse, grad, sf.FeasibleSet.nonnegative(3), np.ones(3), refuse, constant_hess=inner_mod.ConstantHessian(H)
     )
     assert np.all(y >= 0.0)
     assert len(grads) <= 3  # start, then one confirmation per model convergence

@@ -166,7 +166,7 @@ def test_a_perturbed_step_map_fails_its_build_state_check(monkeypatch, row):
         sf.integrate(flow, z, sf.IntegratorConfig(step=0.05, horizon=1.0))
 
 
-@pytest.mark.parametrize("row", ["final state", "intermediate state", "signed", "inner bound"])
+@pytest.mark.parametrize("row", ["final state", "intermediate state", "signed", "last signed"])
 def test_a_perturbed_chunk_fails_its_build_state_check(monkeypatch, row):
     flow, z0 = _walk_flow(1)
     traj = sf.integrate(flow, z0, sf.IntegratorConfig(step=0.05, horizon=3.0))
@@ -176,12 +176,12 @@ def test_a_perturbed_chunk_fails_its_build_state_check(monkeypatch, row):
     piece = field.piece(z)
     amap = piece.step_map(z, 0.05)
     chunk = piece.chunk(amap, z, 1, 6)  # unperturbed, it passes
-    assert chunk.records == (1, 2, 3, 4, 5, 6) and chunk.floor.shape[0] > 6 * amap.floor.shape[0]
+    assert chunk.records == (1, 2, 3, 4, 5, 6) and chunk.floor.shape[0] == 6 * amap.floor.shape[0]
     build = flows.AffineMap
 
     def perturbed(dim_out, W, w, floor, records=(1,)):
         if records[-1] > 1:
-            W[{"final state": dim_out - dim, "intermediate state": 0, "signed": dim_out, "inner bound": -1}[row], k] += 1e-6
+            W[{"final state": dim_out - dim, "intermediate state": 0, "signed": dim_out, "last signed": -1}[row], k] += 1e-6
         return build(dim_out, W, w, floor, records=records)
 
     monkeypatch.setattr(flows, "AffineMap", perturbed)
@@ -360,6 +360,70 @@ def test_a_wrapped_field_records_the_grid_states_of_its_run(monkeypatch, cap, di
     assert np.array_equal(sf.integrate(wrapped(2.0), z0, config).states, sf.integrate(doubled, z0, config).states)
 
 
+def test_a_wrapper_that_changes_the_field_records_only_its_own_run():
+    # 61.23 runs the doubled field close to the equilibrium it shares with
+    # the plain one; from the first block where the wrapper's states differ
+    # from the map's, the run takes the wrapper's 4-stage steps, so no later
+    # map state agrees by chance
+    flow, z0 = _walk_flow(1)
+    config = sf.IntegratorConfig(step=0.05, horizon=61.23, record_every=10)
+
+    def field(z):
+        return 2.0 * flow.field(z)
+
+    wrapped = replace(flow, field=functools.update_wrapper(field, flow.field))
+    doubled = replace(flow, field=lambda z: 2.0 * flow.field(z))
+    assert np.array_equal(sf.integrate(wrapped, z0, config).states, sf.integrate(doubled, z0, config).states)
+
+
+def _inward_on_a_face(flow, z0):
+    """z0 with one bounded coordinate of a walk moved onto a face where its field points inward."""
+    box, field = flow.feasible, flow.field
+    for i in range(4):  # the coordinates with a finite bound
+        for bound, inward in ((box.lower[i], 1.0), (box.upper[i], -1.0)):
+            z = z0.copy()
+            z[i] = bound
+            if np.isfinite(bound) and inward * (field.K @ z + field.k0)[i] > 0.0:
+                return z, i
+    raise AssertionError("no bounded coordinate with an inward field on its face")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_free_coordinate_on_its_face_takes_the_four_stage_step(seed):
+    # the map's inside rows hold at z too, so a coordinate that sits on its
+    # face with an inward field fails the map test there, and the step is
+    # the 4-stage step's arithmetic
+    flow, z0 = _walk_flow(seed)
+    z, i = _inward_on_a_face(flow, z0)
+    h = 0.05
+    piece = flow.field.piece(z)
+    assert not piece.faces[:, i].any()  # free: the field leaves the face
+    assert piece.step_map(z, h)(z) is None
+    traj = sf.integrate(flow, z, sf.IntegratorConfig(step=h, horizon=2 * h))
+    assert np.array_equal(traj.states[1], _four_stage(flow, z, h))
+
+
+def test_a_step_map_tests_each_row_once():
+    # a held face row is the same at all four stages, so it is kept once:
+    # four rows per finite bound of a free coordinate (z, p2, p3, p4), five
+    # per coordinate held on one face (the face, the raw field at four stages)
+    held_in_all = 0
+    for name, config, flow in _shipped_affine():
+        if flow.feasible is None:
+            continue
+        z = sf.integrate(flow, flow.feasible.clamp(np.ones(flow.dim)), config).final_state
+        piece = flow.field.piece(z)
+        amap = piece.step_map(z, config.step)
+        signed = np.column_stack((amap.W[flow.dim :], amap.w[flow.dim :], amap.floor))
+        assert np.unique(signed, axis=0).shape[0] == signed.shape[0], name
+        free, box = ~piece.faces.any(axis=0), flow.feasible
+        bounds = np.count_nonzero(free & (box.lower > -np.inf)) + np.count_nonzero(free & (box.upper < np.inf))
+        held = np.count_nonzero(piece.faces[0] ^ piece.faces[1])
+        assert amap.floor.shape[0] == 4 * bounds + 5 * held, name
+        held_in_all += held
+    assert held_in_all > 0  # some final states sit on faces
+
+
 # ---------------------------------------------------------------------------
 # Lasso pieces: the dual-prox field on one active set of its inner box QP
 
@@ -422,7 +486,7 @@ def test_lasso_map_steps_and_chunks_agree_with_four_stage_steps(monkeypatch, tmp
 def test_a_perturbed_lasso_step_map_fails_its_build_state_check(monkeypatch, tmp_path, stage):
     config, flow, z0 = _lasso("shipped", tmp_path)
     piece = lasso_transform(flow).piece(z0)
-    assert piece.G.shape[0] > 0 and piece.box is None  # KKT rows, and no box rows
+    assert piece.G.shape[0] > 0  # KKT rows
     piece.step_map(z0, config.step)  # unperturbed, it passes
     build = flows.AffineMap
 
