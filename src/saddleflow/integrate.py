@@ -19,9 +19,10 @@ its inner box QP.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -99,14 +100,32 @@ class Trajectory:
         return self.states[-1]
 
     def write_csv(self, path) -> None:
-        """CSV with header t,state_0,... and 17-significant-digit values."""
+        """CSV with header t,state_0,... and each value written as ``'%.17g' % v``.
+
+        That is at most 17 significant digits with trailing zeros (and a bare
+        ``.``) dropped, in exponent form outside 1e-4 <= |v| < 1e17. A table
+        of ``_CSV_VECTOR_MIN`` values or more is written in blocks of whole
+        rows by ``_g17_text``, which computes the same bytes with numpy. It
+        leaves to ``'%.17g'`` nan, +-inf, and the values whose rounding it
+        cannot settle exactly: within 1e-6 of a midpoint where 10^(16-k) is
+        no double, or rounding up to 10^17. A smaller table is written row
+        by row.
+        """
         dim = self.states.shape[1]
-        header = "t," + ",".join(f"state_{j}" for j in range(dim))
-        line = "%.17g," + ",".join(["%.17g"] * dim) + "\n"
-        with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for t, row in zip(self.times, self.states):  # row by row: no copy of the whole array
-                fh.write(line % (t, *row.tolist()))
+        header = "t," + ",".join(f"state_{j}" for j in range(dim)) + "\n"
+        with open(path, "wb") as fh:
+            fh.write(header.encode())
+            if len(self) * (dim + 1) < _CSV_VECTOR_MIN:
+                line = b"%.17g," + b",".join([b"%.17g"] * dim) + b"\n"
+                for t, row in zip(self.times, self.states):  # row by row: no copy of the whole array
+                    fh.write(line % (t, *row.tolist()))
+                return
+            rows = max(1, _CSV_BLOCK // (dim + 1))
+            # each value's end: "," inside a row, "\n" after its last, ",\n" after a lone t
+            ends = np.tile(np.append(np.zeros(dim, np.uint8), 1 if dim else 2), rows)
+            for r0 in range(0, len(self), rows):
+                block = np.column_stack((self.times[r0 : r0 + rows], self.states[r0 : r0 + rows]))
+                fh.write(_g17_text(block.ravel(), ends[: block.size]))
 
 
 @dataclass(frozen=True)
@@ -357,3 +376,220 @@ def envelope_check(series, c: float, K: float) -> bool:
     t, d = arr[:, 0], arr[:, 1]
     bound = K * d[0] * np.exp(-c * (t - t[0])) * (1.0 + 1e-6)
     return bool(np.all(d <= bound))
+
+
+# -- trajectory.csv values ---------------------------------------------------
+#
+# CPython makes the digits of '%.17g' with dtoa's bignum path (Gay, AT&T
+# Numerical Analysis Manuscript 90-10, 1990), 0.5-1 us a value: most of the
+# time of writing a densely recorded trajectory. ``_g17_text`` computes the
+# same bytes for a block of values with numpy.
+#
+# For finite nonzero v = m 2^e with k = floor(log10 |v|), S = |v| 10^q with
+# q = 16 - k lies in [1e16, 1e17), and N = round(S) holds the 17 significant
+# digits. 10^q is tabled as a double-double (H + L) 2^F (Dekker, Numer. Math.
+# 18, 1971), and hi + lo = m (H + L) 2^(e+F) with Dekker's exact product m H.
+# k is moved by one where hi + lo falls outside [1e16, 1e17), compared
+# exactly: hi = 1e16 with lo < 0 is below it. Then N = hi + rint(lo).
+# - Where 10^q is a double (0 <= q <= 22), L = 0 and hi + lo is S exactly, so
+#   N rounds half to even as '%.17g' does (hi >= 1e16 is even).
+# - Elsewhere hi + lo is S to about 1e-31 S. A value whose S lies within 1e-6
+#   of a midpoint N + 1/2 is left to '%.17g', as are nan, +-inf and an S that
+#   rounds up to 1e17.
+
+_CSV_BLOCK = 2048  # values per block: about 0.5 MB of numpy temporaries at the peak
+# Below this many values the row loop is faster: a call of _g17_text costs
+# about 0.13 ms more, and each value 0.15-0.2 us against 0.5-0.7 us. Measured
+# crossover: 400-700 values for 4 to 52 states a record.
+_CSV_VECTOR_MIN = 640
+_Q0, _Q1 = -293, 342  # q of the tabled 10^q: k from -325 to 309
+_U8 = np.dtype("<u8")  # text words: byte i of the text is bits 8i..8i+7 on any host
+_ENDS = (b",", b"\n", b",\n")  # the byte strings that end a value
+
+
+class _G17Tables(NamedTuple):
+    pow10: np.ndarray  # (4, q): H, its high and low 26-bit halves, and L of 10^q
+    exp2: np.ndarray  # (q,) int32: F of 10^q
+    quads: np.ndarray  # (10000,) "<u4": the 4 digits of g
+    ndigits: np.ndarray  # (4, 10000) uint8: digits of N through the last nonzero one of g in group j; 0 for g = 0
+    first: np.ndarray  # (60,) words: a sign slot, "0000", digit d; d + 10 (1 + r) has "-" at byte 4 - r
+    by_exp: np.ndarray  # (3, 633) by exponent X from -324: r (X = -r in -4..-1: "0." and r - 1 zeros
+    # lead the digits; else 0), the byte the "." goes to, and the row of tail
+    tail: np.ndarray  # (634, 3) words: "" (fixed form) or "e-dd" for each X, then each of _ENDS
+    tail_len: np.ndarray  # (634, 3): the bytes of tail
+    below: np.ndarray  # (3, 24) words by "." byte: the bytes before it
+    above: np.ndarray  # (3, 24) words by "." byte: the bytes after it
+    point: np.ndarray  # (3, 24) words by "." byte: "." there
+    keep: np.ndarray  # (6 * 24 * 8, 32) bool by (start, stop, n): bytes start to stop-1 and n bytes of tail
+
+
+def _words(rows) -> np.ndarray:
+    """Rows of 24 bytes as three words each, word-major: (3, rows)."""
+    return np.ascontiguousarray(np.ascontiguousarray(rows, np.uint8).view(_U8).T)
+
+
+def _padded_words(strings) -> np.ndarray:
+    """Byte strings of at most 8 bytes as one word each."""
+    return np.frombuffer(b"".join(s.ljust(8, b"\0") for s in strings), _U8)
+
+
+@functools.lru_cache(maxsize=None)
+def _g17_tables() -> _G17Tables:
+    """The tables of ``_g17_text``, built on its first call (about 180 KB)."""
+    H, L, F = [], [], []
+    for q in range(_Q0, _Q1 + 1):
+        num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
+        f = num.bit_length() - 1 if q >= 0 else -den.bit_length()  # 2^f <= 10^q < 2^(f+1)
+        s = 120 - f
+        V = ((num << max(s + 1, 0)) // (den << max(-s - 1, 0)) + 1) >> 1  # round(10^q 2^s): 121 bits
+        h = float(V)
+        H.append(h * 2.0**-120)
+        L.append(float(V - int(h)) * 2.0**-120)
+        F.append(f)
+    H = np.array(H)
+    c = H * 134217729.0  # Veltkamp's split
+    Hh = c - (c - H)
+    g = np.arange(10000, dtype=np.int16)
+    chars = np.empty((10000, 4), np.uint8)  # the digits of g
+    last = np.zeros(10000, np.uint8)  # where its last nonzero one is, from 1; 0 for g = 0
+    for j, p10 in enumerate((1000, 100, 10, 1)):
+        chars[:, j] = g // p10 % 10
+        last[chars[:, j] != 0] = j + 1
+    first = []
+    for code in range(6):
+        for d in range(10):
+            word = bytearray(b"\x000000%d\0\0" % d)
+            if code:
+                word[5 - code] = ord("-")
+            first.append(bytes(word))
+    X = np.arange(-324, 309)
+    r = np.where((X >= -4) & (X < 0), -X, 0)
+    expo = (X < -4) | (X > 16)
+    exps = [b""] + [b"e%+03d" % x for x in X.tolist()]
+    shifts = np.array([8 * len(e) for e in exps], np.uint64)[:, None]
+    byte, at = np.arange(24), np.arange(24)[:, None]
+    keep = np.zeros((6, 24, 8, 32), bool)
+    for start in range(6):
+        for stop in range(start, 24):
+            keep[start, stop, :, start:stop] = True
+    for n in range(8):
+        keep[:, :, n, 24 : 24 + n] = True
+    return _G17Tables(
+        pow10=np.stack((H, Hh, H - Hh, np.array(L))),
+        exp2=np.array(F, np.int32),
+        quads=np.ascontiguousarray(chars + ord("0")).view("<u4").ravel(),
+        ndigits=((last + 1 + 4 * np.arange(4, dtype=np.uint8)[:, None]) * (last > 0)).astype(np.uint8),
+        first=np.frombuffer(b"".join(first), _U8),
+        by_exp=np.stack((r, np.where(r > 0, 6 - r, np.where(expo, 6, 6 + X)), np.where(expo, X + 325, 0))),
+        tail=(_padded_words(exps)[:, None] | (_padded_words(_ENDS) << shifts)).astype(_U8),
+        tail_len=(shifts // 8).astype(np.intp) + [len(e) for e in _ENDS],
+        below=_words((byte < at) * 255),
+        above=_words((byte > at) * 255),
+        point=_words((byte == at) * ord(".")),
+        keep=keep.reshape(-1, 32),
+    )
+
+
+def _g17_text(x: np.ndarray, ends: np.ndarray) -> bytes:
+    """``b"".join(b"%.17g" % v + _ENDS[c] for v, c in zip(x, ends))`` for a 1-D float array x.
+
+    Each value is laid out in a row of four words (32 bytes): a sign slot
+    and "0000" (bytes 0-4), its 17 digits (5-21), into which the "." is put
+    by moving the digits after it one byte up, and its exponent and end
+    (24-31). A mask keeps the text's bytes, and the rows are joined.
+    """
+    T = _g17_tables()
+    N, X, slow = _g17_digits(x, T)
+    neg = np.signbit(x) & ~slow
+    r, at, tail = T.by_exp.take(X + 324, axis=1)
+    W, nd = _g17_words(N, neg, r, at, T)
+    start = 5 - r - neg
+    stop = np.where(nd + 5 > at, nd + 6, at)  # with no digit after the ".", the text stops before it
+    tail = tail * 3 + ends
+    if slow.any():
+        start[slow] = stop[slow] = 5
+        tail[slow] = ends[slow]
+    T.tail.take(tail, out=W[3])
+    tail_len = T.tail_len.take(tail)
+    keep = T.keep.take((start * 24 + stop) * 8 + tail_len, axis=0)
+    text = np.ascontiguousarray(W.T).view(np.uint8)[keep].tobytes()
+    if not slow.any():
+        return text
+    cut = np.cumsum(stop - start + tail_len) - tail_len  # where each value's end starts
+    parts, done = [], 0
+    for i in np.flatnonzero(slow).tolist():
+        parts += [text[done : cut[i]], b"%.17g" % x[i]]
+        done = cut[i]
+    parts.append(text[done:])
+    return b"".join(parts)
+
+
+def _g17_digits(x: np.ndarray, T: _G17Tables) -> tuple:
+    """(N, X, slow): the 17 significant digits N and the exponent X of each x,
+    so that |x| rounds to N 10^(X-16); 0 and 0 for a zero and for ``slow``,
+    the values left to '%.17g'."""
+    a = np.abs(x)
+    finite = np.isfinite(a)
+    ok = finite & (a != 0)
+    a[~ok] = 1.0
+    m, e = np.frexp(a)
+    k = np.floor(np.log10(a)).astype(np.intp)  # may be 1 off next to a power of 10
+    hi, lo = _g17_scaled(m, e, k, T)
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    moved = np.flatnonzero(below | above)
+    if moved.size:
+        k[moved] += np.where(above[moved], 1, -1)
+        hi[moved], lo[moved] = _g17_scaled(m[moved], e[moved], k[moved], T)
+    r = np.rint(lo)
+    N = hi.astype(np.int64) + r.astype(np.int64)
+    slow = (np.abs(np.abs(lo - r) - 0.5) < 1e-6) & ((k > 16) | (k < -6))  # near a midpoint, 10^q inexact
+    slow |= (N < 10**16) | (N >= 10**17)  # S rounded up to 1e17: one digit, exponent k + 1
+    slow |= ~finite
+    ok &= ~slow
+    N[~ok] = 0
+    k[~ok] = 0
+    return N, k, slow
+
+
+def _g17_scaled(m, e, k, T: _G17Tables) -> tuple:
+    """hi + lo = m 2^e 10^(16-k), by Dekker's product of m and 10^(16-k)."""
+    i = (16 - _Q0) - k
+    H, Hh, Hl, L = T.pow10.take(i, axis=1)
+    p = m * H
+    c = m * 134217729.0
+    mh = c - (c - m)
+    ml = m - mh
+    t = ((mh * Hh - p) + mh * Hl + ml * Hh) + ml * Hl + m * L
+    hi = p + t
+    lo = t - (hi - p)
+    scale = e + T.exp2.take(i)
+    return np.ldexp(hi, scale), np.ldexp(lo, scale)
+
+
+def _g17_words(N, neg, r, at, T: _G17Tables) -> tuple:
+    """(W, nd): the (4, n) text words of each N with its "." and sign, word 3
+    left for the tail; and nd, the digits of N without its trailing zeros."""
+    n = N.shape[0]
+    G = np.empty((5, n), np.int64)  # the first digit and four groups of four
+    G[0] = N // 10**16
+    rest = N - G[0] * 10**16
+    for j, p10 in ((1, 10**12), (2, 10**8), (3, 10**4)):
+        G[j] = rest // p10
+        rest -= G[j] * p10
+    G[4] = rest
+    nd = T.ndigits.take(G[1:] + np.array([[0], [10000], [20000], [30000]])).max(axis=0)
+    np.maximum(nd, 1, out=nd)
+    W = np.empty((4, n), _U8)
+    quads = T.quads.take(G[1:]).astype(_U8)
+    T.first.take(G[0] + 10 * (neg * (1 + r)), out=W[0])
+    W[0] |= quads[0] << 48
+    W[1] = (quads[0] >> 16) | (quads[1] << 16) | (quads[2] << 48)
+    W[2] = (quads[2] >> 16) | (quads[3] << 16)
+    up = W[:3] << 8  # every byte one up
+    up[1:] |= W[:2] >> 56
+    W[:3] &= T.below.take(at, axis=1)
+    up &= T.above.take(at, axis=1)
+    W[:3] |= up
+    W[:3] |= T.point.take(at, axis=1)
+    return W, nd

@@ -1,4 +1,8 @@
+import importlib
+import math
+import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 import saddleflow as sf
 from saddleflow import flows
 from saddleflow.integrate import IntegrationError
+
+integrate_mod = importlib.import_module("saddleflow.integrate")
 
 
 def _decay_flow():
@@ -306,6 +312,31 @@ def test_clamps_match_np_clip_bit_for_bit(method):
         assert np.array_equal(np.signbit(traj.states), np.signbit(ref))
 
 
+def _near_midpoints():
+    """Positive doubles v whose 17 digits are hard to round: S = v 10^(16-k) within ~1e-15 of N + 1/2.
+
+    For v = M 2^(e-53), S = M C with C = 10^(16-k) 2^(e-53). A convergent p/q
+    of the continued fraction of 2C has |2Cq - p| < 1/q'; with p odd, M = jq
+    (j odd) puts S within j/(2q') of the midpoint jp/2. Only decades where
+    10^(16-k) is not a double are searched: there S is computed inexactly.
+    """
+    found = []
+    for k in [*range(17, 308, 5), *range(-7, -308, -5)]:
+        e = math.floor(k * math.log2(10)) + 1
+        c2 = 2 * Fraction(10) ** (16 - k) * Fraction(2) ** (e - 53)
+        x, (p0, p1, q0, q1) = c2, (0, 1, 1, 0)
+        while q1 < 1 << 53 and x.denominator != 1:
+            a = math.floor(x)
+            p0, p1, q0, q1 = p1, a * p1 + p0, q1, a * q1 + q0
+            x = 1 / (x - a)
+            for j in range(1, 64, 2):
+                if j * q1 >= 1 << 53:
+                    break
+                if j * q1 >= 1 << 52 and j * p1 % 2 and 2 * 10**16 <= j * q1 * c2 < 2 * 10**17:
+                    found.append(math.ldexp(j * q1, e - 53))
+    return found
+
+
 def test_csv_bytes_match_per_value_formatting(tmp_path):
     # the rows as first written: one f-string per value
     def reference(traj, path):
@@ -313,7 +344,12 @@ def test_csv_bytes_match_per_value_formatting(tmp_path):
         with open(path, "w", newline="\n") as fh:
             fh.write("t," + ",".join(f"state_{j}" for j in range(dim)) + "\n")
             for t, row in zip(traj.times, traj.states):
-                fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+                fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row.tolist()) + "\n")
+
+    def same_bytes(traj):
+        traj.write_csv(tmp_path / "new.csv")
+        reference(traj, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     rng = np.random.default_rng(5)
     special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, -1.0 / 3.0, 0.1]
@@ -321,10 +357,47 @@ def test_csv_bytes_match_per_value_formatting(tmp_path):
         states = rng.standard_normal((7, dim)) * 10.0 ** rng.integers(-20, 20, (7, dim))
         if dim:
             states.flat[: len(special)] = special[: states.size]
-        traj = sf.Trajectory(np.cumsum(rng.uniform(0.01, 3.0, 7)), states)
-        traj.write_csv(tmp_path / "new.csv")
-        reference(traj, tmp_path / "ref.csv")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        same_bytes(sf.Trajectory(np.cumsum(rng.uniform(0.01, 3.0, 7)), states))
+
+    # tables large enough for the block formatter, several blocks each
+    rng = np.random.default_rng(27)
+    tens = np.array([float(f"1e{j}") for j in range(-320, 309)])
+    near = np.array(_near_midpoints())
+    decimals = rng.standard_normal(2000) * 10.0 ** rng.integers(-6, 9, 2000)
+    values = np.concatenate([
+        special, [2.2250738585072014e-308, 99999999999999999.0, 9.9999999999999999e16],
+        [1e20, -1e20, 1e-299, 1e23, 0.5e-4, 1e-4, 1e16, 1e17],
+        tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        near, np.nextafter(near, 0.0), np.nextafter(near, np.inf),
+        rng.integers(-10**17, 10**17, 5000).astype(float),
+        rng.integers(-10**6, 10**6, 5000) * 0.125,
+        *(np.round(decimals, places) for places in range(17)),
+    ])
+    values = np.concatenate([values, -values])
+    bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
+    assert near.size > 500 and values.size > 10 * integrate_mod._CSV_BLOCK
+    same_bytes(sf.Trajectory(np.arange(values.size) * 0.1, values[:, None]))
+    rows = -(-bits.size // 53)
+    same_bytes(sf.Trajectory(np.cumsum(rng.uniform(1e-3, 1.0, rows)), np.resize(bits, (rows, 53))))
+    rows = 3 * integrate_mod._CSV_BLOCK
+    same_bytes(sf.Trajectory(np.cumsum(rng.uniform(1e-9, 1e9, rows)), np.empty((rows, 0))))
+
+
+def test_writing_a_trajectory_keeps_its_memory_peak_small(tmp_path):
+    # the size of the benchmark's mincostflow_canonical run: 801 records of t
+    # and 52 states. One numpy pass over the whole table peaks near 24 MB;
+    # blocks of rows keep the peak under 1 MB
+    rng = np.random.default_rng(31)
+    states = rng.standard_normal((801, 52)) * 10.0 ** rng.integers(-12, 2, (801, 52))
+    traj = sf.Trajectory(np.arange(801) * 0.05, states)
+    traj.write_csv(tmp_path / "warm.csv")  # the formatter's tables: built once per process
+    tracemalloc.start()
+    try:
+        traj.write_csv(tmp_path / "traj.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_fit_rate_of_a_flat_series_reports_no_r_squared():
