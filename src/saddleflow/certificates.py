@@ -258,12 +258,14 @@ def rate_bound_strong(mu: float, q: float) -> float:
     return min(mu, q)
 
 
-def rate_bound_proximal(mu: float, l: float, kappa: float, rho: float) -> float:
-    """Decay-rate bound min(mu*rho/(mu+rho), kappa/(l+rho)) of proximal flows."""
+def rate_bound_proximal(mu: float, l: float, kappa: float, rho: float, q: float = 0.0) -> float:
+    """Decay-rate bound min(mu*rho/(mu+rho), q + kappa/(l+rho)) of proximal flows, q the base's dual curvature."""
     _require_positive(mu=mu, l=l, kappa=kappa, rho=rho)
     if l < mu:
         raise ValueError(f"inconsistent constants: l={l} < mu={mu}")
-    return min(mu * rho / (mu + rho), kappa / (l + rho))
+    if not q >= 0:
+        raise ValueError(f"q must be >= 0, got {q}")
+    return min(mu * rho / (mu + rho), q + kappa / (l + rho))
 
 
 def optimal_rho(mu: float, l: float, kappa: float) -> tuple[float, float]:
@@ -273,7 +275,8 @@ def optimal_rho(mu: float, l: float, kappa: float) -> tuple[float, float]:
     mu*rho/(mu+rho) = kappa/(l+rho), that is of the quadratic
     mu*rho^2 + (mu*l - kappa)*rho - mu*kappa = 0, taken in the form without
     cancellation; c_star is the resulting (optimal) rate bound in closed
-    form. The bound is always strictly below mu.
+    form. The bound is always strictly below mu. The rule is for q = 0: it
+    ignores a base's dual curvature q > 0, which ``rate_bound_proximal`` adds.
     """
     _require_positive(mu=mu, l=l, kappa=kappa)
     b = mu * l - kappa

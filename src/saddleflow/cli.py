@@ -363,22 +363,15 @@ def _augmented_network(net, desc: str, algo: dict) -> RunSetup:
 
 
 def _proximal(problem: SaddleProblem, desc: str, algo: dict) -> RunSetup:
+    # of a Lagrangian over y >= 0 (a y_set), the saddle flow of the proximal
+    # surrogate is the proximal primal-dual flow, which has no certificate
     rho = _get_float(algo, "rho", 1.0)
     surrogate = proximal_surrogate(problem, rho)
+    if problem.y_set is not None:
+        return _saddle_run(surrogate.problem, desc, f"proximal_pd(rho={rho})",
+                           certificate=_not_applicable("no certificate of the proximal primal-dual flow"))
     return _saddle_run(surrogate.problem, desc, f"proximal(rho={rho})",
                        certificate=lambda z: cert.cert_proximal(surrogate, z))
-
-
-def _proximal_pd(bundle, desc: str, algo: dict) -> RunSetup:
-    # the proximal primal-dual flow is the saddle flow of the proximal surrogate
-    # of the Lagrangian f(x) + y^T(Ax - b) over y >= 0; its bound is the closed
-    # form of that flow, not min(mu, q) of the surrogate's meta
-    rho = _get_float(algo, "rho", 1.0)
-    surrogate = proximal_surrogate(qp_lagrangian(bundle), rho)
-    flow = standard_flow(surrogate.problem)
-    c_bound = cert.rate_bound_proximal(bundle.f.mu, bundle.f.l, bundle.kappa, rho)
-    return RunSetup(flow=flow, label=f"proximal_pd(rho={rho})", problem_desc=desc, c_bound=c_bound,
-                    cert_builder=_not_applicable("no certificate of the proximal primal-dual flow"))
 
 
 def _preconditioned(bundle, desc: str, algo: dict) -> RunSetup:
@@ -449,7 +442,7 @@ BUILDERS = {
     ("quadratic_saddle", "proximal"): (_proximal, ("rho",)),
     ("lp", "augmented"): (_augmented, ("rho",)),
     ("min_cost_flow", "augmented"): (_augmented_network, ("rho",)),
-    ("qp_affine", "proximal"): (_proximal_pd, ("rho",)),
+    ("qp_affine", "proximal"): (lambda bundle, desc, algo: _proximal(qp_lagrangian(bundle), desc, algo), ("rho",)),
     ("qp_affine", "preconditioned"): (_preconditioned, _PRECONDITIONED_KEYS),
     ("separable_qp", "reduced"): (_reduced, ()),
     ("separable_qp", "preconditioned"): (_preconditioned_separable, _PRECONDITIONED_KEYS),

@@ -15,8 +15,7 @@ general constraint map g. The CLI runs the affine-constraint case as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -123,16 +122,16 @@ def _affine_field(problem: SaddleProblem, oracle_field: Callable) -> "AffineFiel
     return AffineField(K, k0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineMap:
-    """``records[-1]`` RK4 steps of one piece: ``W @ z + w`` with a sign test.
+    """Affine rows ``W @ z + w`` with a sign test: ``dim`` output rows, then signed rows.
 
-    ``W`` has ``dim`` output rows, then signed rows. Calling the map at z
-    gives its output rows when every signed row is >= its ``floor``, else
-    None; NaN fails the test. The map is the one-step map of
-    ``Piece.step_map`` (``records == (1,)``) or a *chunk* of several steps
-    (``Piece.chunk``). Its output rows are the states after each step count
-    in ``records``, one state after another.
+    Calling the map at z gives its output rows when every signed row is >=
+    its ``floor``, else None; NaN fails the test. A ``Piece`` outputs field
+    values (``records == ()``). Any other map is ``records[-1]`` RK4 steps of
+    a piece, its one-step map (``Piece.step_map``) or a *chunk* of several
+    (``Piece.chunk``), and outputs the states after each step count in
+    ``records``, one after another. Maps compare and hash by identity.
     """
 
     dim: int
@@ -151,56 +150,37 @@ class AffineMap:
 
 
 @dataclass(frozen=True, eq=False)
-class Piece:
-    """A field on one active set: ``M @ z + m`` wherever ``G @ z + g >= floor``.
+class Piece(AffineMap):
+    """A field on one active set: the ``AffineMap`` of rows ``W = [M; G]`` and ``w = [m; g]``.
 
+    The field is M z + m wherever the signed rows G z + g are >= ``floor``,
+    and calling the piece at z gives it there, in one product of ``W``.
     ``faces`` stacks the active set's lower- and upper-face masks, and their
     bytes are the ``key``. A field exposes its piece at a state z:
     ``AffineField.piece`` from K and the faces of its box at z,
-    ``LassoDualProx.piece`` from the active set of its inner box QP. Calling
-    the piece at z gives M z + m where its signed rows hold, in one product
-    of the stacked rows ``W``. ``step_map`` turns the piece into the map of
-    one RK4 step, and ``chunk`` composes that map into runs of steps.
+    ``LassoDualProx.piece`` from the active set of its inner box QP.
+    ``step_map`` turns the piece into the map of one RK4 step, and ``chunk``
+    composes that map into runs of steps.
     """
 
-    faces: np.ndarray
-    M: np.ndarray
-    m: np.ndarray
-    G: np.ndarray
-    g: np.ndarray
-    floor: np.ndarray
+    records: tuple = ()
+    faces: np.ndarray = field(kw_only=True)
 
     @property
     def key(self) -> bytes:
         return self.faces.tobytes()
 
-    @property
-    def dim(self) -> int:
-        return self.M.shape[0]
-
-    @cached_property
-    def W(self) -> np.ndarray:
-        """[M; G]: the field rows, then the signed rows, for one product of both."""
-        return np.concatenate((self.M, self.G))
-
-    @cached_property
-    def w(self) -> np.ndarray:
-        """[m; g], the offsets of ``W``."""
-        return np.concatenate((self.m, self.g))
-
-    # M z + m when every signed row is >= its floor at z, else None: the same test as a map's
-    __call__ = AffineMap.__call__
-
     def step_map(self, z, h: float) -> AffineMap:
         """One RK4 step of size h on this piece, checked at z.
 
         The step is z -> R z + r with R = I + hM + (hM)^2/2 + (hM)^3/6 +
-        (hM)^4/24 (Hairer, Norsett & Wanner, *Solving ODEs I*, IV.2). Its
-        signed rows are the piece's own rows at the four stage points z, p2,
-        p3 and p4, and they hold exactly where the 4-stage step, with its
-        projection and clamps, is this map. A stage row that equals the same
-        row at z, such as a face that the stages hold fixed, is kept once.
-        The next state needs no row, since both paths clamp it.
+        (hM)^4/24 (Hairer, Norsett & Wanner, *Solving ODEs I*, IV.2), where
+        M = ``W[:dim]``; the map's own ``W[:dim]`` is R. Its signed rows are
+        the piece's own rows at the four stage points z, p2, p3 and p4, and
+        they hold exactly where the 4-stage step, with its projection and
+        clamps, is this map. A stage row that equals the same row at z, such
+        as a face that the stages hold fixed, is kept once. The next state
+        needs no row, since both paths clamp it.
         ``ValueError`` if the map's rows at z are off the 4-stage arithmetic
         there by more than ``_PROBE_TOL`` relative.
         """
@@ -221,20 +201,20 @@ class Piece:
         p is the identity of dim + 1, which gives [R | r] and the stages'
         [G | g] products, or a state with a trailing 1 as one column, which
         gives their values at that state: both run the same 4-stage
-        arithmetic, in homogeneous coordinates. The signed rows have shape
-        (4, rows of G, columns of p).
+        arithmetic, in homogeneous coordinates. [G | g] are the rows of
+        [W | w] from row ``dim`` on; the signed rows have shape (4, rows of G, columns of p).
         """
-        dim = self.M.shape[0]
-        field = np.zeros((dim + 1, dim + 1))  # (z, 1) -> (M z + m, 0)
-        field[:dim, :dim], field[:dim, dim] = self.M, self.m
+        dim = self.dim
+        slope = np.zeros((dim + 1, dim + 1))  # (z, 1) -> (M z + m, 0)
+        slope[:dim, :dim], slope[:dim, dim] = self.W[:dim], self.w[:dim]
         points, slopes = [p], []
         for c in (0.5 * h, 0.5 * h, h, None):
-            slopes.append(field @ points[-1])
+            slopes.append(slope @ points[-1])
             if c is not None:
                 points.append(p + c * slopes[-1])
         k1, k2, k3, k4 = slopes
         state = (p + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))[:dim]
-        return state, np.column_stack((self.G, self.g)) @ np.stack(points)
+        return state, np.column_stack((self.W[dim:], self.w[dim:])) @ np.stack(points)
 
     def chunk(self, amap: AffineMap, z, every: int, room: int) -> AffineMap:
         """The longest chunk of this piece's one-step map ``amap`` that fits, checked at z.
@@ -331,31 +311,31 @@ class AffineField:
     def piece(self, z) -> Piece:
         """The piece at z: K z + k0 projected onto the box, on the active set A at z (``faces``).
 
-        M and m are K and k0 with the rows of A zeroed. The box's faces
-        become signed rows: each free coordinate with a finite bound lies
-        strictly inside it (floor the next float past the bound), and each
-        coordinate of A on one face only sits on that face, with its raw
-        field K z + k0 pointing out of it or zero. A pinned coordinate needs
-        no row. Wherever the rows hold, M z + m is the projected field, and
-        a step map's rows on A are e_i, so a map step never moves them.
+        Its field rows M and m are K and k0 with the rows of A zeroed. The
+        box's faces become signed rows: each free coordinate with a finite
+        bound lies strictly inside it (floor the next float past the bound),
+        and each coordinate of A on one face only sits on that face, with its
+        raw field K z + k0 pointing out of it or zero. A pinned coordinate
+        needs no row. Wherever the rows hold, M z + m is the projected field,
+        and a step map's rows on A are e_i, so a map step never moves them.
         """
-        faces = self.faces(z)
-        active = faces.any(axis=0)
-        M, m = np.where(active[:, None], 0.0, self.K), np.where(active, 0.0, self.k0)
+        faces, dim = self.faces(z), z.shape[0]
         if self.box is None:
-            return Piece(faces, M, m, np.zeros((0, z.shape[0])), np.zeros(0), np.zeros(0))
-        eye, lo, up = np.eye(z.shape[0]), self.box.lower, self.box.upper
+            return Piece(dim, self.K, self.k0, np.zeros(0), faces=faces)
+        active = faces.any(axis=0)
+        eye, lo, up = np.eye(dim), self.box.lower, self.box.upper
         lower, upper = np.flatnonzero(~active & (lo > -np.inf)), np.flatnonzero(~active & (up < np.inf))
         on_lower, on_upper = np.flatnonzero(faces[0] & ~faces[1]), np.flatnonzero(faces[1] & ~faces[0])
         held = on_lower.shape[0] + on_upper.shape[0]
-        # z_i > lo_i and -z_i > -up_i inside; -z_i >= -lo_i or z_i >= up_i on a
-        # face, with the raw field -(K z + k0)_i or (K z + k0)_i >= 0 there
+        # field rows, then signed rows: z_i > lo_i and -z_i > -up_i inside; -z_i >= -lo_i
+        # or z_i >= up_i on a face, with the raw field -(K z + k0)_i or (K z + k0)_i >= 0 there
         bounds = (eye[lower], -eye[upper], -eye[on_lower], eye[on_upper])
-        G = np.concatenate(bounds + (-self.K[on_lower], self.K[on_upper]))
-        g = np.concatenate((np.zeros(G.shape[0] - held), -self.k0[on_lower], self.k0[on_upper]))
+        W = np.concatenate((self.K,) + bounds + (-self.K[on_lower], self.K[on_upper]))
+        w = np.concatenate((self.k0, np.zeros(W.shape[0] - dim - held), -self.k0[on_lower], self.k0[on_upper]))
+        W[:dim][active], w[:dim][active] = 0.0, 0.0
         inside = np.nextafter(np.concatenate((lo[lower], -up[upper])), np.inf)
         floor = np.concatenate((inside, -lo[on_lower], up[on_upper], np.zeros(held)))
-        return Piece(faces, M, m, G, g, floor)
+        return Piece(dim, W, w, floor, faces=faces)
 
 
 def _scale(W: np.ndarray, w: np.ndarray, z) -> float:

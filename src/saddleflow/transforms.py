@@ -162,7 +162,11 @@ class ProximalSurrogate:
 
 
 def proximal_surrogate(problem: SaddleProblem, rho: float) -> ProximalSurrogate:
-    """Build the proximal surrogate of a convex-concave problem."""
+    """Build the proximal surrogate of a convex-concave problem.
+
+    Its curvatures are mu_s = mu*rho/(mu + rho) and q_s = q + kappa/(l + rho),
+    the latter of the Schur complement -H_yy + H_yx (H_xx + rho*I)^-1 H_xy.
+    """
     if not rho > 0:
         raise ValueError(f"rho must be > 0, got {rho}")
 
@@ -181,7 +185,7 @@ def proximal_surrogate(problem: SaddleProblem, rho: float) -> ProximalSurrogate:
 
     meta = problem.meta
     mu_s = None if meta.mu is None else (meta.mu * rho / (meta.mu + rho) if meta.mu > 0 else 0.0)
-    q_s = None if meta.kappa is None or meta.l is None else meta.kappa / (meta.l + rho)
+    q_s = None if meta.kappa is None or meta.l is None else (meta.q or 0.0) + meta.kappa / (meta.l + rho)
     l_s = None if meta.l is None else rho * meta.l / (meta.l + rho)
 
     jacobian_inverse = hessian = None
@@ -427,11 +431,11 @@ def _active_set_map(transform: "LassoDualProx", y: np.ndarray, z) -> Piece:
     With D = H_yy - rho*I, the inner gradient is G @ z + D @ y + g_y0 for
     G = [H_yx, rho*I]. Pinning the coordinates off the free set F at their
     faces b_P and zeroing the gradient on F gives y_tilde = S @ z + s, with
-    S_F = (-D_FF)^-1 G_F and s_F = (-D_FF)^-1 (D_FP b_P + g_y0_F). The piece
-    has the ``dim`` rows of the field, then one signed row ``sign * KKT row``
-    per finite bound of a KKT row (y_tilde on F, the inner gradient off it),
-    with floor ``sign * bound``: each free y_tilde inside its bounds, each
-    pinned gradient pointing out of its face.
+    S_F = (-D_FF)^-1 G_F and s_F = (-D_FF)^-1 (D_FP b_P + g_y0_F). The
+    piece's ``W``, one array, has the ``dim`` rows of the field, then one
+    signed row ``sign * KKT row`` per finite bound of a KKT row (y_tilde on
+    F, the inner gradient off it), with floor ``sign * bound``: each free
+    y_tilde inside its bounds, each pinned gradient pointing out of its face.
 
     ``ValueError`` unless the piece matches the oracles at z: at its
     y_tilde the inner gradient must vanish on F to the inner tolerance, and
@@ -461,18 +465,18 @@ def _active_set_map(transform: "LassoDualProx", y: np.ndarray, z) -> Piece:
     low, high = np.flatnonzero(lo > -np.inf), np.flatnonzero(hi < np.inf)
     rows = np.concatenate((low, high))
     sign = np.concatenate((np.ones(low.shape[0]), -np.ones(high.shape[0])))
-    kkt_slope = np.where(free[:, None], S, G + D @ S)[rows]
-    kkt_offset = np.where(free, s, D @ s + gy0)[rows]
-    W = np.empty((dim, dim))  # the field rows
-    w = np.empty(dim)
+    W = np.empty((dim + rows.shape[0], dim))  # the field rows, then the signed KKT rows
+    w = np.empty(dim + rows.shape[0])
     W[:n] = -(H[:n, n:] @ S)
     W[:n, :n] -= H[:n, :n]
     w[:n] = -(H[:n, n:] @ s + gx0)
-    W[n:] = rho * S
-    W[n:, n:] -= rho * np.eye(m)
-    w[n:] = rho * s
+    W[n:dim] = rho * S
+    W[n:dim, n:] -= rho * np.eye(m)
+    w[n:dim] = rho * s
+    W[dim:] = sign[:, None] * np.where(free[:, None], S, G + D @ S)[rows]
+    w[dim:] = sign * np.where(free, s, D @ s + gy0)[rows]
     floor = sign * np.concatenate((lo[low], hi[high]))
-    piece = Piece(faces, W, w, sign[:, None] * kkt_slope, sign * kkt_offset, floor)
+    piece = Piece(dim, W, w, floor, faces=faces)
     u, v = z[:n], z[n:]
     y_piece = S @ z + s
     d = rho * (y_piece - v)

@@ -270,10 +270,10 @@ def test_cli_proximal_pd_field_is_the_proximal_primal_dual_field(monkeypatch):
     bundle = sf.make_qp_affine(np.diag([1.0, 2.0, 3.0]), rng.standard_normal(3),
                                rng.standard_normal((2, 3)), rng.standard_normal(2))
     algo = {"rho": "1.2"}
-    declared = cli._proximal_pd(bundle, "qp", algo).flow
+    declared = cli.BUILDERS["qp_affine", "proximal"][0](bundle, "qp", algo).flow
     with monkeypatch.context() as patch:
         patch.setattr(cli, "standard_flow", lambda problem: sf.standard_flow(replace(problem, hessian=None)))
-        oracle = cli._proximal_pd(bundle, "qp", algo).flow
+        oracle = cli.BUILDERS["qp_affine", "proximal"][0](bundle, "qp", algo).flow
     reference = sf.proximal_primal_dual(bundle.f, bundle.constraints(), 1.2)
     for flow in (declared, oracle):
         assert np.array_equal(flow.feasible.lower, reference.feasible.lower)

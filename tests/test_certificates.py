@@ -315,6 +315,14 @@ def test_rate_bound_proximal():
         sf.rate_bound_proximal(2.0, 1.0, 1.0, 1.0)
 
 
+def test_rate_bound_proximal_keeps_the_dual_curvature_q():
+    assert sf.rate_bound_proximal(1.0, 1.0, 1.0, 1.0, q=2.0) == 0.5  # the primal term binds
+    assert sf.rate_bound_proximal(4.0, 4.0, 1.0, 4.0, q=0.5) == pytest.approx(0.625)  # 0.5 + 1/8
+    assert sf.rate_bound_proximal(4.0, 4.0, 1.0, 4.0, q=0.0) == sf.rate_bound_proximal(4.0, 4.0, 1.0, 4.0)
+    with pytest.raises(ValueError, match="q must be >= 0"):
+        sf.rate_bound_proximal(1.0, 1.0, 1.0, 1.0, q=-0.1)
+
+
 def test_optimal_rho_symmetric_case():
     rho, c = sf.optimal_rho(1.0, 1.0, 1.0)
     assert rho == pytest.approx(1.0, abs=1e-10)

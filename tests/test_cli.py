@@ -749,7 +749,7 @@ def _closed_form_bound(path):
     if kind == "standard" and built.meta.mu > 0 and built.meta.q > 0:
         return sf.rate_bound_strong(built.meta.mu, built.meta.q)
     if kind == "proximal" and cfg.problem_kind == "quadratic_saddle":
-        return sf.rate_bound_proximal(built.meta.mu, built.meta.l, built.meta.kappa, rho)
+        return sf.rate_bound_proximal(built.meta.mu, built.meta.l, built.meta.kappa, rho, built.meta.q)
     if kind == "proximal":
         return sf.rate_bound_proximal(built.f.mu, built.f.l, built.kappa, rho)
     if kind == "preconditioned":

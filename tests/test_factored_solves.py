@@ -227,15 +227,16 @@ def test_a_perturbed_active_set_map_fails_its_confirmation(monkeypatch, row):
     build = transforms.Piece
     perturbed = []
 
-    def perturb(faces, M, m, G, g, floor):
-        # the KKT rows: one per free sign multiplier (y_tilde >= 0), then one
-        # per pinned one (its gradient <= 0); the unbounded equality multipliers have none
+    def perturb(dim, W, w, floor, *, faces):
+        # the field rows, then the KKT rows: one per free sign multiplier
+        # (y_tilde >= 0), then one per pinned one (its gradient <= 0); the
+        # unbounded equality multipliers have none
         free_rows = np.count_nonzero(~faces.any(axis=0) & bounded)
-        rows, at, end = {"field": (M, 0, dim), "free": (G, 0, free_rows), "pinned": (G, free_rows, G.shape[0])}[row]
+        at, end = {"field": (0, dim), "free": (dim, dim + free_rows), "pinned": (dim + free_rows, W.shape[0])}[row]
         if at < end:
-            rows[at, 0] += 1e-6
+            W[at, 0] += 1e-6
             perturbed.append(1)
-        return build(faces, M, m, G, g, floor)
+        return build(dim, W, w, floor, faces=faces)
 
     monkeypatch.setattr(transforms, "Piece", perturb)
     with pytest.raises(ValueError, match="active-set piece .* does not match its oracles"):

@@ -11,7 +11,7 @@ steps take the 4-stage path.
 import functools
 import importlib.util
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -103,13 +103,13 @@ def test_map_steps_agree_with_four_stage_steps_on_shipped_configs(name, config, 
 
 
 def _maps_taken(monkeypatch) -> list:
-    """(map, state, output) of every map call whose sign test passes."""
+    """(map, state, output) of every call of a step map or chunk whose sign test passes."""
     taken = []
     call = sf.AffineMap.__call__
 
     def logging(self, z):
         out = call(self, z)
-        if out is not None:
+        if out is not None and not isinstance(self, sf.Piece):  # a piece's outputs are field values
             taken.append((self, z.copy(), out))
         return out
 
@@ -482,11 +482,37 @@ def test_lasso_map_steps_and_chunks_agree_with_four_stage_steps(monkeypatch, tmp
     _assert_same_run(*_chunked_and_one_step_runs(monkeypatch, flow, z0, config))
 
 
+def test_a_piece_is_an_affine_map_that_takes_no_steps(tmp_path):
+    # one sign-tested affine type: a piece is an AffineMap whose rows are the
+    # field rows [M; G], and it keeps one copy of them
+    assert issubclass(sf.Piece, sf.AffineMap) and sf.Piece.__call__ is sf.AffineMap.__call__
+    assert [f.name for f in fields(sf.Piece)] == [f.name for f in fields(sf.AffineMap)] + ["faces"]
+    flow, z0 = _walk_flow(1)
+    z = sf.integrate(flow, z0, sf.IntegratorConfig(step=0.05, horizon=2.0)).final_state
+    _, lasso_flow, lasso_z = _lasso("shipped", tmp_path)
+    box_piece, lasso_piece = flow.field.piece(z), lasso_transform(lasso_flow).piece(lasso_z)
+    for piece, at in ((box_piece, z), (lasso_piece, lasso_z)):
+        assert isinstance(piece, sf.AffineMap) and piece.records == ()
+        assert not any(hasattr(piece, name) for name in ("M", "m", "G", "g"))
+        assert piece.W.shape[0] > piece.dim  # signed rows below the field rows
+        out = piece(at)
+        assert out is not None and _agree(out, piece.W[: piece.dim] @ at + piece.w[: piece.dim])
+    amap = box_piece.step_map(z, 0.05)
+    chunk = box_piece.chunk(amap, z, 1, 8)
+    assert amap.records == (1,) and chunk.records[-1] > 1
+    # identity hashes: each map is its own set member and dict key, and an equal copy is another
+    maps = [box_piece, lasso_piece, amap, chunk]
+    keys = {each: i for i, each in enumerate(maps)}
+    assert len(set(maps)) == 4 and [keys[each] for each in maps] == [0, 1, 2, 3]
+    twin = replace(box_piece)
+    assert twin != box_piece and twin not in keys
+
+
 @pytest.mark.parametrize("stage", ["z", "p4"])
 def test_a_perturbed_lasso_step_map_fails_its_build_state_check(monkeypatch, tmp_path, stage):
     config, flow, z0 = _lasso("shipped", tmp_path)
     piece = lasso_transform(flow).piece(z0)
-    assert piece.G.shape[0] > 0  # KKT rows
+    assert piece.W.shape[0] > piece.dim  # KKT rows
     piece.step_map(z0, config.step)  # unperturbed, it passes
     build = flows.AffineMap
 

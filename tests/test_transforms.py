@@ -169,6 +169,20 @@ def test_surrogate_meta_shift():
     assert meta.q == pytest.approx(0.5)    # kappa/(l+rho)
 
 
+@pytest.mark.parametrize("n, m", [(3, 3), (5, 3), (3, 5)], ids=["square", "tall", "wide"])
+def test_surrogate_meta_is_the_spectrum_of_its_declared_hessian(n, m):
+    # a second route to the surrogate's curvature: with f = (mu/2)||x||^2 its
+    # uu block is mu*rho/(mu+rho) I, and minus its yy block is
+    # q I + B^T B/(mu+rho), whose smallest eigenvalue is q + kappa/(l+rho)
+    rng = np.random.default_rng(10 * n + m)
+    for mu, q, rho in ((1.0, 2.0, 1.0), (0.5, 0.3, 2.5), (3.0, 0.1, 0.4)):
+        base = sf.make_quadratic_saddle(mu, q, rng.standard_normal((n, m)))
+        sur = sf.proximal_surrogate(base, rho).problem
+        H = sur.hessian
+        assert sur.meta.mu == pytest.approx(np.linalg.eigvalsh(H[:n, :n])[0], rel=1e-12, abs=0.0)
+        assert sur.meta.q == pytest.approx(np.linalg.eigvalsh(-H[n:, n:])[0], rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # preconditioning
 
