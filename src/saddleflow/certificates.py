@@ -259,12 +259,17 @@ def rate_bound_strong(mu: float, q: float) -> float:
 
 
 def rate_bound_proximal(mu: float, l: float, kappa: float, rho: float, q: float = 0.0) -> float:
-    """Decay-rate bound min(mu*rho/(mu+rho), q + kappa/(l+rho)) of proximal flows, q the base's dual curvature."""
-    _require_positive(mu=mu, l=l, kappa=kappa, rho=rho)
+    """Decay-rate bound min(mu*rho/(mu+rho), q + kappa/(l+rho)) of proximal flows, q the base's dual curvature.
+
+    kappa or q may be 0, not both: the bound needs q + kappa > 0.
+    """
+    _require_positive(mu=mu, l=l, rho=rho)
     if l < mu:
         raise ValueError(f"inconsistent constants: l={l} < mu={mu}")
     if not q >= 0:
         raise ValueError(f"q must be >= 0, got {q}")
+    if not (kappa >= 0 and q + kappa > 0):
+        raise ValueError(f"kappa must be >= 0 and q + kappa > 0, got kappa={kappa}, q={q}")
     return min(mu * rho / (mu + rho), q + kappa / (l + rho))
 
 

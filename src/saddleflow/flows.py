@@ -14,7 +14,6 @@ general constraint map g. The CLI runs the affine-constraint case as
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -37,15 +36,16 @@ __all__ = [
 # Relative tolerance of the probe of a declared Hessian: far above the
 # rounding of either side, far below any error in one entry of it.
 _PROBE_TOL = 1e-10
-# Largest chunk of RK4 steps, in entries of its [W | w] (256 KB of float64).
-# On the benchmark's dim-52 min-cost-flow runs it allows chunks of 4 and 5
-# steps, and integrate took 9.6 and 7.9 ms against 17.8 and 9.4 ms with
-# one-step maps; 2**14 allows 2 steps and gained little, 2**16 took 11.2 and
-# 11.7 ms. On dims 2 to 10 every cap from 2**13 up ran as fast (medians of
-# 25 interleaved runs, 2-vCPU Xeon).
-CHUNK_MAX_ENTRIES = 2**15
-# Entries of W per block of the build checks' |W| @ |z|: 128 KB of float64, half
-# the largest chunk.
+# Largest block of RK4 steps, in entries of its float64 temporaries (128 KB, one
+# buffer per run): its states, then their signed rows or the check in the same
+# place. It allows 136-149 steps on the benchmark's dim-52 min-cost flows.
+# integrate on the benchmark's 15 runs with pieces (seed 2024) took 23.3 ms in
+# all, against 24.4 ms at 2**13 and 23.8 ms at 2**15, where the projected_direct
+# bench read about 0.3 MB more peak_rss_mb (fewest of 25 calls each, one BLAS
+# thread, 2-vCPU Xeon).
+BLOCK_MAX_ENTRIES = 2**14
+# Entries of W per block of the build checks' |W| @ |z|: 128 KB of float64, as
+# the largest block.
 _CHECK_BLOCK = 2**14
 
 
@@ -128,17 +128,15 @@ class AffineMap:
 
     Calling the map at z gives its output rows when every signed row is >=
     its ``floor``, else None; NaN fails the test. A ``Piece`` outputs field
-    values (``records == ()``). Any other map is ``records[-1]`` RK4 steps of
-    a piece, its one-step map (``Piece.step_map``) or a *chunk* of several
-    (``Piece.chunk``), and outputs the states after each step count in
-    ``records``, one after another. Maps compare and hash by identity.
+    values. Any other map is the one-step map of a piece (``Piece.step_map``):
+    it outputs the state after one RK4 step, and ``block`` takes several.
+    Maps compare and hash by identity.
     """
 
     dim: int
     W: np.ndarray
     w: np.ndarray
     floor: np.ndarray
-    records: tuple = (1,)
 
     def __call__(self, z) -> Optional[np.ndarray]:
         out = self.W @ z
@@ -147,6 +145,57 @@ class AffineMap:
         if np.count_nonzero(self.floor <= out[self.dim :]) == self.floor.shape[0]:
             return out[: self.dim]
         return None
+
+    @property
+    def max_block(self) -> int:
+        """The most steps of a ``block`` whose temporaries fit in ``BLOCK_MAX_ENTRIES``."""
+        c = self.dim + 1
+        return (BLOCK_MAX_ENTRIES - c) // (c + max(c, self.floor.shape[0]))
+
+    def block(self, z, steps: int, buf: np.ndarray, powers: list) -> np.ndarray:
+        """The states after each of the first j <= ``steps`` steps of this one-step map from z, one a row.
+
+        The map is z -> R z + r, or T = [[R, r], [0, 1]] in homogeneous
+        coordinates. The states come by doubling: X_0 = (z, 1), then
+        X_(2^k + t) = T^(2^k) X_t. ``powers`` caches the powers, transposed:
+        given the same list, each block of the map squares each power once.
+        Step t passes where its signed rows hold at X_t, tested for every
+        step in one product, and X_(t+1) is finite; j counts the steps before
+        the first that fails. A passing step's rows put its start state on
+        the piece, so a clamp changes none of X_1 .. X_(j-1). The rows
+        returned are a view of ``buf``, which holds every temporary:
+        ``BLOCK_MAX_ENTRIES`` entries, for at most ``max_block`` steps.
+        ``ValueError`` if X_1 .. X_j are off T, made anew of ``W`` and ``w``,
+        applied once to X_0 .. X_(j-1), by more than ``_PROBE_TOL`` relative
+        (``_scale``).
+        """
+        dim, signed, c = self.dim, self.floor.shape[0], self.dim + 1
+        X = buf[: (steps + 1) * c].reshape(steps + 1, c)
+        Y = buf[X.size : X.size + steps * signed].reshape(steps, signed)
+        X[0, :dim], X[0, dim] = z, 1.0
+        Tt = np.zeros((c, c))  # T transposed: the states are rows
+        Tt[:dim, :dim], Tt[dim, :dim], Tt[dim, dim] = self.W[:dim].T, self.w[:dim], 1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite states fail the test
+            for k in range(steps.bit_length()):
+                if k == len(powers):
+                    powers.append(powers[-1] @ powers[-1] if powers else Tt)
+                n = 2**k
+                np.matmul(X[: min(n, steps + 1 - n)], powers[k], out=X[n : 2 * n])
+            np.matmul(X[:steps, :dim], self.W[dim:].T, out=Y)
+            passed = (Y >= self.floor - self.w[dim:]).all(axis=1)  # S x + s >= floor, s not added to Y
+            # a sum of each row's entries times 0.5/c cannot overflow: it is finite where they are
+            passed &= np.isfinite(X[1:] @ np.full(c, 0.5 / c))
+        j = steps if passed.all() else int(passed.argmin())
+        if j:  # the check, in the place of Y: each state T applied once to the one before
+            E = buf[X.size : X.size + j * c].reshape(j, c)
+            np.matmul(X[:j], Tt, out=E)
+            E -= X[1 : j + 1]
+            gap = np.abs(E, out=E).max()
+            if not gap <= _PROBE_TOL:  # else within _PROBE_TOL times any scale, which is >= 1
+                scale = 1.0 + (np.abs(X[:j]) @ np.abs(Tt)).max()
+                if not gap <= _PROBE_TOL * scale:
+                    raise ValueError(f"RK4 block of {j} steps off its step map by {gap:.3e}")
+        return X[1 : j + 1, :dim]
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,11 +208,10 @@ class Piece(AffineMap):
     bytes are the ``key``. A field exposes its piece at a state z:
     ``AffineField.piece`` from K and the faces of its box at z,
     ``LassoDualProx.piece`` from the active set of its inner box QP.
-    ``step_map`` turns the piece into the map of one RK4 step, and ``chunk``
-    composes that map into runs of steps.
+    ``step_map`` turns the piece into the map of one RK4 step, whose
+    ``block`` takes runs of steps.
     """
 
-    records: tuple = ()
     faces: np.ndarray = field(kw_only=True)
 
     @property
@@ -216,63 +264,6 @@ class Piece(AffineMap):
         state = (p + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))[:dim]
         return state, np.column_stack((self.W[dim:], self.w[dim:])) @ np.stack(points)
 
-    def chunk(self, amap: AffineMap, z, every: int, room: int) -> AffineMap:
-        """The longest chunk of this piece's one-step map ``amap`` that fits, checked at z.
-
-        A chunk of L steps is ``amap`` composed L times in homogeneous
-        coordinates, T^j for T = [[R, r], [0, 1]]. Its output rows are the
-        states T^j z at j = every, 2 every, ..., L (L a multiple of ``every``)
-        or at j = L alone (L a divisor of it), so a chunk that starts on the
-        record grid, or at a multiple of L, gives exactly the states the grid
-        records, and its last. Its signed rows are each step's signed rows at
-        T^j (j = 0..L-1). Where they pass, every one of the L one-step maps
-        passes at its state: each intermediate state lies on this piece, so
-        the per-step clamp changes none of them.
-
-        L is at most ``room`` and the largest such that the chunk holds at
-        most ``CHUNK_MAX_ENTRIES`` entries, rows x (dim + 1), unless equal
-        shorter chunks cover more of ``room`` (``_chunk_steps``). At L = 1, or
-        where L steps from z leave the finite numbers, the chunk is ``amap``
-        itself. ``ValueError`` if the chunk's rows at z are off the same rows
-        made of its states there, each one application of ``amap`` after the
-        one before, by more than ``_PROBE_TOL`` relative.
-        """
-        dim, signed = amap.dim, amap.floor.shape[0]
-        steps = _chunk_steps(dim, signed, every, room)
-        if steps == 1:
-            return amap
-        records = tuple(range(every, steps + 1, every)) if steps >= every else (steps,)
-        c, k = dim + 1, len(records)
-        cut = k * dim  # output rows, then signed rows
-        T = np.zeros((c, c))
-        T[:dim, :dim], T[:dim, dim], T[dim, dim] = amap.W[:dim], amap.w[:dim], 1.0
-        S = np.column_stack((amap.W[dim:], amap.w[dim:]))
-
-        def rows(powers):  # (L + 1, c, cols): T^j p for j = 0..L; filled in place, no temporaries
-            cols = powers.shape[2]
-            out = np.empty((cut + steps * signed, cols))
-            out[:cut].reshape(k, dim, cols)[...] = powers[records[0] :: every, :dim]
-            np.matmul(S, powers[:steps], out=out[cut:].reshape(steps, signed, cols))
-            return out
-
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries are caught below
-            # T^0..T^L by doubling: one batched product per doubling
-            powers, Tk = np.eye(c)[None], T
-            while powers.shape[0] <= steps:
-                powers = np.concatenate((powers, Tk @ powers[: steps + 1 - powers.shape[0]]))
-                Tk = Tk @ Tk
-            full = rows(powers)
-            # the check: the chunk's states at z, each one step of amap after the one before
-            states = powers @ np.append(z, 1.0)
-            del powers  # the check's products copy the strided W into its memory
-            expected = rows(np.concatenate((states[:1], states[:-1] @ T.T))[:, :, None])[:, 0]
-        if not (np.isfinite(expected).all() and np.isfinite(full).all()):
-            return amap  # the state leaves the finite numbers: one-step maps find where
-        floor = np.tile(amap.floor, steps)
-        chunk = AffineMap(k * dim, full[:, :dim], full[:, dim].copy(), floor, records=records)
-        _check(chunk.W, chunk.w, z, expected, f"RK4 chunk of {steps} steps off its step map at its build state")
-        return chunk
-
 
 @dataclass(frozen=True, eq=False)
 class AffineField:
@@ -281,8 +272,8 @@ class AffineField:
     ``standard_flow`` builds it of a declared Hessian and ``projected_flow``
     sets its box. ``integrate`` takes its full RK4 steps as ``AffineMap``
     products of its ``piece`` at the state, whose signed rows hold the
-    box's faces: chunks of several steps (``Piece.chunk``) where they pass
-    their sign test, else one-step maps (``Piece.step_map``).
+    box's faces: blocks of several steps (``AffineMap.block``) where they
+    pass their sign test, else one-step maps (``Piece.step_map``).
     """
 
     K: np.ndarray
@@ -355,26 +346,6 @@ def _check(W: np.ndarray, w: np.ndarray, z, expected: np.ndarray, what: str) -> 
     gap = np.abs(W @ z + w - expected).max()
     if not gap <= _PROBE_TOL * _scale(W, w, z):
         raise ValueError(f"{what} by {gap:.3e}")
-
-
-def _chunk_steps(dim: int, signed: int, every: int, room: int) -> int:
-    """The most steps L <= room of a chunk that fits ``CHUNK_MAX_ENTRIES``.
-
-    L is a multiple of ``every`` or a divisor of it. The chunk has
-    k dim + L signed rows of dim + 1 entries, for k output states: L /
-    every, or 1 when L < every.
-    """
-    budget = CHUNK_MAX_ENTRIES // (dim + 1)  # rows
-    m = min(budget // (dim + every * signed), room // every)
-    if m >= 1:
-        whole = room // every  # record intervals in the room
-        chunks = -(-whole // m)
-        if whole % m >= chunks:  # equal shorter chunks leave fewer steps to one-step maps
-            m = whole // chunks
-        return m * every
-    divisors = [d for k in range(1, math.isqrt(every) + 1) if every % k == 0 for d in (k, every // k)]
-    fitting = [d for d in divisors if d < every and d <= room and dim + d * signed <= budget]
-    return max(fitting, default=1)
 
 
 def projected_flow(flow: Flow, feasible: FeasibleSet) -> Flow:

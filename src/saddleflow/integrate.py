@@ -26,6 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import flows
 from .flows import Flow
 from .projection import project_point
 
@@ -43,6 +44,10 @@ __all__ = [
     "envelope_check",
 ]
 
+# steps of the first block of each new one-step map. On the benchmark's runs
+# (see flows.BLOCK_MAX_ENTRIES) 8 took 20.9-21.7 ms, 16 took 21.2-21.3 ms, 4
+# took 22.4-22.6 ms and 2 took 27.6 ms.
+_BLOCK_START = 8
 # distances at or below this are rounding noise to the rate fit
 _FIT_FLOOR = 1e-12
 
@@ -152,20 +157,21 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
 
     The full RK4 steps of a field with pieces (an ``AffineField``, or the
     bound ``field`` of a ``LassoDualProx``) are taken by one map path, in
-    this order of fallback. A *chunk* (``Piece.chunk``) takes L steps as one
-    product, L a multiple or a divisor of ``record_every``. It is built from
-    the one-step map of the piece, at a grid step once that map has taken a
-    step, and tried where it starts on the grid or at a multiple of L, so
-    its output rows are grid states. Where its sign test fails, or an output
-    is not finite, one-step maps take the steps one by one up to the end of
-    that chunk. A one-step map (``Piece.step_map``, the chunk of L = 1) that
-    fails its test sends the run to the field's piece at the state; a new
-    piece has its map built and tried once, and where that fails too, or
-    the piece is not new, the 4-stage step is taken. A new piece drops the
-    chunk. A step from a state where a free coordinate sits on its face,
-    with its field pointing inward, fails the map's inside rows at that
-    state and is a 4-stage step. Euler, the fractional last step and any
-    other field take 4-stage steps.
+    this order of fallback. Once the one-step map of the piece at the state
+    (``Piece.step_map``) has taken a step, a *block* (``AffineMap.block``)
+    takes up to B steps of it at the state, and the run keeps the steps
+    before the first whose sign test fails, or whose state is not finite.
+    B starts at ``_BLOCK_START`` for each new map and doubles after each
+    block that passes whole, up to ``AffineMap.max_block``. After a block
+    stops short, the one-step map is tried. One that fails its test sends
+    the run to its piece: where the piece's own rows still hold at the
+    state, the step is a 4-stage step; else the field gives its piece at the
+    state, and a new piece has its map built and tried once, and where that
+    fails too, or the piece is not new, the 4-stage step is taken. A step
+    from a state where a free coordinate sits on its face, with its field
+    pointing inward, fails the map's inside rows at that state and is a
+    4-stage step. Euler, the fractional last step and any other field take
+    4-stage steps.
     """
     z = np.atleast_1d(np.asarray(z0, dtype=float)).copy()
     if z.shape != (flow.dim,):
@@ -193,9 +199,11 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     # the two agree: a pass-through wrapper records the same run. From the
     # first block where they differ, the run is the wrapper's own, in 4-stage steps.
     owner, wrapped = _piece_owner(field) if config.method == "rk4" else (None, False)
-    piece = amap = chunk = None  # the run's piece, its one-step map, and the chunk built from it
-    held = False  # the one-step map took the last step
-    retry = 0  # after a failed chunk, the step at which it is tried again
+    piece = amap = None  # the run's piece and its one-step map
+    powers = []  # the map's powers, squared for its blocks
+    held = False  # the one-step map took the last step, and no block has stopped short since
+    size = 0  # B: the steps of the next block
+    buf = np.empty(flows.BLOCK_MAX_ENTRIES) if owner is not None else None  # the blocks' temporaries
 
     def stages(z, hi):
         if config.method == "euler":
@@ -219,49 +227,44 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     states[0] = z
     i = 0
     while i < n_steps:
-        taken = None  # the map that takes the next steps
+        rows = None  # the states after the next steps, one a row
         if owner is not None and i < n_full:
-            if chunk is None and held and i % every == 0:  # the piece holds: chunk it
-                chunk = piece.chunk(amap, z, every, n_full - i)
-            steps = 1 if chunk is None else chunk.records[-1]
-            if steps > 1 and i >= retry and i % min(steps, every) == 0 and i + steps <= n_full:
-                out = chunk(z)
-                if out is not None and np.count_nonzero(np.isfinite(out)) == out.shape[0]:
-                    taken = chunk
-                else:  # one-step maps, one by one, up to the end of this chunk
-                    retry = i + steps
-            if taken is None:
+            steps = min(size, n_full - i)
+            if held and steps > 1:  # the one-step map holds: a block
+                rows = amap.block(z, steps, buf, powers)
+                held = rows.shape[0] == steps
+                size = min(2 * size, amap.max_block) if rows.shape[0] == size else size
+            if rows is None or rows.shape[0] == 0:
                 out = None if amap is None else amap(z)
-                if out is None:  # a new piece: build its map once, then retry
+                if out is None and (piece is None or piece(z) is None):  # a new piece: build its map
                     new = owner.piece(z)
                     if new is not None and (piece is None or new.key != piece.key):
-                        piece, amap, chunk, retry = new, new.step_map(z, h), None, 0
+                        piece, amap, powers = new, None, []  # the old map and its powers go first
+                        amap = new.step_map(z, h)
+                        size = min(_BLOCK_START, amap.max_block)
                         out = amap(z)
-                taken = None if out is None else amap
-                held = taken is not None
-        if taken is None:
-            records = (1,)
+                held = out is not None
+                rows = None if out is None else out[None]
+        if rows is None:
             rows = stages(z, h if i < n_full else rem)[None]  # fractional last step: on the horizon
-        else:
-            records = taken.records
-            rows = out.reshape(len(records), -1)
-            if wrapped:
-                walk, p = np.empty_like(rows), z
-                for j in range(1, records[-1] + 1):
-                    p = stages(p, h)
-                    if j < records[-1] and clamp is not None:
-                        p = clamp(p)
-                    if j % every == 0 or j == records[-1]:  # the steps of ``records``
-                        walk[j // every - 1] = p  # a last step short of ``every`` is row -1
-                gap = np.abs(rows - walk).max(axis=1)
-                if not np.all(gap <= 1e-12 * (1.0 + np.linalg.norm(walk, axis=1))):
-                    rows, owner = walk, None
-        z = rows[-1] if clamp is None else clamp(rows[-1])
+        elif wrapped:
+            walk, p = np.empty_like(rows), z
+            for j in range(rows.shape[0]):
+                p = stages(p, h)
+                if j < rows.shape[0] - 1 and clamp is not None:
+                    p = clamp(p)
+                walk[j] = p
+            gap = np.abs(rows - walk).max(axis=1)
+            if not np.all(gap <= 1e-12 * (1.0 + np.linalg.norm(walk, axis=1))):
+                rows, owner = walk, None
+        z = rows[-1].copy() if clamp is None else clamp(rows[-1])  # rows may be a view of buf
         if np.count_nonzero(np.isfinite(z)) != z.shape[0]:  # cheaper than .all() on short arrays
             raise IntegrationError("non-finite state encountered", i * h)  # the failing step starts at i
-        if len(records) > 1:  # intermediate states: inside the box, so unclamped
-            states[i // every + 1 : i // every + len(records)] = rows[:-1]
-        i += records[-1]
+        # intermediate states: on the piece, so unclamped; the first grid step after i is s
+        s = -(-(i + 1) // every) * every
+        mid = rows[s - i - 1 : -1 : every]
+        states[s // every : s // every + mid.shape[0]] = mid
+        i += rows.shape[0]
         if i % every == 0 or i == n_steps:
             states[-(-i // every)] = z
     return Trajectory(times, states)

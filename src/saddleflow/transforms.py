@@ -185,7 +185,7 @@ def proximal_surrogate(problem: SaddleProblem, rho: float) -> ProximalSurrogate:
 
     meta = problem.meta
     mu_s = None if meta.mu is None else (meta.mu * rho / (meta.mu + rho) if meta.mu > 0 else 0.0)
-    q_s = None if meta.kappa is None or meta.l is None else (meta.q or 0.0) + meta.kappa / (meta.l + rho)
+    q_s = meta.q if meta.kappa is None or meta.l is None else (meta.q or 0.0) + meta.kappa / (meta.l + rho)
     l_s = None if meta.l is None else rho * meta.l / (meta.l + rho)
 
     jacobian_inverse = hessian = None
@@ -508,7 +508,7 @@ class LassoDualProx:
     set of the box QP, a checked ``flows.Piece``, and a one-piece slot
     holds the last one: ``field`` evaluates it plus a sign test, and
     solves the box QP only when the test fails. ``integrate`` builds RK4
-    step maps and chunks of the slot's piece (``piece``). Any other base
+    step maps and blocks of the slot's piece (``piece``). Any other base
     gets the oracle field.
     """
 

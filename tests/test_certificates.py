@@ -323,6 +323,21 @@ def test_rate_bound_proximal_keeps_the_dual_curvature_q():
         sf.rate_bound_proximal(1.0, 1.0, 1.0, 1.0, q=-0.1)
 
 
+def test_rate_bound_proximal_needs_only_q_plus_kappa_positive():
+    assert sf.rate_bound_proximal(1.0, 1.0, 0.0, 1.0, q=2.0) == 0.5
+    with pytest.raises(ValueError, match="q \\+ kappa > 0"):
+        sf.rate_bound_proximal(1.0, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="kappa must be >= 0"):
+        sf.rate_bound_proximal(1.0, 1.0, -0.1, 1.0, q=2.0)
+    # a wide B (more y than x) has a singular B^T B: kappa = 0, and the
+    # surrogate's dual curvature is the base's q
+    base = sf.make_quadratic_saddle(1.0, 2.0, [[1.0, -1.0]])
+    meta = sf.proximal_surrogate(base, 1.0).problem.meta
+    assert base.meta.kappa == 0.0 and meta.q == 2.0
+    bound = sf.rate_bound_proximal(base.meta.mu, base.meta.l, base.meta.kappa, 1.0, q=base.meta.q)
+    assert bound == min(meta.mu, meta.q) == 0.5
+
+
 def test_optimal_rho_symmetric_case():
     rho, c = sf.optimal_rho(1.0, 1.0, 1.0)
     assert rho == pytest.approx(1.0, abs=1e-10)

@@ -79,19 +79,21 @@ def test_non_finite_state_reports_last_time():
 @pytest.mark.parametrize("cap, every", [(300, 1), (300, 10), (None, 1)])
 def test_a_divergent_affine_field_stops_where_one_step_maps_stop(monkeypatch, cap, every):
     # z' = 2z grows by e^0.2 a step and leaves the finite numbers near step 3550;
-    # 300 entries make chunks of 50 (every 1) or 500 steps (every 10) that do
-    # so inside a chunk, while the default cap makes one chunk of the whole run,
-    # which is not finite at build
+    # blocks double up to 49 steps under a cap of 300 entries, and under the
+    # default up to the 1959 steps left after 1 + 8 + 16 + ... + 1024. One
+    # block stops short of a non-finite state, and one-step maps take the
+    # steps from there
     flow = sf.Flow(dim=2, field=sf.AffineField(2.0 * np.eye(2), np.zeros(2)))
     config = sf.IntegratorConfig(step=0.1, horizon=400.0, record_every=every)
-    outputs = []  # (map, output) of every map call
-    call = sf.AffineMap.__call__
+    blocks = []  # (steps asked, steps taken) of every block
+    block = sf.AffineMap.block
 
-    def logging(amap, z):
-        outputs.append((amap, call(amap, z)))
-        return outputs[-1][1]
+    def logging(amap, z, steps, buf, powers):
+        rows = block(amap, z, steps, buf, powers)
+        blocks.append((steps, rows.shape[0]))
+        return rows
 
-    monkeypatch.setattr(sf.AffineMap, "__call__", logging)
+    monkeypatch.setattr(sf.AffineMap, "block", logging)
 
     def t_last():
         with pytest.raises(IntegrationError) as err:
@@ -99,12 +101,14 @@ def test_a_divergent_affine_field_stops_where_one_step_maps_stop(monkeypatch, ca
         return err.value.t_last
 
     if cap is not None:
-        monkeypatch.setattr(flows, "CHUNK_MAX_ENTRIES", cap)
-    chunked = t_last()
-    non_finite = [m for m, out in outputs if m.records[-1] > 1 and not np.isfinite(out).all()]
-    assert len(non_finite) == (0 if cap is None else 1)  # then one-step maps, one by one
-    monkeypatch.setattr(flows, "CHUNK_MAX_ENTRIES", 0)
-    assert chunked == t_last() > 300.0
+        monkeypatch.setattr(flows, "BLOCK_MAX_ENTRIES", cap)
+    in_blocks = t_last()
+    assert max(steps for steps, _ in blocks) == (1959 if cap is None else 49)
+    assert len([taken for steps, taken in blocks if taken < steps]) == 1
+    monkeypatch.setattr(flows, "BLOCK_MAX_ENTRIES", 0)
+    del blocks[:]
+    assert in_blocks == t_last() == 354.8  # the failing step starts at step 3548
+    assert blocks == []
 
 
 def test_initial_state_outside_set_warns_and_clamps():

@@ -2,15 +2,18 @@
 
 ``integrate`` takes each full RK4 step of an ``AffineField``, and of the
 Lasso dual-prox field, as one ``AffineMap`` of the field's piece:
-``W @ z + w`` plus a sign test. These tests compare map steps with 4-stage
-steps on the shipped configs, on the benchmark's Lasso inputs and on seeded
-walks that cross faces, check the build-state check, and pin down which
+``W @ z + w`` plus a sign test, or several steps at once as a block of that
+map (``AffineMap.block``). These tests compare map steps with 4-stage steps
+and block runs with one-step runs (chunks and chunked runs in test names) on
+the shipped configs, on the benchmark's Lasso inputs and on seeded walks
+that cross faces, check the build-state and block checks, and pin down which
 steps take the 4-stage path.
 """
 
 import functools
 import importlib.util
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -103,17 +106,24 @@ def test_map_steps_agree_with_four_stage_steps_on_shipped_configs(name, config, 
 
 
 def _maps_taken(monkeypatch) -> list:
-    """(map, state, output) of every call of a step map or chunk whose sign test passes."""
+    """(map, state, the states after each step, one a row) of every step map call that passes, and of every block."""
     taken = []
-    call = sf.AffineMap.__call__
+    call, block = sf.AffineMap.__call__, sf.AffineMap.block
 
     def logging(self, z):
         out = call(self, z)
         if out is not None and not isinstance(self, sf.Piece):  # a piece's outputs are field values
-            taken.append((self, z.copy(), out))
+            taken.append((self, z.copy(), out[None].copy()))
         return out
 
+    def blocking(self, z, steps, buf, powers):
+        rows = block(self, z, steps, buf, powers)
+        if rows.shape[0]:
+            taken.append((self, z.copy(), rows.copy()))
+        return rows
+
     monkeypatch.setattr(sf.AffineMap, "__call__", logging)
+    monkeypatch.setattr(sf.AffineMap, "block", blocking)
     return taken
 
 
@@ -125,13 +135,13 @@ def test_map_steps_agree_on_walks_that_cross_faces(monkeypatch, seed):
     taken = _maps_taken(monkeypatch)
     fast = sf.integrate(flow, z0, config)
     slow = sf.integrate(replace(flow, field=lambda z: flow.field(z)), z0, config)
-    # the state each step of the run got from the map that took it: a chunk or a one-step map
+    # the state each step of the run got from the map that took it: a block or a one-step map
     index = {z.tobytes(): t for t, z in enumerate(fast.states)}
     took = {}
-    for amap, z, out in taken:
-        for j, row in zip(amap.records, out.reshape(len(amap.records), -1)):
+    for _, z, rows in taken:
+        for j, row in enumerate(rows, 1):
             took[index[z.tobytes()] + j] = flow.feasible.clamp(row)
-    assert any(amap.records[-1] > 1 for amap, _, _ in taken)
+    assert any(rows.shape[0] > 1 for _, _, rows in taken)
     keys, mapped = set(), 0
     for t, (z, z_next) in enumerate(zip(fast.states[:-1], fast.states[1:])):
         out, faces = _map_step(flow, z, h)
@@ -166,47 +176,79 @@ def test_a_perturbed_step_map_fails_its_build_state_check(monkeypatch, row):
         sf.integrate(flow, z, sf.IntegratorConfig(step=0.05, horizon=1.0))
 
 
-@pytest.mark.parametrize("row", ["final state", "intermediate state", "signed", "last signed"])
-def test_a_perturbed_chunk_fails_its_build_state_check(monkeypatch, row):
+def _on_a_face():
+    """A walk's step map at a state on a face, that state and the index of its largest coordinate."""
     flow, z0 = _walk_flow(1)
     traj = sf.integrate(flow, z0, sf.IntegratorConfig(step=0.05, horizon=3.0))
     z = next(z for z in traj.states if flow.field.faces(z)[:, :4].any())  # on a face
-    k = int(np.argmax(np.abs(z)))
-    field, dim = flow.field, flow.dim
-    piece = field.piece(z)
-    amap = piece.step_map(z, 0.05)
-    chunk = piece.chunk(amap, z, 1, 6)  # unperturbed, it passes
-    assert chunk.records == (1, 2, 3, 4, 5, 6) and chunk.floor.shape[0] == 6 * amap.floor.shape[0]
-    build = flows.AffineMap
-
-    def perturbed(dim_out, W, w, floor, records=(1,)):
-        if records[-1] > 1:
-            W[{"final state": dim_out - dim, "intermediate state": 0, "signed": dim_out, "last signed": -1}[row], k] += 1e-6
-        return build(dim_out, W, w, floor, records=records)
-
-    monkeypatch.setattr(flows, "AffineMap", perturbed)
-    with pytest.raises(ValueError, match="RK4 chunk of 6 steps off its step map"):
-        piece.chunk(amap, z, 1, 6)
-    with pytest.raises(ValueError, match="RK4 chunk of .* steps off its step map"):
-        sf.integrate(flow, z, sf.IntegratorConfig(step=0.05, horizon=1.0))
+    return flow, flow.field.piece(z).step_map(z, 0.05), z, int(np.argmax(np.abs(z)))
 
 
-def _chunked_and_one_step_runs(monkeypatch, flow, z0, config):
+@pytest.mark.parametrize("power", [0, 1, 3])
+def test_a_perturbed_cached_power_fails_the_block_check(monkeypatch, power):
+    flow, amap, z, k = _on_a_face()
+    buf, powers = np.empty(flows.BLOCK_MAX_ENTRIES), []
+    assert amap.block(z, 8, buf, powers).shape[0] == 8 and len(powers) == 4  # unperturbed, it passes
+    powers[power][k, k] += 1e-6
+    with pytest.raises(ValueError, match="RK4 block of [1-8] steps off its step map"):
+        amap.block(z, 8, buf, powers)
+    block = flows.AffineMap.block
+
+    def perturbed(self, z, steps, buf, powers):
+        if len(powers) > power:
+            powers[power][k, k] += 1e-6
+        return block(self, z, steps, buf, powers)
+
+    monkeypatch.setattr(flows.AffineMap, "block", perturbed)
+    with pytest.raises(ValueError, match="RK4 block of .* steps off its step map"):
+        sf.integrate(flow, z, sf.IntegratorConfig(step=0.05, horizon=3.0))
+
+
+def _steps_on_the_piece(flow, amap, z):
+    """The states of one-step maps from z until the first whose test fails, z included."""
+    states = [z]
+    while (out := amap(states[-1])) is not None and len(states) <= amap.max_block:
+        states.append(flow.feasible.clamp(out))
+    return np.array(states)
+
+
+def test_a_block_whose_test_fails_at_step_j_takes_j_steps():
+    # the first state of the walk from which one-step maps of its piece take
+    # a few steps before a coordinate reaches a face
+    flow, z0 = _walk_flow(2)
+    traj = sf.integrate(flow, z0, sf.IntegratorConfig(step=0.05, horizon=10.0))
+    buf = np.empty(flows.BLOCK_MAX_ENTRIES)
+    for z in traj.states:
+        amap = flow.field.piece(z).step_map(z, 0.05)
+        one_step = _steps_on_the_piece(flow, amap, z)
+        j = one_step.shape[0] - 1
+        if 4 < j < amap.max_block:
+            break
+    else:
+        pytest.fail("no state whose one-step maps take a few steps on its piece")
+    for steps in (j - 1, j, j + 1, amap.max_block):
+        rows = amap.block(z, steps, buf, [])
+        assert rows.shape == (min(steps, j), flow.dim)
+    assert np.abs(rows - one_step[1:]).max() <= 1e-13 * (1.0 + np.linalg.norm(z))
+    assert np.array_equal(flow.feasible.clamp(rows[:-1]), rows[:-1])  # on the piece: unclamped
+
+
+def _block_and_one_step_runs(monkeypatch, flow, z0, config):
     taken = _maps_taken(monkeypatch)
-    chunked = sf.integrate(flow, z0, config)
-    assert any(amap.records[-1] > 1 for amap, _, _ in taken)  # chunks took steps
+    blocks = sf.integrate(flow, z0, config)
+    assert any(rows.shape[0] > 1 for _, _, rows in taken)  # blocks took steps
     with monkeypatch.context() as patch:
-        patch.setattr(flows, "CHUNK_MAX_ENTRIES", 0)  # no chunk of two steps fits
+        patch.setattr(flows, "BLOCK_MAX_ENTRIES", 0)  # no block of two steps fits
         del taken[:]
         one_step = sf.integrate(flow, z0, config)
-        assert taken and all(amap.records == (1,) for amap, _, _ in taken)
-    return chunked, one_step
+        assert taken and all(rows.shape[0] == 1 for _, _, rows in taken)
+    return blocks, one_step
 
 
-def _assert_same_run(chunked, one_step):
-    assert np.array_equal(chunked.times, one_step.times)
+def _assert_same_run(blocks, one_step):
+    assert np.array_equal(blocks.times, one_step.times)
     scale = 1e-13 * (1.0 + np.linalg.norm(one_step.states, axis=1))
-    assert np.all(np.abs(chunked.states - one_step.states).max(axis=1) <= scale)
+    assert np.all(np.abs(blocks.states - one_step.states).max(axis=1) <= scale)
 
 
 @pytest.mark.parametrize(
@@ -214,7 +256,7 @@ def _assert_same_run(chunked, one_step):
 )
 def test_chunked_runs_match_one_step_runs_on_shipped_configs(monkeypatch, name, config, flow):
     z0 = np.ones(flow.dim) if flow.feasible is None else flow.feasible.clamp(np.ones(flow.dim))
-    _assert_same_run(*_chunked_and_one_step_runs(monkeypatch, flow, z0, config))
+    _assert_same_run(*_block_and_one_step_runs(monkeypatch, flow, z0, config))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -223,9 +265,9 @@ def test_chunked_runs_match_one_step_runs_on_walks(monkeypatch, seed, every, hor
     # 61.23 is 1224 steps of 0.05, not a multiple of 7, then a fractional step of 0.03
     flow, z0 = _walk_flow(seed)
     config = sf.IntegratorConfig(step=0.05, horizon=horizon, record_every=every)
-    chunked, one_step = _chunked_and_one_step_runs(monkeypatch, flow, z0, config)
-    _assert_same_run(chunked, one_step)
-    assert chunked.times[-1] == horizon
+    blocks, one_step = _block_and_one_step_runs(monkeypatch, flow, z0, config)
+    _assert_same_run(blocks, one_step)
+    assert blocks.times[-1] == horizon
 
 
 def test_a_map_fails_once_a_face_coordinate_has_left_its_face():
@@ -331,19 +373,19 @@ def test_a_replaced_field_is_integrated_not_the_stale_map(monkeypatch):
     assert np.array_equal(sf.integrate(twice, z0, config).states, traj.states)
 
 
-@pytest.mark.parametrize("cap, divisor", [(flows.CHUNK_MAX_ENTRIES, False), (2**10, True)])
-def test_a_wrapped_field_records_the_grid_states_of_its_run(monkeypatch, cap, divisor):
+@pytest.mark.parametrize("cap, short", [(2**15, False), (2**10, True)])
+def test_a_wrapped_field_records_the_grid_states_of_its_run(monkeypatch, cap, short):
     # 11.23 is 224 steps of 0.05 and a fractional one, and still far from
-    # the equilibrium. Chunks record every 10th state inside them; a cap of
-    # 2**10 entries leaves chunks of 2 or 5 steps, divisors of record_every,
-    # that record only their last state.
+    # the equilibrium. Blocks start at any step and record every 10th state
+    # inside them. A cap of 2**15 entries lets them run long; one of 2**10
+    # keeps them at most 32 steps long, so many more start and end between records.
     flow, z0 = _walk_flow(1)
     config = sf.IntegratorConfig(step=0.05, horizon=11.23, record_every=10)
-    monkeypatch.setattr(flows, "CHUNK_MAX_ENTRIES", cap)
+    monkeypatch.setattr(flows, "BLOCK_MAX_ENTRIES", cap)
     taken = _maps_taken(monkeypatch)
     plain = sf.integrate(flow, z0, config)
-    chunks = {amap.records for amap, _, _ in taken if amap.records[-1] > 1}
-    assert chunks and all((records[-1] < 10) == divisor for records in chunks)
+    blocks = [rows.shape[0] for _, _, rows in taken if rows.shape[0] > 1]
+    assert blocks and (max(blocks) <= 32) == short
     grid = np.append(np.arange(0, 225, 10), 225) * 0.05
     grid[-1] = 11.23
     assert np.array_equal(plain.times, grid)
@@ -451,16 +493,16 @@ def _lasso(name, tmp_path):
 
 
 def _piece_keys(monkeypatch) -> dict:
-    """id of every step map and chunk built -> the key of the piece it was built of."""
+    """id of every step map built -> the key of the piece it was built of."""
     keys = {}
-    for name in ("step_map", "chunk"):
+    build = sf.Piece.step_map
 
-        def logging(self, *args, build=getattr(sf.Piece, name)):
-            amap = build(self, *args)
-            keys[id(amap)] = self.key
-            return amap
+    def logging(self, *args):
+        amap = build(self, *args)
+        keys[id(amap)] = self.key
+        return amap
 
-        monkeypatch.setattr(sf.Piece, name, logging)
+    monkeypatch.setattr(sf.Piece, "step_map", logging)
     return keys
 
 
@@ -470,16 +512,14 @@ def test_lasso_map_steps_and_chunks_agree_with_four_stage_steps(monkeypatch, tmp
     keys = _piece_keys(monkeypatch)
     steps = _maps_taken(monkeypatch)
     sf.integrate(flow, z0, config)
-    assert any(amap.records[-1] > 1 for amap, _, _ in steps)  # chunks took steps
+    assert any(rows.shape[0] > 1 for _, _, rows in steps)  # blocks took steps
     assert len({keys[id(amap)] for amap, _, _ in steps}) >= 2  # on pieces of several active sets
-    for amap, z, out in steps:
-        p, done = z, 0
-        for j, row in zip(amap.records, out.reshape(len(amap.records), -1)):
-            for _ in range(j - done):
-                p = _four_stage(flow, p, config.step)
-            done = j
-            assert _agree(row, p), (name, amap.records)
-    _assert_same_run(*_chunked_and_one_step_runs(monkeypatch, flow, z0, config))
+    for _, z, rows in steps:
+        p = z
+        for j, row in enumerate(rows):
+            p = _four_stage(flow, p, config.step)
+            assert _agree(row, p), (name, j, rows.shape[0])
+    _assert_same_run(*_block_and_one_step_runs(monkeypatch, flow, z0, config))
 
 
 def test_a_piece_is_an_affine_map_that_takes_no_steps(tmp_path):
@@ -492,16 +532,15 @@ def test_a_piece_is_an_affine_map_that_takes_no_steps(tmp_path):
     _, lasso_flow, lasso_z = _lasso("shipped", tmp_path)
     box_piece, lasso_piece = flow.field.piece(z), lasso_transform(lasso_flow).piece(lasso_z)
     for piece, at in ((box_piece, z), (lasso_piece, lasso_z)):
-        assert isinstance(piece, sf.AffineMap) and piece.records == ()
+        assert isinstance(piece, sf.AffineMap)
         assert not any(hasattr(piece, name) for name in ("M", "m", "G", "g"))
         assert piece.W.shape[0] > piece.dim  # signed rows below the field rows
         out = piece(at)
         assert out is not None and _agree(out, piece.W[: piece.dim] @ at + piece.w[: piece.dim])
-    amap = box_piece.step_map(z, 0.05)
-    chunk = box_piece.chunk(amap, z, 1, 8)
-    assert amap.records == (1,) and chunk.records[-1] > 1
+    amap, again = box_piece.step_map(z, 0.05), box_piece.step_map(z, 0.05)
+    assert amap.block(z, 8, np.empty(flows.BLOCK_MAX_ENTRIES), []).shape == (8, flow.dim)
     # identity hashes: each map is its own set member and dict key, and an equal copy is another
-    maps = [box_piece, lasso_piece, amap, chunk]
+    maps = [box_piece, lasso_piece, amap, again]
     keys = {each: i for i, each in enumerate(maps)}
     assert len(set(maps)) == 4 and [keys[each] for each in maps] == [0, 1, 2, 3]
     twin = replace(box_piece)
@@ -564,3 +603,79 @@ def test_lasso_runs_evaluate_the_field_rarely_and_solve_no_more_box_qps(monkeypa
     assert counts[0] < 100 and counts[1] <= len(solves)
     scale = AGREE * (1.0 + np.linalg.norm(four_stage.states, axis=1))
     assert np.all(np.abs(mapped.states - four_stage.states).max(axis=1) <= scale)
+
+
+def _owners(tmp_path):
+    """(name, integrator config, flow, z0, owner of the pieces) of each shipped box config and of the Lasso."""
+    for name, config, flow in _shipped_affine():
+        if flow.feasible is not None:
+            yield name, config, flow, flow.feasible.clamp(np.ones(flow.dim)), flow.field
+    config, flow, z0 = _lasso("shipped", tmp_path)
+    yield "lasso_pipeline", config, flow, z0, lasso_transform(flow)
+
+
+def test_where_a_piece_holds_the_field_gives_that_piece(tmp_path):
+    # integrate takes a 4-stage step without asking the field for its piece
+    # where its current piece's own rows hold at the state; there the field's
+    # piece, found afresh, has the same key
+    for name, config, flow, z0, owner in _owners(tmp_path):
+        states = sf.integrate(flow, z0, config).states
+        pieces = {}
+        for z in states:
+            for cache in flow.caches:
+                cache.clear()
+            piece = owner.piece(z)
+            pieces.setdefault(piece.key, piece)
+        held = 0
+        for z in states:
+            for key, piece in pieces.items():
+                if piece(z) is not None:
+                    for cache in flow.caches:
+                        cache.clear()
+                    assert owner.piece(z).key == key, name
+                    held += 1
+        assert held >= 0.9 * len(states), name
+
+
+def test_a_bench_min_cost_flow_run_asks_the_field_only_for_new_pieces(monkeypatch, tmp_path):
+    # the benchmark's seed-2024 mincostflow_augmented run visits 9 pieces; it
+    # asked for a piece 15 times when a failed one-step map went to the field
+    # before trying the current piece
+    _bench_inputs().write_inputs("projected_direct", 2024, tmp_path)
+    cfg = load_config(tmp_path / "mincostflow_augmented.ini")
+    flow = build_setup(cfg).flow
+    keys = []
+    piece = sf.AffineField.piece
+
+    def logging(self, z):
+        keys.append((new := piece(self, z)).key)
+        return new
+
+    monkeypatch.setattr(sf.AffineField, "piece", logging)
+    sf.integrate(flow, cfg.z0 if cfg.z0 is not None else np.ones(flow.dim), cfg.integrator)
+    assert len(keys) == 9 and all(a != b for a, b in zip(keys, keys[1:]))
+
+
+def test_a_min_cost_flow_run_keeps_its_memory_peak_small():
+    # configs/mincostflow_augmented.ini: dim 52 and 801 records (325 KB). The
+    # blocks' temporaries live in one buffer of BLOCK_MAX_ENTRIES (128 KB).
+    # The run peaked 531 KB above its records
+    cfg = load_config(CONFIGS / "mincostflow_augmented.ini")
+    flow = build_setup(cfg).flow
+    z0 = cfg.z0 if cfg.z0 is not None else np.ones(flow.dim)
+    tracemalloc.start()
+    try:
+        traj = sf.integrate(flow, z0, cfg.integrator)
+        peak = tracemalloc.get_traced_memory()[1]
+        z = traj.states[len(traj) // 2]
+        amap, buf = flow.field.piece(z).step_map(z, cfg.integrator.step), np.empty(flows.BLOCK_MAX_ENTRIES)
+        powers = []
+        amap.block(z, amap.max_block, buf, powers)  # squares the powers
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        rows = amap.block(z, amap.max_block, buf, powers)
+        block_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert flow.dim == 52 and peak < traj.states.nbytes + 2**20
+    assert rows.shape[0] > 100 and block_peak < 2**17  # 97 KB, mostly numpy's comparison buffers

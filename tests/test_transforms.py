@@ -1,10 +1,12 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import saddleflow as sf
 import saddleflow.transforms as transforms_module
+from saddleflow import cli
 from saddleflow._inner import WarmCache, newton_solve
 from saddleflow.transforms import InnerSolveError
 
@@ -181,6 +183,16 @@ def test_surrogate_meta_is_the_spectrum_of_its_declared_hessian(n, m):
         H = sur.hessian
         assert sur.meta.mu == pytest.approx(np.linalg.eigvalsh(H[:n, :n])[0], rel=1e-12, abs=0.0)
         assert sur.meta.q == pytest.approx(np.linalg.eigvalsh(-H[n:, n:])[0], rel=1e-12, abs=0.0)
+
+
+def test_a_surrogate_keeps_the_base_q_without_kappa():
+    # q_s = q + kappa/(l + rho) >= q: without kappa or l the surrogate keeps q
+    base = sf.make_quadratic_saddle(1.0, 2.0, [[0.6, 0.8]])
+    for meta in (replace(base.meta, kappa=None), replace(base.meta, l=None)):
+        sur = sf.proximal_surrogate(replace(base, meta=meta), 1.0).problem
+        assert sur.meta.q == 2.0
+        setup = cli._saddle_run(sur, "wide quadratic saddle", "proximal")
+        assert setup.c_bound == min(sur.meta.mu, 2.0) == 0.5
 
 
 # ---------------------------------------------------------------------------
