@@ -32,7 +32,6 @@ from .integrate import (
     IntegratorConfig,
     RateReport,
     Trajectory,
-    detect_equilibrium,
     distance_series,
     fit_rate,
     integrate,
@@ -492,8 +491,9 @@ class RunResult:
     cert_skipped: str = ""
 
 
-def _resolve_equilibrium(flow: Flow, traj: Trajectory, config: IntegratorConfig):
-    """(z*, how): the hint if its residual is within ``RESIDUAL_TOL``, else detection."""
+def _resolve_equilibrium(flow: Flow, traj: Trajectory, converged: bool):
+    """(z*, how): the hint if its residual is within ``RESIDUAL_TOL``, else the
+    last state of a converged run, else None."""
     rejected = ""
     if flow.equilibrium_hint is not None:
         residual = flow.residual(flow.equilibrium_hint)
@@ -501,16 +501,8 @@ def _resolve_equilibrium(flow: Flow, traj: Trajectory, config: IntegratorConfig)
             return flow.equilibrium_hint, "hint"
         hint = np.array2string(flow.equilibrium_hint, precision=6, max_line_width=np.inf)
         rejected = f"; hint {hint} rejected (residual {residual:.3e} > {RESIDUAL_TOL:g})"
-    z = detect_equilibrium(flow, traj, RESIDUAL_TOL)
-    if z is not None:
-        return z, "detected" + rejected
-    ref_cfg = replace(
-        config, horizon=10.0 * config.horizon, record_every=max(1, 10 * config.record_every)
-    )
-    ref = integrate(flow, traj.states[0], ref_cfg)
-    z = detect_equilibrium(flow, ref, RESIDUAL_TOL)
-    if z is not None:
-        return z, "detected (10x-horizon reference run)" + rejected
+    if converged:
+        return traj.final_state, "detected" + rejected
     return None, "not found" + rejected
 
 
@@ -535,7 +527,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     res = RunResult(config=cfg, setup=setup, trajectory=recorded, wall_time=wall,
                     initial_residual=r0, final_residual=r1, converged=r1 <= RESIDUAL_TOL)
 
-    res.z_star, res.equilibrium_how = _resolve_equilibrium(setup.flow, traj, cfg.integrator)
+    res.z_star, res.equilibrium_how = _resolve_equilibrium(setup.flow, traj, res.converged)
     if res.z_star is None:
         res.rate_skipped = res.cert_skipped = "no equilibrium found"
     else:

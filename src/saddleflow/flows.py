@@ -44,9 +44,6 @@ _PROBE_TOL = 1e-10
 # bench read about 0.3 MB more peak_rss_mb (fewest of 25 calls each, one BLAS
 # thread, 2-vCPU Xeon).
 BLOCK_MAX_ENTRIES = 2**14
-# Entries of W per block of the build checks' |W| @ |z|: 128 KB of float64, as
-# the largest block.
-_CHECK_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -330,9 +327,10 @@ class AffineField:
 
 
 def _scale(W: np.ndarray, w: np.ndarray, z) -> float:
-    """1 + max_i (|W_i| @ |z| + |w_i|), over blocks of rows: no |W| as large as W."""
+    """1 + max_i (|W_i| @ |z| + |w_i|), over blocks of rows of ``BLOCK_MAX_ENTRIES`` entries:
+    no |W| as large as W."""
     size, top = np.abs(z), np.abs(w)
-    block = max(1, _CHECK_BLOCK // size.shape[0])
+    block = max(1, BLOCK_MAX_ENTRIES // size.shape[0])
     for r in range(0, top.shape[0], block):
         top[r : r + block] += np.abs(W[r : r + block]) @ size
     return 1.0 + top.max()

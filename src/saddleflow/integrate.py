@@ -76,6 +76,9 @@ class IntegratorConfig:
             raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
         if not self.step < self.horizon:
             raise ValueError(f"step {self.step} must be smaller than horizon {self.horizon}")
+        # where int(horizon / step + 1e-9) counts the steps exactly
+        if not self.horizon / self.step < 2.0**53:
+            raise ValueError(f"horizon / step must be < 2**53, got {self.horizon / self.step:.3g}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
@@ -149,6 +152,8 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
 
     When the flow has a feasible set, the start point is clamped onto it
     with a warning if it lies outside, and every accepted state is clamped.
+    A free flow's clamp is ``np.copy``, which moves nothing, so every flow
+    takes its RK4 stages, its states and a wrapper's walk by one formula.
     Raises :class:`IntegrationError` on a non-finite state.
 
     The config fixes the record grid: step 0, every ``record_every``-th
@@ -193,7 +198,7 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     has_rem = rem > 1e-9 * h
     n_steps = n_full + (1 if has_rem else 0)
     field = flow.field
-    clamp = fs.clamp if fs is not None else None
+    clamp = fs.clamp if fs is not None else np.copy
     # A wrapper of a field with pieces (``__wrapped__``, as functools.wraps
     # sets) is evaluated at all four stages, and keeps the map's states while
     # the two agree: a pass-through wrapper records the same run. From the
@@ -209,14 +214,9 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
         if config.method == "euler":
             return z + hi * field(z)
         k1 = field(z)
-        if clamp is not None:
-            k2 = field(clamp(z + (0.5 * hi) * k1))
-            k3 = field(clamp(z + (0.5 * hi) * k2))
-            k4 = field(clamp(z + hi * k3))
-        else:
-            k2 = field(z + (0.5 * hi) * k1)
-            k3 = field(z + (0.5 * hi) * k2)
-            k4 = field(z + hi * k3)
+        k2 = field(clamp(z + (0.5 * hi) * k1))
+        k3 = field(clamp(z + (0.5 * hi) * k2))
+        k4 = field(clamp(z + hi * k3))
         return z + (hi / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
     # the record grid; the row of grid step i is ceil(i / every)
@@ -251,13 +251,13 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
             walk, p = np.empty_like(rows), z
             for j in range(rows.shape[0]):
                 p = stages(p, h)
-                if j < rows.shape[0] - 1 and clamp is not None:
+                if j < rows.shape[0] - 1:
                     p = clamp(p)
                 walk[j] = p
             gap = np.abs(rows - walk).max(axis=1)
             if not np.all(gap <= 1e-12 * (1.0 + np.linalg.norm(walk, axis=1))):
                 rows, owner = walk, None
-        z = rows[-1].copy() if clamp is None else clamp(rows[-1])  # rows may be a view of buf
+        z = clamp(rows[-1])  # a new array: rows may be a view of buf
         if np.count_nonzero(np.isfinite(z)) != z.shape[0]:  # cheaper than .all() on short arrays
             raise IntegrationError("non-finite state encountered", i * h)  # the failing step starts at i
         # intermediate states: on the piece, so unclamped; the first grid step after i is s

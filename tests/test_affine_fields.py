@@ -255,9 +255,10 @@ def test_only_inner_solve_configs_call_gradient_oracles_while_integrating(tmp_pa
     if name in CLOSED_FORM:
         assert counts["in_integrate"] == 0
     else:
-        # measured 294 oracle calls and 15 box-QP solves for the 8,800 field
-        # evaluations of the run and its 10x-horizon equilibrium rerun (one
-        # solve per evaluation before the active-set map); bounds at 2x
+        # measured 138 oracle calls and 7 box-QP solves for the 800 field
+        # evaluations of the run (one solve per evaluation before the
+        # active-set map); the bounds are 2x the 294 and 15 measured when a
+        # 10x-horizon equilibrium rerun followed the run
         assert 0 < counts["in_integrate"] <= 600
         assert 0 < counts["box_qp_in_integrate"] <= 30
 

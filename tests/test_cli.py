@@ -291,15 +291,42 @@ def test_report_warns_when_the_certificate_vanishes_but_the_residual_does_not(tm
     assert "WARNING: certificate vanished while the flow residual did not" in lines
 
 
-def test_report_without_equilibrium_gives_reasons(tmp_path):
+def test_report_without_equilibrium_gives_reasons(tmp_path, monkeypatch):
+    # a run without a hint that has not converged finds no z*, and integrates once
     text = (CONFIGS / "separable_reduced.ini").read_text().replace("horizon = 40", "horizon = 0.1")
     cfg = _write(tmp_path, "reduced_short.ini", text)
     out = tmp_path / "out"
+    calls = []
+    integrate = cli.integrate
+    monkeypatch.setattr(cli, "integrate", lambda *args: calls.append(args) or integrate(*args))
     assert main(["run", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+    assert len(calls) == 1
     report = (out / "report.txt").read_text()
+    assert "converged: yes" not in report and "hint" not in report
     assert "equilibrium: not found" in report
     assert "fitted rate: unavailable (no equilibrium found)" in report
     assert "certificate: skipped (no equilibrium found)" in report
+
+
+@pytest.mark.parametrize("config, horizons", [
+    ("separable_reduced.ini", ("0.1", "2", "40")),
+    ("qp_preconditioned_uy.ini", ("1", "30")),
+    ("lp_augmented.ini", ("5", "150")),
+])
+def test_a_run_without_a_hint_detects_its_equilibrium_exactly_when_it_converges(tmp_path, config, horizons):
+    text = (CONFIGS / config).read_text()
+    (old,) = [line for line in text.splitlines() if line.startswith("horizon = ")]
+    seen = set()
+    for horizon in horizons:
+        out = tmp_path / horizon
+        cfg = _write(tmp_path, f"{horizon}.ini", text.replace(old, f"horizon = {horizon}"))
+        assert main(["run", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+        lines = (out / "report.txt").read_text().splitlines()
+        converged = any(line.startswith("converged: yes") for line in lines)
+        assert ("equilibrium: detected" in lines) == converged, horizon
+        assert ("equilibrium: not found" in lines) == (not converged), horizon
+        seen.add(converged)
+    assert seen == {True, False}
 
 
 def test_report_line_formats_read_by_tools(tmp_path):
@@ -491,6 +518,18 @@ def test_unknown_integrator_key_is_config_error(tmp_path, capsys, old, new, key)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("step, horizon", [("1e-300", "1e10"), ("1e-290", "150")])
+def test_a_step_count_past_2_to_53_is_config_error(tmp_path, capsys, step, horizon):
+    # horizon / step is inf, then 1.5e292: the run would die counting or sizing its steps
+    text = (CONFIGS / "lp_augmented.ini").read_text()
+    text = text.replace("step = 0.01", f"step = {step}").replace("horizon = 150", f"horizon = {horizon}")
+    cfg = _write(tmp_path, "lp_augmented.ini", text)
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"saddleflow: config error: {cfg}: bad integrator config: horizon / step must be < 2**53")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "config, old, new, section, key, allowed",
     [
@@ -669,7 +708,7 @@ alpha = {alpha}
 
 [integrator]
 step = 0.1
-horizon = 20
+horizon = 200
 record_every = 1
 """
     V = np.eye(4)
@@ -815,6 +854,8 @@ def test_rates_csv_bound_of_every_shipped_config_is_its_closed_form(tmp_path, mo
         assert row["verdict"] != "none", path.name
         assert (float(row["c_bound"]) if row["c_bound"] else None) == expected, path.name
         bounded += expected is not None
+        equilibrium = (out / path.stem / "report.txt").read_text().split("\nequilibrium: ")[1]
+        assert equilibrium.startswith(("hint\n", "detected\n")), path.name
     assert bounded == 7
     # all but bilinear_standard, lasso_pipeline and qp_proximal
     assert len(certified) == 9
@@ -838,11 +879,18 @@ def test_a_wrong_saddle_hint_is_rejected_and_named():
     config = sf.IntegratorConfig(step=0.01, horizon=30.0, record_every=10)
     wrong = sf.standard_flow(problem(np.array([1.0, 0.5])))
     traj = sf.integrate(wrong, [1.0, 1.0], config)
-    z, how = _resolve_equilibrium(wrong, traj, config)
+    converged = wrong.residual(traj.final_state) <= cli.RESIDUAL_TOL
+    assert converged
+    z, how = _resolve_equilibrium(wrong, traj, converged)
     assert how == "detected; hint [1.  0.5] rejected (residual 1.500e+00 > 1e-06)"
     assert np.abs(z).max() <= 1e-6
+    # a run that has not converged has no z*, and still names the hint it rejected
+    assert _resolve_equilibrium(wrong, traj, False) == (
+        None, "not found; hint [1.  0.5] rejected (residual 1.500e+00 > 1e-06)"
+    )
     right = sf.standard_flow(problem(np.zeros(2)))
-    assert _resolve_equilibrium(right, traj, config)[1] == "hint"
+    assert _resolve_equilibrium(right, traj, converged)[1] == "hint"
+    assert _resolve_equilibrium(right, traj, False)[1] == "hint"
 
 
 def test_bilinear_standard_prints_no_r_squared_for_its_flat_distance(tmp_path):

@@ -67,8 +67,8 @@ def test_a_checkout_against_itself_is_identical(tmp_path, capsys):
     assert compare_runs.main([str(ROOT), str(_config(tmp_path))]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].endswith("short.ini: identical")
-    assert out[-1] == ("1 of 1 configs identical; largest state difference 0.000e+00 * (1 + ||z||); "
-                       "verdict-bearing lines differing: none")
+    assert out[-1] == ("1 of 1 configs identical; byte-identical trajectory.csv in 1, rates.csv in 1; "
+                       "largest state difference 0.000e+00 * (1 + ||z||); verdict-bearing lines differing: none")
 
 
 def test_a_changed_checkout_shows_which_files_differ_and_how(tmp_path, capsys):
@@ -80,9 +80,9 @@ def test_a_changed_checkout_shows_which_files_differ_and_how(tmp_path, capsys):
     short = _config(tmp_path, SHORT.replace("horizon = 30", "horizon = 12"))
     assert compare_runs.main([str(other), str(short)]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[0].endswith("short.ini: differs")
-    assert out[-1] == ("0 of 1 configs identical; largest state difference 1.000e-09 * (1 + ||z||); "
-                       "verdict-bearing lines differing: none")
+    assert out[0].endswith("short.ini: differs (trajectory.csv, rates.csv, report.txt)")
+    assert out[-1] == ("0 of 1 configs identical; byte-identical trajectory.csv in 0, rates.csv in 0; "
+                       "largest state difference 1.000e-09 * (1 + ||z||); verdict-bearing lines differing: none")
     assert "  trajectory.csv: largest state difference 1.000e-09 * (1 + ||z||)" in out
     assert "  rates.csv:" in out and "  report.txt:" in out
     changed = [line for line in out if line.startswith("    - ")]
@@ -95,8 +95,21 @@ def test_the_summary_names_the_verdict_bearing_lines_that_differ(tmp_path, capsy
     assert compare_runs.main([str(other), str(_config(tmp_path)), str(_config(tmp_path))]) == 1
     out = capsys.readouterr().out.splitlines()
     assert "    - converged: YES (residual <= 1e-06)" in out  # the other checkout's line
-    assert out[-1] == ("0 of 2 configs identical; largest state difference 0.000e+00 * (1 + ||z||); "
+    assert out[-1] == ("0 of 2 configs identical; byte-identical trajectory.csv in 2, rates.csv in 2; "
+                       "largest state difference 0.000e+00 * (1 + ||z||); "
                        "verdict-bearing lines differing: converged: in 2")
+
+
+def test_a_report_only_difference_names_report_txt_and_keeps_the_csvs_identical(tmp_path, capsys):
+    # a change of noise digits in report.txt alone, as of its final residual
+    other = _changed_copy(tmp_path, "cli.py", 'f"final residual: {res.final_residual:.6e}"',
+                          'f"final residual: {res.final_residual:.5e}"')
+    assert compare_runs.main([str(other), str(_config(tmp_path))]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith("short.ini: differs (report.txt)")
+    assert out[1] == "  report.txt:" and out[2].startswith("    - final residual: ")
+    assert out[-1] == ("0 of 1 configs identical; byte-identical trajectory.csv in 1, rates.csv in 1; "
+                       "largest state difference 0.000e+00 * (1 + ||z||); verdict-bearing lines differing: none")
 
 
 def test_the_same_failure_in_both_checkouts_is_no_difference(tmp_path, capsys):
@@ -105,7 +118,9 @@ def test_the_same_failure_in_both_checkouts_is_no_difference(tmp_path, capsys):
     other = _changed_copy(tmp_path, "cli.py", '"saddleflow: config error: ', '"config error: ')
     assert compare_runs.main([str(other), str(bad)]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert "  exit codes 1 (this) and 1 (other)" in out
+    at = out.index("  exit codes 1 (this) and 1 (other)")
+    assert out[at - 1].endswith("short.ini: differs (exit)")
+    assert "byte-identical trajectory.csv in 0, rates.csv in 0;" in out[-1]
 
 
 def test_the_default_configs_are_the_shipped_ones_then_the_benchmark_inputs(tmp_path):

@@ -62,6 +62,14 @@ def test_integrator_config_validation():
         sf.IntegratorConfig(step=np.nan)
 
 
+def test_integrator_config_counts_steps_only_below_2_to_53():
+    # int(horizon / step + 1e-9) counts the steps exactly below 2**53
+    for step, horizon in ((1e-300, 1e10), (1e-290, 1.0), (1.0, 2.0**53)):
+        with pytest.raises(ValueError, match=r"horizon / step must be < 2\*\*53"):
+            sf.IntegratorConfig(step=step, horizon=horizon)
+    assert sf.IntegratorConfig(step=1.0, horizon=2.0**53 - 2).horizon == 2.0**53 - 2
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_non_finite_state_reports_last_time():
     # z' = z^2 from z0 = 1 blows up at t = 1; RK4 steps of 0.01 stay finite

@@ -6,11 +6,13 @@ Runs each config once with this checkout's ``src`` and once with
 OTHER_CHECKOUT's ``src``, each as
 ``saddleflow run`` in a subprocess of its own with a fresh temporary output
 directory. It then compares trajectory.csv, rates.csv and report.txt, the
-last without its ``wall time:`` line. For each config it prints which files
-differ: for trajectory.csv the largest state difference over 1 + ||z||, for
-the other two the lines that differ. The last line sums up: the configs
-compared, the largest state difference over all of them, and the configs
-whose verdict-bearing lines differ (the ``verdict`` column of rates.csv and
+last without its ``wall time:`` line. For each config it prints
+``identical``, or ``differs`` with the names of the files that differ, and
+then how: for trajectory.csv the largest state difference over 1 + ||z||,
+for the other two the lines that differ. The last line sums up: the configs
+compared, how many have byte-identical trajectory.csv and rates.csv, the
+largest state difference over all of them, and the configs whose
+verdict-bearing lines differ (the ``verdict`` column of rates.csv and
 the ``equilibrium:``, ``certificate sandwich:`` and ``converged:`` lines of
 report.txt). Exits 1 if anything differs, else 0.
 
@@ -102,43 +104,52 @@ def line_diff(a: list, b: list) -> list:
 
 
 def compare(config: Path, other: Path) -> tuple:
-    """(report, gap, verdicts) of one config's outputs.
+    """(differing, report, gap, verdicts) of one config's outputs.
 
-    ``report`` lists the differences as lines to print (empty: identical),
-    ``gap`` is the largest state difference over 1 + ||z|| (0 when the
-    trajectories are byte-identical or both runs fail), and ``verdicts``
-    names the verdict-bearing outputs that differ.
+    ``differing`` names the outputs that differ (empty: identical): files of
+    ``FILES``, or ``exit`` where the runs fail differently. ``report`` lists
+    the differences as lines to print, ``gap`` is the largest state
+    difference over 1 + ||z|| (0 when the trajectories are byte-identical or
+    both runs fail), and ``verdicts`` names the verdict-bearing outputs that
+    differ.
     """
     with tempfile.TemporaryDirectory() as this_dir, tempfile.TemporaryDirectory() as other_dir:
         this_out, other_out = Path(this_dir), Path(other_dir)
         this_run, other_run = run(HERE, config, this_out), run(other, config, other_out)
         if this_run.returncode or other_run.returncode:
             if (this_run.returncode, this_run.stderr) == (other_run.returncode, other_run.stderr):
-                return [], 0.0, []
+                return [], [], 0.0, []
             report = [f"  exit codes {this_run.returncode} (this) and {other_run.returncode} (other)",
                       *line_diff(this_run.stderr.splitlines(), other_run.stderr.splitlines())]
-            return report, 0.0, []
-        report, gap = [], 0.0
+            return ["exit"], report, 0.0, []
+        differing, report, gap = [], [], 0.0
         for name in FILES:
             a, b = this_out / name, other_out / name
             if a.read_bytes() == b.read_bytes():
                 continue
             if name == "trajectory.csv":
                 gap, text = state_gap(a, b)
+                differing.append(name)
                 report.append(f"  {name}: {text}")
                 continue
             diff = line_diff(lines(a), lines(b))
             if diff:
+                differing.append(name)
                 report += [f"  {name}:", *diff]
         ours, theirs = verdicts(this_out), verdicts(other_out)
-        return report, gap, [key for key in ours if ours[key] != theirs[key]]
+        return differing, report, gap, [key for key in ours if ours[key] != theirs[key]]
 
 
-def summary(compared: int, identical: int, gap: float, verdict_diffs: Counter) -> str:
-    """The last line of the output: what was compared and what differs."""
+def summary(compared: int, identical: int, files: Counter, gap: float, verdict_diffs: Counter) -> str:
+    """The last line of the output: what was compared and what differs.
+
+    ``files`` counts, for each name ``compare`` gives, the configs whose
+    output of that name differs.
+    """
+    same = ", ".join(f"{name} in {compared - files[name] - files['exit']}" for name in FILES[:2])
     kinds = ", ".join(f"{key} in {n}" for key, n in verdict_diffs.items()) or "none"
-    return (f"{identical} of {compared} configs identical; largest state difference "
-            f"{gap:.3e} * (1 + ||z||); verdict-bearing lines differing: {kinds}")
+    return (f"{identical} of {compared} configs identical; byte-identical {same}; "
+            f"largest state difference {gap:.3e} * (1 + ||z||); verdict-bearing lines differing: {kinds}")
 
 
 def main(argv=None) -> int:
@@ -152,19 +163,20 @@ def main(argv=None) -> int:
         parser.error(f"{other} holds no src/saddleflow")
     with tempfile.TemporaryDirectory() as inputs_dir:
         configs = [c.resolve() for c in args.configs] or default_configs(Path(inputs_dir))
-        differing, largest, verdict_diffs = 0, 0.0, Counter()
+        identical, files, largest, verdict_diffs = 0, Counter(), 0.0, Counter()
         for config in configs:
-            report, gap, changed = compare(config, other)
-            differing += bool(report)
+            names, report, gap, changed = compare(config, other)
+            identical += not names
+            files.update(names)
             largest = max(largest, gap)
             verdict_diffs.update(changed)
             generated = config.is_relative_to(inputs_dir)
             name = os.path.relpath(config, inputs_dir if generated else None)
-            print(f"{name}: {'differs' if report else 'identical'}")
+            print(f"{name}: " + (f"differs ({', '.join(names)})" if names else "identical"))
             for line in report:
                 print(line)
-    print(summary(len(configs), len(configs) - differing, largest, verdict_diffs))
-    return 1 if differing else 0
+    print(summary(len(configs), identical, files, largest, verdict_diffs))
+    return 1 if identical < len(configs) else 0
 
 
 if __name__ == "__main__":
