@@ -15,6 +15,8 @@ import argparse
 import configparser
 import csv
 import functools
+import io
+import locale
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -32,6 +34,7 @@ from .integrate import (
     IntegratorConfig,
     RateReport,
     Trajectory,
+    _overwrite,
     distance_series,
     fit_rate,
     integrate,
@@ -604,26 +607,30 @@ def _format_report(res: RunResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_rates_csv(path: Path, res: RunResult) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("c_fit,c_bound,r_squared,window_start,window_end,verdict\n")
-        if res.rate is None:
-            fh.write(",,,,,none\n")
-        else:
-            r = res.rate
-            bound = "" if r.c_bound is None else f"{r.c_bound:.17g}"
-            fh.write(
-                f"{r.c_fit:.17g},{bound},{r.r_squared:.17g},"
-                f"{r.window[0]:.17g},{r.window[1]:.17g},{r.verdict}\n"
-            )
+def _write_text(path: Path, text: str) -> None:
+    """``path.write_text(text)``'s bytes, written over the file in place (``integrate._overwrite``)."""
+    with _overwrite(path) as fh:
+        fh.write(text.encode(locale.getpreferredencoding(False)))
+
+
+def _rates_csv(res: RunResult) -> str:
+    head = "c_fit,c_bound,r_squared,window_start,window_end,verdict\n"
+    if res.rate is None:
+        return head + ",,,,,none\n"
+    r = res.rate
+    bound = "" if r.c_bound is None else f"{r.c_bound:.17g}"
+    return head + (
+        f"{r.c_fit:.17g},{bound},{r.r_squared:.17g},"
+        f"{r.window[0]:.17g},{r.window[1]:.17g},{r.verdict}\n"
+    )
 
 
 def _run_to_files(cfg: ExperimentConfig, out_dir: Path) -> RunResult:
     res = run_experiment(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     res.trajectory.write_csv(out_dir / "trajectory.csv")
-    _write_rates_csv(out_dir / "rates.csv", res)
-    (out_dir / "report.txt").write_text(_format_report(res))
+    _write_text(out_dir / "rates.csv", _rates_csv(res))
+    _write_text(out_dir / "report.txt", _format_report(res))
     return res
 
 
@@ -639,20 +646,21 @@ def compare_experiments(configs: list[ExperimentConfig], out_dir: Path) -> Path:
             raise ConfigError(f"{first} and {configs[i].path} share the output directory {d}")
     results = [_run_to_files(c, d) for c, d in zip(configs, dirs)]
     out_dir.mkdir(parents=True, exist_ok=True)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["algorithm", "c_bound", "c_fit", "wall_time", "final_residual"])
+    for res in results:
+        writer.writerow(
+            [
+                res.setup.label,
+                "" if res.setup.c_bound is None else f"{res.setup.c_bound:.17g}",
+                "" if res.rate is None else f"{res.rate.c_fit:.17g}",
+                f"{res.wall_time:.6f}",
+                f"{res.final_residual:.17g}",
+            ]
+        )
     table = out_dir / "comparison.csv"
-    with open(table, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["algorithm", "c_bound", "c_fit", "wall_time", "final_residual"])
-        for res in results:
-            writer.writerow(
-                [
-                    res.setup.label,
-                    "" if res.setup.c_bound is None else f"{res.setup.c_bound:.17g}",
-                    "" if res.rate is None else f"{res.rate.c_fit:.17g}",
-                    f"{res.wall_time:.6f}",
-                    f"{res.final_residual:.17g}",
-                ]
-            )
+    _write_text(table, text.getvalue())
     return table
 
 

@@ -15,6 +15,7 @@ general constraint map g. The CLI runs the affine-constraint case as
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -149,6 +150,11 @@ class AffineMap:
         c = self.dim + 1
         return (BLOCK_MAX_ENTRIES - c) // (c + max(c, self.floor.shape[0]))
 
+    @cached_property
+    def _threshold(self) -> np.ndarray:
+        """floor - s for the signed rows' constants s: ``block`` tests S x >= it."""
+        return self.floor - self.w[self.dim :]
+
     def block(self, z, steps: int, buf: np.ndarray, powers: list) -> np.ndarray:
         """The states after each of the first j <= ``steps`` steps of this one-step map from z, one a row.
 
@@ -162,24 +168,27 @@ class AffineMap:
         the piece, so a clamp changes none of X_1 .. X_(j-1). The rows
         returned are a view of ``buf``, which holds every temporary:
         ``BLOCK_MAX_ENTRIES`` entries, for at most ``max_block`` steps.
-        ``ValueError`` if X_1 .. X_j are off T, made anew of ``W`` and ``w``,
-        applied once to X_0 .. X_(j-1), by more than ``_PROBE_TOL`` relative
-        (``_scale``).
+        ``ValueError`` if X_1 .. X_j are off T (``powers[0]``, made of ``W``
+        and ``w`` at the map's first block), applied once to X_0 ..
+        X_(j-1), by more than ``_PROBE_TOL`` relative (``_scale``).
         """
         dim, signed, c = self.dim, self.floor.shape[0], self.dim + 1
         X = buf[: (steps + 1) * c].reshape(steps + 1, c)
         Y = buf[X.size : X.size + steps * signed].reshape(steps, signed)
         X[0, :dim], X[0, dim] = z, 1.0
-        Tt = np.zeros((c, c))  # T transposed: the states are rows
-        Tt[:dim, :dim], Tt[dim, :dim], Tt[dim, dim] = self.W[:dim].T, self.w[:dim], 1.0
+        if not powers:
+            Tt = np.zeros((c, c))  # T transposed: the states are rows
+            Tt[:dim, :dim], Tt[dim, :dim], Tt[dim, dim] = self.W[:dim].T, self.w[:dim], 1.0
+            powers.append(Tt)
+        Tt = powers[0]
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite states fail the test
             for k in range(steps.bit_length()):
                 if k == len(powers):
-                    powers.append(powers[-1] @ powers[-1] if powers else Tt)
+                    powers.append(powers[-1] @ powers[-1])
                 n = 2**k
                 np.matmul(X[: min(n, steps + 1 - n)], powers[k], out=X[n : 2 * n])
             np.matmul(X[:steps, :dim], self.W[dim:].T, out=Y)
-            passed = (Y >= self.floor - self.w[dim:]).all(axis=1)  # S x + s >= floor, s not added to Y
+            passed = (Y >= self._threshold).all(axis=1)  # S x + s >= floor, s not added to Y
             # a sum of each row's entries times 0.5/c cannot overflow: it is finite where they are
             passed &= np.isfinite(X[1:] @ np.full(c, 0.5 / c))
         j = steps if passed.all() else int(passed.argmin())

@@ -19,7 +19,10 @@ its inner box QP.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -83,6 +86,24 @@ class IntegratorConfig:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
 
+@contextlib.contextmanager
+def _overwrite(path):
+    """A binary handle that writes ``path`` over its old bytes, cut to their new length on exit.
+
+    The library's one writer of files. Opened without ``O_TRUNC``: on an ext4
+    root mounted with ``discard``, that truncation cost 146-171 us for a
+    150 KB file, and writing over it and cutting it 17-20 us. A new file gets
+    the mode of ``open(path, "w")``, an existing one keeps its own, and a
+    symlink is written through; a device or pipe is not cut. A write that
+    stops part way (an exception, a killed process) leaves the new bytes
+    followed by the rest of the old ones, where ``O_TRUNC`` left a short file.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        yield fh
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Time-stamped states recorded along one integration run."""
@@ -117,11 +138,11 @@ class Trajectory:
         leaves to ``'%.17g'`` nan, +-inf, and the values whose rounding it
         cannot settle exactly: within 1e-6 of a midpoint where 10^(16-k) is
         no double, or rounding up to 10^17. A smaller table is written row
-        by row.
+        by row. The file is written over in place (``_overwrite``).
         """
         dim = self.states.shape[1]
         header = "t," + ",".join(f"state_{j}" for j in range(dim)) + "\n"
-        with open(path, "wb") as fh:
+        with _overwrite(path) as fh:
             fh.write(header.encode())
             if len(self) * (dim + 1) < _CSV_VECTOR_MIN:
                 line = b"%.17g," + b",".join([b"%.17g"] * dim) + b"\n"

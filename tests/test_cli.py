@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -902,3 +905,16 @@ def test_bilinear_standard_prints_no_r_squared_for_its_flat_distance(tmp_path):
     assert row["r_squared"] == "nan" and row["verdict"] == "no_bound"
     assert abs(float(row["c_fit"])) <= 1e-12
     assert "(r^2=nan, window=[0, 20])" in (out / "report.txt").read_text()
+
+
+def test_python_m_saddleflow_runs_a_shipped_config(tmp_path):
+    path = [str(CONFIGS.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "saddleflow", "run", str(CONFIGS / "quadratic_standard.ini"),
+         "--output-dir", str(tmp_path / "out"), "--quiet"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    written = sorted(path.name for path in (tmp_path / "out").iterdir())
+    assert written == ["rates.csv", "report.txt", "trajectory.csv"]
