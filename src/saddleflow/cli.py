@@ -232,6 +232,7 @@ class RunSetup:
     # without one raises ValueError with the reason
     cert_builder: Callable[[np.ndarray], cert.Certificate]
     c_bound: Optional[float] = None
+    no_bound: str = ""  # why c_bound is None
     # maps a converged state to a problem-level summary line
     recover: Optional[Callable[[np.ndarray], str]] = None
     # V: the run records V @ z of each integrated state z (None: z itself)
@@ -322,24 +323,25 @@ def _not_applicable(reason: str):
 
 
 def _saddle_run(problem: SaddleProblem, desc: str, label: str, certificate=None,
-                recover=None) -> RunSetup:
+                recover=None, no_bound: str = "") -> RunSetup:
     """The saddle flow of ``problem``, with its rate bound and certificate.
 
     ``problem`` is the base problem for ``standard`` and the transformed one
     for every other algorithm. The bound min(mu, q) of its meta and the default
-    certificate ``strict_cc`` both need mu > 0 and q > 0.
+    certificate ``strict_cc`` both need mu > 0 and q > 0; ``no_bound`` says why
+    there is no bound where the meta's mu and q do not.
     """
     meta = problem.meta
     strong = (meta.mu or 0) > 0 and (meta.q or 0) > 0
+    needs = f"needs mu > 0 and q > 0, got mu={meta.mu}, q={meta.q}"
     if certificate is None and strong:
         certificate = lambda z: cert.cert_strict_cc(problem, z)
     elif certificate is None:
-        certificate = _not_applicable(
-            f"strict_cc needs mu > 0 and q > 0, got mu={meta.mu}, q={meta.q}"
-        )
+        certificate = _not_applicable(f"strict_cc {needs}")
     return RunSetup(flow=standard_flow(problem), label=label,
                     problem_desc=desc, recover=recover, cert_builder=certificate,
-                    c_bound=cert.rate_bound_strong(meta.mu, meta.q) if strong else None)
+                    c_bound=cert.rate_bound_strong(meta.mu, meta.q) if strong else None,
+                    no_bound="" if strong else no_bound or f"min(mu, q) {needs}")
 
 
 def _standard(problem: SaddleProblem, desc: str, algo: dict) -> RunSetup:
@@ -351,7 +353,8 @@ def _augmented(problem: SaddleProblem, desc: str, algo: dict, recover=None) -> R
     n, m = problem.n, problem.m
     base = np.r_[:n, 2 * n : 2 * n + m]  # (x, y) of the augmented state (x, x_hat, y, y_hat)
     return _saddle_run(augment(problem, rho), desc, f"augmented(rho={rho})", recover=recover,
-                       certificate=lambda z: cert.cert_augmented(problem, rho, z[base]))
+                       certificate=lambda z: cert.cert_augmented(problem, rho, z[base]),
+                       no_bound="the augmentation gives asymptotic convergence, not a rate")
 
 
 def _augmented_network(net, desc: str, algo: dict) -> RunSetup:
@@ -416,7 +419,7 @@ def _lasso_pipeline(bundle, desc: str, algo: dict) -> RunSetup:
         return f"x_hat {np.array2string(xhat, precision=6)}"
 
     return RunSetup(flow=flow, label=f"lasso_pipeline(alpha={alpha:.6g}, rho={rho})",
-                    problem_desc=desc, recover=recover,
+                    problem_desc=desc, recover=recover, no_bound="no bound of the Lasso dual-proximal flow",
                     cert_builder=_not_applicable("no certificate of the Lasso dual-proximal flow"))
 
 
@@ -575,7 +578,7 @@ def _format_report(res: RunResult) -> str:
     lines.append(f"equilibrium: {res.equilibrium_how}")
     if res.rate is not None:
         r = res.rate
-        bound = "none" if r.c_bound is None else f"{r.c_bound:.6g}"
+        bound = f"none ({setup.no_bound})" if r.c_bound is None else f"{r.c_bound:.6g}"
         lines.append(
             f"fitted rate: c_fit={r.c_fit:.6g} (r^2={r.r_squared:.6f}, "
             f"window=[{r.window[0]:.4g}, {r.window[1]:.4g}])"

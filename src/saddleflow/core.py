@@ -26,16 +26,7 @@ __all__ = [
     "grad",
     "stationarity_residual",
     "full_domain",
-    "AFFINE_MAX_DIM",
 ]
-
-# Largest state dimension whose saddle flow runs as the dense affine field
-# K @ z + k0 of a declared ``hessian``. K @ z costs dim^2 multiply-adds where
-# the oracles cost a few block products plus a fixed ~10-20 us of numpy calls;
-# on one core of a 2-vCPU Xeon (numpy 2.4) the affine field was 1.7-7x faster
-# for bilinear, quadratic, LP and augmented problems up to dim 128, split
-# either way at 256 and lost 3-10x from 512 on.
-AFFINE_MAX_DIM = 128
 
 
 class DimensionMismatchError(ValueError):

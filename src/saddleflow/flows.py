@@ -21,10 +21,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._inner import WarmCache, newton_solve
-from .core import AFFINE_MAX_DIM, ConstraintMap, ConvexObjective, SaddleProblem, full_domain
+from .core import ConstraintMap, ConvexObjective, SaddleProblem, full_domain
 from .projection import FeasibleSet, project_vector_field
 
 __all__ = [
+    "AFFINE_MAX_DIM",
     "AffineField",
     "AffineMap",
     "Flow",
@@ -33,6 +34,14 @@ __all__ = [
     "projected_flow",
     "proximal_primal_dual",
 ]
+
+# Largest state dimension whose saddle flow runs as the dense affine field
+# K @ z + k0 of a declared ``hessian``. K @ z costs dim^2 multiply-adds where
+# the oracles cost a few block products plus a fixed ~10-20 us of numpy calls;
+# on one core of a 2-vCPU Xeon (numpy 2.4) the affine field was 1.7-7x faster
+# for bilinear, quadratic, LP and augmented problems up to dim 128, split
+# either way at 256 and lost 3-10x from 512 on.
+AFFINE_MAX_DIM = 128
 
 # Relative tolerance of the probe of a declared Hessian: far above the
 # rounding of either side, far below any error in one entry of it.

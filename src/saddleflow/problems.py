@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import AFFINE_MAX_DIM, ConstraintMap, ConvexityMeta, ConvexObjective, SaddleProblem
+from .core import ConstraintMap, ConvexityMeta, ConvexObjective, SaddleProblem
 from .flows import Flow, standard_flow
 from .projection import FeasibleSet
 from .transforms import lasso_dual_prox, lasso_reformulate, precondition
@@ -67,18 +67,15 @@ def _lagrangian(
 ) -> SaddleProblem:
     """S(x, y) = f(x) + y^T (Ax - b) - (q/2)||y||^2, the one Lagrangian builder.
 
-    Its Hessian declaration follows one rule. A quadratic f (``hess_constant``)
-    declares ``hessian`` at any size, except a linear one (l = 0, so its
-    Hessian vanishes): that declares only up to ``AFFINE_MAX_DIM``, where the
-    affine flow reads it and the dense matrix would hold (n+m)^2 entries
-    against the m*n of A. Any other f with a ``hess`` oracle, a linear one
-    past the cap included, gets ``hess_xx`` and ``hess_yy`` and no
-    ``hessian``; an f without one gets neither.
+    A quadratic f (``hess_constant``, a linear one included) declares
+    ``hessian`` at any size. Any other f with a ``hess`` oracle gets
+    ``hess_xx`` and ``hess_yy`` and no ``hessian``; an f without one gets
+    neither.
     """
     m, n = A.shape
     yy = -q * np.eye(m) if q else np.zeros((m, m))
     hessian = hess_xx = hess_yy = None
-    if f.hess_constant and (n + m <= AFFINE_MAX_DIM or f.l != 0.0):
+    if f.hess_constant:
         top = np.concatenate((f.hess(np.zeros(n)), A.T), axis=1)  # np.block costs 4x more
         hessian = np.concatenate((top, np.concatenate((A, yy), axis=1)))
     elif f.hess is not None:

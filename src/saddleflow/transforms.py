@@ -19,11 +19,12 @@ block.
 object holding the solver and the transformed ``problem``, whose ``caches``
 add the solver's warm-start cache to the base's. Of a quadratic base, the
 proximal surrogate and the reduced problem are quadratic again: they
-declare their constant ``hessian`` (a Schur complement), so their saddle
-flow is affine and solves nothing per evaluation. The Lasso dual prox is
-only piecewise affine (its maximizer meets the faces of a box): of a
-quadratic base, its ``field`` is the ``flows.Piece`` of one active set at a
-time, and it solves its inner box QP only when the active set changes.
+declare their constant ``hessian`` (a Schur complement) at any size, so up
+to ``AFFINE_MAX_DIM`` coordinates their saddle flow is affine and solves
+nothing per evaluation. The Lasso dual prox is only piecewise affine (its
+maximizer meets the faces of a box): of a quadratic base up to the same
+size, its ``field`` is the ``flows.Piece`` of one active set at a time, and
+it solves its inner box QP only when the active set changes.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from ._inner import INNER_TOL, ConstantHessian, InnerSolveError, WarmCache, newton_solve, projected_concave_max
-from .core import AFFINE_MAX_DIM, ConvexityMeta, ConvexObjective, SaddleProblem
-from .flows import Piece, _check
+from .core import ConvexityMeta, ConvexObjective, SaddleProblem
+from .flows import AFFINE_MAX_DIM, Piece, _check
 from .projection import FeasibleSet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -64,8 +65,8 @@ def augment(problem: SaddleProblem, rho: float) -> SaddleProblem:
 
     Its value is S(x, y) + (rho/2)||x - x_hat||^2 - (rho/2)||y - y_hat||^2;
     saddle points satisfy x = x_hat and y = y_hat and project onto saddle
-    points of the base problem. A base whose ``hessian`` the augmented
-    problem does not declare passes on its Hessian oracles as the blocks
+    points of the base problem. A base without a ``hessian`` passes on its
+    Hessian oracles as the blocks
     [[H_xx + rho*I, -rho*I], [-rho*I, rho*I]] and
     [[H_yy - rho*I, rho*I], [rho*I, -rho*I]].
     """
@@ -96,8 +97,7 @@ def augment(problem: SaddleProblem, rho: float) -> SaddleProblem:
 
     hessian = hess_xx = hess_yy = None
     rn, rm = rho * np.eye(n), rho * np.eye(m)
-    # declared up to AFFINE_MAX_DIM, where the affine flow stops; certificates use it too
-    if problem.hessian is not None and 2 * (n + m) <= AFFINE_MAX_DIM:
+    if problem.hessian is not None:
         # state order (x, x_hat, y, y_hat); slices build it faster than np.block
         H = problem.hessian
         x, xh = slice(0, n), slice(n, 2 * n)
@@ -134,8 +134,7 @@ class ProximalSurrogate:
     is resolved by damped Newton to a residual of 1e-10. When the base
     declares its ``hessian``, the inverse M of H_xx + rho*I is factored once
     at build time from its x block and each solve opens with that exact step;
-    up to ``AFFINE_MAX_DIM`` coordinates the surrogate ``problem`` then
-    declares its own ``hessian`` too, and its saddle flow calls no solve.
+    the surrogate ``problem`` then declares its own ``hessian`` too.
     """
 
     base: SaddleProblem
@@ -193,9 +192,7 @@ def proximal_surrogate(problem: SaddleProblem, rho: float) -> ProximalSurrogate:
         n = problem.n
         H = problem.hessian
         jacobian_inverse = np.linalg.inv(H[:n, :n] + rho * np.eye(n))
-        # declared up to AFFINE_MAX_DIM, where the affine flow stops; certificates use it too
-        if problem.dim <= AFFINE_MAX_DIM:
-            hessian = _surrogate_hessian(H, n, rho, jacobian_inverse)
+        hessian = _surrogate_hessian(H, n, rho, jacobian_inverse)
 
     cache = WarmCache()
     surrogate_problem = SaddleProblem(
@@ -312,8 +309,7 @@ class ReducedProblem:
     optimality condition grad f_s(x_s) + A_s^T y = 0, and ``recover`` stacks
     the full primal point. A quadratic f_s (``hess_constant``) has its
     Hessian inverted once at build time. When f_c is quadratic too, the
-    reduced ``problem`` declares its ``hessian`` up to ``AFFINE_MAX_DIM``
-    coordinates, and its saddle flow calls no solve.
+    reduced ``problem`` declares its ``hessian``.
     """
 
     sep: "SeparableProblem"
@@ -363,9 +359,8 @@ def reduce(sep: "SeparableProblem") -> ReducedProblem:
     jacobian_inverse = hessian = None
     if sep.f_s.hess_constant:
         jacobian_inverse = np.linalg.inv(sep.f_s.hess(np.zeros(sep.f_s.dim)))
-        # declared up to AFFINE_MAX_DIM, where the affine flow stops; certificates use it too
         n_c = f_c.dim
-        if f_c.hess_constant and n_c + m <= AFFINE_MAX_DIM:
+        if f_c.hess_constant:
             # [[Q_c, A_c^T], [A_c, -A_s Q_s^-1 A_s^T]]: x_s_bar(y) has slope -Q_s^-1 A_s^T
             hessian = np.empty((n_c + m, n_c + m))
             hessian[:n_c, :n_c] = f_c.hess(np.zeros(n_c))
@@ -502,14 +497,14 @@ class LassoDualProx:
     solution.
 
     ``field`` is the saddle flow of ``problem``. Of a base that declares its
-    ``hessian`` with at most ``AFFINE_MAX_DIM`` coordinates, the maximizer
-    is piecewise affine in (u, v) (Bemporad, Morari, Dua & Pistikopoulos,
-    Automatica 38(1), 2002). The field then has a *piece* on each active
-    set of the box QP, a checked ``flows.Piece``, and a one-piece slot
+    ``hessian``, the maximizer is piecewise affine in (u, v) at any size
+    (Bemporad, Morari, Dua & Pistikopoulos, Automatica 38(1), 2002): the
+    field has a *piece* on each active set of the box QP, a checked
+    ``flows.Piece``. Up to ``AFFINE_MAX_DIM`` coordinates a one-piece slot
     holds the last one: ``field`` evaluates it plus a sign test, and
     solves the box QP only when the test fails. ``integrate`` builds RK4
-    step maps and blocks of the slot's piece (``piece``). Any other base
-    gets the oracle field.
+    step maps and blocks of the slot's piece (``piece``). Any other base,
+    and a larger one, gets the oracle field.
     """
 
     base: SaddleProblem

@@ -131,37 +131,28 @@ def test_a_perturbed_declaration_fails_the_build(name, problem):
             sf.standard_flow(replace(problem, hessian=wrong))
 
 
-def test_the_affine_path_and_the_flow_only_declarations_stop_at_the_size_cap():
+def test_declarations_hold_at_any_size_and_only_the_affine_field_stops_at_the_cap():
     rng = np.random.default_rng(134)
     cap = sf.AFFINE_MAX_DIM
-    # a Lagrangian with a linear f (bilinear, LP) declares up to the cap, where the
-    # affine flow reads it, and not past it
-    assert sf.make_bilinear(rng.standard_normal((cap // 2, cap // 2))).hessian is not None
-    assert sf.make_bilinear(rng.standard_normal((cap // 2 + 1, cap // 2))).hessian is None
-    for m, declares in ((cap // 2, True), (cap // 2 + 1, False)):
-        lp = sf.LinearProgram(c=np.ones(cap // 2), A=np.eye(m, cap // 2), b=np.ones(m))
-        assert (sf.make_lp(lp).hessian is not None) == declares
-    # one with a quadratic f declares at any size
+    # the affine field runs up to the cap and not past it
+    at_cap = sf.make_bilinear(rng.standard_normal((cap // 2, cap // 2)))
+    assert isinstance(sf.standard_flow(at_cap).field, sf.AffineField)
+    # past it every quadratic builder and transform still declares its hessian:
+    # a Lagrangian with a linear f (bilinear, LP) or a quadratic one, and augment
+    big = sf.make_quadratic_saddle(0.7, 1.3, rng.standard_normal((cap // 2 + 1, cap // 2)))
+    lp = sf.LinearProgram(c=np.ones(cap // 2), A=np.eye(cap // 2 + 1, cap // 2), b=np.ones(cap // 2 + 1))
     wide_qp = cap // 2 + 1
     qp = sf.make_qp_affine(np.eye(wide_qp), np.zeros(wide_qp), np.eye(cap // 2, wide_qp), np.ones(cap // 2))
-    assert sf.qp_lagrangian(qp).hessian is not None
-    # augment declares only when its doubled state fits under the cap
-    small = sf.make_quadratic_saddle(0.7, 1.3, rng.standard_normal((cap // 4, cap // 4)))
-    assert sf.augment(small, 0.5).hessian is not None
     wide = sf.make_quadratic_saddle(0.7, 1.3, rng.standard_normal((cap // 4 + 1, cap // 4)))
-    assert wide.hessian is not None and sf.augment(wide, 0.5).hessian is None
-    # past the cap a declaring problem keeps its hessian for the inner solves
-    # and runs the oracle field, bit for bit
-    big = sf.make_quadratic_saddle(0.7, 1.3, rng.standard_normal((cap // 2 + 1, cap // 2)))
-    assert big.hessian is not None
-    declared, oracle = sf.standard_flow(big), sf.standard_flow(replace(big, hessian=None))
-    for _ in range(3):
-        z = rng.uniform(-2.0, 2.0, big.dim)
-        assert np.array_equal(declared.field(z), oracle.field(z))
-    # the surrogate of a base past the cap keeps the prefactored inner step,
-    # declares nothing and runs the oracle field: the inner solve per call
+    past = [sf.make_bilinear(rng.standard_normal((cap // 2 + 1, cap // 2))), sf.make_lp(lp), big,
+            sf.qp_lagrangian(qp), sf.augment(wide, 0.5)]
+    for problem in past:
+        assert problem.dim > cap and problem.hessian is not None, problem.label
+        assert not isinstance(sf.standard_flow(problem).field, sf.AffineField), problem.label
+    # the surrogate of a base past the cap declares its hessian too and keeps
+    # the prefactored inner step, but runs the oracle field: an inner solve per call
     surrogate, twin = sf.proximal_surrogate(big, 0.9), sf.proximal_surrogate(big, 0.9)
-    assert surrogate._jacobian_inverse is not None and surrogate.problem.hessian is None
+    assert surrogate._jacobian_inverse is not None and surrogate.problem.hessian is not None
     flow, n = sf.standard_flow(surrogate.problem), big.n
     for _ in range(3):
         z = rng.uniform(-2.0, 2.0, big.dim)
@@ -174,7 +165,9 @@ def test_the_affine_path_and_the_flow_only_declarations_stop_at_the_size_cap():
     sep = sf.make_separable_qp(
         np.eye(m), np.zeros(m), np.eye(n_c), np.zeros(n_c), np.eye(m), np.ones((m, n_c)), np.ones(m),
     )
-    assert sf.reduce(sep).problem.hessian is None
+    reduced = sf.reduce(sep).problem
+    assert reduced.dim > cap and reduced.hessian is not None
+    assert not isinstance(sf.standard_flow(reduced).field, sf.AffineField)
     # a Lagrangian with a non-quadratic f declares no hessian and takes hess_xx from f.hess
     bundle = cosh_bundle()
     lag = sf.qp_lagrangian(bundle)
@@ -183,6 +176,90 @@ def test_the_affine_path_and_the_flow_only_declarations_stop_at_the_size_cap():
         x, y = rng.uniform(-2.0, 2.0, 2), rng.uniform(0.0, 2.0, 1)
         assert np.array_equal(lag.hess_xx(x, y), bundle.f.hess(x))
         assert np.array_equal(lag.hess_yy(x, y), np.zeros((1, 1)))
+
+
+def _past_the_cap():
+    """(name, problem, certificates) of nine constructions, each just past the cap.
+
+    Each instance is built around a chosen saddle z* with strict
+    complementarity; ``certificates`` are the ones a run of it would take, as
+    functions of z*.
+    """
+    rng = np.random.default_rng(135)
+    n, m = sf.AFFINE_MAX_DIM // 2 + 1, sf.AFFINE_MAX_DIM // 2  # n + m = cap + 1
+    A = rng.standard_normal((m, n))
+    x_star, y_star = rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 1.5, m)
+    Q = np.diag(rng.uniform(1.0, 2.0, n))
+    strict = lambda problem: [lambda z: sf.cert_strict_cc(problem, z)]
+    out = []
+
+    bilinear = sf.make_bilinear(rng.standard_normal((n, m)))
+    out.append(("bilinear", bilinear, np.zeros(n + m), strict(bilinear)))
+    # an LP whose inequality duals are zero on every other row, where the row is slack
+    y_lp = np.where(np.arange(m) % 2 == 0, y_star, 0.0)
+    lp = sf.make_lp(sf.LinearProgram(c=-A.T @ y_lp, A=A, b=A @ x_star + (y_lp == 0.0)))
+    out.append(("lp", lp, np.concatenate((x_star, y_lp)), strict(lp)))
+    # 40 edges and 9 nodes: flows strictly inside (0, cap), costs from node potentials
+    tails = rng.integers(9, size=40)
+    heads = (tails + rng.integers(1, 9, size=40)) % 9
+    caps = rng.uniform(1.0, 2.0, 40)
+    flows = caps * rng.uniform(0.2, 0.8, 40)
+    incidence = np.zeros((9, 40))
+    incidence[tails, np.arange(40)], incidence[heads, np.arange(40)] = 1.0, -1.0
+    potentials = rng.standard_normal(9)
+    network = sf.FlowNetwork(incidence @ flows, tails, heads, -incidence.T @ potentials, caps)
+    mcf, _ = sf.make_min_cost_flow(network)
+    out.append(("min_cost_flow", mcf, np.concatenate((flows, potentials, np.zeros(80))), strict(mcf)))
+    quad = sf.make_quadratic_saddle(0.7, 1.3, rng.standard_normal((n, m)))
+    out.append(("quadratic_saddle", quad, np.zeros(n + m), strict(quad)))
+    # every constraint active at z*, with a positive dual
+    p = -Q @ x_star - A.T @ y_star
+    qp = sf.qp_lagrangian(sf.make_qp_affine(Q, p, A, A @ x_star))
+    out.append(("qp_lagrangian", qp, np.concatenate((x_star, y_star)), strict(qp)))
+    half = sf.make_quadratic_saddle(0.7, 1.3, rng.standard_normal((33, 32)))  # doubled: 130
+    aug = sf.augment(half, 0.5)
+    base = np.r_[:33, 66:98]
+    out.append(("augment", aug, np.zeros(130), strict(aug) + [lambda z: sf.cert_augmented(half, 0.5, z[base])]))
+    surrogate = sf.proximal_surrogate(quad, 0.9)
+    out.append(("proximal_surrogate", surrogate.problem, np.zeros(n + m),
+                [lambda z: sf.cert_proximal(surrogate, z)]))
+    # reduce over x_s (m coordinates) leaves (x_c, y): n + m coordinates
+    x_s = rng.uniform(-1.0, 1.0, m)
+    A_s = rng.standard_normal((m, m)) + 3.0 * np.eye(m)
+    Q_s = np.diag(rng.uniform(1.0, 2.0, m))
+    sep = sf.make_separable_qp(Q_s, -Q_s @ x_s - A_s.T @ y_star, Q, p, A_s, A, A_s @ x_s + A @ x_star)
+    reduced = sf.reduce(sep).problem
+    out.append(("reduce", reduced, np.concatenate((x_star, y_star)), strict(reduced)))
+    # u = x + alpha*A^T*y maps the saddle of f + eta*y^T(Ax - b) over (eta = 1)
+    pre = sf.precondition(sf.make_qp_affine(Q, p, A, A @ x_star).f, A, A @ x_star, eta=1.0, alpha=0.5)
+    out.append(("precondition", pre, np.concatenate((x_star + 0.5 * A.T @ y_star, y_star)), strict(pre)))
+    return out
+
+
+PAST_THE_CAP = _past_the_cap()
+
+
+@pytest.mark.parametrize("name, problem, z_star, certificates", PAST_THE_CAP, ids=[c[0] for c in PAST_THE_CAP])
+def test_past_the_cap_a_declaration_changes_no_field_and_no_certificate(name, problem, z_star, certificates):
+    rng = np.random.default_rng(136)
+    assert sf.AFFINE_MAX_DIM < problem.dim <= sf.AFFINE_MAX_DIM + 2
+    assert problem.hessian is not None
+    declared, oracle = sf.standard_flow(problem), sf.standard_flow(replace(problem, hessian=None))
+    states = [z_star + rng.uniform(-1.0, 1.0, problem.dim) for _ in range(3)]
+    if declared.feasible is not None:
+        states = [declared.feasible.clamp(z) for z in states]
+    for z in states:
+        assert np.array_equal(declared.field(z), oracle.field(z)), name
+    traj = sf.integrate(declared, states[0], sf.IntegratorConfig(step=0.01, horizon=0.2, record_every=2))
+    for build in certificates:
+        certificate = build(z_star)
+        batch = sf.eval_certificate(certificate, traj)
+        each = sf.eval_certificate(replace(certificate, batch=None), traj)
+        assert (batch.route, each.route) == ("batch", "oracle"), name
+        entries = np.abs(np.concatenate((each.min_entry, each.final_values))).max()
+        scale = 1e-12 * (1.0 + abs(certificate.s_star) + entries)
+        assert np.abs(batch.min_entry - each.min_entry).max() <= scale, name
+        assert abs(batch.max_bracket_violation - each.max_bracket_violation) <= scale, name
 
 
 def _count_gradient_calls(monkeypatch) -> dict:

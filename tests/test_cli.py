@@ -365,7 +365,8 @@ def test_report_gives_the_sandwich_verdict(tmp_path, violation, verdict):
     assert lines[i + 1] == verdict
 
 
-# an augmented bilinear run past AFFINE_MAX_DIM: its base declares no hessian
+# an augmented bilinear run past AFFINE_MAX_DIM: it runs the oracle field, and
+# its certificate takes the batch route of the declared hessian
 BIG_BILINEAR_AUGMENTED = """
 [problem]
 kind = bilinear
@@ -387,9 +388,10 @@ record_every = 5
     [
         ((CONFIGS / "qp_preconditioned_uy.ini").read_text(),
          r"batch \(declared hessian\), oracle gap \d\.\de[+-]\d\d at 3 states"),
-        (BIG_BILINEAR_AUGMENTED, r"oracle at every state \(no declared hessian\)"),
+        (BIG_BILINEAR_AUGMENTED,
+         r"batch \(declared hessian\), oracle gap \d\.\de[+-]\d\d at 3 states"),
     ],
-    ids=["batch", "oracle"],
+    ids=["batch", "past_cap"],
 )
 def test_report_names_the_certificate_route_after_the_verdict(tmp_path, text, route):
     import re
@@ -403,6 +405,21 @@ def test_report_names_the_certificate_route_after_the_verdict(tmp_path, text, ro
     # the batch gaps are centred at z*: on the shipped uy run a vanishing gap
     # came out of them as -0.0, printed as -0.000e+00
     assert "-0.000e+00" not in report
+
+
+def test_report_names_the_oracle_route_of_a_certificate_without_a_batch_form(tmp_path):
+    # every certificate the CLI builds has a batch form; a report of one without it
+    from dataclasses import replace
+
+    from saddleflow.cli import _format_report, load_config, run_experiment
+
+    cfg = _write(tmp_path, "quad.ini", QUADRATIC.replace("horizon = 20", "horizon = 1"))
+    res = run_experiment(load_config(cfg))
+    assert res.cert_report.route == "batch"
+    res = replace(res, cert_report=replace(res.cert_report, route="oracle"))
+    lines = _format_report(res).splitlines()
+    (i,) = [k for k, line in enumerate(lines) if line.startswith("certificate sandwich: ")]
+    assert lines[i + 1] == "certificate route: oracle at every state (no declared hessian)"
 
 
 @pytest.mark.parametrize(

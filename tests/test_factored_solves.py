@@ -516,10 +516,10 @@ def _counting_fd_jacobians(monkeypatch) -> list:
 
 
 def test_a_linear_lagrangian_past_the_size_cap_keeps_its_hessian_oracles(monkeypatch):
-    # dim 140 > AFFINE_MAX_DIM: no ``hessian``, but hess_xx/hess_yy of the linear f
+    # dim 140 > AFFINE_MAX_DIM: the ``hessian`` is declared, and hess_xx/hess_yy are its zero blocks
     B = np.random.default_rng(48).standard_normal((70, 70))
     problem = sf.make_bilinear(B)
-    assert problem.dim > sf.AFFINE_MAX_DIM and problem.hessian is None
+    assert problem.dim > sf.AFFINE_MAX_DIM and problem.hessian is not None
     assert np.array_equal(problem.hess_xx(np.ones(70), np.ones(70)), np.zeros((70, 70)))
     assert np.array_equal(problem.hess_yy(np.ones(70), np.ones(70)), np.zeros((70, 70)))
     calls = _counting_fd_jacobians(monkeypatch)
@@ -531,11 +531,15 @@ def test_a_linear_lagrangian_past_the_size_cap_keeps_its_hessian_oracles(monkeyp
 
 
 def test_augment_past_the_size_cap_passes_block_hessian_oracles(monkeypatch):
-    # an 80-dim quadratic base declares its hessian; its augmentation (dim 160) cannot
+    # an 80-dim quadratic base and its augmentation (dim 160) both declare their
+    # hessian; the augmentation's block oracles are its x and y blocks
     rng = np.random.default_rng(49)
     base = sf.make_quadratic_saddle(1.0, 1.0, rng.standard_normal((40, 40)))
     aug = sf.augment(base, 1.0)
-    assert base.hessian is not None and aug.hessian is None
+    assert aug.dim > sf.AFFINE_MAX_DIM and aug.hessian is not None
+    xa, ya = np.cos(np.arange(80.0)), np.sin(np.arange(80.0))
+    assert np.array_equal(aug.hess_xx(xa, ya), aug.hessian[:80, :80])
+    assert np.array_equal(aug.hess_yy(xa, ya), aug.hessian[80:, 80:])
     calls = _counting_fd_jacobians(monkeypatch)
     surrogate = sf.proximal_surrogate(aug, 1.0)
     u, y = np.cos(np.arange(80.0)), np.sin(np.arange(80.0))
