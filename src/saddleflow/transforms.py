@@ -23,8 +23,8 @@ declare their constant ``hessian`` (a Schur complement) at any size, so up
 to ``AFFINE_MAX_DIM`` coordinates their saddle flow is affine and solves
 nothing per evaluation. The Lasso dual prox is only piecewise affine (its
 maximizer meets the faces of a box): of a quadratic base up to the same
-size, its ``field`` is the ``flows.Piece`` of one active set at a time, and
-it solves its inner box QP only when the active set changes.
+size, its ``field`` keeps the ``flows.Piece`` of each active set it meets,
+and it solves its inner box QP only when no kept piece holds at the state.
 """
 
 from __future__ import annotations
@@ -381,6 +381,10 @@ def reduce(sep: "SeparableProblem") -> ReducedProblem:
 # ---------------------------------------------------------------------------
 # Lasso chain
 
+# The pieces a Lasso dual-prox run keeps. Runs meet 3-8 active sets; a kept
+# piece's sign test costs about 5 us, a box QP and a new piece 200-400 us.
+_PIECES_KEPT = 8
+
 
 def lasso_reformulate(
     fhat: ConvexObjective, lam: float
@@ -500,11 +504,12 @@ class LassoDualProx:
     ``hessian``, the maximizer is piecewise affine in (u, v) at any size
     (Bemporad, Morari, Dua & Pistikopoulos, Automatica 38(1), 2002): the
     field has a *piece* on each active set of the box QP, a checked
-    ``flows.Piece``. Up to ``AFFINE_MAX_DIM`` coordinates a one-piece slot
-    holds the last one: ``field`` evaluates it plus a sign test, and
-    solves the box QP only when the test fails. ``integrate`` builds RK4
-    step maps and blocks of the slot's piece (``piece``). Any other base,
-    and a larger one, gets the oracle field.
+    ``flows.Piece``. Up to ``AFFINE_MAX_DIM`` coordinates the run keeps the
+    pieces it has met, most recent first, up to ``_PIECES_KEPT``: ``field``
+    evaluates the first whose sign test passes, and solves the box QP only
+    when none does. ``integrate`` builds RK4 step maps and blocks of the
+    piece at the state (``piece``). Any other base, and a larger one, gets
+    the oracle field.
     """
 
     base: SaddleProblem
@@ -512,7 +517,7 @@ class LassoDualProx:
     problem: SaddleProblem
     _cache: WarmCache
     _dual_hess: Optional[ConstantHessian] = None
-    _slot: Optional[list] = None  # [] or [the last piece]; None without pieces
+    _pieces: Optional[list] = None  # the kept pieces, the one that served last first; None without pieces
 
     @property
     def _feasible(self) -> FeasibleSet:
@@ -522,36 +527,57 @@ class LassoDualProx:
     def field(self, z) -> np.ndarray:
         """The saddle flow field (-grad_u, grad_v) at the state z = (u, v).
 
-        With pieces it is ``M @ z + m`` of the slot's piece when its KKT
-        rows pass the sign test; then y_tilde is the exact maximizer, since
-        the KKT conditions suffice for this strongly concave QP. Otherwise
-        it is the piece at z (``piece``), and where that one still fails its
-        sign test (a tie at a face) the oracle field at the box-QP maximizer.
+        With pieces it is ``M @ z + m`` of the first kept piece whose KKT
+        rows pass the sign test at z; then y_tilde is the exact maximizer,
+        since the KKT conditions suffice for this strongly concave QP.
+        Where none passes, it is the piece of the box QP's active set at z
+        (``piece``), and where that one still fails its sign test (a tie at
+        a face) the oracle field at the box-QP maximizer.
         """
-        slot = self._slot
-        f = slot[0](z) if slot else None
-        if f is None and slot is not None:
-            f = self.piece(z)(z)
-        if f is not None:
-            return f
+        if self._pieces is not None:
+            f = self._held(z)
+            if f is None:
+                f = self._solved(z)(z)
+            if f is not None:
+                return f
         u, v = z[: self.base.n], z[self.base.n :]
         return np.concatenate((-self.problem.grad_x(u, v), self.problem.grad_y(u, v)))
 
     def piece(self, z) -> Optional[Piece]:
         """The field's piece at z with pieces, else None.
 
-        It is the slot's piece where its sign test passes at z. Where it
-        fails, the box QP at z finds the active set, and a new one fills the
-        slot with its piece, checked at z (``_active_set_map``).
+        It is the first kept piece whose sign test passes at z. Where none
+        passes, the box QP at z finds the active set: a kept piece of that
+        set is taken as it is, and a new one is built and checked at z
+        (``_active_set_map``) and kept. The piece returned heads the kept
+        pieces, and the oldest beyond ``_PIECES_KEPT`` is dropped.
         """
-        slot = self._slot
-        if slot is None:
+        if self._pieces is None:
             return None
-        if not slot or slot[0](z) is None:
-            y = self.maximizer(z[: self.base.n], z[self.base.n :])
-            if not slot or self._feasible.on_faces(y).tobytes() != slot[0].key:
-                slot[:] = [_active_set_map(self, y, z)]
-        return slot[0]
+        if self._held(z) is None:
+            return self._solved(z)
+        return self._pieces[0]
+
+    def _held(self, z) -> Optional[np.ndarray]:
+        """The field at z of the first kept piece whose sign test passes there, moved to the head; else None."""
+        pieces = self._pieces
+        for i, piece in enumerate(pieces):
+            f = piece(z)
+            if f is not None:
+                if i:
+                    pieces.insert(0, pieces.pop(i))
+                return f
+        return None
+
+    def _solved(self, z) -> Piece:
+        """The piece of the box QP's active set at z, kept at the head of the pieces."""
+        y = self.maximizer(z[: self.base.n], z[self.base.n :])
+        key = self._feasible.on_faces(y).tobytes()
+        pieces = self._pieces
+        at = next((i for i, piece in enumerate(pieces) if piece.key == key), None)
+        pieces.insert(0, _active_set_map(self, y, z) if at is None else pieces.pop(at))
+        del pieces[_PIECES_KEPT:]
+        return pieces[0]
 
     def maximizer(self, u, v) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -594,16 +620,16 @@ def lasso_dual_prox(base: SaddleProblem, rho: float) -> LassoDualProx:
         return rho * (y - np.asarray(v, dtype=float))
 
     cache = WarmCache()
-    dual_hess = slot = None
+    dual_hess = pieces = None
     if base.hessian is not None:
         dual_hess = ConstantHessian(base.hessian[base.n :, base.n :] - rho * np.eye(base.m))
         # a piece has up to (dim + 2m) x dim entries, as dense as the affine field's K
         if base.dim <= AFFINE_MAX_DIM:
-            slot = []
+            pieces = []
     problem = SaddleProblem(
         n=base.n, m=base.m, value=value, grad_x=grad_u, grad_y=grad_v, meta=ConvexityMeta(),
         label=f"dual_prox({base.label or 'problem'}, rho={rho})",
-        caches=base.caches + (cache,) + (() if slot is None else (slot,)),
+        caches=base.caches + (cache,) + (() if pieces is None else (pieces,)),
     )
-    transform = LassoDualProx(base, rho, problem, cache, dual_hess, slot)
+    transform = LassoDualProx(base, rho, problem, cache, dual_hess, pieces)
     return transform

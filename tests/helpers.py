@@ -6,8 +6,11 @@ and flow machinery so the tests have a second route to the same numbers.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import logging
+import sys
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -17,6 +20,17 @@ from saddleflow.certificates import _require_positive
 from saddleflow.core import _as_vector
 
 logger = logging.getLogger(__name__)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def bench_inputs():
+    """The benchmark's ``bench/inputs.py``, loaded as a module (``write_inputs(workload, seed, dir)``)."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def fd_gradient(f, x, scale: float = 1e-6) -> np.ndarray:

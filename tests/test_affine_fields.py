@@ -19,9 +19,9 @@ import pytest
 
 import saddleflow as sf
 import saddleflow._inner as inner_mod
-from saddleflow import cli
+from saddleflow import cli, transforms
 
-from helpers import cosh_bundle, face_points
+from helpers import bench_inputs, cosh_bundle, face_points
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # shipped configs whose field is affine in the state (up to the projection)
@@ -267,12 +267,14 @@ def _count_gradient_calls(monkeypatch) -> dict:
 
     The oracles of each ``SaddleProblem`` and ``ConvexObjective`` are wrapped
     as the object is built; ``integrate`` is wrapped where the CLI looks it up.
-    Box-QP solves inside ``integrate`` are counted as ``box_qp_in_integrate``.
+    Box-QP solves are counted as ``box_qp``, those inside ``integrate`` as
+    ``box_qp_in_integrate``.
     """
-    counts = {"total": 0, "in_integrate": 0, "box_qp_in_integrate": 0, "depth": 0}
+    counts = {"total": 0, "in_integrate": 0, "box_qp": 0, "box_qp_in_integrate": 0, "depth": 0}
     box_qp = inner_mod._box_qp_max
 
     def counted_box_qp(*args):
+        counts["box_qp"] += 1
         counts["box_qp_in_integrate"] += counts["depth"] > 0
         return box_qp(*args)
 
@@ -337,6 +339,28 @@ def test_only_inner_solve_configs_call_gradient_oracles_while_integrating(tmp_pa
         # active-set map); the bounds are 2x those counts
         assert 0 < counts["in_integrate"] <= 276
         assert 0 < counts["box_qp_in_integrate"] <= 14
+        # the post-run residuals at the first and last states meet kept pieces
+        assert counts["total"] == counts["in_integrate"]
+
+
+@pytest.mark.parametrize("seed, active_sets", [(2024, 4), (31337, 3)])
+def test_bench_lasso_runs_solve_one_box_qp_per_active_set(tmp_path, monkeypatch, seed, active_sets):
+    # every box QP meets an active set the run had not met, and none is left
+    # for the post-run residuals at the first and last states
+    bench_inputs().write_inputs("inner_solve", seed, tmp_path)
+    keys = []
+    build = transforms._active_set_map
+
+    def logging(*args):
+        piece = build(*args)
+        keys.append(piece.key)
+        return piece
+
+    monkeypatch.setattr(transforms, "_active_set_map", logging)
+    counts = _count_gradient_calls(monkeypatch)
+    config = tmp_path / "lasso_pipeline.ini"
+    assert cli.main(["run", str(config), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 0
+    assert counts["box_qp"] == counts["box_qp_in_integrate"] == len(keys) == len(set(keys)) == active_sets
 
 
 def test_cli_proximal_pd_field_is_the_proximal_primal_dual_field(monkeypatch):

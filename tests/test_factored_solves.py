@@ -171,23 +171,30 @@ def _counting_box_qp_solves(monkeypatch) -> list:
 
 
 def test_lasso_active_set_map_field_agrees_with_the_oracle_fields(monkeypatch):
-    # the map holds between active-set changes; the multipliers reach their
-    # faces and leave them along the walk, and each change falls back once
+    # the kept pieces hold between active-set changes; the multipliers reach
+    # their faces and leave them along the walk, and a box QP is solved only
+    # for an active set met the first time, or at a tie on a face
     rng = np.random.default_rng(50)
     bundle, declared, plain = _lasso_pair(rng)
-    assert declared._slot is not None and plain._slot is None
+    assert declared._pieces is not None and plain._pieces is None
     reference = sf.standard_flow(declared.problem).field
     undeclared = sf.standard_flow(plain.problem).field
     solves = _counting_box_qp_solves(monkeypatch)
     n, dim = bundle.n, declared.base.dim
     states = _walk(rng, rng.standard_normal(dim), 300, scale=2e-2)
-    fallbacks = entered = left = 0
+    fallbacks = entered = left = ties = 0
+    seen = set()  # the active sets met
     last = None
     for z in states:
         before = len(solves)
         a = declared.field(z)
-        fallbacks += len(solves) > before
-        pinned = declared._slot[0].faces.any(axis=0)[n:]  # the sign multipliers on their face
+        head = declared._pieces[0]
+        if len(solves) > before:
+            fallbacks += 1
+            assert head.key not in seen or head(z) is None  # a new active set, or a tie
+            ties += head.key in seen
+        seen.add(head.key)
+        pinned = head.faces.any(axis=0)[n:]  # the sign multipliers on their face
         if last is not None:
             entered += bool(np.any(pinned & ~last))
             left += bool(np.any(~pinned & last))
@@ -196,12 +203,42 @@ def test_lasso_active_set_map_field_agrees_with_the_oracle_fields(monkeypatch):
         assert np.abs(a - reference(z)).max() <= scale
         assert np.abs(a - undeclared(z)).max() <= scale
     assert entered >= 5 and left >= 5
-    # an active-set change costs one box QP; the other evaluations (290 of 305
-    # measured) are one matrix-vector product each
-    assert max(entered, left) <= fallbacks <= 30
+    # measured: the head's active set changed 10 times, over 7 active sets and
+    # 7 box QPs; the other evaluations are sign tests of kept pieces
+    assert fallbacks == len(seen) + ties <= 30
     for cache in declared.problem.caches:
         cache.clear()
-    assert declared._slot == [] and declared._cache.point is None
+    assert declared._pieces == [] and declared._cache.point is None
+
+
+def test_a_walk_past_the_kept_pieces_drops_the_oldest_and_agrees_with_the_oracle_field(monkeypatch):
+    # a faster walk meets 17 active sets, more than the kept pieces: a new
+    # piece goes to the head, the least recently served one is dropped, and
+    # the one dropped active set met again is built again
+    rng = np.random.default_rng(56)
+    _, declared, _ = _lasso_pair(rng)
+    reference = sf.standard_flow(declared.problem).field
+    built = []
+    build = transforms._active_set_map
+
+    def logging(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(transforms, "_active_set_map", logging)
+    kept, dropped = transforms._PIECES_KEPT, 0
+    for z in _walk(rng, rng.standard_normal(declared.base.dim), 300, scale=5e-2):
+        before, pieces = len(built), list(declared._pieces)
+        a = declared.field(z)
+        head = declared._pieces[0]
+        if len(built) > before:
+            assert declared._pieces == [head] + pieces[: kept - 1]
+            dropped += len(pieces) == kept
+        else:  # a kept piece moved to the head, the others in their order
+            assert head in pieces and declared._pieces[1:] == [p for p in pieces if p is not head]
+        assert np.abs(a - reference(z)).max() <= AGREE * (1.0 + np.linalg.norm(a))
+    assert len({piece.key for piece in built}) == 17 and len(built) == 18
+    assert dropped == len(built) - kept
 
 
 def test_lasso_field_past_the_size_cap_is_the_oracle_field():
@@ -212,7 +249,7 @@ def test_lasso_field_past_the_size_cap_is_the_oracle_field():
     flow = bundle.dynamics(0.8 / bundle.l, 1.0)
     transform = lasso_transform(flow)
     assert transform.base.dim == 6 * n > sf.AFFINE_MAX_DIM
-    assert transform._slot is None and transform._dual_hess is not None
+    assert transform._pieces is None and transform._dual_hess is not None
     oracle = sf.standard_flow(transform.problem).field
     for z in _walk(rng, rng.standard_normal(6 * n), 3, scale=5e-2):
         assert np.array_equal(flow.field(z), oracle(z))
@@ -264,7 +301,7 @@ def test_a_new_piece_that_fails_its_own_rows_gives_the_oracle_field():
     start_next_solve_at(declared, y)
     field = declared.field(z)
     assert field.tobytes() == sf.standard_flow(declared.problem).field(z).tobytes()
-    piece = declared._slot[0]
+    piece = declared._pieces[0]
     assert piece.key == box.on_faces(y).tobytes() and piece.faces[0, j]
     assert piece(z) is None  # the slot holds the new piece, which fails its own rows at z
 

@@ -11,8 +11,6 @@ steps take the 4-stage path.
 """
 
 import functools
-import importlib.util
-import sys
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -21,7 +19,7 @@ import numpy as np
 import pytest
 
 import saddleflow as sf
-from helpers import lasso_transform
+from helpers import bench_inputs, lasso_transform
 from saddleflow import flows, transforms
 from saddleflow.cli import build_setup, load_config, main
 
@@ -473,19 +471,11 @@ LASSO = ["shipped", "bench_2024", "bench_31337"]
 
 
 @functools.cache
-def _bench_inputs():
-    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def _lasso(name, tmp_path):
     """(integrator config, flow, z0) of configs/lasso_pipeline.ini or of the benchmark's at a seed."""
     path = CONFIGS / "lasso_pipeline.ini"
     if name != "shipped":
-        _bench_inputs().write_inputs("inner_solve", int(name.rpartition("_")[2]), tmp_path)
+        bench_inputs().write_inputs("inner_solve", int(name.rpartition("_")[2]), tmp_path)
         path = tmp_path / "lasso_pipeline.ini"
     cfg = load_config(path)
     flow = build_setup(cfg).flow
@@ -596,8 +586,8 @@ def test_lasso_runs_evaluate_the_field_rarely_and_solve_no_more_box_qps(monkeypa
     mapped = sf.integrate(flow, z0, config)
     counts = len(calls), len(solves)
     del calls[:], solves[:]
-    # every step at all four stages, through the field's one-slot map: the
-    # path that ran before the Lasso had pieces
+    # every step at all four stages, through the field's kept pieces: the
+    # path that ran before the Lasso's steps were maps
     four_stage = sf.integrate(replace(flow, field=lambda z: flow.field(z)), z0, config)
     assert len(calls) == 4 * 375 == 1500
     assert counts[0] < 100 and counts[1] <= len(solves)
@@ -641,7 +631,7 @@ def test_a_bench_min_cost_flow_run_asks_the_field_only_for_new_pieces(monkeypatc
     # the benchmark's seed-2024 mincostflow_augmented run visits 9 pieces; it
     # asked for a piece 15 times when a failed one-step map went to the field
     # before trying the current piece
-    _bench_inputs().write_inputs("projected_direct", 2024, tmp_path)
+    bench_inputs().write_inputs("projected_direct", 2024, tmp_path)
     cfg = load_config(tmp_path / "mincostflow_augmented.ini")
     flow = build_setup(cfg).flow
     keys = []

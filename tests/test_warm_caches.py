@@ -55,7 +55,7 @@ def test_a_transform_of_a_problem_with_caches_keeps_them():
     surrogate = sf.proximal_surrogate(reduced.problem, 1.0)
     assert _ids(surrogate.problem.caches) == [id(reduced._cache), id(surrogate._cache)]
     dual = sf.lasso_dual_prox(reduced.problem, 1.0)  # a declared base: the map slot is a cache too
-    assert _ids(dual.problem.caches) == [id(reduced._cache), id(dual._cache), id(dual._slot)]
+    assert _ids(dual.problem.caches) == [id(reduced._cache), id(dual._cache), id(dual._pieces)]
     chained = sf.lasso_dual_prox(sf.augment(surrogate.problem, 1.0), 1.0)
     assert _ids(chained.problem.caches[:2]) == [id(reduced._cache), id(surrogate._cache)]
 
