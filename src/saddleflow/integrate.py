@@ -47,7 +47,7 @@ __all__ = [
     "envelope_check",
 ]
 
-# steps of the first block of each new one-step map. On the benchmark's runs
+# steps of the first block of each new one-step map with signed rows. On the benchmark's runs
 # (see flows.BLOCK_MAX_ENTRIES) 8 took 20.9-21.7 ms, 16 took 21.2-21.3 ms, 4
 # took 22.4-22.6 ms and 2 took 27.6 ms.
 _BLOCK_START = 8
@@ -187,8 +187,10 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     (``Piece.step_map``) has taken a step, a *block* (``AffineMap.block``)
     takes up to B steps of it at the state, and the run keeps the steps
     before the first whose sign test fails, or whose state is not finite.
-    B starts at ``_BLOCK_START`` for each new map and doubles after each
-    block that passes whole, up to ``AffineMap.max_block``. After a block
+    B starts at ``_BLOCK_START`` for each new map with signed rows and
+    doubles after each block that passes whole, up to
+    ``AffineMap.max_block``; a map with none, whose blocks stop only at a
+    non-finite state, starts at ``max_block``. After a block
     stops short, the one-step map is tried. One that fails its test sends
     the run to its piece: where the piece's own rows still hold at the
     state, the step is a 4-stage step; else the field gives its piece at the
@@ -262,7 +264,8 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
                     if new is not None and (piece is None or new.key != piece.key):
                         piece, amap, powers = new, None, []  # the old map and its powers go first
                         amap = new.step_map(z, h)
-                        size = min(_BLOCK_START, amap.max_block)
+                        # a map with no signed rows fails only on a non-finite state
+                        size = amap.max_block if amap.floor.shape[0] == 0 else min(_BLOCK_START, amap.max_block)
                         out = amap(z)
                 held = out is not None
                 rows = None if out is None else out[None]

@@ -87,9 +87,9 @@ def test_non_finite_state_reports_last_time():
 @pytest.mark.parametrize("cap, every", [(300, 1), (300, 10), (None, 1)])
 def test_a_divergent_affine_field_stops_where_one_step_maps_stop(monkeypatch, cap, every):
     # z' = 2z grows by e^0.2 a step and leaves the finite numbers near step 3550;
-    # blocks double up to 49 steps under a cap of 300 entries, and under the
-    # default up to the 1959 steps left after 1 + 8 + 16 + ... + 1024. One
-    # block stops short of a non-finite state, and one-step maps take the
+    # the map has no signed rows, so its blocks start at its max_block: 49
+    # steps under a cap of 300 entries, and 2730 at dim 2 under the default.
+    # One block stops short of a non-finite state, and one-step maps take the
     # steps from there
     flow = sf.Flow(dim=2, field=sf.AffineField(2.0 * np.eye(2), np.zeros(2)))
     config = sf.IntegratorConfig(step=0.1, horizon=400.0, record_every=every)
@@ -111,7 +111,7 @@ def test_a_divergent_affine_field_stops_where_one_step_maps_stop(monkeypatch, ca
     if cap is not None:
         monkeypatch.setattr(flows, "BLOCK_MAX_ENTRIES", cap)
     in_blocks = t_last()
-    assert max(steps for steps, _ in blocks) == (1959 if cap is None else 49)
+    assert max(steps for steps, _ in blocks) == (2730 if cap is None else 49)
     assert len([taken for steps, taken in blocks if taken < steps]) == 1
     monkeypatch.setattr(flows, "BLOCK_MAX_ENTRIES", 0)
     del blocks[:]
