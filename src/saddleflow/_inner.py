@@ -29,11 +29,16 @@ INNER_TOL = 1e-10
 
 
 class InnerSolveError(RuntimeError):
-    """Inner solve did not reach the residual tolerance."""
+    """Inner solve did not reach the residual tolerance.
 
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
+    Carries the final residual and the norm of the iterate it stopped at: a
+    solve that stalls far out (a diverging outer flow) reads as such.
+    """
+
+    def __init__(self, message: str, residual: float, iterate: np.ndarray):
         self.residual = residual
+        self.iterate_norm = float(np.linalg.norm(iterate))
+        super().__init__(f"{message} (residual {residual:.3e}, |iterate| {self.iterate_norm:.3e})")
 
 
 @dataclass
@@ -126,7 +131,8 @@ def newton_solve(
 
     Accepts a step when the residual norm drops by the Armijo-type factor
     (1 - t/4); raises :class:`InnerSolveError` carrying the final residual
-    when ``max_iters`` is exhausted or no damping factor makes progress.
+    and iterate norm when ``max_iters`` is exhausted or no damping factor
+    makes progress.
 
     ``jacobian_inverse`` is the inverse of a constant Jacobian. The solve
     then first takes the exact step ``x - jacobian_inverse @ residual(x)``
@@ -160,10 +166,10 @@ def newton_solve(
                 break
             t *= 0.5
         if not accepted:
-            raise InnerSolveError("newton line search stalled", nr)
+            raise InnerSolveError("newton line search stalled", nr, x)
     if nr <= tol:
         return x
-    raise InnerSolveError("newton iteration limit reached", nr)
+    raise InnerSolveError("newton iteration limit reached", nr, x)
 
 
 def projected_concave_max(
@@ -231,8 +237,8 @@ def projected_concave_max(
                     break
             t *= 0.5
         if not accepted:
-            raise InnerSolveError("projected newton line search stalled", nres)
-    raise InnerSolveError("projected newton iteration limit reached", nres)
+            raise InnerSolveError("projected newton line search stalled", nres, y)
+    raise InnerSolveError("projected newton iteration limit reached", nres, y)
 
 
 def _free_newton_step(hmat: np.ndarray, g: np.ndarray, y: np.ndarray, feasible: FeasibleSet):
@@ -294,7 +300,7 @@ def _box_qp_max(grad, feasible: FeasibleSet, y0, model: ConstantHessian, tol: fl
                     break
             t *= 0.5
         else:
-            raise InnerSolveError("projected newton line search stalled", nres)
+            raise InnerSolveError("projected newton line search stalled", nres, y)
         y, g = y_t, g_t
         from_oracle = False
-    raise InnerSolveError("projected newton iteration limit reached", nres)
+    raise InnerSolveError("projected newton iteration limit reached", nres, y)

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -167,6 +168,37 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     # finite numbers, so the last finite state is at t = 511 * 5, between records
     err = capsys.readouterr().err
     assert "numerical failure: non-finite state encountered (last finite time t=2555)" in err
+
+
+def test_an_inner_solve_that_stalls_far_out_names_the_iterate(tmp_path, capsys):
+    # the proximal surrogate of a 129-coordinate saddle, past the affine cap,
+    # at a step too coarse for q = 100: the flow diverges, and its inner
+    # Newton solve stalls near its absolute tolerance once the iterates are
+    # large; the message gives their size, which reads as the divergence
+    text = """
+[problem]
+kind = quadratic_saddle
+mu = 1.0
+q = 100
+n = 65
+m = 64
+coupling_norm = 1.0
+
+[algorithm]
+kind = proximal
+rho = 1.0
+
+[integrator]
+method = rk4
+step = 0.05
+horizon = 10
+"""
+    cfg = _write(tmp_path, "far.ini", text)
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    found = re.search(r"numerical failure: newton line search stalled \(residual (\S+), \|iterate\| (\S+)\)", err)
+    assert found, err
+    assert float(found[1]) > 1e-10 and float(found[2]) > 1e5
 
 
 def test_compare_writes_table(tmp_path, capsys):
