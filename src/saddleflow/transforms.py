@@ -381,8 +381,9 @@ def reduce(sep: "SeparableProblem") -> ReducedProblem:
 # ---------------------------------------------------------------------------
 # Lasso chain
 
-# The pieces a Lasso dual-prox run keeps. Runs meet 3-8 active sets; a kept
-# piece's sign test costs about 5 us, a box QP and a new piece 200-400 us.
+# The pieces a Lasso dual-prox run keeps. The shipped and benchmark runs meet
+# 3-8 active sets; on the benchmark's (18 coordinates) a kept piece's sign
+# test takes 2.6 us, and a box QP with a new piece 350 us.
 _PIECES_KEPT = 8
 
 

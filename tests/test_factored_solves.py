@@ -234,8 +234,9 @@ def test_a_walk_past_the_kept_pieces_drops_the_oldest_and_agrees_with_the_oracle
         if len(built) > before:
             assert declared._pieces == [head] + pieces[: kept - 1]
             dropped += len(pieces) == kept
-        else:  # a kept piece moved to the head, the others in their order
+        else:  # the kept piece that served moved to the head, the others in their order
             assert head in pieces and declared._pieces[1:] == [p for p in pieces if p is not head]
+            assert head(z).tobytes() == a.tobytes()
         assert np.abs(a - reference(z)).max() <= AGREE * (1.0 + np.linalg.norm(a))
     assert len({piece.key for piece in built}) == 17 and len(built) == 18
     assert dropped == len(built) - kept
@@ -282,7 +283,7 @@ def test_a_perturbed_active_set_map_fails_its_confirmation(monkeypatch, row):
     assert perturbed
 
 
-def test_a_new_piece_that_fails_its_own_rows_gives_the_oracle_field():
+def test_a_new_piece_that_fails_its_own_rows_gives_the_oracle_field(monkeypatch):
     # a tie at a face: the box QP starts at its maximizer with a sign multiplier
     # y_j on its face, where the gradient points inward by 1e-12, far below
     # the QP's tolerance, so it returns that point as it is; the new piece's
@@ -303,7 +304,18 @@ def test_a_new_piece_that_fails_its_own_rows_gives_the_oracle_field():
     assert field.tobytes() == sf.standard_flow(declared.problem).field(z).tobytes()
     piece = declared._pieces[0]
     assert piece.key == box.on_faces(y).tobytes() and piece.faces[0, j]
-    assert piece(z) is None  # the slot holds the new piece, which fails its own rows at z
+    assert piece(z) is None  # the new piece is kept, and fails its own rows at z
+    # back at z with another piece at the head: no kept piece holds, and the
+    # box QP lands on the tie's active set, whose kept piece moves to the head
+    declared.field(-z)
+    other = declared._pieces[0]
+    assert declared._pieces == [other, piece] and other(z) is None
+    built = []
+    build = transforms._active_set_map
+    monkeypatch.setattr(transforms, "_active_set_map", lambda *args: built.append(1) or build(*args))
+    start_next_solve_at(declared, y)
+    assert declared.field(z).tobytes() == field.tobytes()
+    assert declared._pieces == [piece, other] and built == []
 
 
 def test_guessed_face_with_an_inward_gradient_falls_back(monkeypatch):
