@@ -3,7 +3,7 @@
 Whether a problem declares its ``hessian`` means only whether it is
 quadratic, at any size. The size cap decides one thing, whether a field is
 dense: in ``flows.standard_flow`` (the affine field or the oracle field) and
-in ``transforms.lasso_dual_prox`` (the piece slot or the oracle field). The
+in ``transforms.lasso_dual_prox`` (the kept pieces or the oracle field). The
 scan reads each module's syntax tree and finds every load of the name, bare
 or as an attribute, with the top-level definition that holds it.
 """
