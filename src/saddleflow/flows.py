@@ -223,7 +223,8 @@ class Piece(AffineMap):
     bytes are the ``key``. A field exposes its piece at a state z:
     ``AffineField.piece`` from K and the faces of its box at z,
     ``LassoDualProx.piece`` from the active set of its inner box QP.
-    ``step_map`` turns the piece into the map of one RK4 step, whose
+    ``step_map`` turns the piece into the map of one RK4 step, at a state
+    where the piece's rows hold at all four stage points; the map's
     ``block`` takes runs of steps.
     """
 
@@ -233,8 +234,8 @@ class Piece(AffineMap):
     def key(self) -> bytes:
         return self.faces.tobytes()
 
-    def step_map(self, z, h: float) -> AffineMap:
-        """One RK4 step of size h on this piece, checked at z.
+    def step_map(self, z, h: float) -> Optional[AffineMap]:
+        """One RK4 step of size h on this piece, checked at z; None where it does not hold at z.
 
         The step is z -> R z + r with R = I + hM + (hM)^2/2 + (hM)^3/6 +
         (hM)^4/24 (Hairer, Norsett & Wanner, *Solving ODEs I*, IV.2), where
@@ -244,16 +245,20 @@ class Piece(AffineMap):
         clamps, is this map. A stage row that equals the same row at z, such
         as a face that the stages hold fixed, is kept once. The next state
         needs no row, since both paths clamp it.
-        ``ValueError`` if the map's rows at z are off the 4-stage arithmetic
-        there by more than ``_PROBE_TOL`` relative.
+        The 4-stage arithmetic at z comes first: where a signed row fails
+        there at any stage point (NaN fails), nothing is built and the
+        result is None. Else ``ValueError`` if the map's rows at z are off
+        that arithmetic by more than ``_PROBE_TOL`` relative.
         """
         dim = z.shape[0]
+        at_z, stages_at_z = self._step_rows(np.append(z, 1.0)[:, None], h)
+        if not (stages_at_z[:, :, 0] >= self.floor).all():
+            return None
         state, stages = self._step_rows(np.eye(dim + 1), h)
         keep = np.ones(stages.shape[:2], dtype=bool)
         keep[1:] = (stages[1:] != stages[0]).any(axis=2)
         rows = np.concatenate((state, stages[keep]))
         amap = AffineMap(dim, rows[:, :dim].copy(), rows[:, dim].copy(), np.tile(self.floor, 4)[keep.ravel()])
-        at_z, stages_at_z = self._step_rows(np.append(z, 1.0)[:, None], h)
         expected = np.concatenate((at_z, stages_at_z[keep]))[:, 0]
         _check(amap.W, amap.w, z, expected, "RK4 step map off the 4-stage step at its build state")
         return amap

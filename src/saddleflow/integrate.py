@@ -191,15 +191,18 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     doubles after each block that passes whole, up to
     ``AffineMap.max_block``; a map with none, whose blocks stop only at a
     non-finite state, starts at ``max_block``. After a block
-    stops short, the one-step map is tried. One that fails its test sends
-    the run to its piece: where the piece's own rows still hold at the
-    state, the step is a 4-stage step; else the field gives its piece at the
-    state, and a new piece has its map built and tried once, and where that
-    fails too, or the piece is not new, the 4-stage step is taken. A step
-    from a state where a free coordinate sits on its face, with its field
-    pointing inward, fails the map's inside rows at that state and is a
-    4-stage step. Euler, the fractional last step and any other field take
-    4-stage steps.
+    stops short, the one-step map is tried. One that fails its test, or
+    its absence, sends the run to its piece: where the piece's own rows
+    still hold at the state, the step is a 4-stage step, unless the piece
+    has no map yet and builds one there; else the field gives its piece at
+    the state, and a new piece builds its map. A piece builds its map only
+    at a state where its rows hold at all four stage points
+    (``Piece.step_map`` returns None elsewhere, having built nothing), and
+    then tries it once. Where no map is built or tried, or the piece is
+    not new, the 4-stage step is taken. A step from a state where a free
+    coordinate sits on its face, with its field pointing inward, fails the
+    piece's inside rows at that state and is a 4-stage step. Euler, the
+    fractional last step and any other field take 4-stage steps.
     """
     z = np.atleast_1d(np.asarray(z0, dtype=float)).copy()
     if z.shape != (flow.dim,):
@@ -259,11 +262,17 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
                 size = min(2 * size, amap.max_block) if rows.shape[0] == size else size
             if rows is None or rows.shape[0] == 0:
                 out = None if amap is None else amap(z)
-                if out is None and (piece is None or piece(z) is None):  # a new piece: build its map
-                    new = owner.piece(z)
-                    if new is not None and (piece is None or new.key != piece.key):
-                        piece, amap, powers = new, None, []  # the old map and its powers go first
-                        amap = new.step_map(z, h)
+                if out is None:
+                    if piece is None or piece(z) is None:  # off the piece: the field gives its piece at z
+                        new = owner.piece(z)
+                        build = new is not None and (piece is None or new.key != piece.key)
+                        piece = new if build else piece
+                    else:  # on the piece: a piece without a map tries to build it here
+                        build = amap is None
+                    if build:
+                        amap, powers = None, []  # the old map and its powers go first
+                        amap = piece.step_map(z, h)  # None where the piece's stage rows fail at z
+                    if build and amap is not None:
                         # a map with no signed rows fails only on a non-finite state
                         size = amap.max_block if amap.floor.shape[0] == 0 else min(_BLOCK_START, amap.max_block)
                         out = amap(z)

@@ -40,9 +40,10 @@ def _four_stage(flow, z, h):
 
 
 def _map_step(flow, z, h):
-    """The clamped map step from z on the piece at z, or None if its test fails."""
+    """The clamped map step from z on the piece at z, or None if the piece has no map at z or its test fails."""
     piece = flow.field.piece(z)
-    out = piece.step_map(z, h)(z)
+    amap = piece.step_map(z, h)
+    out = None if amap is None else amap(z)
     if out is None:
         return None, piece.faces
     return (flow.feasible.clamp(out) if flow.feasible is not None else out), piece.faces
@@ -166,7 +167,7 @@ def test_a_perturbed_step_map_fails_its_build_state_check(monkeypatch, row):
         W[{"state": 0, "stage point": dim, "face": -1}[row], k] += 1e-6
         return build(dim, W, w, floor)
 
-    flow.field.piece(z).step_map(z, 0.05)  # unperturbed, it passes
+    assert flow.field.piece(z).step_map(z, 0.05) is not None  # unperturbed, it passes
     monkeypatch.setattr(flows, "AffineMap", perturbed)
     with pytest.raises(ValueError, match="RK4 step map off the 4-stage step"):
         flow.field.piece(z).step_map(z, 0.05)
@@ -218,6 +219,8 @@ def test_a_block_whose_test_fails_at_step_j_takes_j_steps():
     buf = np.empty(flows.BLOCK_MAX_ENTRIES)
     for z in traj.states:
         amap = flow.field.piece(z).step_map(z, 0.05)
+        if amap is None:  # the piece's stage rows fail at z: no map
+            continue
         one_step = _steps_on_the_piece(flow, amap, z)
         j = one_step.shape[0] - 1
         if 4 < j < amap.max_block:
@@ -431,14 +434,14 @@ def _inward_on_a_face(flow, z0):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_a_free_coordinate_on_its_face_takes_the_four_stage_step(seed):
     # the map's inside rows hold at z too, so a coordinate that sits on its
-    # face with an inward field fails the map test there, and the step is
-    # the 4-stage step's arithmetic
+    # face with an inward field fails them there: the piece builds no map
+    # at z, and the step is the 4-stage step's arithmetic
     flow, z0 = _walk_flow(seed)
     z, i = _inward_on_a_face(flow, z0)
     h = 0.05
     piece = flow.field.piece(z)
     assert not piece.faces[:, i].any()  # free: the field leaves the face
-    assert piece.step_map(z, h)(z) is None
+    assert piece.step_map(z, h) is None  # no map is built
     traj = sf.integrate(flow, z, sf.IntegratorConfig(step=h, horizon=2 * h))
     assert np.array_equal(traj.states[1], _four_stage(flow, z, h))
 
@@ -542,7 +545,7 @@ def test_a_perturbed_lasso_step_map_fails_its_build_state_check(monkeypatch, tmp
     config, flow, z0 = _lasso("shipped", tmp_path)
     piece = lasso_transform(flow).piece(z0)
     assert piece.W.shape[0] > piece.dim  # KKT rows
-    piece.step_map(z0, config.step)  # unperturbed, it passes
+    assert piece.step_map(z0, config.step) is not None  # unperturbed, it passes
     build = flows.AffineMap
 
     def perturbed(dim, W, w, floor):
@@ -644,6 +647,83 @@ def test_a_bench_min_cost_flow_run_asks_the_field_only_for_new_pieces(monkeypatc
     monkeypatch.setattr(sf.AffineField, "piece", logging)
     sf.integrate(flow, cfg.z0 if cfg.z0 is not None else np.ones(flow.dim), cfg.integrator)
     assert len(keys) == 9 and all(a != b for a, b in zip(keys, keys[1:]))
+
+
+def _builds(monkeypatch) -> list:
+    """(piece, state, map or None) of every ``Piece.step_map`` call."""
+    builds = []
+    build = sf.Piece.step_map
+
+    def logging(self, z, h):
+        amap = build(self, z, h)
+        builds.append((self, z.copy(), amap))
+        return amap
+
+    monkeypatch.setattr(sf.Piece, "step_map", logging)
+    return builds
+
+
+def _bench_runs(tmp_path):
+    """(name, integrator config, flow, z0) of every benchmark input at seed 2024."""
+    inputs = bench_inputs()
+    for workload in inputs.WORKLOADS:
+        inputs.write_inputs(workload, 2024, tmp_path / workload)
+        for path in sorted((tmp_path / workload).glob("*.ini")):
+            cfg = load_config(path)
+            flow = build_setup(cfg).flow
+            yield f"{workload}/{path.stem}", cfg.integrator, flow, cfg.z0 if cfg.z0 is not None else np.ones(flow.dim)
+
+
+def test_every_map_a_run_builds_passes_its_test_at_its_build_state(monkeypatch, tmp_path):
+    walks = [(f"walk {seed}", sf.IntegratorConfig(step=0.05, horizon=60.0), *_walk_flow(seed)) for seed in (1, 2, 3)]
+    builds = _builds(monkeypatch)
+    built = refused = 0
+    for name, config, flow, z0 in list(_bench_runs(tmp_path)) + walks:
+        del builds[:]
+        sf.integrate(flow, z0, config)
+        for _, z, amap in builds:
+            if amap is None:
+                refused += 1
+            else:
+                built += 1
+                assert amap(z) is not None, name
+    assert built >= 50 and refused >= 10
+
+
+def test_a_bench_min_cost_flow_run_builds_only_the_maps_that_hold(monkeypatch, tmp_path):
+    # each of the benchmark's seed-2024 min-cost flows built 9 step maps when
+    # every new piece built one, and 4 failed their test where they were built
+    bench_inputs().write_inputs("projected_direct", 2024, tmp_path)
+    builds = _builds(monkeypatch)
+    for name in ("mincostflow_augmented", "mincostflow_canonical"):
+        cfg = load_config(tmp_path / f"{name}.ini")
+        flow = build_setup(cfg).flow
+        del builds[:]
+        sf.integrate(flow, cfg.z0 if cfg.z0 is not None else np.ones(flow.dim), cfg.integrator)
+        assert len([amap for _, _, amap in builds if amap is not None]) == 5, name
+        assert any(amap is None for _, _, amap in builds), name
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_refused_piece_builds_its_map_where_its_rows_hold(monkeypatch, seed):
+    # each walk starts where its piece's stage rows fail; the run takes
+    # 4-stage steps there and builds the map at the first later state where
+    # they hold
+    flow, z0 = _walk_flow(seed)
+    h = 0.05
+    builds = _builds(monkeypatch)
+    traj = sf.integrate(flow, z0, sf.IntegratorConfig(step=h, horizon=60.0))
+    index = {z.tobytes(): t for t, z in enumerate(traj.states)}
+    refused, later = {}, 0
+    for piece, z, amap in builds:
+        t = index[z.tobytes()]
+        if amap is None:
+            refused[piece.key] = t
+            assert np.array_equal(traj.states[t + 1], _four_stage(flow, z, h))
+        elif piece.key in refused:
+            later += 1
+            assert t == refused[piece.key] + 1 and piece(z) is not None and amap(z) is not None
+    assert refused and later >= 1
 
 
 def test_a_min_cost_flow_run_keeps_its_memory_peak_small():
