@@ -121,7 +121,9 @@ class SaddleProblem:
     stacked vector (x*, y*) of length n + m.
     ``hessian`` declares S quadratic: it is the constant (n+m) x (n+m)
     Jacobian of the stacked gradient (grad_x, grad_y) with respect to (x, y),
-    as the oracles are written (not necessarily symmetric), or None.
+    as the oracles are written (not necessarily symmetric), or None. It is
+    stored read-only: a read-only float64 array that owns its data, as the
+    builders hand over, is kept as it is, and anything else is copied.
     ``hess_xx`` and ``hess_yy`` are the Hessian oracles of the inner solves;
     a declaring problem that leaves one out gets its constant block of
     ``hessian``. ``caches`` holds the mutable state the oracles close over
@@ -151,7 +153,10 @@ class SaddleProblem:
             saddle.flags.writeable = False
             object.__setattr__(self, "saddle", saddle)
         if self.hessian is not None:
-            hessian = np.array(self.hessian, dtype=float)
+            hessian = self.hessian  # a copy of a large one would double the build's peak
+            if not (type(hessian) is np.ndarray and hessian.dtype == np.float64
+                    and hessian.base is None and not hessian.flags.writeable):
+                hessian = np.array(hessian, dtype=float)
             if hessian.shape != (self.dim, self.dim):
                 raise DimensionMismatchError(
                     f"hessian has shape {hessian.shape}, expected ({self.dim}, {self.dim})"

@@ -78,6 +78,7 @@ def _lagrangian(
     if f.hess_constant:
         top = np.concatenate((f.hess(np.zeros(n)), A.T), axis=1)  # np.block costs 4x more
         hessian = np.concatenate((top, np.concatenate((A, yy), axis=1)))
+        hessian.flags.writeable = False  # handed over without a copy
     elif f.hess is not None:
         hess_xx, hess_yy = (lambda x, y: f.hess(x)), (lambda x, y: yy)
     return SaddleProblem(

@@ -107,6 +107,7 @@ def augment(problem: SaddleProblem, rho: float) -> SaddleProblem:
         hessian[xh, x], hessian[xh, xh] = -rn, rn
         hessian[y, x], hessian[y, y], hessian[y, yh] = H[n:, :n], H[n:, n:] - rm, rm
         hessian[yh, y], hessian[yh, yh] = rm, -rm
+        hessian.flags.writeable = False  # handed over without a copy
     else:
         mirror = lambda h, r: np.block([[h + r, -r], [-r, r]])
         if problem.hess_xx is not None:
@@ -219,6 +220,7 @@ def _surrogate_hessian(H: np.ndarray, n: int, rho: float, M: np.ndarray) -> np.n
     out[:n, n:] = rho * MH_xy
     out[n:, :n] = rho * (H_yx @ M)
     out[n:, n:] = H[n:, n:] - H_yx @ MH_xy
+    out.flags.writeable = False  # handed over without a copy
     return out
 
 
@@ -279,6 +281,7 @@ def precondition(
         hessian[:n, n:] = eta * A.T - alpha * (hf @ A.T)
         hessian[n:, :n] = eta * A - alpha * (A @ hf)
         hessian[n:, n:] = alpha**2 * (A @ hf @ A.T) - 2.0 * eta * alpha * AAT
+        hessian.flags.writeable = False  # handed over without a copy
     elif f.hess is not None:
         def hess_xx(u, y):
             return f.hess(primal_point(u, y))
@@ -367,6 +370,7 @@ def reduce(sep: "SeparableProblem") -> ReducedProblem:
             hessian[:n_c, n_c:] = A_c.T
             hessian[n_c:, :n_c] = A_c
             hessian[n_c:, n_c:] = -(A_s @ jacobian_inverse @ A_s.T)
+            hessian.flags.writeable = False  # handed over without a copy
 
     cache = WarmCache()
     problem = SaddleProblem(

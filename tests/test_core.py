@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,39 @@ def test_zero_residual_implies_saddle_inequality():
         z_star = problem.saddle
         assert sf.stationarity_residual(problem, z_star) <= 1e-12
         assert saddle_inequality_check(problem, z_star, samples=100, radius=1.5)
+
+
+def test_a_declared_hessian_is_read_only_and_a_writable_one_is_never_aliased():
+    oracles = dict(value=lambda x, y: 0.0, grad_x=lambda x, y: np.zeros(1), grad_y=lambda x, y: np.zeros(1))
+    H = np.array([[1.0, 2.0], [-2.0, 0.0]])
+    problem = sf.SaddleProblem(n=1, m=1, hessian=H, **oracles)
+    assert problem.hessian is not H and not np.shares_memory(problem.hessian, H)
+    H[0, 0] = 5.0  # the caller's array stays its own
+    assert problem.hessian[0, 0] == 1.0 and not problem.hessian.flags.writeable
+    frozen = np.array([[1.0, 2.0], [-2.0, 0.0]])
+    frozen.flags.writeable = False
+    assert sf.SaddleProblem(n=1, m=1, hessian=frozen, **oracles).hessian is frozen  # adopted
+    big = np.zeros((3, 3))
+    big.flags.writeable = False
+    for other in (big[:2, :2], frozen.astype(np.float32), frozen.tolist()):  # a view, float32, a list
+        hessian = sf.SaddleProblem(n=1, m=1, hessian=other, **oracles).hessian
+        assert hessian is not other and hessian.dtype == np.float64 and not hessian.flags.writeable
+        assert not np.shares_memory(hessian, big)
+    for problem in (sf.make_bilinear(np.ones((2, 3))), sf.augment(sf.make_bilinear(np.ones((2, 3))), 1.0)):
+        assert problem.hessian.base is None and not problem.hessian.flags.writeable
+
+
+def test_augmenting_a_large_bilinear_problem_copies_no_hessian():
+    # dim 600 after augmentation: a 2.9 MB hessian and the base's 0.7 MB are
+    # kept; a copy of the new hessian on adoption peaked at 2x what was kept
+    B = np.random.default_rng(50).standard_normal((150, 150))
+    sf.augment(sf.make_bilinear(B), 1.0)  # warm: imports and first-call caches
+    tracemalloc.start()
+    try:
+        base = sf.make_bilinear(B)
+        aug = sf.augment(base, 1.0)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert aug.dim == 600 and kept >= aug.hessian.nbytes + base.hessian.nbytes
+    assert peak <= 1.3 * kept
