@@ -41,29 +41,34 @@ class FeasibleSet:
     _has_upper_face: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.array(self.lower, dtype=float))
-        up = np.atleast_1d(np.array(self.upper, dtype=float))
-        if lo.ndim != 1 or up.ndim != 1 or lo.shape != up.shape:
-            raise ValueError(
-                f"bounds must be 1-d of equal length, got {lo.shape} and {up.shape}"
-            )
+        try:  # both bounds in one copy; a scalar, ragged or 2-d bound takes the path below
+            bounds = np.array((self.lower, self.upper), dtype=float)
+        except ValueError:
+            bounds = np.empty(0)
+        if bounds.ndim != 2:
+            lo, up = (np.atleast_1d(np.array(b, dtype=float)) for b in (self.lower, self.upper))
+            if lo.ndim != 1 or up.ndim != 1 or lo.shape != up.shape:
+                raise ValueError(
+                    f"bounds must be 1-d of equal length, got {lo.shape} and {up.shape}"
+                )
+            bounds = np.array((lo, up))
+        bounds.flags.writeable = False  # before its rows are taken, so they are read-only too
+        lo, up = bounds[0], bounds[1]
         ordered = lo <= up  # False at a NaN bound as at an empty coordinate
-        if not ordered.all():
-            if np.isnan(lo).any() or np.isnan(up).any():
+        if np.count_nonzero(ordered) != ordered.shape[0]:  # cheaper than .all() on short arrays
+            if np.isnan(bounds).any():
                 raise ValueError("bounds must not contain NaN")
             j = int(np.argmin(ordered))
             raise ValueError(f"empty set: lower[{j}]={lo[j]} > upper[{j}]={up[j]}")
         pinned = lo == up
-        derived = {
-            "lower": lo,
-            "upper": up,
-            "_lower_face": np.where(pinned, np.inf, lo),
-            "_upper_face": np.where(pinned, -np.inf, up),
-        }
+        faces = bounds  # the thresholds are the bounds, but +inf and -inf at a pinned coordinate
+        if np.count_nonzero(pinned):
+            faces = np.where(pinned, [[np.inf], [-np.inf]], bounds)
+            faces.flags.writeable = False
+        derived = {"lower": lo, "upper": up, "_lower_face": faces[0], "_upper_face": faces[1]}
         for name, value in derived.items():
-            value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_has_upper_face", bool((derived["_upper_face"] < np.inf).any()))
+        object.__setattr__(self, "_has_upper_face", np.count_nonzero(faces[1] < np.inf) > 0)
 
     @property
     def dim(self) -> int:
