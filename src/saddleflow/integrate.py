@@ -198,8 +198,8 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     the state, and a new piece builds its map. A piece builds its map only
     at a state where its rows hold at all four stage points
     (``Piece.step_map`` returns None elsewhere, having built nothing), and
-    then tries it once. Where no map is built or tried, or the piece is
-    not new, the 4-stage step is taken. A step from a state where a free
+    then tries it once. Where no map is built, its try fails, or the piece
+    is not new, the 4-stage step is taken. A step from a state where a free
     coordinate sits on its face, with its field pointing inward, fails the
     piece's inside rows at that state and is a 4-stage step. Euler, the
     fractional last step and any other field take 4-stage steps.

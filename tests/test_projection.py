@@ -247,3 +247,27 @@ def test_bounds_are_read_only_copies():
     with pytest.raises(ValueError, match="read-only"):
         fs.upper[1] = 2.0
     assert np.array_equal(project_vector_field(fs, [0.5, 1.0], [1.0, 1.0]), [1.0, 0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(coords=st.lists(_box_coordinate(), min_size=1, max_size=8))
+def test_the_face_thresholds_are_the_bounds_but_infinite_where_pinned(coords):
+    lower, upper, _ = (np.array(col, dtype=float) for col in zip(*coords))
+    fs = FeasibleSet(lower, upper)
+    pinned = lower == upper
+    expected = (lower, upper, np.where(pinned, np.inf, lower), np.where(pinned, -np.inf, upper))
+    for got, want in zip((fs.lower, fs.upper, fs._lower_face, fs._upper_face), expected):
+        assert _same_bits(got, want) and not got.flags.writeable
+    assert fs._has_upper_face == bool((expected[3] < np.inf).any())
+
+
+def test_a_set_checks_its_bounds():
+    assert FeasibleSet(0.0, 1.0).dim == 1 and FeasibleSet([0.0], 1.0).dim == 1  # a scalar is one coordinate
+    for lower, upper, message in (
+        ([0.0, 1.0], [1.0, 2.0, 3.0], r"bounds must be 1-d of equal length, got \(2,\) and \(3,\)"),
+        ([[0.0, 1.0]], [[1.0, 2.0]], r"bounds must be 1-d of equal length, got \(1, 2\) and \(1, 2\)"),
+        ([0.0, np.nan], [1.0, 1.0], "bounds must not contain NaN"),
+        ([0.0, 2.0], [1.0, 1.0], r"empty set: lower\[1\]=2.0 > upper\[1\]=1.0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            FeasibleSet(lower, upper)
