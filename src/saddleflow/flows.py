@@ -56,6 +56,21 @@ _PROBE_TOL = 1e-10
 BLOCK_MAX_ENTRIES = 2**14
 
 
+def _rk4(field: Callable, clamp: Callable, z, h: float) -> tuple:
+    """One RK4 step of size h from z: (next state, stage points z, p2, p3, p4), p2-p4 clamped.
+
+    Private: tracing wraps this module's public functions and would count its stages twice.
+    """
+    k1 = field(z)
+    p2 = clamp(z + (0.5 * h) * k1)
+    k2 = field(p2)
+    p3 = clamp(z + (0.5 * h) * k2)
+    k3 = field(p3)
+    p4 = clamp(z + h * k3)
+    k4 = field(p4)
+    return z + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), (z, p2, p3, p4)
+
+
 @dataclass(frozen=True)
 class Flow:
     """An autonomous vector field with optional feasible set and equilibrium.
@@ -245,44 +260,29 @@ class Piece(AffineMap):
         clamps, is this map. A stage row that equals the same row at z, such
         as a face that the stages hold fixed, is kept once. The next state
         needs no row, since both paths clamp it.
-        The 4-stage arithmetic at z comes first: where a signed row fails
-        there at any stage point (NaN fails), nothing is built and the
-        result is None. Else ``ValueError`` if the map's rows at z are off
-        that arithmetic by more than ``_PROBE_TOL`` relative.
+        The rows at z come first, from ``_rk4`` with the piece's field rows
+        M p + m: where a signed row fails at a stage point (NaN fails),
+        nothing is built and the result is None. The map's rows come from the
+        same ``_rk4`` on the identity in homogeneous coordinates; ``ValueError``
+        if they are off the rows at z by more than ``_PROBE_TOL`` relative.
         """
         dim = z.shape[0]
-        at_z, stages_at_z = self._step_rows(np.append(z, 1.0)[:, None], h)
-        if not (stages_at_z[:, :, 0] >= self.floor).all():
+        M, m, G, g = self.W[:dim], self.w[:dim], self.W[dim:], self.w[dim:]
+        at_z, points = _rk4(lambda p: M @ p + m, np.asarray, z, h)
+        stages_at_z = np.stack(points) @ G.T + g
+        if not (stages_at_z >= self.floor).all():
             return None
-        state, stages = self._step_rows(np.eye(dim + 1), h)
+        slope = np.zeros((dim + 1, dim + 1))  # (z, 1) -> (M z + m, 0)
+        slope[:dim, :dim], slope[:dim, dim] = M, m
+        state, points = _rk4(lambda p: slope @ p, np.asarray, np.eye(dim + 1), h)
+        stages = np.column_stack((G, g)) @ np.stack(points)
         keep = np.ones(stages.shape[:2], dtype=bool)
         keep[1:] = (stages[1:] != stages[0]).any(axis=2)
-        rows = np.concatenate((state, stages[keep]))
+        rows = np.concatenate((state[:dim], stages[keep]))
         amap = AffineMap(dim, rows[:, :dim].copy(), rows[:, dim].copy(), np.tile(self.floor, 4)[keep.ravel()])
-        expected = np.concatenate((at_z, stages_at_z[keep]))[:, 0]
+        expected = np.concatenate((at_z, stages_at_z[keep]))
         _check(amap.W, amap.w, z, expected, "RK4 step map off the 4-stage step at its build state")
         return amap
-
-    def _step_rows(self, p, h: float) -> tuple:
-        """(next state, signed rows at the four stage points) of the step map applied to p.
-
-        p is the identity of dim + 1, which gives [R | r] and the stages'
-        [G | g] products, or a state with a trailing 1 as one column, which
-        gives their values at that state: both run the same 4-stage
-        arithmetic, in homogeneous coordinates. [G | g] are the rows of
-        [W | w] from row ``dim`` on; the signed rows have shape (4, rows of G, columns of p).
-        """
-        dim = self.dim
-        slope = np.zeros((dim + 1, dim + 1))  # (z, 1) -> (M z + m, 0)
-        slope[:dim, :dim], slope[:dim, dim] = self.W[:dim], self.w[:dim]
-        points, slopes = [p], []
-        for c in (0.5 * h, 0.5 * h, h, None):
-            slopes.append(slope @ points[-1])
-            if c is not None:
-                points.append(p + c * slopes[-1])
-        k1, k2, k3, k4 = slopes
-        state = (p + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))[:dim]
-        return state, np.column_stack((self.W[dim:], self.w[dim:])) @ np.stack(points)
 
 
 @dataclass(frozen=True, eq=False)

@@ -174,7 +174,10 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     When the flow has a feasible set, the start point is clamped onto it
     with a warning if it lies outside, and every accepted state is clamped.
     A free flow's clamp is ``np.copy``, which moves nothing, so every flow
-    takes its RK4 stages, its states and a wrapper's walk by one formula.
+    takes its RK4 stages, its states and a wrapper's walk by ``flows._rk4``
+    with its field and clamp. ``Piece.step_map`` takes its rows at z from
+    ``_rk4`` with the piece's field rows, and the map's rows from the same
+    ``_rk4`` on the identity in homogeneous coordinates.
     Raises :class:`IntegrationError` on a non-finite state.
 
     The config fixes the record grid: step 0, every ``record_every``-th
@@ -239,11 +242,7 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     def stages(z, hi):
         if config.method == "euler":
             return z + hi * field(z)
-        k1 = field(z)
-        k2 = field(clamp(z + (0.5 * hi) * k1))
-        k3 = field(clamp(z + (0.5 * hi) * k2))
-        k4 = field(clamp(z + hi * k3))
-        return z + (hi / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        return flows._rk4(field, clamp, z, hi)[0]
 
     # the record grid; the row of grid step i is ceil(i / every)
     times = np.append(np.arange(0, n_steps, every), n_steps) * h

@@ -10,6 +10,7 @@ that cross faces, check the build-state and block checks, and pin down which
 steps take the 4-stage path.
 """
 
+import ast
 import functools
 import tracemalloc
 from dataclasses import fields, replace
@@ -465,6 +466,89 @@ def test_a_step_map_tests_each_row_once():
         assert amap.floor.shape[0] == 4 * bounds + 5 * held, name
         held_in_all += held
     assert held_in_all > 0  # some final states sit on faces
+
+
+# ---------------------------------------------------------------------------
+# One RK4 step: flows._rk4 takes the 4-stage steps and builds the step maps
+
+RK4_WEIGHTS = ast.dump(ast.parse("k1 + 2.0 * (k2 + k3) + k4", mode="eval").body)
+
+
+def _rk4_weightings(tree) -> list:
+    """(top-level definition, line) of each expression ``k1 + 2.0 * (k2 + k3) + k4`` in ``tree``."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.BinOp) and ast.dump(node) == RK4_WEIGHTS:
+                found.append((getattr(top, "name", None), node.lineno))
+    return found
+
+
+def test_the_scan_sees_the_rk4_weighting():
+    tree = ast.parse(
+        "def step(z, h):\n"
+        "    return z + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)\n"
+        "x = k1 + 2.0 * (k2 + k3) + k4\n"
+        "y = k1 + 2.0 * (k3 + k2) + k4\n"
+    )
+    assert _rk4_weightings(tree) == [("step", 2), (None, 3)]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "saddleflow").glob("*.py")), ids=lambda path: path.name)
+def test_only_flows_rk4_weights_the_stages(path):
+    found = _rk4_weightings(ast.parse(path.read_text()))
+    assert [owner for owner, _ in found] == (["_rk4"] if path.name == "flows.py" else [])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_rk4_step_of_a_run_is_one_rk4_call(monkeypatch, seed):
+    # one per 4-stage step of integrate (four field evaluations), one per
+    # refused step map (its rows at z), two per built one (and the map's rows)
+    flow, z0 = _walk_flow(seed)
+    evaluations, builds, calls = _counting_calls(monkeypatch), _builds(monkeypatch), []
+    rk4 = flows._rk4
+    monkeypatch.setattr(flows, "_rk4", lambda *args: calls.append(args[0]) or rk4(*args))
+    sf.integrate(flow, z0, sf.IntegratorConfig(step=0.05, horizon=60.0))
+    built = sum(amap is not None for _, _, amap in builds)
+    assert len(evaluations) % 4 == 0 and evaluations and 0 < built < len(builds)
+    assert len(calls) == len(evaluations) // 4 + len(builds) + built
+    assert calls.count(flow.field) == len(evaluations) // 4
+
+
+def _build_state_rows(monkeypatch) -> list:
+    """(the map's W, its build state, the rows its build-state check expects) of every map built."""
+    built, check = [], flows._check
+
+    def logging(W, w, z, expected, what):
+        check(W, w, z, expected, what)
+        if what.startswith("RK4 step map"):
+            built.append((W, z.copy(), expected.copy()))
+
+    monkeypatch.setattr(flows, "_check", logging)
+    return built
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_maps_build_state_rows_are_rk4_on_the_pieces_field_rows(monkeypatch, seed):
+    # the state, then each signed row at the four stage points, of which a
+    # row at p2, p3 or p4 is kept only where the map keeps it: bit for bit
+    flow, z0 = _walk_flow(seed)
+    h = 0.05
+    builds, checked = _builds(monkeypatch), _build_state_rows(monkeypatch)
+    sf.integrate(flow, z0, sf.IntegratorConfig(step=h, horizon=60.0))
+    maps = [(piece, z, amap) for piece, z, amap in builds if amap is not None]
+    assert len(maps) == len(checked) > 0
+    for (piece, z, amap), (W, at, expected) in zip(maps, checked):
+        assert W is amap.W and np.array_equal(at, z)
+        dim = z.shape[0]
+        M, m, G, g = piece.W[:dim], piece.w[:dim], piece.W[dim:], piece.w[dim:]
+        state, points = flows._rk4(lambda p: M @ p + m, np.asarray, z, h)
+        rows = np.stack(points) @ G.T + g
+        signed = g.shape[0]
+        assert np.array_equal(expected[:dim], state) and np.array_equal(expected[dim : dim + signed], rows[0])
+        later = iter(zip(rows[1:].ravel(), np.tile(piece.floor, 3)))  # the rows at p2, p3, p4, stage by stage
+        for row, floor in zip(expected[dim + signed :], amap.floor[signed:]):
+            assert any(v == row and f == floor for v, f in later)  # each kept row, in order
 
 
 # ---------------------------------------------------------------------------
