@@ -105,13 +105,13 @@ class ConstantHessian:
         return self._inverse
 
 
-def fd_jacobian(fun: Callable, x: np.ndarray, scale: float = 1e-7) -> np.ndarray:
-    """Central-difference Jacobian of a vector map, column by column."""
+def fd_jacobian(fun: Callable, x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of a vector map, column by column, with step 1e-7*(1 + |x_j|)."""
     x = np.asarray(x, dtype=float)
     f0 = np.asarray(fun(x), dtype=float)
     jac = np.empty((f0.shape[0], x.shape[0]))
     for j in range(x.shape[0]):
-        h = scale * (1.0 + abs(x[j]))
+        h = 1e-7 * (1.0 + abs(x[j]))
         e = np.zeros_like(x)
         e[j] = h
         jac[:, j] = (np.asarray(fun(x + e)) - np.asarray(fun(x - e))) / (2.0 * h)

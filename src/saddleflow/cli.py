@@ -19,7 +19,7 @@ import io
 import locale
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -149,10 +149,11 @@ def load_config(path, output_dir: Optional[str] = None, seed: Optional[int] = No
     _check_keys(path, "algorithm", algo, ("kind",) + BUILDERS[prob["kind"], algo["kind"]][1])
 
     integ = ini["integrator"]
-    _check_keys(path, "integrator", integ, tuple(f.name for f in fields(IntegratorConfig)))
+    _check_keys(path, "integrator", integ, ("method", "step", "horizon", "record_every"))
     try:
+        if integ.get("method", "rk4") != IntegratorConfig.method:  # every config writes it
+            raise ValueError(f"method must be 'rk4', the only method, got {integ['method']!r}")
         integrator = IntegratorConfig(
-            method=integ.get("method", "rk4"),
             step=_get_float(integ, "step", 1e-3),
             horizon=_get_float(integ, "horizon", 10.0),
             record_every=_get_int(integ, "record_every", 10),

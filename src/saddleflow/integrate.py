@@ -1,7 +1,7 @@
 """Fixed-step integration of flows, trajectory recording, and rate fitting.
 
-RK4 (default) or explicit Euler with a fixed step, plus one fractional step
-so runs end exactly at the horizon. For projected flows the projected field
+Classical RK4 with a fixed step (no other method), plus one fractional last
+step to end exactly on the horizon. For projected flows the projected field
 is evaluated at every stage and stage points as well as accepted states are
 clamped onto the feasible set, which keeps trajectories feasible. Away from
 faces the error is fourth order. Near face events, measured against exact
@@ -25,7 +25,7 @@ import os
 import stat
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
@@ -65,14 +65,12 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rk4"  # "rk4" | "euler"
+    method: ClassVar[str] = "rk4"  # the only method, not a setting; reports print it
     step: float = 1e-3
     horizon: float = 1.0
     record_every: int = 1
 
     def __post_init__(self):
-        if self.method not in ("rk4", "euler"):
-            raise ValueError(f"method must be 'rk4' or 'euler', got {self.method!r}")
         if not 0 < self.step < np.inf:
             raise ValueError(f"step must be finite and > 0, got {self.step}")
         if not 0 < self.horizon < np.inf:
@@ -82,8 +80,8 @@ class IntegratorConfig:
         # where int(horizon / step + 1e-9) counts the steps exactly
         if not self.horizon / self.step < 2.0**53:
             raise ValueError(f"horizon / step must be < 2**53, got {self.horizon / self.step:.3g}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:  # it slices the states
+            raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
 
 
 @contextlib.contextmanager
@@ -204,8 +202,8 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     then tries it once. Where no map is built, its try fails, or the piece
     is not new, the 4-stage step is taken. A step from a state where a free
     coordinate sits on its face, with its field pointing inward, fails the
-    piece's inside rows at that state and is a 4-stage step. Euler, the
-    fractional last step and any other field take 4-stage steps.
+    piece's inside rows at that state and is a 4-stage step. The fractional
+    last step and any other field take 4-stage steps.
     """
     z = np.atleast_1d(np.asarray(z0, dtype=float)).copy()
     if z.shape != (flow.dim,):
@@ -232,17 +230,12 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
     # sets) is evaluated at all four stages, and keeps the map's states while
     # the two agree: a pass-through wrapper records the same run. From the
     # first block where they differ, the run is the wrapper's own, in 4-stage steps.
-    owner, wrapped = _piece_owner(field) if config.method == "rk4" else (None, False)
+    owner, wrapped = _piece_owner(field)
     piece = amap = None  # the run's piece and its one-step map
     powers = []  # the map's powers, squared for its blocks
     held = False  # the one-step map took the last step, and no block has stopped short since
     size = 0  # B: the steps of the next block
     buf = np.empty(flows.BLOCK_MAX_ENTRIES) if owner is not None else None  # the blocks' temporaries
-
-    def stages(z, hi):
-        if config.method == "euler":
-            return z + hi * field(z)
-        return flows._rk4(field, clamp, z, hi)[0]
 
     # the record grid; the row of grid step i is ceil(i / every)
     times = np.append(np.arange(0, n_steps, every), n_steps) * h
@@ -277,12 +270,12 @@ def integrate(flow: Flow, z0, config: IntegratorConfig) -> Trajectory:
                         out = amap(z)
                 held = out is not None
                 rows = None if out is None else out[None]
-        if rows is None:
-            rows = stages(z, h if i < n_full else rem)[None]  # fractional last step: on the horizon
+        if rows is None:  # a 4-stage step; the fractional last step ends on the horizon
+            rows = flows._rk4(field, clamp, z, h if i < n_full else rem)[0][None]
         elif wrapped:
             walk, p = np.empty_like(rows), z
             for j in range(rows.shape[0]):
-                p = stages(p, h)
+                p = flows._rk4(field, clamp, p, h)[0]
                 if j < rows.shape[0] - 1:
                     p = clamp(p)
                 walk[j] = p

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -348,8 +348,8 @@ class SeparableProblem:
     A_s: np.ndarray
     A_c: np.ndarray
     b: np.ndarray
-    kappa_s: float = 0.0
-    sigma_s: float = 0.0
+    kappa_s: float = field(init=False)  # the extreme eigenvalues of A_s A_s^T, computed here
+    sigma_s: float = field(init=False)
 
     def __post_init__(self):
         A_s = np.atleast_2d(np.asarray(self.A_s, dtype=float))

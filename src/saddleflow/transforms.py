@@ -356,7 +356,7 @@ def reduce(sep: "SeparableProblem") -> ReducedProblem:
         return A_s @ x_s + A_c @ x_c - b
 
     q_val = None
-    if sep.kappa_s is not None and sep.f_s.l is not None and sep.f_s.l > 0:
+    if sep.f_s.l is not None and sep.f_s.l > 0:
         q_val = sep.kappa_s / sep.f_s.l
 
     jacobian_inverse = hessian = None

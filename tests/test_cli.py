@@ -82,7 +82,7 @@ matrix = 0.0
 kind = standard
 
 [integrator]
-method = euler
+method = rk4
 step = 5.0
 horizon = 4000
 record_every = 10
@@ -164,10 +164,22 @@ def test_missing_section_is_config_error(tmp_path, capsys):
 def test_numerical_failure_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "boom.ini", DIVERGENT)
     assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 2
-    # each Euler step of 5 multiplies the state by -4: step 512 leaves the
-    # finite numbers, so the last finite state is at t = 511 * 5, between records
+    # z' = -z at step 5, past RK4's stable step of about 2.79: each step
+    # multiplies the state by P4(-5) = 13.7, and step 272 leaves the finite
+    # numbers, so the last finite state is at t = 271 * 5, between records
     err = capsys.readouterr().err
-    assert "numerical failure: non-finite state encountered (last finite time t=2555)" in err
+    assert "numerical failure: non-finite state encountered (last finite time t=1355)" in err
+
+
+def test_a_method_other_than_rk4_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "euler.ini", DIVERGENT.replace("method = rk4", "method = euler"))
+    assert main(["run", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"saddleflow: config error: {cfg}: bad integrator config: "
+        "method must be 'rk4', the only method, got 'euler'\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_an_inner_solve_that_stalls_far_out_names_the_iterate(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import importlib
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -41,15 +41,12 @@ def test_projection_pins_boundary_coordinate():
     assert np.all(traj.states == 0.0)
 
 
-def test_euler_method_first_order():
-    cfg = sf.IntegratorConfig(method="euler", step=1e-4, horizon=1.0, record_every=1000)
-    traj = sf.integrate(_decay_flow(), [1.0], cfg)
-    assert traj.final_state[0] == pytest.approx(np.exp(-1.0), abs=1e-4)
-
-
 def test_integrator_config_validation():
-    with pytest.raises(ValueError):
-        sf.IntegratorConfig(method="rk5")
+    # RK4 is the only method: a class constant, not a setting
+    assert sf.IntegratorConfig.method == sf.IntegratorConfig().method == "rk4"
+    assert [f.name for f in fields(sf.IntegratorConfig)] == ["step", "horizon", "record_every"]
+    with pytest.raises(TypeError):
+        sf.IntegratorConfig(method="rk4")
     with pytest.raises(ValueError):
         sf.IntegratorConfig(step=0.0)
     with pytest.raises(ValueError):
@@ -60,6 +57,17 @@ def test_integrator_config_validation():
         sf.IntegratorConfig(horizon=np.inf)
     with pytest.raises(ValueError, match="step must be finite"):
         sf.IntegratorConfig(step=np.nan)
+
+
+def test_a_non_integer_record_every_is_a_value_error():
+    # it slices the record grid: a non-integer fails at construction, not in integrate
+    for every in (2.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="record_every must be an integer"):
+            sf.IntegratorConfig(step=0.01, horizon=1.0, record_every=every)
+    for every in (25, np.int64(25), np.int32(25)):
+        config = sf.IntegratorConfig(step=0.01, horizon=1.0, record_every=every)
+        traj = sf.integrate(_decay_flow(), [1.0], config)
+        assert np.array_equal(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 def test_integrator_config_counts_steps_only_below_2_to_53():
@@ -282,27 +290,23 @@ def test_record_every_thins_samples():
     assert traj.times[-1] == 1.0
 
 
-def _reference_run(flow, z0, step, n_steps, method):
-    """The fixed-step loop with np.clip stage and state clamps, every state kept."""
+def _reference_run(flow, z0, step, n_steps):
+    """The fixed-step RK4 loop with np.clip stage and state clamps, every state kept."""
     fs, field = flow.feasible, flow.field
     z = np.asarray(z0, dtype=float)
     states = [z]
     for _ in range(n_steps):
-        if method == "rk4":
-            k1 = field(z)
-            k2 = field(np.clip(z + (0.5 * step) * k1, fs.lower, fs.upper))
-            k3 = field(np.clip(z + (0.5 * step) * k2, fs.lower, fs.upper))
-            k4 = field(np.clip(z + step * k3, fs.lower, fs.upper))
-            z = z + (step / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        else:
-            z = z + step * field(z)
+        k1 = field(z)
+        k2 = field(np.clip(z + (0.5 * step) * k1, fs.lower, fs.upper))
+        k3 = field(np.clip(z + (0.5 * step) * k2, fs.lower, fs.upper))
+        k4 = field(np.clip(z + step * k3, fs.lower, fs.upper))
+        z = z + (step / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         z = np.clip(z, fs.lower, fs.upper)
         states.append(z)
     return np.array(states)
 
 
-@pytest.mark.parametrize("method", ["rk4", "euler"])
-def test_clamps_match_np_clip_bit_for_bit(method):
+def test_clamps_match_np_clip_bit_for_bit():
     # a rotation pushed into a box with an upper face, a pinned coordinate
     # and a free one, and the LP augmented flow on its orthant
     box = sf.FeasibleSet([0.0, -0.25, 0.5, -np.inf], [0.75, np.inf, 0.5, np.inf])
@@ -317,8 +321,8 @@ def test_clamps_match_np_clip_bit_for_bit(method):
     ]
     step, n_steps = 0.125, 160
     for flow, z0 in cases:
-        traj = sf.integrate(flow, z0, sf.IntegratorConfig(method=method, step=step, horizon=step * n_steps))
-        ref = _reference_run(flow, z0, step, n_steps, method)
+        traj = sf.integrate(flow, z0, sf.IntegratorConfig(step=step, horizon=step * n_steps))
+        ref = _reference_run(flow, z0, step, n_steps)
         assert traj.states.shape == ref.shape
         assert np.array_equal(traj.states, ref)
         assert np.array_equal(np.signbit(traj.states), np.signbit(ref))

@@ -190,6 +190,11 @@ def test_separable_qp_builder():
     )
     assert sep.f_s.mu == 1.0 and sep.f_s.l == 2.0
     assert sep.kappa_s == pytest.approx(1.0)
+    # computed from A_s, so neither is a constructor argument
+    parts = {"f_s": sep.f_s, "f_c": sep.f_c, "A_s": sep.A_s, "A_c": sep.A_c, "b": sep.b}
+    for name in ("kappa_s", "sigma_s"):
+        with pytest.raises(TypeError, match=name):
+            sf.SeparableProblem(**parts, **{name: 123.0})
     with pytest.raises(ValueError, match="row rank"):
         sf.make_separable_qp(
             np.eye(1), np.zeros(1), np.eye(1), np.zeros(1),

@@ -318,7 +318,7 @@ def _counting_calls(monkeypatch) -> list:
     return calls
 
 
-def test_fractional_last_step_and_euler_take_the_four_stage_path(monkeypatch):
+def test_the_fractional_last_step_takes_the_four_stage_path(monkeypatch):
     K = np.array([[-0.5, 1.0], [-1.0, -0.5]])
     flow = sf.Flow(dim=2, field=sf.AffineField(K, np.array([0.1, -0.2])))
     calls = _counting_calls(monkeypatch)
@@ -326,9 +326,6 @@ def test_fractional_last_step_and_euler_take_the_four_stage_path(monkeypatch):
     assert len(calls) == 4  # ten map steps, then one 4-stage step of 0.05
     assert traj.times[-1] == 1.05
     assert np.array_equal(traj.states[-1], _four_stage(flow, traj.states[-2], 1.05 - 10 * 0.1))
-    calls.clear()
-    sf.integrate(flow, [1.0, 0.0], sf.IntegratorConfig(method="euler", step=0.1, horizon=1.0))
-    assert len(calls) == 10
 
 
 def test_runs_are_byte_deterministic_on_both_paths(tmp_path):
