@@ -12,11 +12,11 @@ Exit codes: 0 success, 1 config error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import functools
 import io
 import locale
+import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -38,7 +38,6 @@ from .integrate import (
     distance_series,
     fit_rate,
     integrate,
-    lyapunov_series,
     max_increment,
 )
 from .problems import (
@@ -110,30 +109,58 @@ class ExperimentConfig:
     z0: Optional[np.ndarray]
 
 
+_COMMENT = re.compile(r"(?<!\S)[#;]")  # at the start of a line or after whitespace
+_OPTION = re.compile(r"([^=:]*)[=:](.*)")  # the key ends at the first '=' or ':'
+
+
+def _read_ini(path: Path) -> dict:
+    """{section: {key: value}} of a config in the README's *Config format* grammar; a ValueError names the line."""
+    ini: dict = {}
+    name = section = key = None
+    for number, raw in enumerate(path.read_text().split("\n"), 1):
+        line = _COMMENT.split(raw, 1)[0].strip()
+        if not line:
+            continue
+        depth = len(raw) - len(raw.lstrip())
+        if key is not None and depth > indent:
+            section[key] += "\n" + line
+            continue
+        indent, key = depth, None
+        if line[0] == "[" and line[-1] == "]":
+            name = line[1:-1]
+            if name in ini:
+                raise ValueError(f"line {number}: section {name!r} already exists")
+            section = ini[name] = {}
+        elif section is None:
+            raise ValueError(f"line {number}: {line!r} comes before any [section]")
+        else:
+            option = _OPTION.fullmatch(line)
+            key = option[1].strip().lower() if option else ""
+            if not key:
+                raise ValueError(f"line {number}: {line!r} is not 'key = value'")
+            if key in section:
+                raise ValueError(f"line {number}: key {key!r} in section {name!r} already exists")
+            section[key] = option[2].strip()
+    return ini
+
+
 def load_config(path, output_dir: Optional[str] = None, seed: Optional[int] = None) -> ExperimentConfig:
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    ini = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        ini.read(path)
-    except configparser.Error as err:
-        raise ConfigError(f"{path}: cannot parse: {err}") from None
-    for section in ("problem", "algorithm", "integrator"):
-        if section not in ini:
-            raise ConfigError(f"{path}: missing [{section}] section")
-
-    exp = ini["experiment"] if "experiment" in ini else {}
-    _check_keys(path, "experiment", exp, ("seed", "output_dir", "z0"))
-    try:
+    try:  # a missing file is an OSError, which main reports as a config error
+        ini = _read_ini(path)
+        _check_keys(path, "section", ini, ("experiment", "problem", "algorithm", "integrator"))
+        for section in ("problem", "algorithm", "integrator"):
+            if section not in ini:
+                raise ConfigError(f"{path}: missing [{section}] section")
+        exp = ini.get("experiment", {})
+        _check_keys(path, "[experiment] key", exp, ("seed", "output_dir", "z0"))
         cfg_seed = seed if seed is not None else _get_int(exp, "seed", 0)
         z0 = _parse_vector(exp["z0"]) if "z0" in exp else None
     except ValueError as err:
         raise ConfigError(f"{path}: {err}") from None
     out = Path(output_dir) if output_dir is not None else Path(exp.get("output_dir", "saddleflow_out"))
 
-    prob = dict(ini["problem"])
-    algo = dict(ini["algorithm"])
+    prob, algo = ini["problem"], ini["algorithm"]
     for section, d in (("problem", prob), ("algorithm", algo)):
         if "kind" not in d:
             raise ConfigError(f"{path}: [{section}] needs a 'kind' key")
@@ -145,11 +172,11 @@ def load_config(path, output_dir: Optional[str] = None, seed: Optional[int] = No
             f"{path}: algorithm {algo['kind']!r} is not compatible with problem "
             f"{prob['kind']!r} (allowed: {', '.join(allowed)})"
         )
-    _check_keys(path, "problem", prob, ("kind",) + PROBLEM_KEYS[prob["kind"]])
-    _check_keys(path, "algorithm", algo, ("kind",) + BUILDERS[prob["kind"], algo["kind"]][1])
+    _check_keys(path, "[problem] key", prob, ("kind",) + PROBLEM_KEYS[prob["kind"]])
+    _check_keys(path, "[algorithm] key", algo, ("kind",) + BUILDERS[prob["kind"], algo["kind"]][1])
 
     integ = ini["integrator"]
-    _check_keys(path, "integrator", integ, ("method", "step", "horizon", "record_every"))
+    _check_keys(path, "[integrator] key", integ, ("method", "step", "horizon", "record_every"))
     try:
         if integ.get("method", "rk4") != IntegratorConfig.method:  # every config writes it
             raise ValueError(f"method must be 'rk4', the only method, got {integ['method']!r}")
@@ -174,12 +201,12 @@ def load_config(path, output_dir: Optional[str] = None, seed: Optional[int] = No
     )
 
 
-def _check_keys(path: Path, section: str, present, allowed: tuple) -> None:
-    """A key the code does not read would run silently at its default."""
+def _check_keys(path: Path, what: str, present, allowed: tuple) -> None:
+    """A section or key the code does not read would run silently at its default."""
     unknown = [k for k in present if k not in allowed]
     if unknown:
         raise ConfigError(
-            f"{path}: unknown [{section}] key {', '.join(map(repr, unknown))} "
+            f"{path}: unknown {what} {', '.join(map(repr, unknown))} "
             f"(allowed: {', '.join(allowed)})"
         )
 
@@ -539,11 +566,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         res.rate_skipped = res.cert_skipped = "no equilibrium found"
     else:
         z_star = res.z_star if V is None else V @ res.z_star
+        series = distance_series(recorded, z_star)
         try:
-            res.rate = fit_rate(distance_series(recorded, z_star), c_bound=setup.c_bound)
+            res.rate = fit_rate(series, c_bound=setup.c_bound)
         except ValueError as err:
             res.rate_skipped = str(err)
-        res.lyapunov_increment = max_increment(lyapunov_series(recorded, z_star))
+        series[:, 1] = 0.5 * series[:, 1] ** 2  # lyapunov_series, from the same distances
+        res.lyapunov_increment = max_increment(series)
         try:
             certificate = setup.cert_builder(res.z_star)
             res.cert_report = cert.eval_certificate(certificate, traj, flow=setup.flow)

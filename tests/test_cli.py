@@ -143,7 +143,9 @@ def test_bilinear_augmented_converges(tmp_path):
 
 def test_missing_config_is_config_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.ini")]) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("saddleflow: config error: ") and f"'{tmp_path / 'nope.ini'}'\n" in err
+    assert err.count("\n") == 1
 
 
 def test_incompatible_algorithm_is_config_error(tmp_path, capsys):
@@ -536,6 +538,19 @@ def test_bad_algorithm_or_problem_data_is_config_error(tmp_path, capsys, config,
         # branches no other test reached
         ("lp_augmented.ini", "a = -1 0; 0 -1; 1 1", "a = -1 0; 0 -1; 1", "ragged matrix '-1 0; 0 -1; 1'"),
         ("lp_augmented.ini", "seed = 0", "seed = 0\n[experiment]", "section 'experiment' already exists"),
+        # the config reader's own errors name the line
+        ("lp_augmented.ini", "rho = 0.5", "rho = 0.5\nRHO: 1",
+         "line 14: key 'rho' in section 'algorithm' already exists"),
+        ("lp_augmented.ini", "[experiment]", "seed = 1\n[experiment]",
+         "line 2: 'seed = 1' comes before any [section]"),
+        ("lp_augmented.ini", "rho = 0.5", "rho 0.5", "line 13: 'rho 0.5' is not 'key = value'"),
+        ("lp_augmented.ini", "rho = 0.5", "= 0.5", "line 13: '= 0.5' is not 'key = value'"),
+        # a section nothing reads would run at its defaults (seed 0 here)
+        ("quadratic_standard.ini", "[experiment]", "[experimnet]",
+         "unknown section 'experimnet' (allowed: experiment, problem, algorithm, integrator)"),
+        ("quadratic_standard.ini", "[experiment]", "[DEFAULT]", "unknown section 'DEFAULT' (allowed: experiment, "),
+        # '%' is an ordinary character, so a bad number stays a one-line config error
+        ("quadratic_standard.ini", "mu = 1.0", "mu = 1.0%", "key 'mu' must be a number, got '1.0%'"),
         ("lp_augmented.ini", "kind = augmented\n", "", "[algorithm] needs a 'kind' key"),
         ("lp_augmented.ini", "kind = lp", "kind = lq", "unknown problem kind 'lq'"),
         ("lp_augmented.ini", "step = 0.01", "step = fast", "key 'step' must be a number, got 'fast'"),
@@ -549,6 +564,14 @@ def test_every_config_error_names_its_config(tmp_path, capsys, config, old, new,
     err = capsys.readouterr().err
     assert err.startswith(f"saddleflow: config error: {cfg}: ")
     assert message in err
+
+
+def test_a_percent_sign_in_output_dir_is_an_ordinary_character(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = (CONFIGS / "lp_augmented.ini").read_text().replace("seed = 0", "seed = 0\noutput_dir = runs/50%")
+    assert main(["run", str(_write(tmp_path, "lp_augmented.ini", text)), "--quiet"]) == 0
+    assert sorted(p.name for p in (tmp_path / "runs" / "50%").iterdir()) == [
+        "rates.csv", "report.txt", "trajectory.csv"]
 
 
 def test_integrator_integers_parse_as_other_sections_do(tmp_path):
